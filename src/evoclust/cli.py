@@ -76,7 +76,6 @@ def _build_parser():
     p.add_argument("--hypo-depth", type=int, default=4)
     p.add_argument("--iters", type=int, default=30)
     p.add_argument("--quality-floor", type=float, default=0.8)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="reduced context path (.cxt)")
     p.add_argument("--report", default=None, help="invariants report path (.json)")
 
@@ -145,8 +144,8 @@ def _cmd_cluster(args):
 def _cmd_fca(args):
     config = FcaConfig(ctx=args.ctx, tax=args.tax, hyper_depth=args.hyper_depth,
                        hypo_depth=args.hypo_depth, iters=args.iters,
-                       quality_floor=args.quality_floor, seed=args.seed,
-                       out=args.out, report=args.report)
+                       quality_floor=args.quality_floor, out=args.out,
+                       report=args.report)
     payload = run_fca_suite(config)
     print(f"{payload['original_shape']} -> {payload['reduced_shape']}, "
           f"concepts {payload['original']['n_concepts']} -> "

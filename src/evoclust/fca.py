@@ -3,10 +3,13 @@ and the structural invariants used to compare an original lattice with its
 reduced counterpart.
 
 Concepts are enumerated with NextClosure over attribute sets; rows are packed
-into integer bitmasks so closures are a couple of integer ops each.
+into integer bitmasks so closures are a couple of integer ops each. The order
+works on the same bitmasks: covers come from Lindig's neighbour step and
+reachability from one pass of bitset unions.
 """
 
 import json
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Tuple
@@ -52,13 +55,7 @@ class FormalContext:
 
     def row_masks(self):
         """Each object's attribute set as an int bitmask (bit j = attr j)."""
-        masks = []
-        for row in self.incidence:
-            m = 0
-            for j in np.flatnonzero(row):
-                m |= 1 << int(j)
-            masks.append(m)
-        return masks
+        return [_bits(np.flatnonzero(row)) for row in self.incidence]
 
 
 @dataclass
@@ -112,55 +109,95 @@ def derive_concepts(ctx):
     return out
 
 
+def _bits(indices):
+    m = 0
+    for i in indices:
+        m |= 1 << int(i)
+    return m
+
+
 def hasse_edges(concepts):
-    """Covering pairs (child, parent) of the extent-inclusion order."""
+    """Covering pairs (child, parent) of the extent-inclusion order, sorted.
+
+    Lindig's neighbour step (Fast Concept Analysis, 2000): every upper
+    neighbour of (A, B) has intent B & g' for some object g outside A, where
+    g' is the intent of g's object concept, the smallest concept holding g.
+    A candidate is a cover iff every object it adds to A generates it, i.e.
+    the number of generating objects equals |extent(candidate)| - |A|.
+    """
     n = len(concepts)
-    ext_masks = []
-    for c in concepts:
-        m = 0
-        for i in c.extent:
-            m |= 1 << int(i)
-        ext_masks.append(m)
-    less = np.zeros((n, n), dtype=bool)
+    extents = [_bits(c.extent) for c in concepts]
+    intents = [_bits(c.intent) for c in concepts]
+    index_of = {b: i for i, b in enumerate(intents)}
+    size = [len(c.extent) for c in concepts]
+    object_intent = {}
+    for i in sorted(range(n), key=size.__getitem__):
+        for g in concepts[i].extent:
+            object_intent.setdefault(int(g), intents[i])
+    edges = []
     for i in range(n):
-        for j in range(n):
-            if i != j and ext_masks[i] != ext_masks[j] \
-                    and ext_masks[i] & ext_masks[j] == ext_masks[i]:
-                less[i, j] = True
-    if n > 1:
-        via = (less.astype(np.int32) @ less.astype(np.int32)) > 0
-        cover = less & ~via
-    else:
-        cover = less
-    return [(i, j) for i in range(n) for j in range(n) if cover[i, j]]
+        generated = {}
+        for g, g_intent in object_intent.items():
+            if not extents[i] >> g & 1:
+                cand = intents[i] & g_intent
+                generated[cand] = generated.get(cand, 0) + 1
+        for cand, count in generated.items():
+            j = index_of[cand]
+            if count == size[j] - size[i]:
+                edges.append((i, j))
+    edges.sort()
+    return edges
 
 
 def _transitive_closure(n, edges):
-    reach = np.zeros((n, n), dtype=bool)
+    """Strict reachability along edges as an n x n bool matrix, from one pass
+    of bitset unions over the nodes in reverse topological order."""
+    parents = [[] for _ in range(n)]
+    indeg = [0] * n
     for a, b in edges:
-        reach[a, b] = True
-    while True:
-        step = reach | ((reach.astype(np.int32) @ reach.astype(np.int32)) > 0)
-        if np.array_equal(step, reach):
-            return reach
-        reach = step
+        parents[a].append(b)
+        indeg[b] += 1
+    order = [v for v in range(n) if indeg[v] == 0]
+    for u in order:
+        for v in parents[u]:
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                order.append(v)
+    if len(order) < n:
+        raise ValueError("edges contain a cycle")
+    above = [0] * n
+    for u in reversed(order):
+        for v in parents[u]:
+            above[u] |= above[v] | 1 << v
+    width = (n + 7) // 8
+    packed = b"".join(m.to_bytes(width, "little") for m in above)
+    bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), bitorder="little")
+    return bits.reshape(n, width * 8)[:, :n].astype(bool)
 
 
 def _girth(n, edges):
-    """Shortest cycle length of the undirected diagram (0 when acyclic)."""
+    """Shortest cycle length of the undirected diagram (0 when acyclic).
+
+    One BFS per source; a BFS stops once its frontier can no longer close a
+    cycle shorter than the best found, and the search ends at 4 because a
+    covering graph has no triangles.
+    """
     adj = [[] for _ in range(n)]
     for a, b in edges:
         adj[a].append(b)
         adj[b].append(a)
     best = 0
     for s in range(n):
-        dist = {s: 0}
-        parent = {s: -1}
-        queue = [s]
+        dist = [-1] * n
+        parent = [-1] * n
+        dist[s] = 0
+        queue = deque([s])
         while queue:
-            u = queue.pop(0)
+            u = queue.popleft()
+            if best and 2 * dist[u] + 1 >= best:
+                break
             for v in adj[u]:
-                if v not in dist:
+                if dist[v] < 0:
                     dist[v] = dist[u] + 1
                     parent[v] = u
                     queue.append(v)
@@ -168,6 +205,8 @@ def _girth(n, edges):
                     cycle = dist[u] + dist[v] + 1
                     if best == 0 or cycle < best:
                         best = cycle
+        if best == 4:
+            break
     return best
 
 
@@ -177,23 +216,22 @@ def invariants(lattice_or_concepts, edges=None):
     Height counts nodes on a longest chain. The width interval's lower end is
     the largest level of a longest-path level decomposition (levels are
     antichains); its upper end is the exact maximum antichain via a minimum
-    chain cover, or the same bound again for very large lattices.
+    chain cover, or the same bound again for very large lattices. A built
+    lattice already carries these, so they are read off it, not recomputed.
     """
     if isinstance(lattice_or_concepts, ConceptLattice):
-        concepts = lattice_or_concepts.concepts
-        edges = lattice_or_concepts.hasse_edges
-    else:
-        concepts = lattice_or_concepts
-        if edges is None:
-            edges = hasse_edges(concepts)
+        lat = lattice_or_concepts
+        return {"n_concepts": len(lat.concepts), "n_edges": len(lat.hasse_edges),
+                "height": lat.height, "width_interval": lat.width_interval}
+    concepts = lattice_or_concepts
+    if edges is None:
+        edges = hasse_edges(concepts)
     n = len(concepts)
     if n == 0:
         return {"n_concepts": 0, "n_edges": 0, "height": 0, "width_interval": (0, 0)}
     children = [[] for _ in range(n)]
-    indeg = [0] * n
     for a, b in edges:
         children[a].append(b)
-        indeg[b] += 1
     # longest chain ending at each node, traversed in extent-size order
     order = sorted(range(n), key=lambda i: len(concepts[i].extent))
     level = [1] * n
@@ -223,10 +261,7 @@ def build_lattice(ctx):
     edges = hasse_edges(concepts)
     inv = invariants(concepts, edges)
     n = len(concepts)
-    degree = np.zeros(n, dtype=int)
-    for a, b in edges:
-        degree[a] += 1
-        degree[b] += 1
+    degree = np.bincount(np.asarray(edges, dtype=int).ravel(), minlength=n)
     return ConceptLattice(
         concepts=concepts, hasse_edges=edges, height=inv["height"],
         width_interval=inv["width_interval"],

@@ -250,13 +250,15 @@ def _merge_labels(ctx, axis, label_a, label_b, new_label):
     return ctx
 
 
-def reduce_context(ctx, tax, params, rng=None):
-    """Iteratively merge similar/related labels until a fixpoint, a lattice
-    quality below the floor, or the iteration cap; returns the reduced
-    context and the merge trace.
+def reduce_context(ctx, tax, params):
+    """Iteratively merge similar/related labels, one whole pass (attributes,
+    then objects) per iteration; returns the reduced context and the merge
+    trace. Deterministic: the same inputs give the same merges.
 
-    ``rng`` is accepted for interface stability; the procedure is currently
-    fully deterministic and never draws from it.
+    The loop stops at a fixpoint, at the iteration cap, or after the first
+    pass whose lattice quality falls below the floor. Quality is checked only
+    after a whole pass, and that last pass is kept, so the returned context
+    can lie below the floor.
     """
     if len(ctx.objects) == 0 or len(ctx.attributes) == 0:
         raise ValueError("cannot reduce an empty context")

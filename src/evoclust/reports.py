@@ -350,7 +350,6 @@ class FcaConfig:
     hypo_depth: int = 4
     iters: int = 30
     quality_floor: float = 0.8
-    seed: int = 0
     out: Optional[str] = None
     report: Optional[str] = None
 
@@ -374,7 +373,6 @@ def run_fca_suite(config):
             "ctx": str(config.ctx), "tax": str(config.tax),
             "hyper_depth": config.hyper_depth, "hypo_depth": config.hypo_depth,
             "iters": config.iters, "quality_floor": config.quality_floor,
-            "seed": config.seed,
         },
         "original": fca.lattice_to_json(ctx, lat_orig)["invariants"],
         "reduced": fca.lattice_to_json(reduced, lat_red)["invariants"],

@@ -6,11 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from test_acceptance import _planted_context
+
+from evoclust import fca
 from evoclust.fca import (Concept, FormalContext, build_lattice,
                           derive_concepts, hasse_edges, invariants,
                           lattice_quality, lattice_to_json, read_cxt,
-                          save_lattice_json, write_cxt, _closure, _ratio,
-                          _transitive_closure)
+                          save_lattice_json, write_cxt, _closure, _girth,
+                          _ratio, _transitive_closure)
 
 
 def _ctx(rows, objects=None, attributes=None):
@@ -122,6 +125,143 @@ def test_hasse_transitive_closure_is_inclusion_order(seed):
         for j in range(n):
             strictly_below = i != j and ext[i] < ext[j]
             assert reach[i, j] == strictly_below
+
+
+# Reference order layer: the original quadratic/cubic implementations, kept
+# as oracles for the neighbour-step covers, bitset closure and early-exit BFS.
+
+def _ref_hasse_edges(concepts):
+    n = len(concepts)
+    ext_masks = []
+    for c in concepts:
+        m = 0
+        for i in c.extent:
+            m |= 1 << int(i)
+        ext_masks.append(m)
+    less = np.zeros((n, n), dtype=bool)
+    for i in range(n):
+        for j in range(n):
+            if i != j and ext_masks[i] != ext_masks[j] \
+                    and ext_masks[i] & ext_masks[j] == ext_masks[i]:
+                less[i, j] = True
+    if n > 1:
+        via = (less.astype(np.int32) @ less.astype(np.int32)) > 0
+        cover = less & ~via
+    else:
+        cover = less
+    return [(i, j) for i in range(n) for j in range(n) if cover[i, j]]
+
+
+def _ref_transitive_closure(n, edges):
+    reach = np.zeros((n, n), dtype=bool)
+    for a, b in edges:
+        reach[a, b] = True
+    while True:
+        step = reach | ((reach.astype(np.int32) @ reach.astype(np.int32)) > 0)
+        if np.array_equal(step, reach):
+            return reach
+        reach = step
+
+
+def _ref_girth(n, edges):
+    adj = [[] for _ in range(n)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    best = 0
+    for s in range(n):
+        dist = {s: 0}
+        parent = {s: -1}
+        queue = [s]
+        while queue:
+            u = queue.pop(0)
+            for v in adj[u]:
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    parent[v] = u
+                    queue.append(v)
+                elif parent[u] != v:
+                    cycle = dist[u] + dist[v] + 1
+                    if best == 0 or cycle < best:
+                        best = cycle
+    return best
+
+
+def _assert_order_matches_reference(concepts):
+    edges = hasse_edges(concepts)
+    assert edges == _ref_hasse_edges(concepts)  # order included
+    n = len(concepts)
+    reach = _transitive_closure(n, edges)
+    assert reach.dtype == bool
+    assert np.array_equal(reach, _ref_transitive_closure(n, edges))
+    girth = _girth(n, edges)
+    assert girth == _ref_girth(n, edges)
+    return girth
+
+
+def test_order_layer_matches_reference_on_random_contexts():
+    rng = np.random.Generator(np.random.PCG64(400))
+    girths = set()
+    for _ in range(200):
+        n_obj = int(rng.integers(0, 10))
+        n_att = int(rng.integers(1, 10))
+        inc = rng.random((n_obj, n_att)) < rng.uniform(0.1, 0.9)
+        concepts = derive_concepts(_ctx(inc))
+        girths.add(_assert_order_matches_reference(concepts))
+        # indices need not follow extent size
+        _assert_order_matches_reference([concepts[i] for i in
+                                         rng.permutation(len(concepts))])
+    # chains, diamonds and longer shortest cycles were all drawn
+    assert {0, 4} <= girths and max(girths) > 4
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_order_layer_matches_reference_on_planted_contexts(seed):
+    ctx, _ = _planted_context(seed)
+    _assert_order_matches_reference(derive_concepts(ctx))
+
+
+def test_girth_pentagon_is_five():
+    # N5: 0 < a < b < 1 on one side, 0 < c < 1 on the other; the first
+    # 4-cycle the early exit could stop at does not exist here
+    lat = build_lattice(_ctx([[1, 0, 0], [1, 1, 0], [0, 0, 1]]))
+    assert len(lat.concepts) == 5
+    assert lat.cycle_length == 5
+    assert _girth(len(lat.concepts), lat.hasse_edges) == 5
+
+
+def test_girth_five_after_a_six_cycle():
+    # a 6-cycle is found from an earlier source than any 5-cycle, so a BFS
+    # cut one level too early would report 6
+    rows = [[0, 1, 0, 1, 0, 0], [1, 1, 0, 1, 0, 0], [0, 1, 0, 0, 1, 0],
+            [1, 1, 0, 1, 1, 0], [0, 0, 0, 0, 0, 1]]
+    lat = build_lattice(_ctx(rows))
+    assert lat.cycle_length == 5
+    assert _ref_girth(len(lat.concepts), lat.hasse_edges) == 5
+
+
+def test_order_layer_empty_inputs():
+    assert hasse_edges([]) == []
+    assert _girth(0, []) == 0
+    assert _transitive_closure(0, []).shape == (0, 0)
+
+
+def test_transitive_closure_rejects_cycles():
+    with pytest.raises(ValueError, match="cycle"):
+        _transitive_closure(2, [(0, 1), (1, 0)])
+
+
+def test_invariants_of_built_lattice_match_recomputation():
+    rng = np.random.Generator(np.random.PCG64(500))
+    inc = rng.random((8, 7)) < 0.4
+    lat = build_lattice(_ctx(inc))
+    assert invariants(lat) == invariants(lat.concepts, lat.hasse_edges)
+
+
+def test_order_layer_names_stay_importable():
+    # the per-layer profiler wraps these by name; a rename breaks traced runs
+    for name in ("hasse_edges", "invariants", "_transitive_closure", "_girth"):
+        assert callable(getattr(fca, name, None)), name
 
 
 def _max_antichain(concepts):

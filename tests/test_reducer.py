@@ -9,7 +9,6 @@ from evoclust.reducer import (RELATED, SIMILAR, UNRELATED, MergeEvent,
                               ReduceParams, Taxonomy, classify_pair,
                               common_hypernym, enumerate_pairs, load_taxonomy,
                               merge_pair, reduce_context)
-from evoclust.rng import RngStream
 
 
 @pytest.fixture
@@ -206,12 +205,11 @@ def test_reduce_rejects_empty_context(tax):
                        ReduceParams())
 
 
-def test_reduce_is_deterministic_and_ignores_rng(tax):
+def test_reduce_is_deterministic(tax):
     ctx = _ctx([[1, 0, 1], [0, 1, 0]], ["cat", "dog"],
                ["car", "automobile", "wheel"])
     a = reduce_context(ctx, tax, ReduceParams(quality_floor=0.0))
-    b = reduce_context(ctx, tax, ReduceParams(quality_floor=0.0),
-                       rng=RngStream(7))
+    b = reduce_context(ctx, tax, ReduceParams(quality_floor=0.0))
     assert a[1] == b[1]
     assert a[0].objects == b[0].objects
     assert np.array_equal(a[0].incidence, b[0].incidence)
