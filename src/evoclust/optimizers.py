@@ -106,18 +106,20 @@ def bsa_mutation(P, Pold, F):
 def bsa_crossover(P, Mutant, mixrate, rng):
     """Two-branch binary map: with even odds either ceil(mixrate*rand*D)
     random positions per row take the mutant, or exactly one does; every
-    other position keeps P."""
+    other position keeps P.
+
+    A row's positions are the first k of a uniformly random order, the
+    argsort of one row of a uniform matrix."""
     n, d = P.shape
-    keep = np.ones((n, d), dtype=bool)
+    rows = np.arange(n)
+    mutate = np.zeros((n, d), dtype=bool)
     if uniform(rng, 0.0, 1.0) < uniform(rng, 0.0, 1.0):
-        for i in range(n):
-            order = permute(rng, d)
-            k = max(1, math.ceil(mixrate * uniform(rng, 0.0, 1.0) * d))
-            keep[i, order[:k]] = False
+        k = np.maximum(1, np.ceil(mixrate * rng.generator.random(n) * d))
+        order = np.argsort(rng.generator.random((n, d)), axis=1)
+        mutate[rows[:, None], order] = np.arange(d) < k[:, None]
     else:
-        for i in range(n):
-            keep[i, int(rng.generator.integers(d))] = False
-    return np.where(keep, P.individuals, Mutant)
+        mutate[rows, rng.generator.integers(d, size=n)] = True
+    return np.where(mutate, Mutant, P.individuals)
 
 
 def boundary_control(T, low, up, rng):
@@ -185,6 +187,15 @@ def _run_bsa(fn, dim, low, up, config, rng, tracker):
         hit = tracker.update(P.fitness, P.individuals, it) or hit
 
 
+def de_picks(rng, n):
+    """Three distinct row indices per row i, none equal to i: the first
+    three columns of the argsort of an (n, n) uniform matrix whose diagonal
+    is masked to +inf, so each pick is uniform over the other n - 1 rows."""
+    keys = rng.generator.random((n, n))
+    np.fill_diagonal(keys, np.inf)
+    return np.argsort(keys, axis=1)[:, :3]
+
+
 def _run_de(fn, dim, low, up, config, rng, tracker):
     n = config.population_size
     X = uniform_matrix(rng, low, up, (n, dim))
@@ -193,10 +204,7 @@ def _run_de(fn, dim, low, up, config, rng, tracker):
     for it in range(1, config.max_iterations + 1):
         if hit and config.stop_on_success:
             break
-        r = np.empty((n, 3), dtype=int)
-        for i in range(n):
-            pool = permute(rng, n)
-            r[i] = pool[pool != i][:3]
+        r = de_picks(rng, n)
         V = X[r[:, 0]] + config.de_f * (X[r[:, 1]] - X[r[:, 2]])
         cross = rng.generator.random((n, dim)) < config.de_cr
         cross[np.arange(n), rng.generator.integers(dim, size=n)] = True
@@ -280,6 +288,34 @@ def _run_abc(fn, dim, low, up, config, rng, tracker):
         hit = tracker.update(fx, X, it) or hit
 
 
+def ff_sweep(X, fitness, noise, beta0, gamma, step):
+    """One firefly iteration's moves (Yang 2009), before clipping.
+
+    For each attractor j in index order, every firefly dimmer than j (by
+    ``fitness``, the start-of-iteration values) moves toward j's
+    start-of-iteration position at once: x_i += beta0 * exp(-gamma * r^2) *
+    (x_j - x_i) + step * noise[i, j], with r measured from x_i's current,
+    already-moved position. So each firefly still passes through its
+    brighter fireflies one at a time in index order; only the attractors
+    stay where they stood when the iteration began."""
+    # With the rows sorted by fitness, the fireflies dimmer than j are the
+    # slice after j's tie group, so each step updates a view in place.
+    order = np.argsort(fitness)
+    first_dimmer = np.searchsorted(fitness[order], fitness, side="right")
+    moved = X[order]
+    kick = step * noise[order]
+    for j in range(len(X)):
+        s = first_dimmer[j]
+        if s == len(X):
+            continue
+        diff = X[j] - moved[s:]
+        beta = beta0 * np.exp(-gamma * np.einsum("ij,ij->i", diff, diff))
+        moved[s:] += beta[:, None] * diff + kick[s:, j]
+    out = np.empty_like(moved)
+    out[order] = moved
+    return out
+
+
 def _run_ff(fn, dim, low, up, config, rng, tracker):
     n = config.population_size
     X = uniform_matrix(rng, low, up, (n, dim))
@@ -290,16 +326,9 @@ def _run_ff(fn, dim, low, up, config, rng, tracker):
     for it in range(1, config.max_iterations + 1):
         if hit and config.stop_on_success:
             break
-        f_old = fx.copy()
-        for i in range(n):
-            xi = X[i].copy()
-            for j in range(n):
-                if f_old[j] < f_old[i]:
-                    diff = X[j] - xi
-                    beta = config.ff_beta0 * math.exp(-config.ff_gamma * float(diff @ diff))
-                    eps = rng.generator.random(dim) - 0.5
-                    xi = xi + beta * diff + alpha * eps * span
-            X[i] = np.clip(xi, low, up)
+        noise = rng.generator.random((n, n, dim)) - 0.5
+        moved = ff_sweep(X, fx, noise, config.ff_beta0, config.ff_gamma, alpha * span)
+        X = np.clip(moved, low, up)
         fx = benchmarks.evaluate_batch(fn, X)
         alpha *= config.ff_alpha_decay
         hit = tracker.update(fx, X, it) or hit
@@ -318,9 +347,14 @@ def run_optimizer(algo, fn, config, seed, dim=None, bounds=None):
     algo = str(algo).lower()
     if algo not in _RUNNERS:
         raise ValueError(f"unknown algorithm: {algo!r} (expected one of {ALGORITHMS})")
+    if algo == "de" and config.population_size < 4:
+        raise ValueError("de needs population_size >= 4 (row i plus three "
+                         f"distinct others), got {config.population_size}")
     fn = benchmarks.get_function(fn)
     dim = int(dim) if dim is not None else 2
     low, up = bounds if bounds is not None else (fn.low, fn.up)
+    if not (math.isfinite(low) and math.isfinite(up)):
+        raise ValueError(f"bounds must be finite, got low={low}, up={up}")
     if low >= up:
         raise ValueError("bounds must satisfy low < up")
     fn._check_dim(dim)

@@ -149,6 +149,7 @@ def run_bench_suite(config):
 
     stats_rows = []
     runs_payload = []
+    runs_by = {}
     success_counts = {a: {} for a in algos}
     for (fid, algo), results in entries.items():
         fn = benchmarks.get_function(fid)
@@ -163,35 +164,19 @@ def run_bench_suite(config):
             val_stats.mean, val_stats.sd, val_stats.best, val_stats.worst,
             it_stats.mean_exec_time,
         ])
-        runs_payload.append({
-            "function": fid, "algo": algo, "dim": results[0].dim,
-            "reference_min": results[0].reference_min,
-            "runs": [
-                {"seed": r.seed, "succeeded": r.succeeded,
+        runs = [{"seed": r.seed, "succeeded": r.succeeded,
                  "iterations_to_success": r.iterations_to_success,
                  "best_value": r.best_value, "run_time_s": r.wall_time}
-                for r in results
-            ],
+                for r in results]
+        runs_by[(fid, algo)] = runs
+        runs_payload.append({
+            "function": fid, "algo": algo, "dim": results[0].dim,
+            "reference_min": results[0].reference_min, "runs": runs,
         })
 
-    pair_rows = []
-    for fid in fn_ids:
-        for i in range(len(algos)):
-            for j in range(i + 1, len(algos)):
-                a, b = algos[i], algos[j]
-                ra, rb = entries[(fid, a)], entries[(fid, b)]
-                xs, ys = [], []
-                for run_a, run_b in zip(ra, rb):
-                    if run_a.succeeded and run_b.succeeded:
-                        xs.append(float(run_a.iterations_to_success))
-                        ys.append(float(run_b.iterations_to_success))
-                if xs:
-                    w = wilcoxon_signed_rank(xs, ys)
-                    winner = {"A": a, "B": b, "tie": "tie"}[w.winner]
-                    pair_rows.append([fid, a, b, len(xs), w.r_plus, w.r_minus,
-                                      w.p_value, winner])
-                else:
-                    pair_rows.append([fid, a, b, 0, None, None, None, "NC"])
+    pair_rows = [_pairwise_row(fid, a, b, runs_by[(fid, a)], runs_by[(fid, b)])
+                 for fid in fn_ids
+                 for i, a in enumerate(algos) for b in algos[i + 1:]]
 
     ratio = success_ratio(success_counts)
     ratio_rows = [[algo, solved, failed] for algo, (solved, failed) in ratio.items()]
@@ -225,6 +210,24 @@ def run_bench_suite(config):
         written["json"] = str(write_json(out.with_suffix(".json"), payload))
     payload["written"] = written
     return payload
+
+
+def _pairwise_row(fid, algo_a, algo_b, runs_a, runs_b, metric="iters", alpha=0.05):
+    """One PAIR_HEADER row: the exact signed-rank test on two algorithms'
+    paired runs (detail dicts) of one function. For ``iters`` only the pairs
+    where both runs succeeded count; no pair left gives an "NC" row."""
+    key = {"iters": "iterations_to_success", "value": "best_value"}[metric]
+    xs, ys = [], []
+    for run_a, run_b in zip(runs_a, runs_b):
+        if metric == "iters" and not (run_a["succeeded"] and run_b["succeeded"]):
+            continue
+        xs.append(float(run_a[key]))
+        ys.append(float(run_b[key]))
+    if not xs:
+        return [fid, algo_a, algo_b, 0, None, None, None, "NC"]
+    w = wilcoxon_signed_rank(xs, ys, alpha=alpha)
+    winner = {"A": algo_a, "B": algo_b, "tie": "tie"}[w.winner]
+    return [fid, algo_a, algo_b, len(xs), w.r_plus, w.r_minus, w.p_value, winner]
 
 
 STATS_HEADER = ["function", "name", "algo", "dim", "reference_min",
@@ -399,27 +402,13 @@ def run_report(in_path, compare, metric="iters", alpha=0.05, out=None):
     """Paired rank test between two algorithms from a bench-suite JSON."""
     data = json.loads(Path(in_path).read_text())
     algo_a, algo_b = [a.strip().lower() for a in compare]
-    key = {"iters": "iterations_to_success", "value": "best_value"}[metric]
     by_fn = {}
     for block in data.get("detail", []):
         by_fn.setdefault(block["function"], {})[block["algo"]] = block["runs"]
-    rows = []
-    for fid, algos in sorted(by_fn.items()):
-        if algo_a not in algos or algo_b not in algos:
-            continue
-        xs, ys = [], []
-        for run_a, run_b in zip(algos[algo_a], algos[algo_b]):
-            if metric == "iters" and not (run_a["succeeded"] and run_b["succeeded"]):
-                continue
-            xs.append(float(run_a[key]))
-            ys.append(float(run_b[key]))
-        if xs:
-            w = wilcoxon_signed_rank(xs, ys, alpha=alpha)
-            winner = {"A": algo_a, "B": algo_b, "tie": "tie"}[w.winner]
-            rows.append([fid, algo_a, algo_b, len(xs), w.r_plus, w.r_minus,
-                         w.p_value, winner])
-        else:
-            rows.append([fid, algo_a, algo_b, 0, None, None, None, "NC"])
+    rows = [_pairwise_row(fid, algo_a, algo_b, algos[algo_a], algos[algo_b],
+                          metric, alpha)
+            for fid, algos in sorted(by_fn.items())
+            if algo_a in algos and algo_b in algos]
     payload = {
         "config": {"in": str(in_path), "compare": [algo_a, algo_b],
                    "metric": metric, "alpha": alpha},

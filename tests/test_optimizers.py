@@ -1,14 +1,20 @@
 """Dual-population search operators and the shared run loop."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
+from scipy.stats import chisquare
 
+from evoclust import benchmarks, optimizers
 from evoclust.optimizers import (ALGORITHMS, OptimizerConfig, Population,
                                  boundary_control, bsa_crossover, bsa_init,
                                  bsa_mutation, bsa_selection1, bsa_selection2,
-                                 run_optimizer, run_repetitions)
+                                 de_picks, ff_sweep, run_optimizer,
+                                 run_repetitions)
 from evoclust.benchmarks import get_function
-from evoclust.rng import RngStream
+from evoclust.rng import RngStream, uniform_matrix
 
 
 def test_config_validation():
@@ -196,3 +202,141 @@ def test_run_repetitions_seeds():
     assert [r.seed for r in results] == [100, 101, 102, 103]
     solo = run_optimizer("de", "F14", cfg, seed=102, dim=2, bounds=(-1, 1))
     assert results[2].best_value == solo.best_value
+
+
+# ------------------------------------------------ DE guard and bad bounds
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_de_rejects_population_below_four(size):
+    cfg = OptimizerConfig(population_size=size, max_iterations=5, runs=1)
+    with pytest.raises(ValueError, match="population_size >= 4"):
+        run_optimizer("de", "F14", cfg, seed=0)
+
+
+def test_de_runs_at_population_four():
+    cfg = OptimizerConfig(population_size=4, max_iterations=20, runs=1)
+    r = run_optimizer("de", "F14", cfg, seed=0, bounds=(-1, 1))
+    assert math.isfinite(r.best_value)
+
+
+@pytest.mark.parametrize("bounds", [(-math.inf, 1.0), (0.0, math.inf),
+                                    (math.nan, 1.0), (0.0, math.nan)])
+def test_non_finite_bounds_rejected_at_entry(bounds):
+    cfg = OptimizerConfig(max_iterations=5, runs=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning on the way
+        with pytest.raises(ValueError, match="bounds must be finite"):
+            run_optimizer("bsa", "F14", cfg, seed=0, bounds=bounds)
+
+
+# ------------------------------------------------------- firefly sweep
+
+def _ff_pairs_reference(X, fitness, noise, beta0, gamma, step):
+    """The sweep rule pair by pair: firefly i visits every brighter j in
+    index order, with j at its start-of-iteration position."""
+    out = X.copy()
+    for i in range(len(X)):
+        xi = X[i].copy()
+        for j in range(len(X)):
+            if fitness[j] < fitness[i]:
+                diff = X[j] - xi
+                beta = beta0 * math.exp(-gamma * float(diff @ diff))
+                xi = xi + beta * diff + step * noise[i, j]
+        out[i] = xi
+    return out
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_ff_sweep_matches_pair_loop(seed):
+    g = np.random.Generator(np.random.PCG64(seed))
+    n, d = int(g.integers(2, 25)), int(g.integers(1, 6))
+    X = g.normal(size=(n, d))
+    fitness = np.round(g.random(n), 1)  # ties: equals do not attract
+    noise = g.random((n, n, d)) - 0.5
+    got = ff_sweep(X, fitness, noise, 1.0, 0.7, 0.3)
+    want = _ff_pairs_reference(X, fitness, noise, 1.0, 0.7, 0.3)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_ff_iteration_matches_pair_loop(monkeypatch):
+    """One run_optimizer iteration equals the pair loop fed the same draws."""
+    seen = []
+    real = benchmarks.evaluate_batch
+    monkeypatch.setattr(benchmarks, "evaluate_batch",
+                        lambda fn, X: seen.append(X.copy()) or real(fn, X))
+    cfg = OptimizerConfig(population_size=12, max_iterations=1, runs=1,
+                          stop_on_success=False)
+    run_optimizer("ff", "F11", cfg, seed=3, dim=3, bounds=(-2.0, 2.0))
+    rng = RngStream(3)
+    X0 = uniform_matrix(rng, -2.0, 2.0, (12, 3))
+    noise = rng.generator.random((12, 12, 3)) - 0.5
+    f0 = real(get_function("F11"), X0)
+    want = np.clip(_ff_pairs_reference(X0, f0, noise, cfg.ff_beta0, cfg.ff_gamma,
+                                       cfg.ff_alpha * 4.0), -2.0, 2.0)
+    np.testing.assert_array_equal(seen[0], X0)
+    np.testing.assert_allclose(seen[1], want, rtol=1e-12, atol=0)
+
+
+# ------------------------------------------------- crossover statistics
+
+def _crossover_masks(n, d, seeds):
+    P = Population(np.zeros((n, d)))
+    return [bsa_crossover(P, np.ones((n, d)), 1.0, RngStream(s)) == 1 for s in seeds]
+
+
+def test_crossover_counts_uniform_and_columns_even():
+    """Mixrate 1: the multi-position branch's per-row count is uniform on
+    1..D and every column is equally likely to take the mutant."""
+    d = 6
+    masks = [m for m in _crossover_masks(400, d, range(40)) if (m.sum(axis=1) > 1).any()]
+    assert len(masks) >= 10
+    mask = np.vstack(masks)
+    counts = np.bincount(mask.sum(axis=1), minlength=d + 1)
+    assert counts[0] == 0
+    assert chisquare(counts[1:]).pvalue > 1e-3
+    assert chisquare(mask.sum(axis=0)).pvalue > 1e-3
+
+
+def test_crossover_single_branch_flips_one_uniform_column():
+    d = 7
+    masks = [m for m in _crossover_masks(400, d, range(40)) if (m.sum(axis=1) == 1).all()]
+    assert len(masks) >= 10
+    mask = np.vstack(masks)
+    assert np.all(mask.sum(axis=1) == 1)
+    assert chisquare(mask.sum(axis=0)).pvalue > 1e-3
+
+
+# ------------------------------------------------------------ DE picks
+
+def test_de_picks_distinct_and_uniform_over_other_rows():
+    n, draws = 7, 3000
+    rng = RngStream(11)
+    picks = np.stack([de_picks(rng, n) for _ in range(draws)])  # draws x n x 3
+    rows = np.arange(n)[None, :, None]
+    assert np.all(picks != rows)
+    assert np.all((picks[..., 0] != picks[..., 1]) & (picks[..., 0] != picks[..., 2])
+                  & (picks[..., 1] != picks[..., 2]))
+    for i in range(n):
+        for c in range(3):
+            counts = np.bincount(picks[:, i, c], minlength=n)
+            assert counts[i] == 0
+            assert chisquare(np.delete(counts, i)).pvalue > 1e-4, (i, c)
+
+
+# --------------------------------------------- names the profiler wraps
+
+def test_profiled_names_exposed():
+    for name in ("run_optimizer", "bsa_crossover", "boundary_control"):
+        assert callable(getattr(optimizers, name)), name
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_every_iteration_evaluates_through_evaluate_batch(algo, monkeypatch):
+    calls = []
+    real = benchmarks.evaluate_batch
+    monkeypatch.setattr(benchmarks, "evaluate_batch",
+                        lambda fn, X: calls.append(len(X)) or real(fn, X))
+    cfg = OptimizerConfig(population_size=10, max_iterations=8, runs=1,
+                          stop_on_success=False)
+    run_optimizer(algo, "F11", cfg, seed=2, dim=3)
+    assert len(calls) >= cfg.max_iterations + 1  # the initial population too
