@@ -2,9 +2,11 @@
 
 The on-disk format is deliberately plain: one point per line, coordinates
 separated by whitespace, ``#`` comments and blank lines ignored. Ground-truth
-centroid files use the same layout.
+centroid files use the same layout. Every value must be finite: ``nan`` and
+``inf`` are rejected at load time with the file and line.
 """
 
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -34,16 +36,20 @@ class Dataset:
         return self.points.min(axis=0), self.points.max(axis=0)
 
 
+def _data_lines(text):
+    """(line number, content) of each line that holds data."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
 def _parse_matrix(text, source):
     rows = []
     width = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, line in _data_lines(text):
         try:
-            row = [float(p) for p in parts]
+            row = [float(p) for p in line.split()]
         except ValueError as exc:
             raise ValueError(f"{source}:{lineno}: non-numeric value ({exc})") from None
         if width is None:
@@ -54,7 +60,15 @@ def _parse_matrix(text, source):
         rows.append(row)
     if not rows:
         raise ValueError(f"{source}: no data points found")
-    return np.asarray(rows, dtype=float)
+    values = np.asarray(rows, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if bad.size:
+        # found again by rescanning: a per-row line-number list would stay
+        # resident for every load just to serve this error
+        lineno, _ = next(itertools.islice(_data_lines(text), int(bad[0]), None))
+        raise ValueError(f"{source}:{lineno}: non-finite value "
+                         f"(nan and inf are not data)")
+    return values
 
 
 def load_points(path):

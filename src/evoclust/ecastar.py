@@ -6,8 +6,15 @@ a Levy-scaled mutation and a uniform crossover of current and historical
 centroids (mut-over), reassignment, and a minimum-distance merge of clusters
 that touch (clustering II). Iteration stops when the cohesion/separation
 fingerprint of the partition stops moving, or at the cycle cap.
+
+The same member sets recur within a run: a partition is scored by the
+centroid candidates of clustering I, by the merge radii of clustering II, by
+the stop fingerprint and again by the next cycle. ``run_eca_star`` keeps one
+memo for the run, so each distinct cluster's cohesion, and each tested pair's
+gap, is computed once per run.
 """
 
+import hashlib
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -15,8 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .measures import (Clustering, assign_nearest, group_indices, intra_cluster,
-                       pairwise_min_distance, percentile_ranks, quartiles,
-                       solution_inter)
+                       pairwise_min_distance, percentile_ranks, solution_inter)
 from .metrics import quality_report
 from .optimizers import boundary_control
 from .rng import LevyParams, RngStream, levy_step, uniform_matrix
@@ -31,7 +37,6 @@ class EcaParams:
     density_threshold: float = 0.01
     levy_alpha: float = 1.001
     max_cycles: int = 50
-    crossover_type: str = "uniform"
     seed: int = 0
 
     def __post_init__(self):
@@ -41,8 +46,6 @@ class EcaParams:
             raise ValueError("density_threshold must lie in (0, 1)")
         if self.max_cycles < 1:
             raise ValueError("max_cycles must be >= 1")
-        if self.crossover_type != "uniform":
-            raise ValueError("only uniform crossover is supported")
         if not 1.0 < self.levy_alpha <= 2.0:
             raise ValueError("levy_alpha must lie in (1, 2]")
 
@@ -75,9 +78,16 @@ class EcaState:
 
 
 def _relabel(assignment, keep):
-    """Compress cluster ids to 0..len(keep)-1 following the order of keep."""
-    mapping = {int(old): new for new, old in enumerate(keep)}
-    return np.asarray([mapping[int(c)] for c in assignment])
+    """Compress cluster ids to 0..len(keep)-1 following the order of keep;
+    every id in assignment must be in keep."""
+    assignment = np.asarray(assignment)
+    keep = np.asarray(keep, dtype=int)
+    lookup = np.full(max(int(keep.max()), int(assignment.max())) + 1, -1)
+    lookup[keep] = np.arange(keep.size)
+    new = lookup[assignment]
+    if np.any(new < 0):
+        raise ValueError("assignment holds cluster ids outside keep")
+    return new
 
 
 def init_assign(dataset, s, cap=INIT_CLUSTER_CAP):
@@ -115,24 +125,51 @@ def init_assign(dataset, s, cap=INIT_CLUSTER_CAP):
 
 def _quartile_stats(members):
     """Per-dimension (Q1, Q2, Q3) stacked as three D-vectors."""
-    qs = np.array([quartiles(members[:, j]) for j in range(members.shape[1])])
-    return qs[:, 0], qs[:, 1], qs[:, 2]
+    q1, q2, q3 = np.quantile(members, [0.25, 0.5, 0.75], axis=0)
+    return q1, q2, q3
 
 
-def _induced_quality(points, centroids):
+def _key(g):
+    """Memo key of a member-index array: a 128-bit digest of its bytes, so the
+    memo holds 16 bytes per set, not 8 per member."""
+    return hashlib.blake2b(g.tobytes(), digest_size=16).digest()
+
+
+def _cohesion(points, g, memo):
+    """intra_cluster of the members with indices g, memoized by those indices."""
+    key = _key(g)
+    if key not in memo:
+        memo[key] = intra_cluster(points[g])
+    return memo[key]
+
+
+def _gap(points, g_i, g_j, memo):
+    """pairwise_min_distance between two member sets, memoized by the pair."""
+    key = (_key(g_i), _key(g_j))
+    if key not in memo:
+        memo[key] = pairwise_min_distance(points[g_i], points[g_j])
+    return memo[key]
+
+
+def _induced_quality(points, centroids, memo):
     """Cohesion per centroid and one separation scalar for the partition the
     centroid set induces by nearest-centroid assignment."""
     labels = assign_nearest(points, centroids)
     groups = group_indices(labels, centroids.shape[0])
-    intra = np.array([intra_cluster(points[g]) if g.size else 0.0 for g in groups])
+    intra = np.array([_cohesion(points, g, memo) if g.size else 0.0 for g in groups])
     inter = solution_inter([points[g] for g in groups if g.size])
     return intra, inter
 
 
-def clustering_one(state, dataset, rng):
+def clustering_one(state, dataset, rng, memo=None):
     """Prune empty clusters, fold low-density clusters into their nearest
     surviving neighbor, then build the two candidate centroid sets and score
-    the partitions they induce."""
+    the partitions they induce.
+
+    ``memo`` holds cohesion values already computed on the same points (see
+    ``run_eca_star``); without one, the call starts with an empty memo.
+    """
+    memo = {} if memo is None else memo
     points = np.atleast_2d(np.asarray(getattr(dataset, "points", dataset), dtype=float))
     n = points.shape[0]
     assignment = np.asarray(state.assignment)
@@ -174,8 +211,8 @@ def clustering_one(state, dataset, rng):
         C[i] = (q1 + q2 + q3) / 3.0
         oldC[i] = uniform_matrix(rng, q1, q3, (d,))
 
-    intra, inter = _induced_quality(points, C)
-    old_intra, old_inter = _induced_quality(points, oldC)
+    intra, inter = _induced_quality(points, C, memo)
+    old_intra, old_inter = _induced_quality(points, oldC, memo)
     selected = np.where((intra < old_intra)[:, None], C, oldC)
 
     return EcaState(assignment=assignment, centroids=C, historical=oldC,
@@ -215,14 +252,21 @@ def mut_over(state, rng):
     return mo
 
 
-def clustering_two(points, assignment, mo):
+def clustering_two(points, assignment, mo, memo=None):
     """Merge clusters whose gap is no larger than either one's spread.
 
     Adjacent live pairs (i, i+1) are tested on a snapshot: with Dmin the
     closest cross-cluster point distance and R each cluster's mean intra
     distance, the pair merges when min(Dmin - R_i, Dmin - R_j) <= 0. Merged
     centroids are the size-weighted mean of the members' centroids.
+
+    R and Dmin are looked up in ``memo``, keyed by member indices, and
+    computed only when missing, so within one run each distinct cluster's
+    cohesion and each tested pair's gap is computed once. A memo is only
+    valid for the points it was filled on; without one, the call starts with
+    an empty memo.
     """
+    memo = {} if memo is None else memo
     points = np.atleast_2d(np.asarray(points, dtype=float))
     assignment = np.asarray(assignment)
     mo = np.atleast_2d(np.asarray(mo, dtype=float))
@@ -243,11 +287,11 @@ def clustering_two(points, assignment, mo):
             x = parent[x]
         return x
 
-    radii = [intra_cluster(points[g]) for g in groups]
     for i in range(k - 1):
         j = i + 1
-        dmin = pairwise_min_distance(points[groups[i]], points[groups[j]])
-        sigma = min(dmin - radii[i], dmin - radii[j])
+        dmin = _gap(points, groups[i], groups[j], memo)
+        sigma = min(dmin - _cohesion(points, groups[i], memo),
+                    dmin - _cohesion(points, groups[j], memo))
         if sigma <= 0:
             parent[find(j)] = find(i)
 
@@ -266,11 +310,10 @@ def clustering_two(points, assignment, mo):
     return new_assignment, new_mo
 
 
-def _fingerprint(points, assignment, k):
-    groups = group_indices(assignment, k)
-    live = [points[g] for g in groups if g.size]
-    intra_sorted = tuple(sorted(intra_cluster(g) for g in live))
-    return (solution_inter(live),) + intra_sorted
+def _fingerprint(points, assignment, k, memo):
+    live = [g for g in group_indices(assignment, k) if g.size]
+    intra_sorted = tuple(sorted(_cohesion(points, g, memo) for g in live))
+    return (solution_inter([points[g] for g in live]),) + intra_sorted
 
 
 def run_eca_star(dataset, params, gt_centroids=None, gt_labels=None):
@@ -294,23 +337,24 @@ def run_eca_star(dataset, params, gt_centroids=None, gt_labels=None):
     state = EcaState(assignment=assignment, levy=levy, bounds=(low, up),
                      params=params)
 
+    memo = {}  # cohesion and gap values on these points, for this run only
     prev = None
     mo = None
     for _ in range(params.max_cycles):
-        state = clustering_one(state, points, rng)
+        state = clustering_one(state, points, rng, memo)
         mo = mut_over(state, rng)
         assignment = assign_nearest(points, mo)
-        assignment, mo = clustering_two(points, assignment, mo)
+        assignment, mo = clustering_two(points, assignment, mo, memo)
         state.assignment = assignment
         state.mo = mo
-        sig = _fingerprint(points, assignment, mo.shape[0])
+        sig = _fingerprint(points, assignment, mo.shape[0], memo)
         if prev is not None and len(sig) == len(prev) \
                 and max(abs(a - b) for a, b in zip(sig, prev)) <= _STOP_TOL:
             break
         prev = sig
 
     final_assignment = assign_nearest(points, mo)
-    live = [i for i in range(mo.shape[0]) if np.any(final_assignment == i)]
+    live = np.unique(final_assignment)
     final_assignment = _relabel(final_assignment, live)
     mo = mo[live]
     result = Clustering(assignment=final_assignment, centroids=mo,

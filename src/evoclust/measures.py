@@ -49,14 +49,23 @@ def inter_cluster(a_points, b_points):
 def solution_inter(clusters):
     """One scalar separation score for a whole clustering: the mean of
     inter_cluster over all unordered pairs of nonempty clusters (0 when fewer
-    than two clusters are nonempty)."""
+    than two clusters are nonempty).
+
+    All pairs come from one (N, k) distance matrix between the N members and
+    the k cluster means: summed per cluster, S[i, j] is the total distance
+    from cluster i's members to mean j, so pair (i, j) scores
+    (S[i, j] + S[j, i]) / (n_i + n_j).
+    """
     live = [np.atleast_2d(np.asarray(c, dtype=float)) for c in clusters]
     live = [c for c in live if c.shape[0] > 0]
     if len(live) < 2:
         return 0.0
-    vals = [inter_cluster(live[i], live[j])
-            for i in range(len(live)) for j in range(i + 1, len(live))]
-    return float(np.mean(vals))
+    sizes = np.array([c.shape[0] for c in live])
+    offsets = np.concatenate(([0], np.cumsum(sizes[:-1])))
+    means = np.array([c.mean(axis=0) for c in live])
+    S = np.add.reduceat(cdist(np.concatenate(live), means), offsets, axis=0)
+    i, j = np.triu_indices(len(live), 1)
+    return float(np.mean((S[i, j] + S[j, i]) / (sizes[i] + sizes[j])))
 
 
 def percentile_rank(values, x):

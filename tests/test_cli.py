@@ -180,3 +180,21 @@ def test_runtime_errors_exit_1(tmp_path, capsys):
                      "--runs", "1"]) == 1
     err = _err(capsys)
     assert err["error"] in ("OSError", "FileNotFoundError")
+
+
+@pytest.mark.parametrize("bad", ["nan", "-inf"])
+def test_cluster_rejects_non_finite_points(blob_file, tmp_path, capsys, bad):
+    data, gt = blob_file
+    lines = data.read_text().splitlines()
+    lines[4] = f"{bad} 1.0"
+    data.write_text("\n".join(lines) + "\n")
+    for algo in ("eca-star", "km++"):
+        argv = ["cluster", "--algo", algo, "--data", str(data), "--gt", str(gt),
+                "--runs", "1", "--out", str(tmp_path / "q.csv")]
+        if algo == "km++":
+            argv += ["--k", "2"]
+        assert cli.main(argv) == 1
+        err = _err(capsys)
+        assert err["error"] == "ValueError"
+        assert f"{data}:5: non-finite" in err["message"]
+    assert not (tmp_path / "q.csv").exists()

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from evoclust import ecastar, measures
 from evoclust.datasets import Dataset, gaussian_blobs
-from evoclust.ecastar import (EcaParams, EcaState, clustering_one,
-                              clustering_two, init_assign, mut_over,
-                              run_eca_star)
+from evoclust.ecastar import (EcaParams, EcaState, _quartile_stats, _relabel,
+                              clustering_one, clustering_two, init_assign,
+                              mut_over, run_eca_star)
+from evoclust.measures import quartiles
 from evoclust.rng import LevyParams, RngStream
 
 
@@ -14,8 +16,7 @@ def test_params_validation():
     EcaParams(levy_alpha=2.0)  # boundary is legal
     for bad in (dict(social_ranks=1), dict(density_threshold=0.0),
                 dict(density_threshold=1.0), dict(max_cycles=0),
-                dict(crossover_type="two-point"), dict(levy_alpha=1.0),
-                dict(levy_alpha=2.5)):
+                dict(levy_alpha=1.0), dict(levy_alpha=2.5)):
         with pytest.raises(ValueError):
             EcaParams(**bad)
 
@@ -61,6 +62,42 @@ def test_init_rejects_oversized_rank_count():
         init_assign(pts, 5000)  # a single digit already exceeds the cap
     with pytest.raises(ValueError):
         init_assign(pts, 1)
+
+
+# ------------------------------------------------------------------ helpers
+
+def _relabel_by_dict(assignment, keep):
+    mapping = {int(old): new for new, old in enumerate(keep)}
+    return np.asarray([mapping[int(c)] for c in assignment])
+
+
+def test_relabel_matches_dict_version():
+    rng = np.random.Generator(np.random.PCG64(20))
+    for _ in range(50):
+        k = int(rng.integers(1, 30))
+        ids = rng.choice(100, size=k, replace=False)  # unsorted, with gaps
+        assignment = rng.choice(ids, size=int(rng.integers(1, 200)))
+        keep = rng.permutation(ids)
+        got = _relabel(assignment, keep)
+        assert got.dtype == _relabel_by_dict(assignment, keep).dtype
+        assert np.array_equal(got, _relabel_by_dict(assignment, keep))
+
+
+def test_relabel_rejects_ids_outside_keep():
+    with pytest.raises(ValueError):
+        _relabel(np.array([0, 1, 2]), [2, 0])
+
+
+def test_quartile_stats_equals_per_column_quartiles():
+    rng = np.random.Generator(np.random.PCG64(21))
+    samples = [rng.normal(size=(1, 3)),  # a single row
+               np.round(rng.normal(size=(40, 4)), 1),  # tied values
+               np.ones((7, 2)),
+               rng.normal(size=(101, 5)) * 1e6]
+    for members in samples:
+        got = _quartile_stats(members)
+        for j in range(members.shape[1]):
+            assert tuple(float(q[j]) for q in got) == quartiles(members[:, j])
 
 
 # ------------------------------------------------------------- clustering I
@@ -263,7 +300,62 @@ def test_merge_prunes_unused_centroid_rows():
     assert out_mo == pytest.approx(np.array([[0.0, 0.0], [0.0, 9.0]]))
 
 
+def test_merge_memo_does_not_leak_between_point_sets():
+    labels = np.array([0, 0, 1, 1])
+    mo = np.array([[0.0, 1.0], [0.0, 4.0]])
+    touching = np.array([[0.0, 0.0], [0.0, 2.0], [0.0, 3.0], [0.0, 5.0]])
+    apart = np.array([[0.0, 0.0], [0.0, 2.0], [0.0, 30.0], [0.0, 32.0]])
+    for first, second in ((touching, apart), (apart, touching)):
+        for pts in (first, second):
+            out_labels, _ = clustering_two(pts, labels, mo)
+            merged = pts is touching
+            assert out_labels.tolist() == ([0, 0, 0, 0] if merged else [0, 0, 1, 1])
+
+
+def test_merge_with_filled_memo_matches_fresh_call():
+    rng = np.random.Generator(np.random.PCG64(22))
+    pts = np.sort(rng.normal(size=(60, 1)), axis=0)
+    labels = np.repeat(np.arange(6), 10)
+    mo = np.arange(6.0)[:, None]
+    fresh = clustering_two(pts, labels, mo)
+    memo = {}
+    for _ in range(2):
+        out = clustering_two(pts, labels, mo, memo)
+        assert np.array_equal(out[0], fresh[0])
+        assert np.array_equal(out[1], fresh[1])
+    assert memo  # the first call filled it
+
+
 # -------------------------------------------------------------- end to end
+
+def test_run_scores_each_member_set_once(monkeypatch):
+    intra_sets, gap_pairs = [], []
+
+    def counted_intra(points):
+        intra_sets.append(np.asarray(points).tobytes())
+        return measures.intra_cluster(points)
+
+    def counted_gap(a, b):
+        gap_pairs.append((np.asarray(a).tobytes(), np.asarray(b).tobytes()))
+        return measures.pairwise_min_distance(a, b)
+
+    monkeypatch.setattr(ecastar, "intra_cluster", counted_intra)
+    monkeypatch.setattr(ecastar, "pairwise_min_distance", counted_gap)
+    ds = gaussian_blobs(RngStream(23), centers=[(0, 0), (10, 0), (0, 10), (10, 10)],
+                        spread=1.0, points_per_cluster=100)
+    result, _ = run_eca_star(ds, EcaParams(seed=4))
+    assert result.k == 4
+    assert intra_sets and gap_pairs
+    assert len(intra_sets) == len(set(intra_sets))
+    assert len(gap_pairs) == len(set(gap_pairs))
+
+
+def test_profiled_names_reach_measures():
+    # the profiler swaps these by identity in every module that binds them
+    for name in ("intra_cluster", "pairwise_min_distance", "solution_inter"):
+        assert getattr(ecastar, name) is getattr(measures, name)
+
+
 
 def test_run_recovers_four_blobs():
     rng = RngStream(12)

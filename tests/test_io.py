@@ -38,6 +38,14 @@ def test_load_points_errors_carry_line_numbers(tmp_path):
         load_points(empty)
 
 
+@pytest.mark.parametrize("bad", ["nan", "-inf"])
+def test_load_points_rejects_non_finite(tmp_path, bad):
+    f = tmp_path / "pts.txt"
+    f.write_text(f"1.0 2.0\n# note\n3.0 {bad}\n4.0 5.0\n")
+    with pytest.raises(ValueError, match=r"pts\.txt:3: non-finite"):
+        load_points(f)
+
+
 def test_save_load_round_trip(tmp_path):
     rng = np.random.Generator(np.random.PCG64(0))
     pts = rng.normal(size=(20, 3)) * 1e-7  # awkward magnitudes survive repr

@@ -77,6 +77,26 @@ def test_solution_inter_degenerate():
     assert solution_inter([[[1.0, 1.0]], np.zeros((0, 2))]) == 0.0
 
 
+def test_solution_inter_matches_pair_loop():
+    # the (N, k) kernel against the mean of pairwise inter_cluster, with
+    # empty clusters mixed in
+    rng = np.random.Generator(np.random.PCG64(6))
+    for _ in range(60):
+        k = int(rng.integers(2, 41))
+        d = int(rng.integers(1, 6))
+        clusters = []
+        for _ in range(k):
+            size = 0 if rng.random() < 0.15 else int(rng.integers(1, 51))
+            centre = rng.normal(scale=20.0, size=d)
+            clusters.append(centre + rng.uniform(0.1, 5.0) * rng.normal(size=(size, d)))
+        live = [c for c in clusters if c.shape[0]]
+        if len(live) < 2:
+            continue
+        expect = np.mean([inter_cluster(live[i], live[j])
+                          for i in range(len(live)) for j in range(i + 1, len(live))])
+        assert solution_inter(clusters) == pytest.approx(expect, rel=1e-12)
+
+
 def test_percentile_rank_hand_values():
     values = [1, 2, 3, 4]
     assert percentile_rank(values, 1) == 12.5
