@@ -48,14 +48,13 @@ def describe(tag, lattice):
           f"width in [{lo}, {hi}]")
 
 
-def run_pass(title, ctx, tax, params, before):
-    reduced, trace = reduce_context(ctx, tax, params)
+def run_pass(title, ctx, tax, params):
+    reduced, trace, before, after = reduce_context(ctx, tax, params)
     print(f"\n{title}")
     for ev in trace:
         print(f"  iter {ev.iteration}: {ev.axis} "
               f"{ev.label_a!r} + {ev.label_b!r} -> {ev.new_label!r} ({ev.kind})")
     show(reduced)
-    after = build_lattice(reduced)
     describe("lattice", after)
     print(f"cells {ctx.incidence.size} -> {reduced.incidence.size}, "
           f"quality {lattice_quality(before, after):.3f}")
@@ -64,18 +63,16 @@ def run_pass(title, ctx, tax, params, before):
 def main():
     ctx = FormalContext(OBJECTS, ATTRIBUTES, INCIDENCE)
     tax = Taxonomy(parent_map=PARENTS, synsets=SYNSETS)
-    before = build_lattice(ctx)
     print("before:")
     show(ctx)
-    describe("lattice", before)
+    describe("lattice", build_lattice(ctx))
 
     # tight cones: only synonyms and immediate relatives may fold
     run_pass("guarded pass (quality floor 0.8 stops after one round):",
-             ctx, tax, ReduceParams(hypernym_depth=1, hyponym_depth=1), before)
+             ctx, tax, ReduceParams(hypernym_depth=1, hyponym_depth=1))
     run_pass("unguarded pass (floor 0.0 runs to a fixpoint):",
              ctx, tax,
-             ReduceParams(hypernym_depth=1, hyponym_depth=1, quality_floor=0.0),
-             before)
+             ReduceParams(hypernym_depth=1, hyponym_depth=1, quality_floor=0.0))
 
 
 if __name__ == "__main__":

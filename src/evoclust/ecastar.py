@@ -52,20 +52,18 @@ class EcaParams:
 
 @dataclass
 class EcaState:
-    """Per-cycle working data: the operative assignment plus the candidate
-    centroid sets and their quality scores."""
+    """What one cycle hands the next: the operative assignment, the two
+    candidate centroid sets of clustering I with the cohesion and separation
+    of the partitions they induce (mut-over reads these), and how many
+    clusters clustering I found empty and folded for low density."""
 
     assignment: np.ndarray
     centroids: Optional[np.ndarray] = None  # quartile-mean centroids C
     historical: Optional[np.ndarray] = None  # quartile-box draws oldC
-    selected: Optional[np.ndarray] = None  # per-cluster pick of the two
-    intra: Optional[np.ndarray] = None
-    old_intra: Optional[np.ndarray] = None
-    inter: float = 0.0
-    old_inter: float = 0.0
-    hi: Optional[np.ndarray] = None
-    mo: Optional[np.ndarray] = None
-    density: Optional[np.ndarray] = None
+    intra: Optional[np.ndarray] = None  # per-cluster cohesion under C
+    old_intra: Optional[np.ndarray] = None  # ... and under oldC
+    inter: float = 0.0  # separation under C
+    old_inter: float = 0.0  # ... and under oldC
     k_empty: int = 0
     k_dth: int = 0
     levy: LevyParams = field(default_factory=LevyParams)
@@ -77,17 +75,14 @@ class EcaState:
         return 0 if self.centroids is None else int(self.centroids.shape[0])
 
 
-def _relabel(assignment, keep):
-    """Compress cluster ids to 0..len(keep)-1 following the order of keep;
-    every id in assignment must be in keep."""
-    assignment = np.asarray(assignment)
-    keep = np.asarray(keep, dtype=int)
-    lookup = np.full(max(int(keep.max()), int(assignment.max())) + 1, -1)
-    lookup[keep] = np.arange(keep.size)
-    new = lookup[assignment]
-    if np.any(new < 0):
-        raise ValueError("assignment holds cluster ids outside keep")
-    return new
+def _compact(assignment):
+    """Drop the empty cluster ids of a partition: the live ids ascending, the
+    assignment renumbered 0..len(live)-1 in that order, and the member
+    indices of each renumbered cluster."""
+    live, assignment = np.unique(assignment, return_inverse=True)
+    if live.size and live[0] < 0:
+        raise ValueError("cluster ids must be non-negative")
+    return live, assignment, group_indices(assignment, live.size)
 
 
 def init_assign(dataset, s, cap=INIT_CLUSTER_CAP):
@@ -124,9 +119,8 @@ def init_assign(dataset, s, cap=INIT_CLUSTER_CAP):
 
 
 def _quartile_stats(members):
-    """Per-dimension (Q1, Q2, Q3) stacked as three D-vectors."""
-    q1, q2, q3 = np.quantile(members, [0.25, 0.5, 0.75], axis=0)
-    return q1, q2, q3
+    """Per-dimension (Q1, Q2, Q3) stacked as a (3, D) array."""
+    return np.quantile(members, [0.25, 0.5, 0.75], axis=0)
 
 
 def _key(g):
@@ -176,54 +170,35 @@ def clustering_one(state, dataset, rng, memo=None):
     if assignment.shape[0] != n or n == 0:
         raise ValueError("assignment does not cover the dataset")
 
-    k0 = int(assignment.max()) + 1 if assignment.size else 0
-    groups = group_indices(assignment, k0)
-    nonempty = [i for i, g in enumerate(groups) if g.size]
-    if not nonempty:
-        raise ValueError("no nonempty clusters to work with")
-    k_empty = k0 - len(nonempty)
-    assignment = _relabel(assignment, nonempty)
-    groups = group_indices(assignment, len(nonempty))
+    live, assignment, groups = _compact(assignment)
+    k_empty = int(live[-1]) + 1 - live.size
 
     density = np.array([g.size / n for g in groups])
-    flagged = np.flatnonzero(density < _density_threshold(state))
+    flagged = np.flatnonzero(density < state.params.density_threshold)
     if flagged.size == len(groups):
         # everything is sparse; the largest cluster survives as the anchor
         flagged = np.delete(flagged, int(np.argmax(density)))
     k_dth = int(flagged.size)
     if k_dth:
-        survivors = [i for i in range(len(groups)) if i not in set(flagged.tolist())]
+        survivors = np.setdiff1d(np.arange(len(groups)), flagged)
         surv_means = np.array([points[groups[i]].mean(axis=0) for i in survivors])
         for i in flagged:
             mean_i = points[groups[i]].mean(axis=0)
             target = survivors[int(np.argmin(np.linalg.norm(surv_means - mean_i, axis=1)))]
             assignment[groups[i]] = target
-        assignment = _relabel(assignment, survivors)
-        groups = group_indices(assignment, len(survivors))
-        density = np.array([g.size / n for g in groups])
+        _, assignment, groups = _compact(assignment)
 
-    k = len(groups)
-    d = points.shape[1]
-    C = np.empty((k, d))
-    oldC = np.empty((k, d))
-    for i, g in enumerate(groups):
-        q1, q2, q3 = _quartile_stats(points[g])
-        C[i] = (q1 + q2 + q3) / 3.0
-        oldC[i] = uniform_matrix(rng, q1, q3, (d,))
+    Q1, Q2, Q3 = np.stack([_quartile_stats(points[g]) for g in groups], axis=1)
+    C = (Q1 + Q2 + Q3) / 3.0
+    # one (k, d) draw, filled row by row: the numbers of k draws of length d
+    oldC = uniform_matrix(rng, Q1, Q3, Q1.shape)
 
     intra, inter = _induced_quality(points, C, memo)
     old_intra, old_inter = _induced_quality(points, oldC, memo)
-    selected = np.where((intra < old_intra)[:, None], C, oldC)
-
     return EcaState(assignment=assignment, centroids=C, historical=oldC,
-                    selected=selected, intra=intra, old_intra=old_intra,
-                    inter=inter, old_inter=old_inter, density=density,
-                    k_empty=k_empty, k_dth=k_dth, levy=state.levy,
-                    bounds=state.bounds, params=state.params)
-
-
-def _density_threshold(state):
-    return state.params.density_threshold if state.params is not None else 0.01
+                    intra=intra, old_intra=old_intra, inter=inter,
+                    old_inter=old_inter, k_empty=k_empty, k_dth=k_dth,
+                    levy=state.levy, bounds=state.bounds, params=state.params)
 
 
 def mut_over(state, rng):
@@ -247,8 +222,6 @@ def mut_over(state, rng):
     if state.bounds is not None:
         low, up = state.bounds
         mo = boundary_control(mo, low, up, rng)
-    state.hi = hi
-    state.mo = mo
     return mo
 
 
@@ -268,15 +241,11 @@ def clustering_two(points, assignment, mo, memo=None):
     """
     memo = {} if memo is None else memo
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    assignment = np.asarray(assignment)
     mo = np.atleast_2d(np.asarray(mo, dtype=float))
-    groups = group_indices(assignment, mo.shape[0])
-    live = [i for i, g in enumerate(groups) if g.size]
-    if not live:
-        raise ValueError("no nonempty clusters to merge")
-    assignment = _relabel(assignment, live)
+    live, assignment, groups = _compact(assignment)
+    if not live.size or live[-1] >= mo.shape[0]:
+        raise ValueError("every point needs the id of a row of mo")
     mo = mo[live]
-    groups = [groups[i] for i in live]
     k = len(groups)
 
     parent = list(range(k))
@@ -295,25 +264,20 @@ def clustering_two(points, assignment, mo, memo=None):
         if sigma <= 0:
             parent[find(j)] = find(i)
 
-    roots = sorted({find(i) for i in range(k)})
-    root_to_new = {r: idx for idx, r in enumerate(roots)}
+    # cluster i goes to the rank of its root among the roots
+    roots, new_id = np.unique([find(i) for i in range(k)], return_inverse=True)
     sizes = np.array([g.size for g in groups], dtype=float)
-    new_mo = np.zeros((len(roots), mo.shape[1]))
-    new_assignment = np.empty_like(assignment)
-    weight = np.zeros(len(roots))
-    for i in range(k):
-        nid = root_to_new[find(i)]
-        new_mo[nid] += sizes[i] * mo[i]
-        weight[nid] += sizes[i]
-        new_assignment[groups[i]] = nid
-    new_mo /= weight[:, None]
-    return new_assignment, new_mo
+    new_mo = np.zeros((roots.size, mo.shape[1]))
+    weight = np.zeros(roots.size)
+    np.add.at(new_mo, new_id, sizes[:, None] * mo)  # adds in cluster order
+    np.add.at(weight, new_id, sizes)
+    return new_id[assignment], new_mo / weight[:, None]
 
 
-def _fingerprint(points, assignment, k, memo):
-    live = [g for g in group_indices(assignment, k) if g.size]
-    intra_sorted = tuple(sorted(_cohesion(points, g, memo) for g in live))
-    return (solution_inter([points[g] for g in live]),) + intra_sorted
+def _fingerprint(points, assignment, memo):
+    _, _, groups = _compact(assignment)
+    intra_sorted = tuple(sorted(_cohesion(points, g, memo) for g in groups))
+    return (solution_inter([points[g] for g in groups]),) + intra_sorted
 
 
 def run_eca_star(dataset, params, gt_centroids=None, gt_labels=None):
@@ -346,21 +310,14 @@ def run_eca_star(dataset, params, gt_centroids=None, gt_labels=None):
         assignment = assign_nearest(points, mo)
         assignment, mo = clustering_two(points, assignment, mo, memo)
         state.assignment = assignment
-        state.mo = mo
-        sig = _fingerprint(points, assignment, mo.shape[0], memo)
+        sig = _fingerprint(points, assignment, memo)
         if prev is not None and len(sig) == len(prev) \
                 and max(abs(a - b) for a, b in zip(sig, prev)) <= _STOP_TOL:
             break
         prev = sig
 
-    final_assignment = assign_nearest(points, mo)
-    live = np.unique(final_assignment)
-    final_assignment = _relabel(final_assignment, live)
-    mo = mo[live]
-    result = Clustering(assignment=final_assignment, centroids=mo,
-                        historical_centroids=state.historical,
-                        intra=state.intra, old_intra=state.old_intra,
-                        inter=state.inter, old_inter=state.old_inter)
+    live, final_assignment, _ = _compact(assign_nearest(points, mo))
+    result = Clustering(assignment=final_assignment, centroids=mo[live])
     report = quality_report(points, result, gt_centroids=gt_centroids,
                             gt_labels=gt_labels)
     return result, report

@@ -2,7 +2,6 @@
 percentile ranks, quartiles, and the Clustering result record."""
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
@@ -120,24 +119,24 @@ def assign_nearest(points, centroids):
 
 
 def group_indices(assignment, k):
-    """Member-index arrays for clusters 0..k-1 (possibly empty)."""
-    assignment = np.asarray(assignment)
-    return [np.flatnonzero(assignment == i) for i in range(int(k))]
+    """Member-index arrays for clusters 0..k-1 (possibly empty), each
+    ascending: one stable argsort cut at the cluster sizes. Every id must lie
+    in [0, k)."""
+    assignment = np.asarray(assignment, dtype=np.intp)
+    k = int(k)
+    if assignment.size and (assignment.min() < 0 or assignment.max() >= k):
+        raise ValueError(f"cluster ids must lie in [0, {k})")
+    cuts = np.cumsum(np.bincount(assignment, minlength=k))[:-1]
+    return np.split(np.argsort(assignment, kind="stable"), cuts) if k else []
 
 
 @dataclass
 class Clustering:
-    """A partition of a dataset with the centroid bookkeeping the evolutionary
-    clusterer maintains: current and historical centroids plus the cohesion
-    and separation scores of both."""
+    """A partition of a dataset: one cluster id per point and one centroid
+    row per cluster."""
 
     assignment: np.ndarray  # N cluster ids
     centroids: np.ndarray  # K x D
-    historical_centroids: Optional[np.ndarray] = None
-    intra: Optional[np.ndarray] = None  # per-cluster
-    old_intra: Optional[np.ndarray] = None
-    inter: Optional[float] = None
-    old_inter: Optional[float] = None
 
     @property
     def k(self):

@@ -14,7 +14,7 @@ from typing import Dict, List, NamedTuple, Optional, Set
 
 import numpy as np
 
-from .fca import FormalContext, build_lattice, lattice_quality
+from .fca import ConceptLattice, FormalContext, build_lattice, lattice_quality
 
 SIMILAR = "similar"
 RELATED = "related"
@@ -44,6 +44,13 @@ class MergeEvent(NamedTuple):
     label_b: str
     new_label: str
     kind: str
+
+
+class Reduction(NamedTuple):
+    context: FormalContext  # the reduced context
+    trace: List[MergeEvent]
+    original: ConceptLattice  # lattice of the input context
+    reduced: ConceptLattice  # lattice of the reduced context
 
 
 @dataclass
@@ -252,8 +259,10 @@ def _merge_labels(ctx, axis, label_a, label_b, new_label):
 
 def reduce_context(ctx, tax, params):
     """Iteratively merge similar/related labels, one whole pass (attributes,
-    then objects) per iteration; returns the reduced context and the merge
-    trace. Deterministic: the same inputs give the same merges.
+    then objects) per iteration. Returns a ``Reduction``: the reduced
+    context, the merge trace, and the lattices of the input and the reduced
+    context, each built once (the same lattice when nothing merged).
+    Deterministic: the same inputs give the same merges.
 
     The loop stops at a fixpoint, at the iteration cap, or after the first
     pass whose lattice quality falls below the floor. Quality is checked only
@@ -262,7 +271,7 @@ def reduce_context(ctx, tax, params):
     """
     if len(ctx.objects) == 0 or len(ctx.attributes) == 0:
         raise ValueError("cannot reduce an empty context")
-    original_lattice = build_lattice(ctx)
+    original_lattice = reduced_lattice = build_lattice(ctx)
     trace: List[MergeEvent] = []
     for iteration in range(1, params.max_iterations + 1):
         merges_before = len(trace)
@@ -289,7 +298,7 @@ def reduce_context(ctx, tax, params):
                 consumed.update((label_a, label_b, new_label))
         if len(trace) == merges_before:
             break
-        quality = lattice_quality(original_lattice, build_lattice(ctx))
-        if quality < params.quality_floor:
+        reduced_lattice = build_lattice(ctx)
+        if lattice_quality(original_lattice, reduced_lattice) < params.quality_floor:
             break
-    return ctx, trace
+    return Reduction(ctx, trace, original_lattice, reduced_lattice)

@@ -367,10 +367,8 @@ def run_fca_suite(config):
                                   max_iterations=config.iters,
                                   quality_floor=config.quality_floor)
     start = time.perf_counter()
-    reduced, trace = reducer.reduce_context(ctx, tax, params)
+    reduced, trace, lat_orig, lat_red = reducer.reduce_context(ctx, tax, params)
     elapsed = time.perf_counter() - start
-    lat_orig = fca.build_lattice(ctx)
-    lat_red = fca.build_lattice(reduced)
     payload = {
         "config": {
             "ctx": str(config.ctx), "tax": str(config.tax),

@@ -289,7 +289,7 @@ def test_criterion_09_reduction_behavior():
         for seed in range(50):
             ctx, tax = _planted_context(seed)
             n_orig = len(derive_concepts(ctx))
-            reduced, trace = reduce_context(ctx, tax, ReduceParams())
+            reduced, trace, _, _ = reduce_context(ctx, tax, ReduceParams())
             n_red = len(derive_concepts(reduced))
             reductions.append((n_orig - n_red) / n_orig * 100.0)
             qualities.append(lattice_quality(build_lattice(ctx),

@@ -5,11 +5,11 @@ import pytest
 
 from evoclust import ecastar, measures
 from evoclust.datasets import Dataset, gaussian_blobs
-from evoclust.ecastar import (EcaParams, EcaState, _quartile_stats, _relabel,
+from evoclust.ecastar import (EcaParams, EcaState, _quartile_stats,
                               clustering_one, clustering_two, init_assign,
                               mut_over, run_eca_star)
-from evoclust.measures import quartiles
-from evoclust.rng import LevyParams, RngStream
+from evoclust.measures import group_indices, quartiles
+from evoclust.rng import LevyParams, RngStream, uniform_matrix
 
 
 def test_params_validation():
@@ -65,28 +65,6 @@ def test_init_rejects_oversized_rank_count():
 
 
 # ------------------------------------------------------------------ helpers
-
-def _relabel_by_dict(assignment, keep):
-    mapping = {int(old): new for new, old in enumerate(keep)}
-    return np.asarray([mapping[int(c)] for c in assignment])
-
-
-def test_relabel_matches_dict_version():
-    rng = np.random.Generator(np.random.PCG64(20))
-    for _ in range(50):
-        k = int(rng.integers(1, 30))
-        ids = rng.choice(100, size=k, replace=False)  # unsorted, with gaps
-        assignment = rng.choice(ids, size=int(rng.integers(1, 200)))
-        keep = rng.permutation(ids)
-        got = _relabel(assignment, keep)
-        assert got.dtype == _relabel_by_dict(assignment, keep).dtype
-        assert np.array_equal(got, _relabel_by_dict(assignment, keep))
-
-
-def test_relabel_rejects_ids_outside_keep():
-    with pytest.raises(ValueError):
-        _relabel(np.array([0, 1, 2]), [2, 0])
-
 
 def test_quartile_stats_equals_per_column_quartiles():
     rng = np.random.Generator(np.random.PCG64(21))
@@ -158,14 +136,17 @@ def test_all_sparse_keeps_largest():
     assert out.k_dth == 1
 
 
-def test_clustering_one_selected_tracks_better_cohesion():
-    rng = RngStream(7)
-    ds = gaussian_blobs(rng, centers=[(0, 0), (12, 0)], spread=0.5,
-                        points_per_cluster=40)
-    out = clustering_one(_state(ds.true_labels), ds.points, RngStream(8))
-    pick_c = out.intra < out.old_intra
-    expect = np.where(pick_c[:, None], out.centroids, out.historical)
-    assert np.array_equal(out.selected, expect)
+def test_clustering_one_draws_history_cluster_by_cluster():
+    # one (k, d) draw gives the numbers of k per-cluster draws of length d
+    ds = gaussian_blobs(RngStream(7), centers=[(0, 0), (12, 0), (0, 12)],
+                        spread=0.5, points_per_cluster=40)
+    labels = np.where(ds.true_labels == 1, 3, ds.true_labels)  # id 1 empty
+    out = clustering_one(_state(labels), ds.points, RngStream(8))
+    assert out.k == 3 and out.k_empty == 1
+    rng = RngStream(8)
+    for i, g in enumerate(group_indices(out.assignment, out.k)):
+        q1, _, q3 = _quartile_stats(ds.points[g])
+        assert np.array_equal(out.historical[i], uniform_matrix(rng, q1, q3, (2,)))
 
 
 # ----------------------------------------------------------------- mut-over
@@ -199,8 +180,6 @@ def test_mut_over_mutant_branch_moves_along_history():
     mo = mut_over(st, RngStream(10))
     step = mo[0] - C[0]
     assert step[1] == pytest.approx(2.0 * step[0], rel=1e-12)  # parallel to hi
-    assert st.hi[0].tolist() == [1.0, 2.0]
-    assert st.mo is mo
 
 
 def test_mut_over_crossover_branch_mixes_genes():
@@ -298,6 +277,14 @@ def test_merge_prunes_unused_centroid_rows():
     out_labels, out_mo = clustering_two(pts, labels, mo)
     assert out_labels.tolist() == [0, 1]
     assert out_mo == pytest.approx(np.array([[0.0, 0.0], [0.0, 9.0]]))
+
+
+def test_merge_rejects_ids_without_a_centroid_row():
+    pts = np.array([[0.0, 0.0], [0.0, 9.0]])
+    mo = np.array([[0.0, 0.0], [0.0, 9.0]])
+    for labels in ([0, 2], [-1, 0], []):
+        with pytest.raises(ValueError):
+            clustering_two(pts[:len(labels)], np.array(labels, dtype=int), mo)
 
 
 def test_merge_memo_does_not_leak_between_point_sets():

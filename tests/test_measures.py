@@ -158,6 +158,29 @@ def test_group_indices_covers_everything():
     assert [g.tolist() for g in groups] == [[0, 4], [2], [1, 3]]
 
 
+def test_group_indices_matches_per_cluster_scan():
+    rng = np.random.Generator(np.random.PCG64(31))
+    cases = [(np.array([], dtype=int), 0), (np.array([], dtype=int), 3),
+             (np.zeros(5, dtype=int), 1), (np.array([4, 4, 0]), 7)]
+    for _ in range(60):
+        k = int(rng.integers(1, 25))
+        ids = rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False)
+        cases.append((rng.choice(ids, size=int(rng.integers(0, 300))),  # empty ids
+                      k + int(rng.integers(0, 3))))  # k above the largest label too
+    for labels, k in cases:
+        got = group_indices(labels, k)
+        want = [np.flatnonzero(labels == i) for i in range(k)]
+        assert len(got) == k
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+def test_group_indices_rejects_ids_outside_range():
+    for labels, k in (([0, 3], 3), ([-1, 0], 2), ([0], 0)):
+        with pytest.raises(ValueError):
+            group_indices(np.array(labels), k)
+
+
 def test_clustering_record():
     c = Clustering(assignment=np.array([0, 0, 1]),
                    centroids=np.array([[0.0, 0], [5, 5]]))

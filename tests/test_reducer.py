@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from conftest import check_reduction_faithful, replay_label
 
-from evoclust.fca import FormalContext, derive_concepts
+from evoclust import fca, reducer
+from evoclust.fca import FormalContext, build_lattice, derive_concepts, write_cxt
 from evoclust.reducer import (RELATED, SIMILAR, UNRELATED, MergeEvent,
                               ReduceParams, Taxonomy, classify_pair,
                               common_hypernym, enumerate_pairs, load_taxonomy,
                               merge_pair, reduce_context)
+from evoclust.reports import FcaConfig, run_fca_suite
 
 
 @pytest.fixture
@@ -140,7 +142,7 @@ def test_merge_pair_attributes_and_errors():
 def test_reduce_merges_synonym_attributes(tax):
     ctx = _ctx([[1, 0, 1], [0, 1, 0], [0, 0, 1]],
                ["o1", "o2", "o3"], ["car", "automobile", "wheel"])
-    reduced, trace = reduce_context(ctx, tax, ReduceParams())
+    reduced, trace, _, _ = reduce_context(ctx, tax, ReduceParams())
     assert reduced.attributes == ("automobile", "wheel")
     assert reduced.incidence[:, 0].tolist() == [True, True, False]
     assert trace == [MergeEvent(1, "attribute", "car", "automobile",
@@ -151,7 +153,7 @@ def test_reduce_merges_synonym_attributes(tax):
 def test_reduce_merges_related_objects(tax):
     ctx = _ctx([[1, 0], [0, 1], [1, 1]],
                ["cat", "dog", "pebble"], ["p", "q"])
-    reduced, trace = reduce_context(ctx, tax, ReduceParams(quality_floor=0.0))
+    reduced, trace, _, _ = reduce_context(ctx, tax, ReduceParams(quality_floor=0.0))
     assert reduced.objects == ("mammal", "pebble")
     assert reduced.incidence[0].tolist() == [True, True]
     ev = trace[0]
@@ -162,7 +164,7 @@ def test_reduce_collision_folds_into_existing_holder(tax):
     # "mammal" already present: cat+dog collapse into that existing column
     ctx = _ctx([[1, 0, 0], [0, 1, 0], [0, 0, 1]],
                ["o1", "o2", "o3"], ["cat", "dog", "mammal"])
-    reduced, trace = reduce_context(ctx, tax, ReduceParams(quality_floor=0.0))
+    reduced, trace, _, _ = reduce_context(ctx, tax, ReduceParams(quality_floor=0.0))
     assert reduced.attributes == ("mammal",)
     assert reduced.incidence.ravel().tolist() == [True, True, True]
     check_reduction_faithful(ctx, reduced, trace)
@@ -170,7 +172,7 @@ def test_reduce_collision_folds_into_existing_holder(tax):
 
 def test_reduce_without_relations_is_identity():
     ctx = _ctx([[1, 0], [0, 1]], ["o1", "o2"], ["p", "q"])
-    reduced, trace = reduce_context(ctx, Taxonomy(), ReduceParams())
+    reduced, trace, _, _ = reduce_context(ctx, Taxonomy(), ReduceParams())
     assert trace == []
     assert reduced.objects == ctx.objects
     assert reduced.attributes == ctx.attributes
@@ -181,9 +183,9 @@ def test_reduce_respects_iteration_cap(tax):
     # chain cat,feline,mammal,animal needs several passes to fully collapse
     ctx = _ctx(np.eye(4), ["o1", "o2", "o3", "o4"],
                ["cat", "feline", "mammal", "animal"])
-    capped, trace1 = reduce_context(ctx, tax, ReduceParams(max_iterations=1,
-                                                           quality_floor=0.0))
-    free, trace2 = reduce_context(ctx, tax, ReduceParams(quality_floor=0.0))
+    capped, trace1, _, _ = reduce_context(ctx, tax, ReduceParams(max_iterations=1,
+                                                                 quality_floor=0.0))
+    free, trace2, _, _ = reduce_context(ctx, tax, ReduceParams(quality_floor=0.0))
     assert max(ev.iteration for ev in trace1) == 1
     assert len(capped.attributes) > len(free.attributes)
     assert len(free.attributes) == 1  # everything is a kind of animal
@@ -192,10 +194,10 @@ def test_reduce_respects_iteration_cap(tax):
 def test_reduce_quality_floor_stops_early(tax):
     ctx = _ctx(np.eye(4), ["o1", "o2", "o3", "o4"],
                ["cat", "feline", "mammal", "animal"])
-    strict, trace = reduce_context(ctx, tax, ReduceParams(quality_floor=0.95))
+    strict, trace, _, _ = reduce_context(ctx, tax, ReduceParams(quality_floor=0.95))
     assert trace  # the first pass still happened and is kept
     assert max(ev.iteration for ev in trace) == 1
-    loose, _ = reduce_context(ctx, tax, ReduceParams(quality_floor=0.0))
+    loose, *_ = reduce_context(ctx, tax, ReduceParams(quality_floor=0.0))
     assert len(loose.attributes) <= len(strict.attributes)
 
 
@@ -215,6 +217,45 @@ def test_reduce_is_deterministic(tax):
     assert np.array_equal(a[0].incidence, b[0].incidence)
 
 
+def test_reduce_returns_the_lattices_of_both_contexts(tax):
+    chain = _ctx(np.eye(4), ["o1", "o2", "o3", "o4"],
+                 ["cat", "feline", "mammal", "animal"])
+    cases = [(chain, tax, ReduceParams(quality_floor=0.0)),  # to a fixpoint
+             (chain, tax, ReduceParams(quality_floor=0.95)),  # stopped by the floor
+             (chain, tax, ReduceParams(max_iterations=1, quality_floor=0.0)),
+             (_ctx([[1, 0], [0, 1]], ["o1", "o2"], ["p", "q"]), Taxonomy(),
+              ReduceParams())]  # nothing merges
+    for ctx, t, params in cases:
+        out = reduce_context(ctx, t, params)
+        assert out.original == build_lattice(ctx)
+        assert out.reduced == build_lattice(out.context)
+        if not out.trace:
+            assert out.reduced is out.original
+
+
+def test_fca_suite_builds_only_the_reducers_lattices(tmp_path, monkeypatch):
+    ctx = _ctx(np.eye(4), ["o1", "o2", "o3", "o4"],
+               ["cat", "feline", "mammal", "animal"])
+    write_cxt(ctx, tmp_path / "c.cxt", name="chain")
+    (tmp_path / "t.tsv").write_text("cat\tfeline\nfeline\tmammal\nmammal\tanimal\n")
+    config = FcaConfig(ctx=str(tmp_path / "c.cxt"), tax=str(tmp_path / "t.tsv"),
+                       quality_floor=0.0)
+    calls = []
+    real = fca.build_lattice
+
+    def counted(c):
+        calls.append(c.shape)
+        return real(c)
+
+    monkeypatch.setattr(fca, "build_lattice", counted)
+    monkeypatch.setattr(reducer, "build_lattice", counted)
+    reduce_context(ctx, load_taxonomy(config.tax), ReduceParams(quality_floor=0.0))
+    by_reducer = len(calls)
+    del calls[:]
+    assert run_fca_suite(config)["trace"]
+    assert by_reducer > 1 and len(calls) == by_reducer
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_reduce_trace_replay_random_contexts(seed):
     rng = np.random.Generator(np.random.PCG64(300 + seed))
@@ -226,7 +267,7 @@ def test_reduce_trace_replay_random_contexts(seed):
     t = Taxonomy(parent_map=parents, synsets=syn)
     inc = rng.random((n_obj, n_att)) < 0.4
     ctx = FormalContext(objs, attrs, inc)
-    reduced, trace = reduce_context(ctx, t, ReduceParams(quality_floor=0.0))
+    reduced, trace, _, _ = reduce_context(ctx, t, ReduceParams(quality_floor=0.0))
     assert len(reduced.objects) <= n_obj
     assert len(reduced.attributes) <= n_att
     check_reduction_faithful(ctx, reduced, trace)
