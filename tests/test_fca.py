@@ -8,6 +8,7 @@ import pytest
 
 from test_acceptance import _planted_context
 
+from evoclust import fca
 from evoclust.fca import (Concept, FormalContext, build_lattice,
                           derive_concepts, hasse_edges, invariants,
                           lattice_quality, lattice_to_json, read_cxt,
@@ -255,6 +256,12 @@ def test_invariants_of_built_lattice_match_recomputation():
     inc = rng.random((8, 7)) < 0.4
     lat = build_lattice(_ctx(inc))
     assert invariants(lat) == invariants(lat.concepts, lat.hasse_edges)
+
+
+def test_order_layer_names_stay_importable():
+    # the per-layer profiler wraps these by name; a rename breaks traced runs
+    for name in ("hasse_edges", "invariants", "_transitive_closure", "_girth"):
+        assert callable(getattr(fca, name, None)), name
 
 
 def _max_antichain(concepts):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from evoclust import benchmarks
+from evoclust import benchmarks, optimizers
 from evoclust.optimizers import (ALGORITHMS, OptimizerConfig, Population,
                                  boundary_control, bsa_crossover, bsa_init,
                                  bsa_mutation, bsa_selection1, bsa_selection2,
@@ -324,6 +324,11 @@ def test_de_picks_distinct_and_uniform_over_other_rows():
 
 
 # --------------------------------------------- names the profiler wraps
+
+def test_profiled_names_exposed():
+    for name in ("run_optimizer", "bsa_crossover", "boundary_control"):
+        assert callable(getattr(optimizers, name)), name
+
 
 @pytest.mark.parametrize("algo", ALGORITHMS)
 def test_every_iteration_evaluates_through_evaluate_batch(algo, monkeypatch):
