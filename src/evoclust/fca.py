@@ -363,7 +363,6 @@ def lattice_to_json(ctx, lattice=None):
     """Lattice as a JSON-ready dict: labeled concepts, edges, invariants."""
     if lattice is None:
         lattice = build_lattice(ctx)
-    inv = invariants(lattice)
     return {
         "concepts": [
             {"extent": [ctx.objects[i] for i in c.extent],
@@ -371,15 +370,21 @@ def lattice_to_json(ctx, lattice=None):
             for c in lattice.concepts
         ],
         "edges": [list(e) for e in lattice.hasse_edges],
-        "invariants": {
-            "n_concepts": inv["n_concepts"],
-            "n_edges": inv["n_edges"],
-            "height": inv["height"],
-            "width_interval": list(inv["width_interval"]),
-            "degree_mean": lattice.degree_mean,
-            "degree_max": lattice.degree_max,
-            "cycle_length": lattice.cycle_length,
-        },
+        "invariants": _invariants_json(lattice),
+    }
+
+
+def _invariants_json(lattice):
+    """The lattice's invariants as a JSON-ready dict (no concept labels)."""
+    inv = invariants(lattice)
+    return {
+        "n_concepts": inv["n_concepts"],
+        "n_edges": inv["n_edges"],
+        "height": inv["height"],
+        "width_interval": list(inv["width_interval"]),
+        "degree_mean": lattice.degree_mean,
+        "degree_max": lattice.degree_max,
+        "cycle_length": lattice.cycle_length,
     }
 
 

@@ -375,8 +375,8 @@ def run_fca_suite(config):
             "hyper_depth": config.hyper_depth, "hypo_depth": config.hypo_depth,
             "iters": config.iters, "quality_floor": config.quality_floor,
         },
-        "original": fca.lattice_to_json(ctx, lat_orig)["invariants"],
-        "reduced": fca.lattice_to_json(reduced, lat_red)["invariants"],
+        "original": fca._invariants_json(lat_orig),
+        "reduced": fca._invariants_json(lat_red),
         "original_shape": list(ctx.shape),
         "reduced_shape": list(reduced.shape),
         "quality": fca.lattice_quality(lat_orig, lat_red),

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.stats import norm, rankdata
+from scipy.special import ndtr
 
 #: runs whose p-value path switches from exact enumeration to the normal
 #: approximation (exact distribution computed for n' at or below this)
@@ -68,10 +68,11 @@ class WilcoxonResult:
 def wilcoxon_signed_rank(a, b, alpha=0.05):
     """Two-sided Wilcoxon signed-rank test on paired samples.
 
-    Zero differences are dropped; tied absolute differences share average
-    ranks. The p-value is exact (full sign-assignment distribution) for
-    n' <= 25 and a tie-corrected normal approximation above. The winner is
-    the smaller-median side when p < alpha, smaller-is-better.
+    Zero differences are dropped and NaN differences rejected; tied absolute
+    differences share average ranks. The p-value is exact (full
+    sign-assignment distribution) for n' <= 25 and a tie-corrected normal
+    approximation above. The winner is the smaller-median side when
+    p < alpha, smaller-is-better.
     """
     a = np.asarray(a, dtype=float).ravel()
     b = np.asarray(b, dtype=float).ravel()
@@ -80,11 +81,13 @@ def wilcoxon_signed_rank(a, b, alpha=0.05):
     if a.size == 0:
         raise ValueError("paired samples must be nonempty")
     d = a - b
+    if np.isnan(d).any():
+        raise ValueError("paired differences must not be NaN")
     d = d[d != 0.0]
     n = d.size
     if n == 0:
         return WilcoxonResult(0.0, 0.0, 1.0, "tie", 0, True)
-    ranks = rankdata(np.abs(d))
+    ranks = _average_ranks(np.abs(d))
     r_plus = float(ranks[d > 0].sum())
     r_minus = float(ranks[d < 0].sum())
     if n <= EXACT_LIMIT:
@@ -104,6 +107,18 @@ def wilcoxon_signed_rank(a, b, alpha=0.05):
             # medians tie: the side contributing less rank mass is smaller
             winner = "A" if r_plus < r_minus else "B"
     return WilcoxonResult(r_plus, r_minus, float(p), winner, n, n <= EXACT_LIMIT)
+
+
+def _average_ranks(x):
+    """1-based ranks of ``x``; each run of tied values gets the mean of its
+    ranks (``scipy.stats.rankdata``'s "average" method, same values and dtype)."""
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    bounds = np.r_[0, np.flatnonzero(xs[1:] != xs[:-1]) + 1, xs.size]
+    starts, ends = bounds[:-1], bounds[1:]
+    ranks = np.empty(xs.size)
+    ranks[order] = np.repeat(0.5 * (starts + ends + 1), ends - starts)
+    return ranks
 
 
 def _exact_two_sided_p(ranks, r_plus):
@@ -137,7 +152,8 @@ def _normal_two_sided_p(ranks, r_plus, n):
     if var <= 0:
         return 1.0
     z = (r_plus - mean) / np.sqrt(var)
-    return float(min(1.0, 2.0 * norm.sf(abs(z))))
+    # ndtr(-|z|) is the upper normal tail; scipy.stats.norm.sf computes the same
+    return float(min(1.0, 2.0 * ndtr(-abs(z))))
 
 
 def success_ratio(success_counts, min_successes=1):

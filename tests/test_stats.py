@@ -10,10 +10,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.stats import rankdata
+from scipy.stats import norm, rankdata
 
-from evoclust.stats import (SummaryStats, success_ratio, summarize,
-                            wilcoxon_signed_rank)
+from evoclust.stats import (SummaryStats, _average_ranks, success_ratio,
+                            summarize, wilcoxon_signed_rank)
 
 
 def _run(succeeded, iters=None, value=math.inf, t=0.01):
@@ -136,6 +136,49 @@ def test_wilcoxon_normal_approximation_path():
     assert not r.exact
     assert r.p_value < 0.001
     assert r.winner == "A"
+
+
+def test_average_ranks_equal_scipy_rankdata():
+    """Same values and float dtype as scipy's average ranks, bit for bit:
+    random arrays with heavy ties, all-tied arrays, n = 1 and n = 0."""
+    rng = np.random.Generator(np.random.PCG64(14))
+    cases = [np.array([]), np.array([3.5]), np.full(7, 2.0), np.full(40, 0.1)]
+    for _ in range(500):
+        n = int(rng.integers(1, 80))
+        cases.append(rng.integers(0, int(rng.integers(1, 6)), n).astype(float))
+        cases.append(np.round(rng.normal(size=n), 1))
+        cases.append(rng.random(n))
+    for x in cases:
+        got, want = _average_ranks(x), rankdata(x)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+def test_wilcoxon_normal_path_equals_scipy_tail():
+    """For n' from 26 to 60 the p-value is exactly min(1, 2 norm.sf(|z|)),
+    with z tie-corrected as the test computes it."""
+    for seed in range(4):
+        rng = np.random.Generator(np.random.PCG64(100 + seed))
+        for n in range(26, 61):
+            a = np.round(rng.normal(size=n), 1)
+            b = np.round(rng.normal(loc=0.3 * seed, size=n), 1)
+            b[a == b] += 0.05
+            r = wilcoxon_signed_rank(a, b)
+            assert not r.exact and r.n_nonzero == n
+            d = a - b
+            ranks = rankdata(np.abs(d))
+            var = n * (n + 1) * (2 * n + 1) / 24.0
+            _, t = np.unique(ranks, return_counts=True)
+            var -= float(((t**3 - t) / 48.0).sum())
+            z = (float(ranks[d > 0].sum()) - n * (n + 1) / 4.0) / np.sqrt(var)
+            assert r.p_value == float(min(1.0, 2.0 * norm.sf(abs(z))))
+
+
+def test_wilcoxon_rejects_nan_differences():
+    with pytest.raises(ValueError, match="NaN"):
+        wilcoxon_signed_rank([1.0, np.nan], [0.0, 1.0])
+    with pytest.raises(ValueError, match="NaN"), np.errstate(invalid="ignore"):
+        wilcoxon_signed_rank([np.inf] * 30, [np.inf] * 30)
 
 
 def test_wilcoxon_winner_needs_significance():
