@@ -111,8 +111,7 @@ def _cmd_bench(args):
         print(_catalog_csv(args.human))
         return
     config = BenchConfig(
-        algos=[a for a in args.algo.split(",") if a] if args.algo != "all"
-        else ["bsa", "de", "pso", "abc", "ff"],
+        algos=[a for a in args.algo.split(",") if a],
         functions=[f for f in args.fn.split(",") if f],
         dim=args.dim, range_name=args.range_name, runs=args.runs,
         seed=args.seed, population_size=args.pop, max_iterations=args.iters,

@@ -247,39 +247,82 @@ def _run_pso(fn, dim, low, up, config, rng, tracker):
         hit = tracker.update(fx, X, it) or hit
 
 
+def abc_partners(rng, sources, n_food):
+    """One partner per move, uniform over the food sources other than the
+    move's own: a draw from 0..n_food-2, shifted past the source."""
+    k = rng.generator.integers(n_food - 1, size=len(sources))
+    return k + (k >= sources)
+
+
+def occurrence_rank(sources):
+    """For each entry, how many earlier entries name the same source."""
+    return np.tril(sources[:, None] == sources, -1).sum(axis=1)
+
+
+def abc_phases(fn, X, fx, trial, n_on, low, up, rng):
+    """The employed and onlooker phases of one ABC iteration, updating the
+    food sources ``X``, their values ``fx`` and ``trial`` counters in place.
+
+    A move on source i draws a partner k != i, a dimension j and phi in
+    [-1, 1), and tries v = x_i with v_j = x_ij + phi (x_ij - x_kj), clipped
+    to the bounds; v replaces x_i only if it is strictly better. Each
+    phase draws its k, j and phi once, as arrays. The employed moves, one
+    per source, are built from the sources as the phase began and
+    evaluated in one batch. The onlookers pick sources by roulette on the
+    post-employed fitness, then move in waves: wave w holds each source's
+    w-th onlooker and is one batch, so a source's onlookers still climb one
+    after another, while partners are read as they stood when the wave
+    began."""
+    n_food, dim = X.shape
+
+    def draws(sources):
+        return (abc_partners(rng, sources, n_food),
+                rng.generator.integers(dim, size=len(sources)),
+                uniform_matrix(rng, -1.0, 1.0, len(sources)))
+
+    def move(i, k, j, phi):
+        V = X[i]
+        rows = np.arange(len(i))
+        V[rows, j] = np.clip(X[i, j] + phi * (X[i, j] - X[k, j]), low, up)
+        fv = benchmarks.evaluate_batch(fn, V)
+        better = fv < fx[i]
+        X[i[better]] = V[better]
+        fx[i[better]] = fv[better]
+        trial[i] = np.where(better, 0, trial[i] + 1)
+
+    food = np.arange(n_food)
+    move(food, *draws(food))
+    with np.errstate(divide="ignore"):
+        quality = np.where(fx >= 0, 1.0 / (1.0 + fx), 1.0 + np.abs(fx))
+    cum = np.cumsum(quality / quality.sum())
+    picks = np.minimum(np.searchsorted(cum, rng.generator.random(n_on)), n_food - 1)
+    k, j, phi = draws(picks)
+    wave = occurrence_rank(picks)
+    for w in range(wave.max(initial=-1) + 1):
+        m = wave == w
+        move(picks[m], k[m], j[m], phi[m])
+
+
 def _run_abc(fn, dim, low, up, config, rng, tracker):
+    """Artificial bee colony (Karaboga & Basturk 2007): ``population_size
+    // 2`` food sources (at least 2) with one employed bee each, and the
+    rest of the colony as onlookers; see ``abc_phases`` for the moves.
+
+    It departs from the reference algorithm in three ways: an onlooker
+    reads its partner as it stood at the start of the onlooker's wave, not
+    after every earlier move; the abandonment limit is ``abc_limit``, fixed
+    at 100 whatever the colony size and dimension; and at most
+    one source, the one with the most failed trials, turns scout per
+    iteration."""
     n_food = max(2, config.population_size // 2)
     X = uniform_matrix(rng, low, up, (n_food, dim))
     fx = benchmarks.evaluate_batch(fn, X)
     trial = np.zeros(n_food, dtype=int)
     hit = tracker.update(fx, X, 0)
-
-    def local_move(i):
-        k = int(rng.generator.integers(n_food - 1))
-        if k >= i:
-            k += 1
-        j = int(rng.generator.integers(dim))
-        phi = uniform(rng, -1.0, 1.0)
-        v = X[i].copy()
-        v[j] = np.clip(v[j] + phi * (X[i, j] - X[k, j]), low, up)
-        fv = benchmarks.evaluate_batch(fn, v[None, :])[0]
-        if fv < fx[i]:
-            X[i], fx[i], trial[i] = v, fv, 0
-        else:
-            trial[i] += 1
-
     for it in range(1, config.max_iterations + 1):
         if hit and config.stop_on_success:
             break
-        for i in range(n_food):
-            local_move(i)
-        with np.errstate(divide="ignore"):
-            quality = np.where(fx >= 0, 1.0 / (1.0 + fx), 1.0 + np.abs(fx))
-        prob = quality / quality.sum()
-        cum = np.cumsum(prob)
-        for _ in range(config.population_size - n_food):
-            pick = int(np.searchsorted(cum, uniform(rng, 0.0, 1.0)))
-            local_move(min(pick, n_food - 1))
+        abc_phases(fn, X, fx, trial, config.population_size - n_food, low, up, rng)
         worst = int(np.argmax(trial))
         if trial[worst] > config.abc_limit:
             X[worst] = uniform_matrix(rng, low, up, (dim,))
@@ -350,6 +393,9 @@ def run_optimizer(algo, fn, config, seed, dim=None, bounds=None):
     if algo == "de" and config.population_size < 4:
         raise ValueError("de needs population_size >= 4 (row i plus three "
                          f"distinct others), got {config.population_size}")
+    if algo == "abc" and config.population_size < 2:
+        raise ValueError("abc needs population_size >= 2 (an employed bee for "
+                         f"each of two or more food sources), got {config.population_size}")
     fn = benchmarks.get_function(fn)
     dim = int(dim) if dim is not None else 2
     low, up = bounds if bounds is not None else (fn.low, fn.up)

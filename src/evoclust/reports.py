@@ -23,7 +23,7 @@ from .datasets import load_dataset
 from .ecastar import EcaParams, run_eca_star
 from .kmeans import KmConfig, kmeans
 from .metrics import QualityReport, quality_report
-from .optimizers import OptimizerConfig, run_repetitions
+from .optimizers import ALGORITHMS, OptimizerConfig, run_repetitions
 from .stats import success_ratio, summarize, wilcoxon_signed_rank
 
 RANGES = {"R1": (-5.0, 5.0), "R2": (-250.0, 250.0), "R3": (-500.0, 500.0)}
@@ -108,6 +108,14 @@ class BenchConfig:
     human: bool = False
 
 
+def _first_seen(items, what):
+    """``items`` once each, in first-seen order; an empty list is an error."""
+    items = list(dict.fromkeys(items))
+    if not items:
+        raise ValueError(f"no {what} requested")
+    return items
+
+
 def _bench_functions(names):
     requested = []
     for n in names:
@@ -115,11 +123,20 @@ def _bench_functions(names):
             requested.extend(benchmarks.CATALOG)
         else:
             requested.append(benchmarks.get_function(n).id)
-    seen = []
-    for fid in requested:
-        if fid not in seen:
-            seen.append(fid)
-    return seen
+    return _first_seen(requested, "functions")
+
+
+def _bench_algos(names):
+    requested = []
+    for a in names:
+        a = str(a).strip().lower()
+        if a == "all":
+            requested.extend(ALGORITHMS)
+        elif a in ALGORITHMS:
+            requested.append(a)
+        else:
+            raise ValueError(f"unknown algorithm: {a!r} (expected one of {ALGORITHMS})")
+    return _first_seen(requested, "algorithms")
 
 
 def _usable_dim(fn, dim):
@@ -136,7 +153,7 @@ def run_bench_suite(config):
                           stop_on_success=config.stop_on_success)
     bounds = None if config.range_name == "default" else RANGES[config.range_name]
     fn_ids = _bench_functions(config.functions)
-    algos = [a.strip().lower() for a in config.algos]
+    algos = _bench_algos(config.algos)
     suite_start = time.perf_counter()
 
     entries = {}

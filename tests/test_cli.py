@@ -57,6 +57,42 @@ def test_bench_run_writes_reports(tmp_path, capsys):
     assert header.startswith("function,name,algo,dim,reference_min")
 
 
+def test_bench_repeated_algorithms_run_once(tmp_path, capsys):
+    out = tmp_path / "bench.csv"
+    assert cli.main(["bench-opt", "--algo", "bsa,de,BSA,bsa", "--fn", "F14,F14",
+                     "--runs", "2", "--iters", "20", "--out", str(out)]) == 0
+    capsys.readouterr()
+    payload = json.loads((tmp_path / "bench.json").read_text())
+    assert payload["config"]["algos"] == ["bsa", "de"]
+    assert [r["algo"] for r in payload["stats"]] == ["bsa", "de"]
+    assert [(r["algo_a"], r["algo_b"]) for r in payload["pairwise"]] == [("bsa", "de")]
+    assert (cli.main(["bench-opt", "--algo", "all,abc", "--fn", "F14", "--runs", "1",
+                      "--iters", "5", "--out", str(out)]) == 0)
+    capsys.readouterr()
+    payload = json.loads((tmp_path / "bench.json").read_text())
+    assert payload["config"]["algos"] == ["bsa", "de", "pso", "abc", "ff"]
+
+
+@pytest.mark.parametrize("flag", ["--algo", "--fn"])
+def test_bench_empty_list_exits_1(tmp_path, capsys, flag):
+    out = tmp_path / "bench.csv"
+    argv = ["bench-opt", "--runs", "1", "--iters", "5", "--out", str(out), flag, ","]
+    assert cli.main(argv) == 1
+    err = _err(capsys)
+    assert err["error"] == "ValueError"
+    assert "requested" in err["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_bench_unknown_algorithm_exits_1_before_any_run(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("evoclust.reports.run_repetitions",
+                        lambda *a, **k: pytest.fail("ran before the algorithm check"))
+    argv = ["bench-opt", "--algo", "bsa,xyz", "--out", str(tmp_path / "bench.csv")]
+    assert cli.main(argv) == 1
+    err = _err(capsys)
+    assert err["error"] == "ValueError" and "'xyz'" in err["message"]
+
+
 def test_report_compares_from_bench_json(tmp_path, capsys):
     out = tmp_path / "b.csv"
     assert cli.main(["bench-opt", "--algo", "bsa,de", "--fn", "F14",

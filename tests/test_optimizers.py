@@ -161,13 +161,15 @@ def test_run_optimizer_success_and_fields():
     assert r.wall_time > 0
 
 
-def test_run_optimizer_same_seed_identical():
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_run_optimizer_same_seed_identical(algo):
     cfg = OptimizerConfig(max_iterations=120, runs=1)
-    a = run_optimizer("bsa", "F11", cfg, seed=5)
-    b = run_optimizer("bsa", "F11", cfg, seed=5)
+    a = run_optimizer(algo, "F11", cfg, seed=5)
+    b = run_optimizer(algo, "F11", cfg, seed=5)
     assert a.best_value == b.best_value
+    assert a.iterations_to_success == b.iterations_to_success
     assert np.array_equal(a.best_point, b.best_point)
-    c = run_optimizer("bsa", "F11", cfg, seed=6)
+    c = run_optimizer(algo, "F11", cfg, seed=6)
     assert c.best_value != a.best_value
 
 
@@ -211,6 +213,19 @@ def test_de_rejects_population_below_four(size):
     cfg = OptimizerConfig(population_size=size, max_iterations=5, runs=1)
     with pytest.raises(ValueError, match="population_size >= 4"):
         run_optimizer("de", "F14", cfg, seed=0)
+
+
+def test_abc_rejects_population_below_two():
+    cfg = OptimizerConfig(population_size=1, max_iterations=5, runs=1)
+    with pytest.raises(ValueError, match="population_size >= 2"):
+        run_optimizer("abc", "F14", cfg, seed=0)
+
+
+@pytest.mark.parametrize("size", [2, 3])
+def test_abc_runs_at_population_two_and_three(size):
+    cfg = OptimizerConfig(population_size=size, max_iterations=20, runs=1)
+    r = run_optimizer("abc", "F14", cfg, seed=0, bounds=(-1, 1))
+    assert math.isfinite(r.best_value)
 
 
 def test_de_runs_at_population_four():
@@ -275,6 +290,106 @@ def test_ff_iteration_matches_pair_loop(monkeypatch):
                                        cfg.ff_alpha * 4.0), -2.0, 2.0)
     np.testing.assert_array_equal(seen[0], X0)
     np.testing.assert_allclose(seen[1], want, rtol=1e-12, atol=0)
+
+
+# ------------------------------------------------------- ABC phases
+
+def _abc_moves_reference(fn, X, fx, trial, n_on, low, up, rng):
+    """abc_phases move by move, one row per objective call, fed the same
+    draws: employed partners read at the start of the phase, onlooker
+    partners at the start of their wave (the source's occurrence rank)."""
+    n_food, dim = X.shape
+    g = rng.generator
+
+    def draws(n):
+        return g.integers(n_food - 1, size=n), g.integers(dim, size=n), -1.0 + 2.0 * g.random(n)
+
+    def move(i, k, j, phi, partners):
+        k = int(k) + (int(k) >= i)
+        v = X[i].copy()
+        v[j] = min(max(X[i, j] + phi * (X[i, j] - partners[k, j]), low), up)
+        fv = float(fn.fn(v[None, :])[0])
+        if fv < fx[i]:
+            X[i], fx[i], trial[i] = v, fv, 0
+        else:
+            trial[i] += 1
+
+    start = X.copy()
+    for i, (k, j, phi) in enumerate(zip(*draws(n_food))):
+        move(i, k, j, phi, start)
+    quality = [1.0 / (1.0 + f) if f >= 0 else 1.0 + abs(f) for f in fx]
+    cum = np.cumsum(np.array(quality) / sum(quality))
+    picks = [min(int(np.searchsorted(cum, u)), n_food - 1) for u in g.random(n_on)]
+    moves = list(zip(picks, *draws(n_on)))
+    waves = [picks[:m].count(i) for m, i in enumerate(picks)]
+    for w in range(max(waves, default=-1) + 1):
+        start = X.copy()
+        for (i, k, j, phi), wave in zip(moves, waves):
+            if wave == w:
+                move(i, k, j, phi, start)
+    return picks
+
+
+@pytest.mark.parametrize("seed,fid,n_food,n_on,dim", [
+    (0, "F11", 15, 15, 3), (1, "F11", 4, 9, 2), (2, "F11", 2, 3, 1),
+    (3, "F11", 7, 8, 5), (4, "F15", 3, 12, 2)])  # F15 goes negative: the 1 + |f| branch
+def test_abc_phases_match_per_move_loop(seed, fid, n_food, n_on, dim):
+    fn = get_function(fid)
+    g = np.random.Generator(np.random.PCG64(100 + seed))
+    X = g.uniform(-5.0, 5.0, (n_food, dim))
+    X[0] *= 1e-2  # one bright source draws several onlookers
+    X[-1] = 5.0  # on the bound: a clipped move ties and counts as a failure
+    fx = benchmarks.evaluate_batch(fn, X)
+    trial = g.integers(0, 5, n_food)
+    want = [X.copy(), fx.copy(), trial.copy()]
+    picks = _abc_moves_reference(fn, *want, n_on, -5.0, 5.0, RngStream(seed))
+    assert np.bincount(picks).max() >= 3
+    optimizers.abc_phases(fn, X, fx, trial, n_on, -5.0, 5.0, RngStream(seed))
+    for got, ref in zip((X, fx, trial), want):
+        np.testing.assert_array_equal(got, ref)
+
+
+def test_abc_partner_uniform_over_other_sources():
+    n_food, reps = 6, 3000
+    sources = np.tile(np.arange(n_food), reps)
+    k = optimizers.abc_partners(RngStream(12), sources, n_food).reshape(reps, n_food)
+    for i in range(n_food):
+        counts = np.bincount(k[:, i], minlength=n_food)
+        assert counts[i] == 0
+        assert chisquare(np.delete(counts, i)).pvalue > 1e-4, i
+
+
+def test_abc_iteration_calls_at_most_two_plus_busiest_source(monkeypatch):
+    """Per iteration: one employed batch, one batch per onlooker wave, and
+    at most one scout row; the rows still add up to the colony size."""
+    events = []
+    real_eval, real_rank = benchmarks.evaluate_batch, optimizers.occurrence_rank
+    real_update = optimizers._BestTracker.update
+    monkeypatch.setattr(benchmarks, "evaluate_batch",
+                        lambda fn, X: events.append(len(X)) or real_eval(fn, X))
+    monkeypatch.setattr(optimizers, "occurrence_rank",
+                        lambda picks: events.append(picks.copy()) or real_rank(picks))
+    monkeypatch.setattr(optimizers._BestTracker, "update",
+                        lambda self, *a: events.append("|") or real_update(self, *a))
+    cfg = OptimizerConfig(population_size=30, max_iterations=60, runs=1,
+                          stop_on_success=False, abc_limit=3)
+    run_optimizer("abc", "F11", cfg, seed=4, dim=4)
+    iterations = [[]]
+    for e in events[events.index("|") + 1:]:
+        if isinstance(e, str):
+            iterations.append([])
+        else:
+            iterations[-1].append(e)
+    assert len(iterations) == cfg.max_iterations + 1 and iterations[-1] == []
+    scouts = 0
+    for it in iterations[:-1]:
+        picks = next(e for e in it if isinstance(e, np.ndarray))
+        rows = [e for e in it if not isinstance(e, np.ndarray)]
+        scout = sum(rows) - 30
+        assert scout in (0, 1)
+        assert len(rows) == 1 + np.bincount(picks).max() + scout  # so <= 2 + max
+        scouts += scout
+    assert scouts > 0
 
 
 # ------------------------------------------------- crossover statistics
