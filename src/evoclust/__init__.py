@@ -17,12 +17,12 @@ from .fca import (Concept, ConceptLattice, FormalContext, build_lattice,
                   derive_concepts, hasse_edges, invariants, lattice_quality,
                   lattice_to_json, read_cxt, write_cxt)
 from .kmeans import KmConfig, kmeans, kmeans_pp_seed
-from .measures import (Clustering, assign_nearest, euclidean, inter_cluster,
-                       intra_cluster, percentile_rank, percentile_ranks,
-                       quartiles, solution_inter)
+from .measures import (Clustering, assign_nearest, intra_cluster,
+                       percentile_rank, percentile_ranks, quartiles,
+                       solution_inter)
 from .metrics import (QualityReport, centroid_index, csi, eps_ratio, nmi,
                       nmse, quality_report, sse)
-from .optimizers import (ALGORITHMS, OptimizerConfig, Population, RunResult,
+from .optimizers import (ALGORITHMS, OptimizerConfig, RunResult,
                          boundary_control, bsa_crossover, bsa_init,
                          bsa_mutation, bsa_selection1, bsa_selection2,
                          run_optimizer, run_repetitions)

@@ -1,19 +1,10 @@
-"""Shared clustering substrate: distances, intra/inter-cluster measures,
-percentile ranks, quartiles, and the Clustering result record."""
+"""Shared clustering substrate: intra-cluster cohesion, cross-cluster
+separation, percentile ranks, quartiles, and the Clustering result record."""
 
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
-
-
-def euclidean(x, y):
-    """Plain L2 distance between two equal-dimension vectors."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    return float(np.linalg.norm(x - y))
 
 
 def intra_cluster(points):
@@ -32,23 +23,12 @@ def intra_cluster(points):
     return float(2.0 * pdist(points).sum() / (n * (n - 1)))
 
 
-def inter_cluster(a_points, b_points):
-    """Cross-cluster separation: members of each cluster measured against the
-    other cluster's mean, averaged over all |A|+|B| members."""
-    A = np.atleast_2d(np.asarray(a_points, dtype=float))
-    B = np.atleast_2d(np.asarray(b_points, dtype=float))
-    if A.shape[0] == 0 or B.shape[0] == 0:
-        raise ValueError("inter_cluster requires two nonempty clusters")
-    v_a = A.mean(axis=0)
-    v_b = B.mean(axis=0)
-    total = np.linalg.norm(A - v_b, axis=1).sum() + np.linalg.norm(B - v_a, axis=1).sum()
-    return float(total / (A.shape[0] + B.shape[0]))
-
-
 def solution_inter(clusters):
-    """One scalar separation score for a whole clustering: the mean of
-    inter_cluster over all unordered pairs of nonempty clusters (0 when fewer
-    than two clusters are nonempty).
+    """One scalar separation score for a whole clustering: the mean, over all
+    unordered pairs of nonempty clusters, of the pair's cross-cluster
+    separation (0 when fewer than two clusters are nonempty). A pair's
+    separation is the distance of each member of either cluster to the other
+    cluster's mean, averaged over all |A|+|B| members.
 
     All pairs come from one (N, k) distance matrix between the N members and
     the k cluster means: summed per cluster, S[i, j] is the total distance

@@ -2,13 +2,19 @@
 backtracking search algorithm (BSA) plus DE, PSO, ABC, and firefly
 counterparts for head-to-head benchmarking.
 
+Each algorithm is a generator of its iterations: it draws and evaluates its
+initial population, yields ``(values, points)``, and yields again after each
+iteration. ``run_optimizer`` is the one loop that consumes them: it keeps the
+best so far and stops the run at the iteration cap or, when configured, at
+the first iteration within tolerance of the minimum.
+
 Every run is single-threaded and fully determined by its seed; repetitions
 use independently seeded streams.
 """
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -17,16 +23,6 @@ from . import benchmarks
 from .rng import RngStream, permute, standard_normal, stream_for_run, uniform, uniform_matrix
 
 ALGORITHMS = ("bsa", "de", "pso", "abc", "ff")
-
-
-@dataclass
-class Population:
-    individuals: np.ndarray  # N x D
-    fitness: Optional[np.ndarray] = None  # N, when marked fresh
-
-    @property
-    def shape(self):
-        return self.individuals.shape
 
 
 @dataclass
@@ -81,11 +77,12 @@ class RunResult:
 # ---------------------------------------------------------------- BSA steps
 
 def bsa_init(fn, dim, low, up, config, rng):
-    """Draw both populations uniformly in bounds; fitness evaluated for P."""
+    """Draw both populations uniformly in bounds: ``(P, fP, Pold)``, where
+    only P is evaluated."""
     n = config.population_size
     P = uniform_matrix(rng, low, up, (n, dim))
     Pold = uniform_matrix(rng, low, up, (n, dim))
-    return (Population(P, benchmarks.evaluate_batch(fn, P)), Population(Pold))
+    return P, benchmarks.evaluate_batch(fn, P), Pold
 
 
 def bsa_selection1(P, Pold, rng):
@@ -93,14 +90,13 @@ def bsa_selection1(P, Pold, rng):
     uniform draws, then shuffle the rows."""
     a = uniform(rng, 0.0, 1.0)
     b = uniform(rng, 0.0, 1.0)
-    source = P.individuals if a < b else Pold.individuals
-    order = permute(rng, source.shape[0])
-    return Population(source[order].copy())
+    source = P if a < b else Pold
+    return source[permute(rng, source.shape[0])]
 
 
 def bsa_mutation(P, Pold, F):
     """Mutant = P + F * (Pold - P), elementwise."""
-    return P.individuals + F * (Pold.individuals - P.individuals)
+    return P + F * (Pold - P)
 
 
 def bsa_crossover(P, Mutant, mixrate, rng):
@@ -119,7 +115,7 @@ def bsa_crossover(P, Mutant, mixrate, rng):
         mutate[rows[:, None], order] = np.arange(d) < k[:, None]
     else:
         mutate[rows, rng.generator.integers(d, size=n)] = True
-    return np.where(mutate, Mutant, P.individuals)
+    return np.where(mutate, Mutant, P)
 
 
 def boundary_control(T, low, up, rng):
@@ -137,54 +133,24 @@ def boundary_control(T, low, up, rng):
     return out
 
 
-def bsa_selection2(P, T):
-    """Greedy per-individual selection; strict improvement adopts T."""
-    better = T.fitness < P.fitness
-    individuals = np.where(better[:, None], T.individuals, P.individuals)
-    fitness = np.where(better, T.fitness, P.fitness)
-    return Population(individuals, fitness)
+def bsa_selection2(P, fP, T, fT):
+    """Greedy per-individual selection; strict improvement adopts T.
+    Returns the new ``(P, fP)``."""
+    better = fT < fP
+    return np.where(better[:, None], T, P), np.where(better, fT, fP)
 
 
-# ---------------------------------------------------------------- run loops
+# ------------------------------------------------------ iteration generators
 
-class _BestTracker:
-    def __init__(self, reference, tolerance):
-        self.reference = reference
-        self.tolerance = tolerance
-        self.best_value = math.inf
-        self.best_point = None
-        self.iterations_to_success = None
-
-    def update(self, values, points, iteration):
-        i = int(np.argmin(values))
-        if values[i] < self.best_value:
-            self.best_value = float(values[i])
-            self.best_point = np.array(points[i], dtype=float)
-        if (self.iterations_to_success is None
-                and abs(self.best_value - self.reference) <= self.tolerance):
-            self.iterations_to_success = iteration
-            return True
-        return False
-
-    @property
-    def succeeded(self):
-        return self.iterations_to_success is not None
-
-
-def _run_bsa(fn, dim, low, up, config, rng, tracker):
-    P, Pold = bsa_init(fn, dim, low, up, config, rng)
-    hit = tracker.update(P.fitness, P.individuals, 0)
-    for it in range(1, config.max_iterations + 1):
-        if hit and config.stop_on_success:
-            break
+def _run_bsa(fn, dim, low, up, config, rng):
+    P, fP, Pold = bsa_init(fn, dim, low, up, config, rng)
+    while True:
+        yield fP, P
         Pold = bsa_selection1(P, Pold, rng)
         F = 3.0 * standard_normal(rng)
-        mutant = bsa_mutation(P, Pold, F)
-        trial = bsa_crossover(P, mutant, config.mixrate, rng)
-        trial = boundary_control(trial, low, up, rng)
-        T = Population(trial, benchmarks.evaluate_batch(fn, trial))
-        P = bsa_selection2(P, T)
-        hit = tracker.update(P.fitness, P.individuals, it) or hit
+        trial = bsa_crossover(P, bsa_mutation(P, Pold, F), config.mixrate, rng)
+        T = boundary_control(trial, low, up, rng)
+        P, fP = bsa_selection2(P, fP, T, benchmarks.evaluate_batch(fn, T))
 
 
 def de_picks(rng, n):
@@ -196,14 +162,12 @@ def de_picks(rng, n):
     return np.argsort(keys, axis=1)[:, :3]
 
 
-def _run_de(fn, dim, low, up, config, rng, tracker):
+def _run_de(fn, dim, low, up, config, rng):
     n = config.population_size
     X = uniform_matrix(rng, low, up, (n, dim))
     fx = benchmarks.evaluate_batch(fn, X)
-    hit = tracker.update(fx, X, 0)
-    for it in range(1, config.max_iterations + 1):
-        if hit and config.stop_on_success:
-            break
+    while True:
+        yield fx, X
         r = de_picks(rng, n)
         V = X[r[:, 0]] + config.de_f * (X[r[:, 1]] - X[r[:, 2]])
         cross = rng.generator.random((n, dim)) < config.de_cr
@@ -214,10 +178,9 @@ def _run_de(fn, dim, low, up, config, rng, tracker):
         better = fu <= fx
         X = np.where(better[:, None], U, X)
         fx = np.where(better, fu, fx)
-        hit = tracker.update(fx, X, it) or hit
 
 
-def _run_pso(fn, dim, low, up, config, rng, tracker):
+def _run_pso(fn, dim, low, up, config, rng):
     n = config.population_size
     X = uniform_matrix(rng, low, up, (n, dim))
     V = np.zeros((n, dim))
@@ -225,10 +188,8 @@ def _run_pso(fn, dim, low, up, config, rng, tracker):
     pbest, pf = X.copy(), fx.copy()
     g = int(np.argmin(pf))
     gbest, gf = pbest[g].copy(), float(pf[g])
-    hit = tracker.update(fx, X, 0)
-    for it in range(1, config.max_iterations + 1):
-        if hit and config.stop_on_success:
-            break
+    while True:
+        yield fx, X
         r1 = rng.generator.random((n, dim))
         r2 = rng.generator.random((n, dim))
         V = (config.pso_w * V + config.pso_c1 * r1 * (pbest - X)
@@ -244,7 +205,6 @@ def _run_pso(fn, dim, low, up, config, rng, tracker):
         g = int(np.argmin(pf))
         if pf[g] < gf:
             gbest, gf = pbest[g].copy(), float(pf[g])
-        hit = tracker.update(fx, X, it) or hit
 
 
 def abc_partners(rng, sources, n_food):
@@ -303,7 +263,7 @@ def abc_phases(fn, X, fx, trial, n_on, low, up, rng):
         move(picks[m], k[m], j[m], phi[m])
 
 
-def _run_abc(fn, dim, low, up, config, rng, tracker):
+def _run_abc(fn, dim, low, up, config, rng):
     """Artificial bee colony (Karaboga & Basturk 2007): ``population_size
     // 2`` food sources (at least 2) with one employed bee each, and the
     rest of the colony as onlookers; see ``abc_phases`` for the moves.
@@ -318,17 +278,14 @@ def _run_abc(fn, dim, low, up, config, rng, tracker):
     X = uniform_matrix(rng, low, up, (n_food, dim))
     fx = benchmarks.evaluate_batch(fn, X)
     trial = np.zeros(n_food, dtype=int)
-    hit = tracker.update(fx, X, 0)
-    for it in range(1, config.max_iterations + 1):
-        if hit and config.stop_on_success:
-            break
+    while True:
+        yield fx, X
         abc_phases(fn, X, fx, trial, config.population_size - n_food, low, up, rng)
         worst = int(np.argmax(trial))
         if trial[worst] > config.abc_limit:
             X[worst] = uniform_matrix(rng, low, up, (dim,))
             fx[worst] = benchmarks.evaluate_batch(fn, X[worst][None, :])[0]
             trial[worst] = 0
-        hit = tracker.update(fx, X, it) or hit
 
 
 def ff_sweep(X, fitness, noise, beta0, gamma, step):
@@ -359,22 +316,19 @@ def ff_sweep(X, fitness, noise, beta0, gamma, step):
     return out
 
 
-def _run_ff(fn, dim, low, up, config, rng, tracker):
+def _run_ff(fn, dim, low, up, config, rng):
     n = config.population_size
     X = uniform_matrix(rng, low, up, (n, dim))
     fx = benchmarks.evaluate_batch(fn, X)
     alpha = config.ff_alpha
     span = up - low
-    hit = tracker.update(fx, X, 0)
-    for it in range(1, config.max_iterations + 1):
-        if hit and config.stop_on_success:
-            break
+    while True:
+        yield fx, X
         noise = rng.generator.random((n, n, dim)) - 0.5
         moved = ff_sweep(X, fx, noise, config.ff_beta0, config.ff_gamma, alpha * span)
         X = np.clip(moved, low, up)
         fx = benchmarks.evaluate_batch(fn, X)
         alpha *= config.ff_alpha_decay
-        hit = tracker.update(fx, X, it) or hit
 
 
 _RUNNERS = {"bsa": _run_bsa, "de": _run_de, "pso": _run_pso, "abc": _run_abc, "ff": _run_ff}
@@ -384,8 +338,11 @@ def run_optimizer(algo, fn, config, seed, dim=None, bounds=None):
     """One full optimization run of ``algo`` on benchmark ``fn``.
 
     ``dim`` defaults to 2; ``bounds`` defaults to the catalog search space.
-    Success means the tracked best comes within the configured tolerance of
-    the function's minimum on the active bounds.
+    Success means the best so far comes within the configured tolerance of
+    the function's minimum on the active bounds. Iteration 0 is the initial
+    population; the run takes at most ``max_iterations`` more, and with
+    ``stop_on_success`` it ends at the first successful iteration, without
+    drawing or evaluating anything further.
     """
     algo = str(algo).lower()
     if algo not in _RUNNERS:
@@ -405,14 +362,21 @@ def run_optimizer(algo, fn, config, seed, dim=None, bounds=None):
         raise ValueError("bounds must satisfy low < up")
     fn._check_dim(dim)
     reference = benchmarks.reference_minimum(fn, dim, low, up)
-    rng = RngStream(seed)
-    tracker = _BestTracker(reference, config.success_tolerance)
+    best_value, best_point, success_at = math.inf, None, None
     start = time.perf_counter()
-    _RUNNERS[algo](fn, dim, float(low), float(up), config, rng, tracker)
+    steps = _RUNNERS[algo](fn, dim, float(low), float(up), config, RngStream(seed))
+    # zip draws from the range first, so the cap never resumes the generator
+    for it, (values, points) in zip(range(config.max_iterations + 1), steps):
+        i = int(np.argmin(values))
+        if values[i] < best_value:
+            best_value, best_point = float(values[i]), np.array(points[i], dtype=float)
+        if success_at is None and abs(best_value - reference) <= config.success_tolerance:
+            success_at = it
+            if config.stop_on_success:
+                break
     wall = time.perf_counter() - start
-    return RunResult(algo, fn.id, dim, int(seed), tracker.best_value,
-                     tracker.best_point, tracker.iterations_to_success,
-                     tracker.succeeded, wall, reference)
+    return RunResult(algo, fn.id, dim, int(seed), best_value, best_point,
+                     success_at, success_at is not None, wall, reference)
 
 
 def run_repetitions(algo, fn, config, base_seed, dim=None, bounds=None):

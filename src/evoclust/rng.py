@@ -6,6 +6,7 @@ numpy's PCG64, pinned by name so reference sequences stay reproducible.
 """
 
 from dataclasses import dataclass
+from math import gamma, pi, sin
 
 import numpy as np
 
@@ -76,15 +77,11 @@ def levy_step(rng, params):
     alpha = 2 is the Gaussian limit of the stable family; Mantegna's sigma_u
     degenerates to 0 there, so that case returns a plain normal draw.
     """
-    if not isinstance(params, LevyParams):
-        params = LevyParams(*params)
     if params.scale == 0:
         return 0.0
     if params.alpha == 2.0:
         return params.scale * standard_normal(rng)
     alpha = params.alpha
-    from math import gamma, pi, sin
-
     num = gamma(1 + alpha) * sin(pi * alpha / 2)
     den = gamma((1 + alpha) / 2) * alpha * 2 ** ((alpha - 1) / 2)
     sigma_u = (num / den) ** (1 / alpha)

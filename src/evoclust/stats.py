@@ -106,7 +106,7 @@ def wilcoxon_signed_rank(a, b, alpha=0.05):
         else:
             # medians tie: the side contributing less rank mass is smaller
             winner = "A" if r_plus < r_minus else "B"
-    return WilcoxonResult(r_plus, r_minus, float(p), winner, n, n <= EXACT_LIMIT)
+    return WilcoxonResult(r_plus, r_minus, float(p), winner, n, exact)
 
 
 def _average_ranks(x):

@@ -4,24 +4,24 @@ quartiles."""
 import numpy as np
 import pytest
 
-from evoclust.measures import (Clustering, assign_nearest, euclidean,
-                               group_indices, inter_cluster, intra_cluster,
-                               pairwise_min_distance, percentile_rank,
-                               percentile_ranks, quartiles, solution_inter)
+from evoclust.measures import (Clustering, assign_nearest, group_indices,
+                               intra_cluster, pairwise_min_distance,
+                               percentile_rank, percentile_ranks, quartiles,
+                               solution_inter)
 
 
-def test_euclidean_basic():
-    assert euclidean([0, 0], [3, 4]) == 5.0
-    assert euclidean([1, 2, 3], [1, 2, 3]) == 0.0
-    with pytest.raises(ValueError):
-        euclidean([1, 2], [1, 2, 3])
-
-
-def test_euclidean_matches_formula():
-    rng = np.random.Generator(np.random.PCG64(3))
-    for _ in range(50):
-        x, y = rng.normal(size=(2, 7))
-        assert euclidean(x, y) == pytest.approx(np.sqrt(((x - y) ** 2).sum()), rel=1e-12)
+def inter_cluster(a_points, b_points):
+    """The oracle for one pair of ``solution_inter``: members of each
+    cluster measured against the other cluster's mean, averaged over all
+    |A|+|B| members."""
+    A = np.atleast_2d(np.asarray(a_points, dtype=float))
+    B = np.atleast_2d(np.asarray(b_points, dtype=float))
+    if A.shape[0] == 0 or B.shape[0] == 0:
+        raise ValueError("inter_cluster requires two nonempty clusters")
+    v_a = A.mean(axis=0)
+    v_b = B.mean(axis=0)
+    total = np.linalg.norm(A - v_b, axis=1).sum() + np.linalg.norm(B - v_a, axis=1).sum()
+    return float(total / (A.shape[0] + B.shape[0]))
 
 
 def test_intra_cluster_singleton_is_zero():

@@ -8,13 +8,21 @@ import pytest
 from scipy.stats import chisquare
 
 from evoclust import benchmarks, optimizers
-from evoclust.optimizers import (ALGORITHMS, OptimizerConfig, Population,
-                                 boundary_control, bsa_crossover, bsa_init,
-                                 bsa_mutation, bsa_selection1, bsa_selection2,
-                                 de_picks, ff_sweep, run_optimizer,
-                                 run_repetitions)
+from evoclust.optimizers import (ALGORITHMS, OptimizerConfig, boundary_control,
+                                 bsa_crossover, bsa_init, bsa_mutation,
+                                 bsa_selection1, bsa_selection2, de_picks,
+                                 ff_sweep, run_optimizer, run_repetitions)
 from evoclust.benchmarks import get_function
 from evoclust.rng import RngStream, uniform_matrix
+
+
+def _evaluated_rows(monkeypatch):
+    """The row count of every ``evaluate_batch`` call from here on."""
+    calls = []
+    real = benchmarks.evaluate_batch
+    monkeypatch.setattr(benchmarks, "evaluate_batch",
+                        lambda fn, X: calls.append(len(X)) or real(fn, X))
+    return calls
 
 
 def test_config_validation():
@@ -28,27 +36,28 @@ def test_config_validation():
         OptimizerConfig(mixrate=0.0)
 
 
-def test_init_draws_inside_bounds_and_evaluates():
+def test_init_draws_inside_bounds_and_evaluates(monkeypatch):
+    calls = _evaluated_rows(monkeypatch)
     cfg = OptimizerConfig(population_size=40)
-    P, Pold = bsa_init(get_function("F14"), 2, -1.0, 1.0, cfg, RngStream(3))
+    P, fP, Pold = bsa_init(get_function("F14"), 2, -1.0, 1.0, cfg, RngStream(3))
     assert P.shape == (40, 2) and Pold.shape == (40, 2)
-    for pop in (P.individuals, Pold.individuals):
+    for pop in (P, Pold):
         assert pop.min() >= -1.0 and pop.max() <= 1.0
-    assert P.fitness is not None and P.fitness.shape == (40,)
-    assert P.fitness == pytest.approx(np.sum(P.individuals**2, axis=1))
-    assert Pold.fitness is None
+    assert fP.shape == (40,)
+    assert fP == pytest.approx(np.sum(P**2, axis=1))
+    assert calls == [40]  # P only: Pold is not evaluated
 
 
 def test_selection1_returns_permutation_of_a_source():
-    P = Population(np.arange(10.0).reshape(5, 2))
-    Pold = Population(np.arange(10.0, 20.0).reshape(5, 2))
+    P = np.arange(10.0).reshape(5, 2)
+    Pold = np.arange(10.0, 20.0).reshape(5, 2)
     seen_sources = set()
     for seed in range(40):
         out = bsa_selection1(P, Pold, RngStream(seed))
-        rows = {tuple(r) for r in out.individuals}
-        if rows == {tuple(r) for r in P.individuals}:
+        rows = {tuple(r) for r in out}
+        if rows == {tuple(r) for r in P}:
             seen_sources.add("P")
-        elif rows == {tuple(r) for r in Pold.individuals}:
+        elif rows == {tuple(r) for r in Pold}:
             seen_sources.add("Pold")
         else:
             pytest.fail("selection-I must permute one of the two populations")
@@ -56,44 +65,44 @@ def test_selection1_returns_permutation_of_a_source():
 
 
 def test_mutation_hand_case():
-    P = Population(np.array([[1.0, 2.0]]))
-    Pold = Population(np.array([[3.0, 6.0]]))
+    P = np.array([[1.0, 2.0]])
+    Pold = np.array([[3.0, 6.0]])
     assert bsa_mutation(P, Pold, 0.5).tolist() == [[2.0, 4.0]]
 
 
 def test_mutation_elementwise_oracle():
     rng = np.random.Generator(np.random.PCG64(2))
-    P = Population(rng.normal(size=(5, 3)))
-    Pold = Population(rng.normal(size=(5, 3)))
+    P = rng.normal(size=(5, 3))
+    Pold = rng.normal(size=(5, 3))
     F = 1.7
     out = bsa_mutation(P, Pold, F)
     for i in range(5):
         for j in range(3):
-            expect = P.individuals[i, j] + F * (Pold.individuals[i, j] - P.individuals[i, j])
+            expect = P[i, j] + F * (Pold[i, j] - P[i, j])
             assert out[i, j] == pytest.approx(expect, rel=1e-12)
 
 
 def test_mutation_f_zero_keeps_population():
-    P = Population(np.ones((3, 2)))
-    Pold = Population(np.zeros((3, 2)))
-    assert np.array_equal(bsa_mutation(P, Pold, 0.0), P.individuals)
+    P = np.ones((3, 2))
+    Pold = np.zeros((3, 2))
+    assert np.array_equal(bsa_mutation(P, Pold, 0.0), P)
 
 
 def test_crossover_changes_at_least_one_position_per_row():
     rng_data = np.random.Generator(np.random.PCG64(5))
-    P = Population(rng_data.normal(size=(30, 6)))
-    mutant = P.individuals + 100.0  # any change is visible
+    P = rng_data.normal(size=(30, 6))
+    mutant = P + 100.0  # any change is visible
     for seed in range(50):
         trial = bsa_crossover(P, mutant, 1.0, RngStream(seed))
-        changed = trial != P.individuals
+        changed = trial != P
         assert np.all(changed.sum(axis=1) >= 1)
         # positions are copied from exactly one parent
-        assert np.all((trial == P.individuals) | (trial == mutant))
+        assert np.all((trial == P) | (trial == mutant))
 
 
 def test_crossover_single_position_branch_exists():
     """Across seeds some draws flip exactly one coordinate per row."""
-    P = Population(np.zeros((8, 5)))
+    P = np.zeros((8, 5))
     mutant = np.ones((8, 5))
     per_seed_counts = []
     for seed in range(60):
@@ -104,7 +113,7 @@ def test_crossover_single_position_branch_exists():
 
 
 def test_low_mixrate_still_flips_one():
-    P = Population(np.zeros((10, 8)))
+    P = np.zeros((10, 8))
     mutant = np.ones((10, 8))
     for seed in range(30):
         trial = bsa_crossover(P, mutant, 1e-9, RngStream(seed))
@@ -139,13 +148,13 @@ def test_boundary_control_noop_returns_same_values():
 
 
 def test_selection2_greedy():
-    P = Population(np.zeros((3, 2)), np.array([1.0, 5.0, 3.0]))
-    T = Population(np.ones((3, 2)), np.array([2.0, 4.0, 3.0]))
-    out = bsa_selection2(P, T)
-    assert out.fitness.tolist() == [1.0, 4.0, 3.0]
-    assert out.individuals[0].tolist() == [0.0, 0.0]  # P kept
-    assert out.individuals[1].tolist() == [1.0, 1.0]  # T adopted
-    assert out.individuals[2].tolist() == [0.0, 0.0]  # tie keeps P
+    P, fP = np.zeros((3, 2)), np.array([1.0, 5.0, 3.0])
+    T, fT = np.ones((3, 2)), np.array([2.0, 4.0, 3.0])
+    out, fout = bsa_selection2(P, fP, T, fT)
+    assert fout.tolist() == [1.0, 4.0, 3.0]
+    assert out[0].tolist() == [0.0, 0.0]  # P kept
+    assert out[1].tolist() == [1.0, 1.0]  # T adopted
+    assert out[2].tolist() == [0.0, 0.0]  # tie keeps P
 
 
 def test_run_optimizer_success_and_fields():
@@ -361,28 +370,30 @@ def test_abc_partner_uniform_over_other_sources():
 
 def test_abc_iteration_calls_at_most_two_plus_busiest_source(monkeypatch):
     """Per iteration: one employed batch, one batch per onlooker wave, and
-    at most one scout row; the rows still add up to the colony size."""
+    at most one scout row; the rows still add up to the colony size. Each
+    iteration starts with its abc_phases call."""
     events = []
     real_eval, real_rank = benchmarks.evaluate_batch, optimizers.occurrence_rank
-    real_update = optimizers._BestTracker.update
+    real_phases = optimizers.abc_phases
     monkeypatch.setattr(benchmarks, "evaluate_batch",
                         lambda fn, X: events.append(len(X)) or real_eval(fn, X))
     monkeypatch.setattr(optimizers, "occurrence_rank",
                         lambda picks: events.append(picks.copy()) or real_rank(picks))
-    monkeypatch.setattr(optimizers._BestTracker, "update",
-                        lambda self, *a: events.append("|") or real_update(self, *a))
+    monkeypatch.setattr(optimizers, "abc_phases",
+                        lambda *a: events.append("|") or real_phases(*a))
     cfg = OptimizerConfig(population_size=30, max_iterations=60, runs=1,
                           stop_on_success=False, abc_limit=3)
     run_optimizer("abc", "F11", cfg, seed=4, dim=4)
-    iterations = [[]]
-    for e in events[events.index("|") + 1:]:
+    assert events[0] == 15  # the initial food sources
+    iterations = []
+    for e in events[1:]:
         if isinstance(e, str):
             iterations.append([])
         else:
             iterations[-1].append(e)
-    assert len(iterations) == cfg.max_iterations + 1 and iterations[-1] == []
+    assert events[1] == "|" and len(iterations) == cfg.max_iterations
     scouts = 0
-    for it in iterations[:-1]:
+    for it in iterations:
         picks = next(e for e in it if isinstance(e, np.ndarray))
         rows = [e for e in it if not isinstance(e, np.ndarray)]
         scout = sum(rows) - 30
@@ -395,7 +406,7 @@ def test_abc_iteration_calls_at_most_two_plus_busiest_source(monkeypatch):
 # ------------------------------------------------- crossover statistics
 
 def _crossover_masks(n, d, seeds):
-    P = Population(np.zeros((n, d)))
+    P = np.zeros((n, d))
     return [bsa_crossover(P, np.ones((n, d)), 1.0, RngStream(s)) == 1 for s in seeds]
 
 
@@ -447,11 +458,55 @@ def test_profiled_names_exposed():
 
 @pytest.mark.parametrize("algo", ALGORITHMS)
 def test_every_iteration_evaluates_through_evaluate_batch(algo, monkeypatch):
-    calls = []
-    real = benchmarks.evaluate_batch
-    monkeypatch.setattr(benchmarks, "evaluate_batch",
-                        lambda fn, X: calls.append(len(X)) or real(fn, X))
+    calls = _evaluated_rows(monkeypatch)
     cfg = OptimizerConfig(population_size=10, max_iterations=8, runs=1,
                           stop_on_success=False)
     run_optimizer(algo, "F11", cfg, seed=2, dim=3)
     assert len(calls) >= cfg.max_iterations + 1  # the initial population too
+
+
+# ------------------------------------------------------------ the run loop
+
+def _counting(monkeypatch, algo):
+    """Record every step the run loop takes from ``algo``'s generator."""
+    steps, real = [], optimizers._RUNNERS[algo]
+
+    def counted(*args):
+        for step in real(*args):
+            steps.append(step)
+            yield step
+    monkeypatch.setitem(optimizers._RUNNERS, algo, counted)
+    return steps
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_run_loop_takes_initial_population_plus_cap(algo, monkeypatch):
+    steps = _counting(monkeypatch, algo)
+    cfg = OptimizerConfig(population_size=10, max_iterations=8, runs=1,
+                          stop_on_success=False)
+    run_optimizer(algo, "F11", cfg, seed=2, dim=3)
+    assert len(steps) == cfg.max_iterations + 1
+    for values, points in steps:
+        assert points.shape == (len(values), 3)
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_zero_iterations_evaluates_only_initial_population(algo, monkeypatch):
+    calls = _evaluated_rows(monkeypatch)
+    cfg = OptimizerConfig(population_size=10, max_iterations=0, runs=1,
+                          stop_on_success=False)
+    r = run_optimizer(algo, "F14", cfg, seed=3, dim=2, bounds=(-1, 1))
+    assert calls == [5 if algo == "abc" else 10]
+    assert r.iterations_to_success in (0, None)
+    assert r.succeeded == (r.iterations_to_success == 0)
+
+
+@pytest.mark.parametrize("algo", [a for a in ALGORITHMS if a != "abc"])
+def test_success_at_iteration_t_makes_t_plus_one_calls(algo, monkeypatch):
+    """One evaluate_batch call per iteration: a loop that resumes the
+    generator once more before it checks success makes t + 2."""
+    calls = _evaluated_rows(monkeypatch)
+    cfg = OptimizerConfig(max_iterations=2000, runs=1, success_tolerance=1e-3)
+    r = run_optimizer(algo, "F14", cfg, seed=1, dim=2, bounds=(-1, 1))
+    assert r.succeeded and r.iterations_to_success > 0
+    assert len(calls) == r.iterations_to_success + 1
