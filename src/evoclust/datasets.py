@@ -6,7 +6,6 @@ centroid files use the same layout. Every value must be finite: ``nan`` and
 ``inf`` are rejected at load time with the file and line.
 """
 
-import itertools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -36,37 +35,36 @@ class Dataset:
         return self.points.min(axis=0), self.points.max(axis=0)
 
 
-def _data_lines(text):
-    """(line number, content) of each line that holds data."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
-
-
 def _parse_matrix(text, source):
-    rows = []
-    width = None
-    for lineno, line in _data_lines(text):
-        try:
-            row = [float(p) for p in line.split()]
-        except ValueError as exc:
-            raise ValueError(f"{source}:{lineno}: non-numeric value ({exc})") from None
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise ValueError(
-                f"{source}:{lineno}: expected {width} values, found {len(row)}")
-        rows.append(row)
+    """One pass: split each line once, then convert every row in one
+    ``np.array`` call. numpy parses each token as ``float()`` does; only when
+    it fails are the rows scanned again, to name the first bad line."""
+    rows, linenos = [], []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        row = raw.split("#", 1)[0].split()
+        if row:
+            rows.append(row)
+            linenos.append(lineno)
     if not rows:
         raise ValueError(f"{source}: no data points found")
-    values = np.asarray(rows, dtype=float)
+    try:
+        values = np.array(rows, dtype=float)
+    except ValueError:
+        # a non-numeric token or a ragged row; report the first, line by line
+        width = len(rows[0])
+        for lineno, row in zip(linenos, rows):
+            try:
+                [float(p) for p in row]
+            except ValueError as exc:
+                raise ValueError(
+                    f"{source}:{lineno}: non-numeric value ({exc})") from None
+            if len(row) != width:
+                raise ValueError(f"{source}:{lineno}: expected {width} values, "
+                                 f"found {len(row)}") from None
+        raise
     bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
     if bad.size:
-        # found again by rescanning: a per-row line-number list would stay
-        # resident for every load just to serve this error
-        lineno, _ = next(itertools.islice(_data_lines(text), int(bad[0]), None))
-        raise ValueError(f"{source}:{lineno}: non-finite value "
+        raise ValueError(f"{source}:{linenos[bad[0]]}: non-finite value "
                          f"(nan and inf are not data)")
     return values
 
@@ -84,7 +82,7 @@ def load_labels(path):
     if values.shape[1] != 1:
         raise ValueError(f"{path}: labels must be one value per line")
     flat = values[:, 0]
-    if not np.allclose(flat, np.round(flat)):
+    if not np.all(flat == np.round(flat)):
         raise ValueError(f"{path}: labels must be integers")
     return flat.astype(int)
 

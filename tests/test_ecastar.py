@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from evoclust import ecastar, measures
-from evoclust.datasets import Dataset, gaussian_blobs
-from evoclust.ecastar import (EcaParams, EcaState, _quartile_stats,
+from evoclust.datasets import Dataset, gaussian_blobs, save_points
+from evoclust.ecastar import (EcaParams, EcaState, _cluster_quartiles,
                               clustering_one, clustering_two, init_assign,
                               mut_over, run_eca_star)
 from evoclust.measures import group_indices, quartiles
+from evoclust.reports import ClusterConfig, run_cluster_suite, scrub_timing
 from evoclust.rng import LevyParams, RngStream, uniform_matrix
 
 
@@ -73,9 +74,24 @@ def test_quartile_stats_equals_per_column_quartiles():
                np.ones((7, 2)),
                rng.normal(size=(101, 5)) * 1e6]
     for members in samples:
-        got = _quartile_stats(members)
+        got = _cluster_quartiles(members, np.zeros(len(members), dtype=int), 1)[:, 0]
         for j in range(members.shape[1]):
             assert tuple(float(q[j]) for q in got) == quartiles(members[:, j])
+
+
+def test_cluster_quartiles_equal_each_clusters_quartiles():
+    rng = np.random.Generator(np.random.PCG64(24))
+    sizes = [40, 1, 5, 2, 101, 3, 4]  # sizes 1 and 2, and odd and even runs
+    k, n = len(sizes), sum(sizes)
+    for points in (rng.normal(size=(n, 3)),
+                   np.round(rng.normal(size=(n, 3)), 1),  # tied values
+                   rng.normal(size=(n, 3)) * 1e6):
+        assignment = rng.permutation(np.repeat(np.arange(k), sizes))  # unsorted ids
+        got = _cluster_quartiles(points, assignment, k)
+        assert got.shape == (3, k, 3)
+        for i, g in enumerate(group_indices(assignment, k)):
+            for j in range(3):
+                assert tuple(float(q) for q in got[:, i, j]) == quartiles(points[g, j])
 
 
 # ------------------------------------------------------------- clustering I
@@ -144,9 +160,9 @@ def test_clustering_one_draws_history_cluster_by_cluster():
     out = clustering_one(_state(labels), ds.points, RngStream(8))
     assert out.k == 3 and out.k_empty == 1
     rng = RngStream(8)
-    for i, g in enumerate(group_indices(out.assignment, out.k)):
-        q1, _, q3 = _quartile_stats(ds.points[g])
-        assert np.array_equal(out.historical[i], uniform_matrix(rng, q1, q3, (2,)))
+    Q1, _, Q3 = _cluster_quartiles(ds.points, out.assignment, out.k)
+    for i in range(out.k):
+        assert np.array_equal(out.historical[i], uniform_matrix(rng, Q1[i], Q3[i], (2,)))
 
 
 # ----------------------------------------------------------------- mut-over
@@ -335,6 +351,43 @@ def test_run_scores_each_member_set_once(monkeypatch):
     assert intra_sets and gap_pairs
     assert len(intra_sets) == len(set(intra_sets))
     assert len(gap_pairs) == len(set(gap_pairs))
+
+
+def _suite_file(tmp_path):
+    ds = gaussian_blobs(RngStream(25), centers=[(0, 0), (10, 0), (0, 10), (10, 10)],
+                        spread=1.5, points_per_cluster=60)
+    data, gt = tmp_path / "blobs.txt", tmp_path / "gt.txt"
+    save_points(data, ds.points)
+    save_points(gt, ds.true_centroids)
+    return data, gt
+
+
+def test_suite_memo_matches_separate_runs(tmp_path):
+    data, gt = _suite_file(tmp_path)
+    suite = run_cluster_suite(ClusterConfig(data=str(data), gt=str(gt),
+                                            runs=3, seed=6))
+    separate = [run_cluster_suite(ClusterConfig(data=str(data), gt=str(gt),
+                                                runs=1, seed=6 + i))["detail"][0]
+                for i in range(3)]
+    assert scrub_timing(suite["detail"]) == scrub_timing(separate)
+
+
+def test_suite_memo_scores_shared_clusters_once(tmp_path, monkeypatch):
+    data, gt = _suite_file(tmp_path)
+    calls = []
+
+    def counted_intra(points):
+        calls.append(len(points))
+        return measures.intra_cluster(points)
+
+    monkeypatch.setattr(ecastar, "intra_cluster", counted_intra)
+    run_cluster_suite(ClusterConfig(data=str(data), gt=str(gt), runs=3, seed=6))
+    in_suite = len(calls)
+    del calls[:]
+    for i in range(3):
+        run_cluster_suite(ClusterConfig(data=str(data), gt=str(gt), runs=1,
+                                        seed=6 + i))
+    assert 0 < in_suite < len(calls)
 
 
 def test_profiled_names_reach_measures():

@@ -18,9 +18,9 @@ from evoclust.rng import RngStream
 
 def test_load_points_with_comments(tmp_path):
     f = tmp_path / "pts.txt"
-    f.write_text("# header\n1.0 2.0\n\n3.5 -4.25  # inline note\n")
+    f.write_text("# header\n1.0 2.0\n\n3.5 -4.25  # inline note\n1_0 +.5\n")
     pts = load_points(f)
-    assert pts.tolist() == [[1.0, 2.0], [3.5, -4.25]]
+    assert pts.tolist() == [[1.0, 2.0], [3.5, -4.25], [10.0, 0.5]]  # as float() reads
 
 
 def test_load_points_errors_carry_line_numbers(tmp_path):
@@ -32,13 +32,21 @@ def test_load_points_errors_carry_line_numbers(tmp_path):
     bad.write_text("1 2\nx 4\n")
     with pytest.raises(ValueError, match=r"bad\.txt:2: non-numeric"):
         load_points(bad)
+    # several faults: the first line with one is named, and on one line a
+    # non-numeric token is reported before a wrong width
+    for text, match in (("1 2\n3 4 5\nx 6\n", r"mixed\.txt:2: expected 2 values"),
+                        ("1 2\n\n3 x 5\n7\n", r"mixed\.txt:3: non-numeric")):
+        mixed = tmp_path / "mixed.txt"
+        mixed.write_text(text)
+        with pytest.raises(ValueError, match=match):
+            load_points(mixed)
     empty = tmp_path / "empty.txt"
     empty.write_text("# nothing\n")
     with pytest.raises(ValueError, match="no data points"):
         load_points(empty)
 
 
-@pytest.mark.parametrize("bad", ["nan", "-inf"])
+@pytest.mark.parametrize("bad", ["nan", "-inf", "infinity"])
 def test_load_points_rejects_non_finite(tmp_path, bad):
     f = tmp_path / "pts.txt"
     f.write_text(f"1.0 2.0\n# note\n3.0 {bad}\n4.0 5.0\n")
@@ -66,6 +74,10 @@ def test_load_labels(tmp_path):
     frac.write_text("0.5\n")
     with pytest.raises(ValueError, match="integers"):
         load_labels(frac)
+    near = tmp_path / "near.txt"
+    near.write_text("0\n2.9999999\n1\n")  # not 2: near-integers are rejected
+    with pytest.raises(ValueError, match="integers"):
+        load_labels(near)
 
 
 def test_load_dataset_cross_checks(tmp_path):

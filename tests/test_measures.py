@@ -4,8 +4,10 @@ quartiles."""
 import numpy as np
 import pytest
 
-from evoclust.measures import (Clustering, assign_nearest, group_indices,
-                               intra_cluster, pairwise_min_distance,
+from scipy.spatial.distance import cdist
+
+from evoclust.measures import (MIN_DISTANCE_BLOCK, Clustering, assign_nearest,
+                               group_indices, intra_cluster, pairwise_min_distance,
                                percentile_rank, percentile_ranks, quartiles,
                                solution_inter)
 
@@ -143,6 +145,16 @@ def test_pairwise_min_distance():
     A = [[0.0, 0], [0, 1]]
     B = [[0.0, 3], [10, 10]]
     assert pairwise_min_distance(A, B) == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("rows", [1, MIN_DISTANCE_BLOCK - 1, MIN_DISTANCE_BLOCK,
+                                  MIN_DISTANCE_BLOCK + 1, 3 * MIN_DISTANCE_BLOCK])
+def test_pairwise_min_distance_over_row_blocks_equals_full_matrix(rows):
+    rng = np.random.Generator(np.random.PCG64(rows))
+    A = rng.normal(size=(rows, 3))
+    B = rng.normal(size=(70, 3)) + 2.0
+    A[-1] = B[5] + 1e-3  # the closest pair sits in the last block
+    assert pairwise_min_distance(A, B) == cdist(A, B).min()
 
 
 def test_assign_nearest_and_tie_break():
