@@ -38,7 +38,8 @@ class Dataset:
 def _parse_matrix(text, source):
     """One pass: split each line once, then convert every row in one
     ``np.array`` call. numpy parses each token as ``float()`` does; only when
-    it fails are the rows scanned again, to name the first bad line."""
+    it fails are the rows scanned again, to name the first bad line. Returns
+    the matrix and each row's line number."""
     rows, linenos = [], []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         row = raw.split("#", 1)[0].split()
@@ -66,25 +67,28 @@ def _parse_matrix(text, source):
     if bad.size:
         raise ValueError(f"{source}:{linenos[bad[0]]}: non-finite value "
                          f"(nan and inf are not data)")
-    return values
+    return values, linenos
 
 
 def load_points(path):
     """Read a whitespace-separated matrix of points; errors carry line numbers."""
     path = Path(path)
-    return _parse_matrix(path.read_text(), str(path))
+    return _parse_matrix(path.read_text(), str(path))[0]
 
 
 def load_labels(path):
-    """Read one integer label per line."""
+    """Read one integer label per line; each must fit in an int64."""
     path = Path(path)
-    values = _parse_matrix(path.read_text(), str(path))
+    values, linenos = _parse_matrix(path.read_text(), str(path))
     if values.shape[1] != 1:
         raise ValueError(f"{path}: labels must be one value per line")
     flat = values[:, 0]
-    if not np.all(flat == np.round(flat)):
-        raise ValueError(f"{path}: labels must be integers")
-    return flat.astype(int)
+    # every float in [-2**63, 2**63) casts to int64 exactly; others overflow
+    bad = np.flatnonzero((flat != np.round(flat)) | (flat < -2.0**63) | (flat >= 2.0**63))
+    if bad.size:
+        raise ValueError(f"{path}:{linenos[bad[0]]}: labels must be integers "
+                         f"in the int64 range, got {float(flat[bad[0]])!r}")
+    return flat.astype(np.int64)
 
 
 def load_dataset(path, centroids_path=None, labels_path=None):

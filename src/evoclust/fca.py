@@ -8,7 +8,6 @@ works on the same bitmasks: covers come from Lindig's neighbour step and
 reachability from one pass of bitset unions.
 """
 
-import json
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,8 +16,6 @@ from typing import List, Tuple
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
-
-EXACT_WIDTH_LIMIT = 512
 
 
 @dataclass(frozen=True)
@@ -210,20 +207,16 @@ def _girth(n, edges):
     return best
 
 
-def invariants(lattice_or_concepts, edges=None):
+def invariants(concepts, edges=None):
     """Size, edge count, height, and width interval of a lattice.
 
     Height counts nodes on a longest chain. The width interval's lower end is
     the largest level of a longest-path level decomposition (levels are
-    antichains); its upper end is the exact maximum antichain via a minimum
-    chain cover, or the same bound again for very large lattices. A built
-    lattice already carries these, so they are read off it, not recomputed.
+    antichains); its upper end is the exact width, the largest antichain,
+    which by Dilworth's theorem is n minus a maximum matching of the strict
+    order (a minimum chain cover), at every lattice size. Edges default to
+    the covering pairs of the concepts.
     """
-    if isinstance(lattice_or_concepts, ConceptLattice):
-        lat = lattice_or_concepts
-        return {"n_concepts": len(lat.concepts), "n_edges": len(lat.hasse_edges),
-                "height": lat.height, "width_interval": lat.width_interval}
-    concepts = lattice_or_concepts
     if edges is None:
         edges = hasse_edges(concepts)
     n = len(concepts)
@@ -241,18 +234,11 @@ def invariants(lattice_or_concepts, edges=None):
     height = max(level)
     counts = np.bincount(np.asarray(level), minlength=height + 1)
     level_bound = int(counts.max())
-    if n <= EXACT_WIDTH_LIMIT:
-        reach = _transitive_closure(n, edges)
-        if reach.any():
-            match = maximum_bipartite_matching(csr_matrix(reach), perm_type="column")
-            matched = int(np.count_nonzero(match != -1))
-        else:
-            matched = 0
-        width_exact = n - matched
-    else:
-        width_exact = level_bound
+    reach = csr_matrix(_transitive_closure(n, edges))
+    match = maximum_bipartite_matching(reach, perm_type="column")
+    width = n - int(np.count_nonzero(match != -1))
     return {"n_concepts": n, "n_edges": len(edges), "height": height,
-            "width_interval": (level_bound, width_exact)}
+            "width_interval": (level_bound, width)}
 
 
 def build_lattice(ctx):
@@ -280,17 +266,14 @@ def _ratio(a, b):
 
 
 def lattice_quality(orig, reduced):
-    """Structural agreement in [0, 1]: the mean of min/max ratios of concept
-    count, edge count, height, and width-interval midpoint."""
-    inv_o = invariants(orig)
-    inv_r = invariants(reduced)
-    mid_o = sum(inv_o["width_interval"]) / 2.0
-    mid_r = sum(inv_r["width_interval"]) / 2.0
+    """Structural agreement of two built lattices in [0, 1]: the mean of
+    min/max ratios of concept count, edge count, height, and width-interval
+    midpoint."""
     ratios = [
-        _ratio(inv_o["n_concepts"], inv_r["n_concepts"]),
-        _ratio(inv_o["n_edges"], inv_r["n_edges"]),
-        _ratio(inv_o["height"], inv_r["height"]),
-        _ratio(mid_o, mid_r),
+        _ratio(len(orig.concepts), len(reduced.concepts)),
+        _ratio(len(orig.hasse_edges), len(reduced.hasse_edges)),
+        _ratio(orig.height, reduced.height),
+        _ratio(sum(orig.width_interval) / 2.0, sum(reduced.width_interval) / 2.0),
     ]
     return float(np.mean(ratios))
 
@@ -336,6 +319,9 @@ def read_cxt(source):
         n_att = int(lines[3].strip())
     except ValueError:
         raise ValueError(f"{origin}:3: object/attribute counts must be integers") from None
+    for lineno, what, count in ((3, "object", n_obj), (4, "attribute", n_att)):
+        if count < 0:
+            raise ValueError(f"{origin}:{lineno}: {what} count must be >= 0, got {count}")
     pos = 4
     if pos < len(lines) and lines[pos].strip() == "":
         pos += 1
@@ -376,19 +362,12 @@ def lattice_to_json(ctx, lattice=None):
 
 def _invariants_json(lattice):
     """The lattice's invariants as a JSON-ready dict (no concept labels)."""
-    inv = invariants(lattice)
     return {
-        "n_concepts": inv["n_concepts"],
-        "n_edges": inv["n_edges"],
-        "height": inv["height"],
-        "width_interval": list(inv["width_interval"]),
+        "n_concepts": len(lattice.concepts),
+        "n_edges": len(lattice.hasse_edges),
+        "height": lattice.height,
+        "width_interval": list(lattice.width_interval),
         "degree_mean": lattice.degree_mean,
         "degree_max": lattice.degree_max,
         "cycle_length": lattice.cycle_length,
     }
-
-
-def save_lattice_json(ctx, path, lattice=None):
-    payload = lattice_to_json(ctx, lattice)
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    return payload

@@ -163,14 +163,6 @@ def enumerate_pairs(labels):
             for i in range(len(labels)) for j in range(i + 1, len(labels))]
 
 
-def _two_cone(tax, a, b, hyper, hypo):
-    """Common ancestors visible from a within hyper steps and from b within
-    hypo steps, as {ancestor: (dist_a, dist_b)}."""
-    up_a = tax.ancestors_within(a, hyper)
-    up_b = tax.ancestors_within(b, hypo)
-    return {c: (up_a[c], up_b[c]) for c in up_a.keys() & up_b.keys()}
-
-
 def classify_pair(a, b, tax, params):
     """Three-way relationship of two terms: similar (identical or
     synonymous), related (common hypernym within the configured cones, both
@@ -193,21 +185,17 @@ def common_hypernym(a, b, tax, params) -> Optional[str]:
     the other's hypernym cone.
     """
     a, b = str(a), str(b)
-    forward = _two_cone(tax, a, b, params.hypernym_depth, params.hyponym_depth)
-    backward = _two_cone(tax, b, a, params.hypernym_depth, params.hyponym_depth)
+    hyper, hypo = params.hypernym_depth, params.hyponym_depth
+    depth = max(hyper, hypo)
+    # distances are minimal, so a shallower cone is this one cut at its depth
+    up_a = tax.ancestors_within(a, depth)
+    up_b = tax.ancestors_within(b, depth)
+    common = [(c, up_a[c], up_b[c]) for c in up_a.keys() & up_b.keys()]
+    forward = [(da + db, da, c) for c, da, db in common if da <= hyper and db <= hypo]
+    backward = [(da + db, da, c) for c, da, db in common if db <= hyper and da <= hypo]
     if not forward or not backward:
         return None
-    candidates = set(forward) | {c for c in backward}
-    best = None
-    for c in candidates:
-        da_db = forward.get(c)
-        db_da = backward.get(c)
-        da = da_db[0] if da_db else db_da[1]
-        db = da_db[1] if da_db else db_da[0]
-        key = (da + db, da, c)
-        if best is None or key < best:
-            best = key
-    return best[2]
+    return min(forward + backward)[2]
 
 
 def merge_pair(ctx, axis, i, j, new_label):

@@ -189,6 +189,24 @@ def test_fca_reduce_end_to_end(tmp_path, capsys):
     assert 0.0 <= report["quality"] <= 1.0
 
 
+@pytest.mark.parametrize("counts, line", [("-1\n2", 3), ("1\n-2", 4)])
+def test_fca_reduce_rejects_negative_counts(tmp_path, capsys, counts, line):
+    ctx_path = tmp_path / "neg.cxt"
+    ctx_path.write_text(f"B\nx\n{counts}\na\nb\n")
+    tax_path = tmp_path / "lex.tsv"
+    tax_path.write_text("syn\ta\tb\n")
+    rc = cli.main(["fca-reduce", "--ctx", str(ctx_path), "--tax", str(tax_path),
+                   "--out", str(tmp_path / "red.cxt"),
+                   "--report", str(tmp_path / "rep.json")])
+    assert rc == 1
+    err = _err(capsys)
+    assert err["error"] == "ValueError"
+    assert f"{ctx_path}:{line}:" in err["message"]
+    assert "count must be >= 0" in err["message"]
+    assert not (tmp_path / "red.cxt").exists()
+    assert not (tmp_path / "rep.json").exists()
+
+
 def test_out_dir_env_routes_cli_outputs(blob_file, tmp_path, monkeypatch):
     data, _ = blob_file
     monkeypatch.setenv("EVOCLUST_OUT_DIR", str(tmp_path / "routed"))

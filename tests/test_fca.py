@@ -1,10 +1,13 @@
 """Concept enumeration against power-set oracles, diagram invariants, CXT I/O."""
 
 import itertools
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from test_acceptance import _planted_context
 
@@ -12,8 +15,8 @@ from evoclust import fca
 from evoclust.fca import (Concept, FormalContext, build_lattice,
                           derive_concepts, hasse_edges, invariants,
                           lattice_quality, lattice_to_json, read_cxt,
-                          save_lattice_json, write_cxt, _closure, _girth,
-                          _ratio, _transitive_closure)
+                          write_cxt, _closure, _girth, _ratio,
+                          _transitive_closure)
 
 
 def _ctx(rows, objects=None, attributes=None):
@@ -255,7 +258,9 @@ def test_invariants_of_built_lattice_match_recomputation():
     rng = np.random.Generator(np.random.PCG64(500))
     inc = rng.random((8, 7)) < 0.4
     lat = build_lattice(_ctx(inc))
-    assert invariants(lat) == invariants(lat.concepts, lat.hasse_edges)
+    record = {"n_concepts": len(lat.concepts), "n_edges": len(lat.hasse_edges),
+              "height": lat.height, "width_interval": lat.width_interval}
+    assert record == invariants(lat.concepts, lat.hasse_edges)
 
 
 def test_order_layer_names_stay_importable():
@@ -290,6 +295,26 @@ def test_width_is_exact_dilworth(seed):
     assert lo <= hi
 
 
+def test_width_is_exact_above_512_concepts():
+    # 672 concepts, where the level bound (211) falls short of the width (254)
+    rng = np.random.Generator(np.random.PCG64(1))
+    lat = build_lattice(_ctx(rng.random((52, 23)) < 0.3))
+    n = len(lat.concepts)
+    assert n > 512
+    # the strict order straight from the extents: i < j iff extent i is a
+    # proper subset of extent j (extents of distinct concepts differ)
+    ext = np.zeros((n, 52), dtype=np.int64)
+    for k, c in enumerate(lat.concepts):
+        ext[k, list(c.extent)] = 1
+    below = ext @ (1 - ext).T == 0
+    np.fill_diagonal(below, False)
+    match = maximum_bipartite_matching(csr_matrix(below), perm_type="column")
+    width = n - int(np.count_nonzero(match != -1))
+    lo, hi = lat.width_interval
+    assert hi == width
+    assert lo < hi
+
+
 def test_ratio_conventions():
     assert _ratio(0, 0) == 1.0
     assert _ratio(0, 5) == 0.0
@@ -298,13 +323,13 @@ def test_ratio_conventions():
 
 
 def test_quality_identical_is_one():
-    concepts = derive_concepts(_ctx([[1, 0], [0, 1]]))
-    assert lattice_quality(concepts, concepts) == 1.0
+    lat = build_lattice(_ctx([[1, 0], [0, 1]]))
+    assert lattice_quality(lat, lat) == 1.0
 
 
 def test_quality_diamond_vs_chain():
-    diamond = derive_concepts(_ctx([[1, 0], [0, 1]]))
-    chain = derive_concepts(_ctx([[1, 0, 0], [1, 1, 0], [1, 1, 1]]))
+    diamond = build_lattice(_ctx([[1, 0], [0, 1]]))
+    chain = build_lattice(_ctx([[1, 0, 0], [1, 1, 0], [1, 1, 1]]))
     # ratios: concepts 3/4, edges 2/4, height 3/3, width midpoint 1/2
     expect = (0.75 + 0.5 + 1.0 + 0.5) / 4
     assert lattice_quality(diamond, chain) == pytest.approx(expect)
@@ -341,6 +366,7 @@ def test_cxt_reader_accepts_text_and_blank_line():
     assert ctx.incidence.tolist() == [[True, False]]
     lower = read_cxt("B\nt\n1\n2\no\np\nq\nx.\n")  # lowercase incidence
     assert lower.incidence.tolist() == [[True, False]]
+    assert read_cxt("B\nt\n0\n0\n").shape == (0, 0)
 
 
 def test_cxt_reader_errors():
@@ -354,13 +380,20 @@ def test_cxt_reader_errors():
         read_cxt("B\nt\n1\n2\no\np\nq\nXY\n")
     with pytest.raises(ValueError, match="incidence row"):
         read_cxt("B\nt\n1\n2\no\np\nq\nX\n")
+    # a negative count must not load as 0 objects with attributes ('2', 'a')
+    with pytest.raises(ValueError, match="<string>:3: object count must be >= 0"):
+        read_cxt("B\nx\n-1\n2\na\nb\n")
+    with pytest.raises(ValueError, match="<string>:4: attribute count must be >= 0"):
+        read_cxt("B\nx\n1\n-2\no\nX\n")
 
 
-def test_lattice_json_round_trip(tmp_path):
+def test_lattice_json_round_trip():
     ctx = _ctx([[1, 0], [0, 1]], objects=["left", "right"],
                attributes=["l", "r"])
-    payload = save_lattice_json(ctx, tmp_path / "lat.json")
-    assert payload == lattice_to_json(ctx)
+    payload = lattice_to_json(ctx)
+    assert payload == lattice_to_json(ctx, build_lattice(ctx))
     assert payload["invariants"]["n_concepts"] == 4
+    assert payload["invariants"]["width_interval"] == [2, 2]
     assert {"extent": ["left"], "intent": ["l"]} in payload["concepts"]
-    assert (tmp_path / "lat.json").read_text().endswith("\n")
+    assert payload["edges"] == [[0, 1], [0, 2], [1, 3], [2, 3]]
+    assert json.loads(json.dumps(payload)) == payload

@@ -2,6 +2,8 @@
 
 import csv
 import json
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -78,6 +80,25 @@ def test_load_labels(tmp_path):
     near.write_text("0\n2.9999999\n1\n")  # not 2: near-integers are rejected
     with pytest.raises(ValueError, match="integers"):
         load_labels(near)
+    # beyond int64 the cast wraps to one id (only a RuntimeWarning), so two
+    # labels would merge; warnings are errors here, the ValueError comes first
+    huge = tmp_path / "huge.txt"
+    huge.write_text("0\n1e20\n2e20\n")
+    low = tmp_path / "low.txt"
+    low.write_text("# ids\n5\n-1e19\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(f"{huge}:2: ") + ".*int64 range"):
+            load_labels(huge)
+        with pytest.raises(ValueError, match=re.escape(f"{low}:3: ") + ".*int64 range"):
+            load_labels(low)
+        top = tmp_path / "top.txt"
+        top.write_text(f"{2**63}\n")  # one past the int64 maximum
+        with pytest.raises(ValueError, match="int64 range"):
+            load_labels(top)
+        edge = tmp_path / "edge.txt"
+        edge.write_text(f"{-2**63}\n{2**62}\n")
+        assert load_labels(edge).tolist() == [-2**63, 2**62]
 
 
 def test_load_dataset_cross_checks(tmp_path):

@@ -86,6 +86,72 @@ def test_depth_gates_relatedness(tax):
     shallow = ReduceParams(hypernym_depth=1, hyponym_depth=1)
     assert classify_pair("cat", "dog", tax, deep) == RELATED
     assert classify_pair("cat", "dog", tax, shallow) == UNRELATED
+    # "mammal" is 2 steps above cat: it qualifies only when each orientation
+    # reaches it, so when both depths are at least 2
+    deep_hyper = ReduceParams(hypernym_depth=2, hyponym_depth=1)
+    deep_hypo = ReduceParams(hypernym_depth=1, hyponym_depth=2)
+    assert common_hypernym("cat", "mammal", tax, deep_hyper) is None
+    assert common_hypernym("cat", "mammal", tax, deep_hypo) is None
+    assert common_hypernym("cat", "mammal", tax, deep) == "mammal"
+    assert common_hypernym("cat", "feline", tax, deep_hyper) == "feline"
+    assert common_hypernym("cat", "feline", tax, deep_hypo) == "feline"
+
+
+def _ref_common_hypernym(a, b, tax, params):
+    """The four-cone rule, written out: one cone per term and orientation,
+    each cut at its own depth."""
+    def two_cone(x, y, hyper, hypo):
+        up_x = tax.ancestors_within(x, hyper)
+        up_y = tax.ancestors_within(y, hypo)
+        return {c: (up_x[c], up_y[c]) for c in up_x.keys() & up_y.keys()}
+
+    a, b = str(a), str(b)
+    forward = two_cone(a, b, params.hypernym_depth, params.hyponym_depth)
+    backward = two_cone(b, a, params.hypernym_depth, params.hyponym_depth)
+    if not forward or not backward:
+        return None
+    best = None
+    for c in set(forward) | set(backward):
+        da_db = forward.get(c)
+        db_da = backward.get(c)
+        da = da_db[0] if da_db else db_da[1]
+        db = da_db[1] if da_db else db_da[0]
+        key = (da + db, da, c)
+        if best is None or key < best:
+            best = key
+    return best[2]
+
+
+def _random_taxonomy(rng, n_terms):
+    """Edges only from a term to a later one, so the hypernym graph is
+    acyclic; a few random synsets on top, which may join any levels."""
+    terms = [f"t{i}" for i in range(n_terms)]
+    parent_map = {}
+    for i in range(n_terms - 1):
+        k = int(rng.integers(0, 3))
+        ups = rng.choice(np.arange(i + 1, n_terms), size=min(k, n_terms - 1 - i),
+                         replace=False)
+        if ups.size:
+            parent_map[terms[i]] = {terms[j] for j in ups}
+    synsets = [set(rng.choice(terms, size=int(rng.integers(2, 4)), replace=False))
+               for _ in range(int(rng.integers(0, 3)))]
+    return Taxonomy(parent_map=parent_map, synsets=synsets), terms
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_common_hypernym_matches_four_cone_reference(seed):
+    rng = np.random.Generator(np.random.PCG64(700 + seed))
+    for _ in range(10):
+        tax, terms = _random_taxonomy(rng, int(rng.integers(4, 10)))
+        labels = terms + ["unknown"]
+        for hyper in range(1, 5):
+            for hypo in range(1, 5):
+                params = ReduceParams(hypernym_depth=hyper, hyponym_depth=hypo)
+                for a in labels:
+                    for b in labels:
+                        assert (common_hypernym(a, b, tax, params)
+                                == _ref_common_hypernym(a, b, tax, params)), \
+                            (a, b, hyper, hypo)
 
 
 def test_load_taxonomy(tmp_path):
