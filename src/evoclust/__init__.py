@@ -18,8 +18,7 @@ from .fca import (Concept, ConceptLattice, FormalContext, build_lattice,
                   lattice_to_json, read_cxt, write_cxt)
 from .kmeans import KmConfig, kmeans, kmeans_pp_seed
 from .measures import (Clustering, assign_nearest, intra_cluster,
-                       percentile_rank, percentile_ranks, quartiles,
-                       solution_inter)
+                       percentile_ranks, solution_inter)
 from .metrics import (QualityReport, centroid_index, csi, eps_ratio, nmi,
                       nmse, quality_report, sse)
 from .optimizers import (ALGORITHMS, OptimizerConfig, RunResult,

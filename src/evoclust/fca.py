@@ -2,10 +2,11 @@
 and the structural invariants used to compare an original lattice with its
 reduced counterpart.
 
-Concepts are enumerated with NextClosure over attribute sets; rows are packed
-into integer bitmasks so closures are a couple of integer ops each. The order
-works on the same bitmasks: covers come from Lindig's neighbour step and
-reachability from one pass of bitset unions.
+Rows and columns are packed into integer bitmasks. The intents are built by
+closing the full attribute set under intersection with each object row, and
+each extent is the AND of its attributes' columns. The order works on the
+same bitmasks: covers come from Lindig's neighbour step and reachability from
+one pass of bitset unions.
 """
 
 from collections import deque
@@ -33,10 +34,9 @@ class FormalContext:
     def __init__(self, objects, attributes, incidence):
         objects = tuple(str(o) for o in objects)
         attributes = tuple(str(a) for a in attributes)
-        if len(set(objects)) != len(objects):
-            raise ValueError("object labels must be unique")
-        if len(set(attributes)) != len(attributes):
-            raise ValueError("attribute labels must be unique")
+        for what, labels in (("object", objects), ("attribute", attributes)):
+            if len(set(labels)) != len(labels):
+                raise ValueError(f"{what} labels must be unique")
         incidence = np.asarray(incidence, dtype=bool)
         if incidence.shape != (len(objects), len(attributes)):
             raise ValueError(
@@ -66,42 +66,25 @@ class ConceptLattice:
     cycle_length: int = 0  # girth of the undirected diagram, 0 if acyclic
 
 
-def _closure(att_mask, row_masks, full):
-    """Close an attribute set: objects carrying all of it, then the
-    attributes common to those objects (all attributes when none do)."""
-    extent = [i for i, r in enumerate(row_masks) if r & att_mask == att_mask]
-    intent = full
-    for i in extent:
-        intent &= row_masks[i]
-    return extent, intent
-
-
 def derive_concepts(ctx):
-    """All formal concepts, ordered by extent size then extent tuple."""
-    n_att = len(ctx.attributes)
-    row_masks = ctx.row_masks()
-    full = (1 << n_att) - 1
-    concepts = []
-    extent, intent = _closure(0, row_masks, full)
-    concepts.append((tuple(extent), intent))
-    current = intent
-    while current != full:
-        for i in range(n_att - 1, -1, -1):
-            bit = 1 << i
-            if current & bit:
-                continue
-            below = bit - 1  # mask of attributes with index < i
-            candidate = (current & below) | bit
-            extent, closed = _closure(candidate, row_masks, full)
-            # canonical test: nothing below i may appear that wasn't there
-            if (closed & below) == (current & below):
-                concepts.append((tuple(extent), closed))
-                current = closed
-                break
-        else:  # pragma: no cover - full is always reached first
-            break
-    out = [Concept(extent, tuple(j for j in range(n_att) if intent >> j & 1))
-           for extent, intent in concepts]
+    """All formal concepts, ordered by extent size then extent tuple.
+
+    The intents are the full attribute set and every intersection of object
+    rows (Kuznetsov & Obiedkov 2002), so the set is closed under each row in
+    turn; an intent's extent is the AND of its attributes' object columns.
+    """
+    n_obj, n_att = ctx.shape
+    intents = {(1 << n_att) - 1}
+    for r in ctx.row_masks():
+        intents |= {i & r for i in intents}
+    columns = [_bits(np.flatnonzero(col)) for col in ctx.incidence.T]
+    out = []
+    for intent in intents:
+        attrs = _indices(intent)
+        extent = (1 << n_obj) - 1
+        for j in attrs:
+            extent &= columns[j]
+        out.append(Concept(_indices(extent), attrs))
     out.sort(key=lambda c: (len(c.extent), c.extent))
     return out
 
@@ -111,6 +94,15 @@ def _bits(indices):
     for i in indices:
         m |= 1 << int(i)
     return m
+
+
+def _indices(mask):
+    """The set bits of mask, ascending."""
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return tuple(out)
 
 
 def hasse_edges(concepts):
@@ -257,12 +249,8 @@ def build_lattice(ctx):
 
 
 def _ratio(a, b):
-    lo, hi = (a, b) if a <= b else (b, a)
-    if hi == 0:
-        return 1.0  # both zero
-    if lo == 0:
-        return 0.0
-    return lo / hi
+    lo, hi = sorted((a, b))
+    return lo / hi if hi else 1.0  # 1 when both are zero
 
 
 def lattice_quality(orig, reduced):
@@ -283,11 +271,9 @@ def lattice_quality(orig, reduced):
 def write_cxt(ctx, path=None, name="context"):
     """Serialize in the Burmeister text layout; returns the text, optionally
     writing it to path."""
-    lines = ["B", str(name), str(len(ctx.objects)), str(len(ctx.attributes))]
-    lines.extend(ctx.objects)
-    lines.extend(ctx.attributes)
-    for row in ctx.incidence:
-        lines.append("".join("X" if v else "." for v in row))
+    lines = ["B", str(name), str(len(ctx.objects)), str(len(ctx.attributes)),
+             *ctx.objects, *ctx.attributes]
+    lines += ["".join("X" if v else "." for v in row) for row in ctx.incidence]
     text = "\n".join(lines) + "\n"
     if path is not None:
         Path(path).write_text(text)
@@ -296,7 +282,9 @@ def write_cxt(ctx, path=None, name="context"):
 
 def read_cxt(source):
     """Parse the Burmeister layout from a path or literal text. A single
-    blank line after the counts is tolerated."""
+    blank line after the counts and blank lines after the incidence rows are
+    tolerated; a repeated label or any other trailing line is an error that
+    names its line."""
     try:
         is_path = isinstance(source, Path) or (
             "\n" not in str(source) and Path(str(source)).exists())
@@ -328,18 +316,27 @@ def read_cxt(source):
     need = n_obj + n_att + n_obj
     if len(lines) - pos < need:
         raise ValueError(f"{origin}: expected {need} more lines after the header")
-    objects = [lines[pos + i] for i in range(n_obj)]
-    pos += n_obj
-    attributes = [lines[pos + i] for i in range(n_att)]
-    pos += n_att
-    rows = []
+    objects = lines[pos:pos + n_obj]
+    attributes = lines[pos + n_obj:pos + n_obj + n_att]
+    for what, labels, start in (("object", objects, pos),
+                                ("attribute", attributes, pos + n_obj)):
+        first = {}
+        for lineno, label in enumerate(labels, start + 1):
+            if first.setdefault(label, lineno) != lineno:
+                raise ValueError(f"{origin}:{lineno}: {what} label {label!r} "
+                                 f"repeats line {first[label]}")
+    pos += n_obj + n_att
+    incidence = np.zeros((n_obj, n_att), dtype=bool)
     for i in range(n_obj):
         raw = lines[pos + i].strip()
         if len(raw) != n_att or any(c not in ".Xx" for c in raw):
             raise ValueError(
                 f"{origin}:{pos + i + 1}: incidence row must be {n_att} of '.'/'X'")
-        rows.append([c in "Xx" for c in raw])
-    incidence = np.asarray(rows, dtype=bool) if rows else np.zeros((0, n_att), dtype=bool)
+        incidence[i] = [c in "Xx" for c in raw]
+    for lineno in range(pos + n_obj + 1, len(lines) + 1):
+        if lines[lineno - 1].strip():
+            raise ValueError(f"{origin}:{lineno}: unexpected line after the "
+                             f"{n_obj} incidence rows")
     ctx = FormalContext(objects, attributes, incidence)
     ctx.name = name
     return ctx

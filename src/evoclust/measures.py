@@ -1,5 +1,5 @@
 """Shared clustering substrate: intra-cluster cohesion, cross-cluster
-separation, percentile ranks, quartiles, and the Clustering result record."""
+separation, percentile ranks, and the Clustering result record."""
 
 from dataclasses import dataclass
 
@@ -49,17 +49,6 @@ def solution_inter(clusters):
     return float(np.mean((S[i, j] + S[j, i]) / (sizes[i] + sizes[j])))
 
 
-def percentile_rank(values, x):
-    """Mid-count percentile rank of x within values:
-    100 * (#below + 0.5 * #equal) / N."""
-    v = np.asarray(values, dtype=float).ravel()
-    if v.size == 0:
-        raise ValueError("percentile_rank of an empty sample is undefined")
-    less = np.count_nonzero(v < x)
-    equal = np.count_nonzero(v == x)
-    return 100.0 * (less + 0.5 * equal) / v.size
-
-
 def percentile_ranks(values):
     """Vectorized percentile rank of each value within its own sample."""
     v = np.asarray(values, dtype=float).ravel()
@@ -70,15 +59,6 @@ def percentile_ranks(values):
     less = np.searchsorted(sorted_v, v, side="left")
     upto = np.searchsorted(sorted_v, v, side="right")
     return 100.0 * (less + 0.5 * (upto - less)) / v.size
-
-
-def quartiles(values):
-    """(Q1, Q2, Q3) by linear interpolation between order statistics."""
-    v = np.asarray(values, dtype=float).ravel()
-    if v.size == 0:
-        raise ValueError("quartiles of an empty sample are undefined")
-    q1, q2, q3 = np.quantile(v, [0.25, 0.5, 0.75])
-    return float(q1), float(q2), float(q3)
 
 
 def pairwise_min_distance(A, B):

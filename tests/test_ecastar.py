@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from test_measures import quartiles
+
 from evoclust import ecastar, measures
 from evoclust.datasets import Dataset, gaussian_blobs, save_points
 from evoclust.ecastar import (EcaParams, EcaState, _cluster_quartiles,
                               clustering_one, clustering_two, init_assign,
                               mut_over, run_eca_star)
-from evoclust.measures import group_indices, quartiles
+from evoclust.measures import group_indices
 from evoclust.reports import ClusterConfig, run_cluster_suite, scrub_timing
 from evoclust.rng import LevyParams, RngStream, uniform_matrix
 

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +16,7 @@ from evoclust import fca
 from evoclust.fca import (Concept, FormalContext, build_lattice,
                           derive_concepts, hasse_edges, invariants,
                           lattice_quality, lattice_to_json, read_cxt,
-                          write_cxt, _closure, _girth, _ratio,
-                          _transitive_closure)
+                          write_cxt, _girth, _ratio, _transitive_closure)
 
 
 def _ctx(rows, objects=None, attributes=None):
@@ -65,15 +65,102 @@ def test_no_objects_still_one_concept():
     assert concepts == [Concept((), (0, 1))]
 
 
+# Reference enumeration: NextClosure over attribute sets (Ganter), the
+# original implementation, kept as the oracle for the row-intersection one.
+
+def _ref_closure(att_mask, row_masks, full):
+    """Close an attribute set: objects carrying all of it, then the
+    attributes common to those objects (all attributes when none do)."""
+    extent = [i for i, r in enumerate(row_masks) if r & att_mask == att_mask]
+    intent = full
+    for i in extent:
+        intent &= row_masks[i]
+    return extent, intent
+
+
+def _ref_derive_concepts(ctx):
+    n_att = len(ctx.attributes)
+    row_masks = ctx.row_masks()
+    full = (1 << n_att) - 1
+    extent, intent = _ref_closure(0, row_masks, full)
+    concepts = [(tuple(extent), intent)]
+    current = intent
+    while current != full:
+        for i in range(n_att - 1, -1, -1):
+            bit = 1 << i
+            if current & bit:
+                continue
+            below = bit - 1  # mask of attributes with index < i
+            extent, closed = _ref_closure((current & below) | bit, row_masks, full)
+            # canonical test: nothing below i may appear that wasn't there
+            if (closed & below) == (current & below):
+                concepts.append((tuple(extent), closed))
+                current = closed
+                break
+    out = [Concept(extent, tuple(j for j in range(n_att) if intent >> j & 1))
+           for extent, intent in concepts]
+    out.sort(key=lambda c: (len(c.extent), c.extent))
+    return out
+
+
 def test_closure_is_idempotent():
     ctx = _ctx([[1, 0, 1], [0, 1, 1], [1, 1, 0]])
     masks = ctx.row_masks()
     full = (1 << 3) - 1
     for m in range(8):
-        _, closed = _closure(m, masks, full)
-        _, closed2 = _closure(closed, masks, full)
+        _, closed = _ref_closure(m, masks, full)
+        _, closed2 = _ref_closure(closed, masks, full)
         assert closed2 == closed
         assert closed & m == m  # extensive
+
+
+def _assert_matches_reference(inc):
+    ctx = _ctx(inc)
+    got = derive_concepts(ctx)
+    assert got == _ref_derive_concepts(ctx)  # order included
+    return got
+
+
+def test_derive_concepts_matches_reference_on_random_contexts():
+    rng = np.random.Generator(np.random.PCG64(600))
+    for _ in range(300):
+        shape = (int(rng.integers(0, 13)), int(rng.integers(0, 13)))
+        _assert_matches_reference(rng.random(shape) < rng.uniform(0.05, 0.95))
+
+
+def test_derive_concepts_matches_reference_on_degenerate_contexts():
+    rng = np.random.Generator(np.random.PCG64(601))
+    for shape in ((0, 0), (0, 5), (5, 0), (1, 1), (7, 4)):
+        for fill in (np.zeros, np.ones):
+            concepts = _assert_matches_reference(fill(shape))
+            # only an all-false context with objects and attributes has
+            # two concepts, a top and a bottom
+            assert len(concepts) == (2 if fill is np.zeros and 0 not in shape else 1)
+    inc = rng.random((6, 5)) < 0.5
+    dup = inc[[0, 1, 1, 2, 3, 3, 3, 4, 5, 0]][:, [0, 0, 1, 2, 2, 3, 4, 4]]
+    assert len(_assert_matches_reference(dup)) == len(derive_concepts(_ctx(inc)))
+
+
+def _planted_incidence(seed, n_obj, n_att, p=0.3, eps=0.15):
+    """The planted layout of ``_planted_context`` at any shape."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    inc = rng.random((n_obj, n_att)) < p
+    inc[:, 1] = inc[:, 0] ^ (rng.random(n_obj) < eps)
+    inc[:, 3] = inc[:, 2] ^ (rng.random(n_obj) < eps)
+    for a, b in ((0, 1), (2, 3), (4, 5)):
+        inc[b] = inc[a] ^ (rng.random(n_att) < eps)
+    return inc
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_derive_concepts_matches_reference_on_planted_contexts(seed):
+    ctx, _ = _planted_context(seed)
+    assert np.array_equal(_planted_incidence(seed, 30, 20), ctx.incidence)
+    _assert_matches_reference(ctx.incidence)
+
+
+def test_derive_concepts_matches_reference_on_a_large_planted_context():
+    assert len(_assert_matches_reference(_planted_incidence(1, 52, 23))) > 512
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -385,6 +472,28 @@ def test_cxt_reader_errors():
         read_cxt("B\nx\n-1\n2\na\nb\n")
     with pytest.raises(ValueError, match="<string>:4: attribute count must be >= 0"):
         read_cxt("B\nx\n1\n-2\no\nX\n")
+    # counts too small must not drop the rows after them
+    with pytest.raises(ValueError, match="<string>:8: unexpected line"):
+        read_cxt("B\nx\n1\n1\no\na\nX\nextra\n")
+    with pytest.raises(ValueError, match="<string>:9: unexpected line"):
+        read_cxt("B\nx\n1\n1\no\na\nX\n\n.\n")
+
+
+def test_cxt_reader_allows_trailing_blank_lines():
+    ctx = read_cxt("B\nt\n1\n2\no\np\nq\nX.\n\n  \n")
+    assert ctx.incidence.tolist() == [[True, False]]
+
+
+def test_cxt_reader_names_a_repeated_label(tmp_path):
+    path = tmp_path / "dup.cxt"
+    path.write_text("B\nt\n3\n1\no\np\no\na\nX\n.\nX\n")
+    with pytest.raises(ValueError,
+                       match=f"^{re.escape(str(path))}:7: object label 'o' repeats line 5$"):
+        read_cxt(path)
+    # the blank line after the counts shifts every label down by one
+    with pytest.raises(ValueError,
+                       match="^<string>:8: attribute label 'a' repeats line 7$"):
+        read_cxt("B\nt\n1\n2\n\no\na\na\nX.\n")
 
 
 def test_lattice_json_round_trip():

@@ -8,8 +8,28 @@ from scipy.spatial.distance import cdist
 
 from evoclust.measures import (MIN_DISTANCE_BLOCK, Clustering, assign_nearest,
                                group_indices, intra_cluster, pairwise_min_distance,
-                               percentile_rank, percentile_ranks, quartiles,
-                               solution_inter)
+                               percentile_ranks, solution_inter)
+
+
+def percentile_rank(values, x):
+    """The scalar oracle for ``percentile_ranks``: mid-count percentile rank
+    of x within values, 100 * (#below + 0.5 * #equal) / N."""
+    v = np.asarray(values, dtype=float).ravel()
+    if v.size == 0:
+        raise ValueError("percentile_rank of an empty sample is undefined")
+    less = np.count_nonzero(v < x)
+    equal = np.count_nonzero(v == x)
+    return 100.0 * (less + 0.5 * equal) / v.size
+
+
+def quartiles(values):
+    """The oracle for ``ecastar``'s grouped quartiles: (Q1, Q2, Q3) by linear
+    interpolation between order statistics."""
+    v = np.asarray(values, dtype=float).ravel()
+    if v.size == 0:
+        raise ValueError("quartiles of an empty sample are undefined")
+    q1, q2, q3 = np.quantile(v, [0.25, 0.5, 0.75])
+    return float(q1), float(q2), float(q3)
 
 
 def inter_cluster(a_points, b_points):
