@@ -55,6 +55,8 @@ class Reduction(NamedTuple):
 
 @dataclass
 class Taxonomy:
+    """A hypernym DAG plus synonym groups, read-only once built: the synset
+    index and every searched ancestor cone are kept for later queries."""
     parent_map: Dict[str, Set[str]] = field(default_factory=dict)
     synsets: List[Set[str]] = field(default_factory=list)
 
@@ -67,6 +69,7 @@ class Taxonomy:
             for term in group:
                 self._synset_of[term] = idx
         self._check_acyclic()
+        self._cones = {}  # (term, depth) -> ancestors_within's answer
 
     def _check_acyclic(self):
         WHITE, GRAY, BLACK = 0, 1, 2
@@ -98,10 +101,22 @@ class Taxonomy:
         """term -> minimal upward distance, for every ancestor within depth.
 
         Synonym hops are free, so a whole synset enters at the distance of
-        its first-reached member; the term itself is at distance 0.
+        its first-reached member; the term itself is at distance 0. The
+        returned dict is the caller's own copy.
         """
+        return dict(self._cone(str(term), depth))
+
+    def _cone(self, term, depth):
+        """ancestors_within's answer, searched once per (term, depth) and
+        shared: callers in this module only read it."""
+        cone = self._cones.get((term, depth))
+        if cone is None:
+            cone = self._cones[term, depth] = self._search_cone(term, depth)
+        return cone
+
+    def _search_cone(self, term, depth):
         dist = {}
-        queue = deque([(str(term), 0)])
+        queue = deque([(term, 0)])
         while queue:
             node, d = queue.popleft()
             if node in dist and dist[node] <= d:
@@ -188,8 +203,8 @@ def common_hypernym(a, b, tax, params) -> Optional[str]:
     hyper, hypo = params.hypernym_depth, params.hyponym_depth
     depth = max(hyper, hypo)
     # distances are minimal, so a shallower cone is this one cut at its depth
-    up_a = tax.ancestors_within(a, depth)
-    up_b = tax.ancestors_within(b, depth)
+    up_a = tax._cone(a, depth)
+    up_b = tax._cone(b, depth)
     common = [(c, up_a[c], up_b[c]) for c in up_a.keys() & up_b.keys()]
     forward = [(da + db, da, c) for c, da, db in common if da <= hyper and db <= hypo]
     backward = [(da + db, da, c) for c, da, db in common if db <= hyper and da <= hypo]

@@ -380,7 +380,7 @@ class FcaConfig:
 def run_fca_suite(config):
     """Reduce one context against a taxonomy; emits the reduced context and
     a report with both lattices' invariants, the quality, and the trace."""
-    ctx = fca.read_cxt(config.ctx)
+    ctx = fca.read_cxt(Path(config.ctx))  # a path, never literal text
     tax = reducer.load_taxonomy(config.tax)
     params = reducer.ReduceParams(hypernym_depth=config.hyper_depth,
                                   hyponym_depth=config.hypo_depth,

@@ -207,6 +207,19 @@ def test_fca_reduce_rejects_negative_counts(tmp_path, capsys, counts, line):
     assert not (tmp_path / "rep.json").exists()
 
 
+def test_fca_reduce_missing_context_names_the_path(tmp_path, capsys):
+    tax_path = tmp_path / "lex.tsv"
+    tax_path.write_text("syn\ta\tb\n")
+    missing = tmp_path / "missing.cxt"
+    rc = cli.main(["fca-reduce", "--ctx", str(missing), "--tax", str(tax_path),
+                   "--report", str(tmp_path / "rep.json")])
+    assert rc == 1
+    err = _err(capsys)
+    assert err["error"] == "FileNotFoundError"
+    assert str(missing) in err["message"]
+    assert not (tmp_path / "rep.json").exists()
+
+
 def test_out_dir_env_routes_cli_outputs(blob_file, tmp_path, monkeypatch):
     data, _ = blob_file
     monkeypatch.setenv("EVOCLUST_OUT_DIR", str(tmp_path / "routed"))

@@ -311,6 +311,65 @@ def test_order_layer_matches_reference_on_planted_contexts(seed):
     _assert_order_matches_reference(derive_concepts(ctx))
 
 
+def _assert_covers_match_reference(inc, seed=0):
+    """hasse_edges equals the reference on the concepts of inc, both in
+    extent-size order and shuffled; returns the concepts."""
+    concepts = derive_concepts(_ctx(inc))
+    assert hasse_edges(concepts) == _ref_hasse_edges(concepts)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    shuffled = [concepts[i] for i in rng.permutation(len(concepts))]
+    assert hasse_edges(shuffled) == _ref_hasse_edges(shuffled)
+    return concepts
+
+
+@pytest.mark.parametrize("shape, p, full_first_word", [
+    ((7, 70), 0.5, False), ((6, 130), 0.5, False), ((7, 140), 0.5, True),
+    ((70, 6), 0.5, False), ((66, 66), 0.1, False)])
+def test_covers_match_reference_on_multi_word_contexts(shape, p, full_first_word):
+    # more than 64 attributes packs each intent into several words; more
+    # than 64 objects widens every extent past one word
+    rng = np.random.Generator(np.random.PCG64(sum(shape)))
+    inc = rng.random(shape) < p
+    if full_first_word:  # every intent shares word 0; later words differ
+        inc[:, :64] = True
+    assert len(_assert_covers_match_reference(inc, seed=1)) > 40
+
+
+def _boolean_context(k):
+    """Object i has every attribute but i: the lattice of all 2^k subsets."""
+    return ~np.eye(k, dtype=bool)
+
+
+def test_covers_match_reference_at_block_boundaries():
+    one_block = _boolean_context(7)
+    # one more attribute, held by one more object alone, drops the full
+    # 7-set and adds {7} and the full 8-set: one concept more
+    plus_one = np.zeros((8, 8), dtype=bool)
+    plus_one[:7, :7] = one_block
+    plus_one[7, 7] = True
+    assert len(_assert_covers_match_reference(one_block)) == fca.HASSE_BLOCK
+    assert len(_assert_covers_match_reference(plus_one)) == fca.HASSE_BLOCK + 1
+    several = _assert_covers_match_reference(_planted_incidence(1, 52, 23))
+    assert len(several) > 5 * fca.HASSE_BLOCK
+
+
+def test_covers_match_reference_on_degenerate_contexts():
+    rng = np.random.Generator(np.random.PCG64(402))
+    for shape in ((0, 0), (0, 5), (5, 0), (1, 1), (3, 70)):
+        for fill in (np.zeros, np.ones):
+            _assert_covers_match_reference(fill(shape, dtype=bool))
+    inc = rng.random((6, 5)) < 0.5
+    dup = inc[[0, 1, 1, 2, 3, 3, 3, 4, 5, 0]][:, [0, 0, 1, 2, 2, 3, 4, 4]]
+    assert (len(_assert_covers_match_reference(dup))
+            == len(derive_concepts(_ctx(inc))))
+
+
+def test_hasse_edges_rejects_an_incomplete_lattice():
+    concepts = derive_concepts(_ctx(_boolean_context(3)))
+    with pytest.raises(ValueError, match="complete lattice"):
+        hasse_edges([c for c in concepts if c.extent != (0, 1)])
+
+
 def test_girth_pentagon_is_five():
     # N5: 0 < a < b < 1 on one side, 0 < c < 1 on the other; the first
     # 4-cycle the early exit could stop at does not exist here

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from conftest import check_reduction_faithful, replay_label
+from test_acceptance import _planted_context
 
 from evoclust import fca, reducer
 from evoclust.fca import FormalContext, build_lattice, derive_concepts, write_cxt
@@ -152,6 +153,60 @@ def test_common_hypernym_matches_four_cone_reference(seed):
                         assert (common_hypernym(a, b, tax, params)
                                 == _ref_common_hypernym(a, b, tax, params)), \
                             (a, b, hyper, hypo)
+
+
+def test_common_hypernym_with_a_warm_cone_memo():
+    # one taxonomy answers queries at mixed depths in shuffled order; each
+    # answer must equal a cold taxonomy's and the four-cone reference's
+    rng = np.random.Generator(np.random.PCG64(710))
+    tax, terms = _random_taxonomy(rng, 9)
+    labels = terms + ["unknown"]
+    queries = [(a, b, hyper, hypo) for a in labels for b in labels
+               for hyper in range(1, 4) for hypo in range(1, 4)]
+    for k in rng.permutation(len(queries)):
+        a, b, hyper, hypo = queries[k]
+        params = ReduceParams(hypernym_depth=hyper, hyponym_depth=hypo)
+        cold = Taxonomy(parent_map=tax.parent_map, synsets=tax.synsets)
+        got = common_hypernym(a, b, tax, params)
+        assert got == common_hypernym(a, b, cold, params)
+        assert got == _ref_common_hypernym(a, b, cold, params)
+
+
+def test_ancestors_within_answers_are_the_callers_own(tax):
+    up = tax.ancestors_within("cat", 2)
+    up["cat"] = 9
+    up["intruder"] = 1
+    del up["mammal"]
+    assert tax.ancestors_within("cat", 2) == {"cat": 0, "feline": 1, "mammal": 2}
+    p = ReduceParams(hypernym_depth=2, hyponym_depth=2)
+    assert common_hypernym("cat", "dog", tax, p) == "mammal"
+    assert tax.ancestors_within("cat", 2) is not tax.ancestors_within("cat", 2)
+
+
+@pytest.mark.parametrize("seed, floor, calls", [(0, 0.8, 905), (3, 0.95, 401)])
+def test_reduction_classifies_as_many_pairs_and_searches_each_cone_once(
+        monkeypatch, seed, floor, calls):
+    # perfbench's reducer.merge_yield divides merges by classify_pair calls,
+    # so a memo must not change how many pairs are classified
+    classified = []
+    searched = []
+    classify, search = reducer.classify_pair, Taxonomy._search_cone
+
+    def counting_classify(*args):
+        classified.append(args[:2])
+        return classify(*args)
+
+    def counting_search(self, term, depth):
+        searched.append((term, depth))
+        return search(self, term, depth)
+
+    monkeypatch.setattr(reducer, "classify_pair", counting_classify)
+    monkeypatch.setattr(Taxonomy, "_search_cone", counting_search)
+    ctx, tax = _planted_context(seed)
+    reduction = reduce_context(ctx, tax, ReduceParams(quality_floor=floor))
+    assert len(reduction.trace) == 5
+    assert len(classified) == calls
+    assert len(searched) == len(set(searched))
 
 
 def test_load_taxonomy(tmp_path):
