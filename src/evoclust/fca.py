@@ -6,7 +6,8 @@ Rows and columns are packed into integer bitmasks. The intents are built by
 closing the full attribute set under intersection with each object row, and
 each extent is the AND of its attributes' columns. Covers come from Lindig's
 neighbour step run as blocked array operations on intents packed into uint64
-words, and reachability from one pass of bitset unions.
+words. The order that the exact width needs is extent inclusion, read from
+the extents packed the same way.
 """
 
 import itertools
@@ -273,38 +274,89 @@ def _girth(n, edges):
     return best
 
 
+# concept pairs per block of invariants' strict order: each block's transient
+# arrays hold about this many uint64 words
+ORDER_CELLS = 1 << 16
+
+
 def invariants(concepts, edges=None):
     """Size, edge count, height, and width interval of a lattice.
 
-    Height counts nodes on a longest chain. The width interval's lower end is
-    the largest level of a longest-path level decomposition (levels are
-    antichains); its upper end is the exact width, the largest antichain,
-    which by Dilworth's theorem is n minus a maximum matching of the strict
-    order (a minimum chain cover), at every lattice size. Edges default to
-    the covering pairs of the concepts.
+    Height counts nodes on a longest chain along the edges, and the width
+    interval's lower end is the largest level of that longest-path level
+    decomposition (levels are antichains); the levels are relaxed with one
+    ``np.maximum.at`` per extent size of the edges' children. The upper end
+    is the exact width, the largest antichain, which by Dilworth's theorem is
+    n minus a maximum matching of the strict order (a minimum chain cover).
+    That order is extent inclusion, read from the extents packed into uint64
+    words, ORDER_CELLS concept pairs at a time, straight into a CSR matrix.
+    Edges default to the covering pairs of the concepts; an edge that is not
+    a strict extent inclusion raises ValueError.
     """
     if edges is None:
         edges = hasse_edges(concepts)
     n = len(concepts)
     if n == 0:
         return {"n_concepts": 0, "n_edges": 0, "height": 0, "width_interval": (0, 0)}
-    children = [[] for _ in range(n)]
-    for a, b in edges:
-        children[a].append(b)
-    # longest chain ending at each node, traversed in extent-size order
-    order = sorted(range(n), key=lambda i: len(concepts[i].extent))
-    level = [1] * n
-    for u in order:
-        for v in children[u]:
-            level[v] = max(level[v], level[u] + 1)
-    height = max(level)
-    counts = np.bincount(np.asarray(level), minlength=height + 1)
-    level_bound = int(counts.max())
-    reach = csr_matrix(_transitive_closure(n, edges))
-    match = maximum_bipartite_matching(reach, perm_type="column")
+    extents = [c.extent for c in concepts]
+    size = np.fromiter(map(len, extents), dtype=np.intp, count=n)
+    words = np.packbits(_membership(extents, 64), axis=1,
+                        bitorder="little").view(np.uint64)
+    child, parent = np.fromiter(itertools.chain.from_iterable(edges),
+                                dtype=np.intp, count=2 * len(edges)).reshape(-1, 2).T
+    # an index out of range is checked as the pair (0, 0), which fails
+    in_range = (np.minimum(child, parent) >= 0) & (np.maximum(child, parent) < n)
+    a, b = np.where(in_range, child, 0), np.where(in_range, parent, 0)
+    bad = (size[a] >= size[b]) | np.any(words[a] & ~words[b], axis=1)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(f"edge {(int(child[k]), int(parent[k]))} is not a strict "
+                         f"extent inclusion of two of the {n} concepts")
+    # longest chain ending at each node: an edge's child has a smaller extent
+    # than its parent, so children of one size are final before they relax
+    order = np.argsort(size[child], kind="stable")
+    child, parent = child[order], parent[order]
+    groups = np.flatnonzero(np.diff(size[child])) + 1
+    level = np.ones(n, dtype=np.intp)
+    for below, above in zip(np.split(child, groups), np.split(parent, groups)):
+        np.maximum.at(level, above, level[below] + 1)
+    height = int(level.max())
+    level_bound = int(np.bincount(level).max())
+    match = maximum_bipartite_matching(_strict_order(words, size),
+                                       perm_type="column")
     width = n - int(np.count_nonzero(match != -1))
     return {"n_concepts": n, "n_edges": len(edges), "height": height,
             "width_interval": (level_bound, width)}
+
+
+def _strict_order(words, size):
+    """The strict extent inclusion order as a CSR matrix over the concepts
+    taken by extent size, which permutes rows and columns alike and so keeps
+    the size of a maximum matching. In that order a concept's extent lies in
+    no earlier one's (an earlier extent is no larger, and distinct concepts
+    have distinct extents), so each block of rows is tested only against the
+    columns from its first row on; words are the packed extents."""
+    n = len(words)
+    words = words[np.argsort(size, kind="stable")]
+    outside = ~words
+    counts, cols = [], []
+    lo = 0
+    while lo < n:
+        hi = min(n, lo + max(1, ORDER_CELLS // (n - lo)))
+        within = np.ones((hi - lo, n - lo), dtype=bool)
+        for w in range(words.shape[1]):
+            within &= (words[lo:hi, w, None] & outside[lo:, w]) == 0
+        diagonal = np.arange(hi - lo)
+        within[diagonal, diagonal] = False
+        row, col = np.divmod(np.flatnonzero(within), n - lo)
+        counts.append(np.bincount(row, minlength=hi - lo))
+        cols.append((col + lo).astype(np.int32))
+        lo = hi
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.concatenate(counts), out=indptr[1:])
+    indices = np.concatenate(cols)
+    return csr_matrix((np.ones(len(indices), dtype=bool), indices, indptr),
+                      shape=(n, n))
 
 
 def build_lattice(ctx):

@@ -267,6 +267,11 @@ def reduce_context(ctx, tax, params):
     context, each built once (the same lattice when nothing merged).
     Deterministic: the same inputs give the same merges.
 
+    Each pass walks the snapshot's pairs in ``enumerate_pairs`` order but
+    classifies only those whose ancestor cones, at depth max(hypernym_depth,
+    hyponym_depth), meet. The rest are unrelated: synonyms lie in each
+    other's cone at distance 0, and a related pair needs a common ancestor.
+
     The loop stops at a fixpoint, at the iteration cap, or after the first
     pass whose lattice quality falls below the floor. Quality is checked only
     after a whole pass, and that last pass is kept, so the returned context
@@ -274,14 +279,18 @@ def reduce_context(ctx, tax, params):
     """
     if len(ctx.objects) == 0 or len(ctx.attributes) == 0:
         raise ValueError("cannot reduce an empty context")
+    depth = max(params.hypernym_depth, params.hyponym_depth)
     original_lattice = reduced_lattice = build_lattice(ctx)
     trace: List[MergeEvent] = []
     for iteration in range(1, params.max_iterations + 1):
         merges_before = len(trace)
         for axis in ("attribute", "object"):
             snapshot = list(ctx.attributes if axis == "attribute" else ctx.objects)
+            cones = {label: tax._cone(label, depth).keys() for label in snapshot}
             consumed: Set[str] = set()
             for label_a, label_b in enumerate_pairs(snapshot):
+                if cones[label_a].isdisjoint(cones[label_b]):
+                    continue  # unrelated: see the docstring
                 if label_a in consumed or label_b in consumed:
                     continue
                 current = ctx.attributes if axis == "attribute" else ctx.objects

@@ -2,7 +2,9 @@
 
 import itertools
 import json
+import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -459,6 +461,135 @@ def test_width_is_exact_above_512_concepts():
     lo, hi = lat.width_interval
     assert hi == width
     assert lo < hi
+
+
+# Reference invariants: the edge-closure implementation, kept as the oracle
+# for the extent-inclusion order and the array longest-chain relaxation.
+
+def _ref_invariants(concepts, edges):
+    n = len(concepts)
+    if n == 0:
+        return {"n_concepts": 0, "n_edges": 0, "height": 0, "width_interval": (0, 0)}
+    children = [[] for _ in range(n)]
+    for a, b in edges:
+        children[a].append(b)
+    order = sorted(range(n), key=lambda i: len(concepts[i].extent))
+    level = [1] * n
+    for u in order:
+        for v in children[u]:
+            level[v] = max(level[v], level[u] + 1)
+    height = max(level)
+    level_bound = int(np.bincount(np.asarray(level)).max())
+    reach = csr_matrix(_transitive_closure(n, edges))
+    match = maximum_bipartite_matching(reach, perm_type="column")
+    width = n - int(np.count_nonzero(match != -1))
+    return {"n_concepts": n, "n_edges": len(edges), "height": height,
+            "width_interval": (level_bound, width)}
+
+
+def _shuffled(concepts, edges, rng):
+    """The same lattice with its concepts listed in a random order."""
+    perm = rng.permutation(len(concepts))
+    where = np.argsort(perm)
+    return ([concepts[i] for i in perm],
+            [(int(where[a]), int(where[b])) for a, b in edges])
+
+
+def _assert_invariants_match_reference(concepts, edges, rng=None):
+    got = invariants(concepts, edges)
+    assert got == _ref_invariants(concepts, edges)
+    if rng is not None:
+        assert invariants(*_shuffled(concepts, edges, rng)) == got
+    return got
+
+
+def test_invariants_match_reference_on_random_contexts():
+    rng = np.random.Generator(np.random.PCG64(600))
+    for _ in range(300):
+        n_obj = int(rng.integers(0, 12))
+        n_att = int(rng.integers(1, 10))
+        inc = rng.random((n_obj, n_att)) < rng.uniform(0.1, 0.9)
+        concepts = derive_concepts(_ctx(inc))
+        _assert_invariants_match_reference(concepts, hasse_edges(concepts), rng)
+
+
+@pytest.mark.parametrize("n_obj, n_att", [(65, 8), (130, 7), (200, 6)])
+def test_invariants_match_reference_over_64_objects(n_obj, n_att):
+    # extents then take two to four uint64 words
+    rng = np.random.Generator(np.random.PCG64(610 + n_obj))
+    concepts = derive_concepts(_ctx(rng.random((n_obj, n_att)) < 0.4))
+    assert max(c.extent[-1] for c in concepts if c.extent) >= 64
+    _assert_invariants_match_reference(concepts, hasse_edges(concepts), rng)
+
+
+def test_invariants_match_reference_at_order_block_edges(monkeypatch):
+    # ORDER_CELLS holds the whole order of up to isqrt(ORDER_CELLS) concepts
+    # in one block (256 by default); a prefix of the concepts by extent size
+    # is a down-set, so its covers are the lattice's covers between members
+    side = math.isqrt(fca.ORDER_CELLS)
+    rng = np.random.Generator(np.random.PCG64(620))
+    concepts = derive_concepts(_ctx(_planted_incidence(2, 30, 20)))
+    edges = hasse_edges(concepts)
+    assert len(concepts) > side + 1
+    for k in (side - 1, side, side + 1):
+        _assert_invariants_match_reference(
+            concepts[:k], [(a, b) for a, b in edges if b < k], rng)
+    # tiny blocks: one row each, and boundaries on either side of n
+    concepts = derive_concepts(_ctx(rng.random((9, 7)) < 0.5))
+    edges = hasse_edges(concepts)
+    n = len(concepts)
+    for cells in (1, 2, n - 1, n, n + 1, 3 * n + 1):
+        monkeypatch.setattr(fca, "ORDER_CELLS", cells)
+        _assert_invariants_match_reference(concepts, edges, rng)
+
+
+def test_invariants_of_a_chain_and_a_single_concept():
+    concepts = derive_concepts(_ctx(np.tril(np.ones((6, 6), dtype=bool))))
+    chain = _assert_invariants_match_reference(concepts, hasse_edges(concepts))
+    assert chain == {"n_concepts": 6, "n_edges": 5, "height": 6,
+                     "width_interval": (1, 1)}
+    for rows in ([[1]], [[1, 1], [1, 1]]):
+        concepts = derive_concepts(_ctx(rows))
+        assert _assert_invariants_match_reference(concepts, []) == {
+            "n_concepts": 1, "n_edges": 0, "height": 1, "width_interval": (1, 1)}
+
+
+def test_invariants_match_reference_on_a_large_planted_context():
+    rng = np.random.Generator(np.random.PCG64(630))
+    concepts = derive_concepts(_ctx(_planted_incidence(1, 52, 23)))
+    assert len(concepts) > 512
+    _assert_invariants_match_reference(concepts, hasse_edges(concepts), rng)
+
+
+@pytest.mark.parametrize("edges, bad", [
+    ([(0, 1), (1, 2)], (1, 2)),  # {0} and {1} are incomparable
+    ([(0, 1), (3, 1)], (3, 1)),  # reversed: the top above {0}
+    ([(0, 1), (1, 0)], (1, 0)),  # a cycle
+    ([(2, 2)], (2, 2)),  # a loop
+    ([(0, 4)], (0, 4)),  # no such concept
+    ([(-1, 3)], (-1, 3)),
+])
+def test_invariants_rejects_edges_that_are_not_strict_inclusions(edges, bad):
+    concepts = derive_concepts(_ctx([[1, 0], [0, 1]]))  # (), (0,), (1,), (0, 1)
+    with pytest.raises(ValueError, match=re.escape(str(bad))):
+        invariants(concepts, edges)
+
+
+def test_invariants_memory_stays_far_below_n_squared():
+    # the dense closure alone took n^2 bytes; the blocked order keeps the
+    # peak below a quarter of that
+    rng = np.random.Generator(np.random.PCG64(3))
+    concepts = derive_concepts(_ctx(rng.random((80, 24)) < 0.35))
+    edges = hasse_edges(concepts)
+    n = len(concepts)
+    assert n > 3000
+    tracemalloc.start()
+    try:
+        invariants(concepts, edges)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n / 4
 
 
 def test_ratio_conventions():

@@ -183,13 +183,52 @@ def test_ancestors_within_answers_are_the_callers_own(tax):
     assert tax.ancestors_within("cat", 2) is not tax.ancestors_within("cat", 2)
 
 
-@pytest.mark.parametrize("seed, floor, calls", [(0, 0.8, 905), (3, 0.95, 401)])
-def test_reduction_classifies_as_many_pairs_and_searches_each_cone_once(
-        monkeypatch, seed, floor, calls):
-    # perfbench's reducer.merge_yield divides merges by classify_pair calls,
-    # so a memo must not change how many pairs are classified
-    classified = []
-    searched = []
+def _ref_reduce_context(ctx, tax, params):
+    """reduce_context classifying every pair of every pass, as it did before
+    pairs with disjoint cones were skipped; also returns the classified
+    pairs."""
+    original = reduced = build_lattice(ctx)
+    trace, classified = [], []
+    for iteration in range(1, params.max_iterations + 1):
+        merges_before = len(trace)
+        for axis in ("attribute", "object"):
+            snapshot = list(ctx.attributes if axis == "attribute" else ctx.objects)
+            consumed = set()
+            for a, b in enumerate_pairs(snapshot):
+                current = ctx.attributes if axis == "attribute" else ctx.objects
+                if a in consumed or b in consumed or a not in current or b not in current:
+                    continue
+                classified.append((a, b))
+                kind = classify_pair(a, b, tax, params)
+                if kind == UNRELATED:
+                    continue
+                hyper = common_hypernym(a, b, tax, params)
+                new = hyper if hyper is not None or kind == RELATED else min(a, b)
+                ctx = reducer._merge_labels(ctx, axis, a, b, new)
+                trace.append(MergeEvent(iteration, axis, a, b, new, kind))
+                consumed.update((a, b, new))
+        if len(trace) == merges_before:
+            break
+        reduced = build_lattice(ctx)
+        if fca.lattice_quality(original, reduced) < params.quality_floor:
+            break
+    return reducer.Reduction(ctx, trace, original, reduced), classified
+
+
+def _assert_reduction_matches_reference(monkeypatch, make, params):
+    """Reduce make()'s context as reduce_context and as the all-pairs
+    reference, each on a fresh taxonomy: same trace, context and lattice
+    invariants; one classify_pair call per pair the reference classified
+    whose cones meet; no cone searched twice. Returns the reduction and the
+    classified pairs."""
+    ctx, tax = make()
+    want, ref_classified = _ref_reduce_context(ctx, tax, params)
+    depth = max(params.hypernym_depth, params.hyponym_depth)
+    meeting = [(a, b) for a, b in ref_classified
+               if tax.ancestors_within(a, depth).keys()
+               & tax.ancestors_within(b, depth).keys()]
+
+    classified, searched = [], []
     classify, search = reducer.classify_pair, Taxonomy._search_cone
 
     def counting_classify(*args):
@@ -202,11 +241,88 @@ def test_reduction_classifies_as_many_pairs_and_searches_each_cone_once(
 
     monkeypatch.setattr(reducer, "classify_pair", counting_classify)
     monkeypatch.setattr(Taxonomy, "_search_cone", counting_search)
-    ctx, tax = _planted_context(seed)
-    reduction = reduce_context(ctx, tax, ReduceParams(quality_floor=floor))
-    assert len(reduction.trace) == 5
-    assert len(classified) == calls
+    ctx, tax = make()
+    got = reduce_context(ctx, tax, params)
+    monkeypatch.undo()
+    assert got.trace == want.trace
+    for side in ("objects", "attributes", "incidence"):
+        assert np.array_equal(getattr(got.context, side), getattr(want.context, side))
+    for lattice in ("original", "reduced"):
+        assert (fca._invariants_json(getattr(got, lattice))
+                == fca._invariants_json(getattr(want, lattice)))
+    assert classified == meeting
     assert len(searched) == len(set(searched))
+    return got, classified
+
+
+@pytest.mark.parametrize("floor", [0.8, 0.95])
+@pytest.mark.parametrize("seed", range(10))
+def test_reduction_classifies_pairs_whose_cones_meet_and_searches_each_cone_once(
+        monkeypatch, seed, floor):
+    # perfbench's reducer.merge_yield divides merges by classify_pair calls:
+    # every planted pair merges, and no other pair is classified
+    got, classified = _assert_reduction_matches_reference(
+        monkeypatch, lambda: _planted_context(seed), ReduceParams(quality_floor=floor))
+    assert len(classified) == len(got.trace) == 5
+
+
+def _lexicon_context():
+    """Labels with synonym groups, a three-level hypernym chain, a label
+    next to its own hypernym (they meet at distance 0), and labels that the
+    taxonomy does not name."""
+    tax = Taxonomy(
+        parent_map={"cat": {"feline"}, "kitty": {"feline"}, "feline": {"mammal"},
+                    "dog": {"canine"}, "canine": {"mammal"}, "mammal": {"animal"},
+                    "oak": {"tree"}, "elm": {"tree"}, "tree": {"plant"},
+                    "car": {"vehicle"}},
+        synsets=[{"car", "automobile", "auto"}, {"pup", "puppy"}, {"lorry", "truck"}])
+    rng = np.random.Generator(np.random.PCG64(720))
+    objects = ["cat", "feline", "dog", "pup", "puppy", "oak", "elm", "car",
+               "auto", "rock", "canine", "tree"]
+    attributes = ["automobile", "truck", "lorry", "kitty", "mammal", "cat",
+                  "plant", "odd", "animal", "oak", "canine"]
+    inc = rng.random((len(objects), len(attributes))) < 0.4
+    return FormalContext(objects, attributes, inc), tax
+
+
+@pytest.mark.parametrize("hyper, hypo", [(1, 1), (1, 3), (2, 2), (4, 4)])
+def test_reduction_matches_reference_on_a_lexicon(monkeypatch, hyper, hypo):
+    params = ReduceParams(hypernym_depth=hyper, hyponym_depth=hypo, quality_floor=0.0)
+    got, _ = _assert_reduction_matches_reference(monkeypatch, _lexicon_context, params)
+    kinds = {ev.kind for ev in got.trace}
+    assert kinds == {SIMILAR, RELATED}
+    # "cat" meets its own hypernym "feline" at distance 0 and folds into it
+    assert MergeEvent(1, "object", "cat", "feline", "feline", RELATED) in got.trace
+    assert max(ev.iteration for ev in got.trace) >= 2  # merged labels merge again
+
+
+def test_reduction_enumerates_pairs_twice_per_pass_and_builds_once_per_merging_pass(
+        monkeypatch):
+    # perfbench derives reducer.passes from enumerate_pairs calls / 2 and
+    # reducer.build_lattice.calls from these builds
+    calls = {"enumerate_pairs": 0, "build_lattice": 0}
+    for name in calls:
+        original = getattr(reducer, name)
+
+        def counting(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(reducer, name, counting)
+    cases = [(lambda seed=seed: _planted_context(seed), ReduceParams(quality_floor=floor))
+             for seed in range(4) for floor in (0.8, 0.95)]
+    cases += [(_lexicon_context, ReduceParams(quality_floor=0.0)),
+              (_lexicon_context, ReduceParams(quality_floor=0.0, max_iterations=1)),
+              (lambda: (_lexicon_context()[0], Taxonomy()), ReduceParams())]
+    for make, params in cases:
+        for name in calls:
+            calls[name] = 0
+        ctx, tax = make()
+        got = reduce_context(ctx, tax, params)
+        merging = max((ev.iteration for ev in got.trace), default=0)
+        held = fca.lattice_quality(got.original, got.reduced) >= params.quality_floor
+        passes = merging + (held and merging < params.max_iterations)
+        assert calls == {"enumerate_pairs": 2 * passes, "build_lattice": merging + 1}
 
 
 def test_load_taxonomy(tmp_path):
