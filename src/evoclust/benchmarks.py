@@ -223,12 +223,6 @@ def evaluate_batch(fn, X):
     return fn.fn(X)
 
 
-def metadata(fn):
-    """(bounds, global_min_value, dimension_rule, hardness_pct) catalog row."""
-    fn = get_function(fn)
-    return (fn.low, fn.up), fn.global_min_value, fn.dimension_rule, fn.hardness_pct
-
-
 def catalog_rows():
     """Catalog rows for the CLI listing: id,name,low,up,dim_rule,global_min,hardness."""
     return [(f.id, f.name, f.low, f.up, f.dimension_rule, f.global_min_value, f.hardness_pct)

@@ -12,8 +12,6 @@ from typing import Optional
 
 import numpy as np
 
-from .rng import uniform_matrix
-
 
 @dataclass
 class Dataset:
@@ -29,10 +27,6 @@ class Dataset:
     @property
     def dim(self):
         return self.points.shape[1]
-
-    def bounds(self):
-        """Per-dimension (low, up) envelope of the data."""
-        return self.points.min(axis=0), self.points.max(axis=0)
 
 
 def _parse_matrix(text, source):
@@ -138,8 +132,3 @@ def gaussian_blobs(rng, centers, spread, points_per_cluster):
     return Dataset(np.vstack(blocks), name="blobs",
                    true_centroids=centers.copy(),
                    true_labels=np.asarray(labels, dtype=int))
-
-
-def uniform_cloud(rng, n, low, up, dim):
-    """Structure-free uniform points, handy as a null model."""
-    return Dataset(uniform_matrix(rng, low, up, (int(n), int(dim))), name="uniform")

@@ -22,13 +22,14 @@ from typing import Optional
 
 import numpy as np
 
-from .measures import (Clustering, assign_nearest, group_indices, intra_cluster,
-                       pairwise_min_distance, percentile_ranks, solution_inter)
+from .measures import (Clustering, as_points, assign_nearest, group_indices,
+                       intra_cluster, pairwise_min_distance, percentile_ranks,
+                       solution_inter)
 from .metrics import quality_report
 from .optimizers import boundary_control
 from .rng import LevyParams, RngStream, levy_step, uniform_matrix
 
-INIT_CLUSTER_CAP = 4096
+INIT_CLUSTER_CAP = 4096  # most clusters init_assign may form
 _STOP_TOL = 1e-9
 
 
@@ -86,26 +87,26 @@ def _compact(assignment):
     return live, assignment, group_indices(assignment, live.size)
 
 
-def init_assign(dataset, s, cap=INIT_CLUSTER_CAP):
+def init_assign(dataset, s):
     """Initial partition from per-gene percentile ranks.
 
     Each gene's rank picks one of ``s`` classes; the class digits combine as a
-    mixed-radix id, so up to s^D clusters exist. When s^D would exceed the
-    cap, only the highest-variance dimensions that fit are used for the ids
-    (everything downstream still sees full dimensionality).
+    mixed-radix id, so up to s^D clusters exist. When s^D would exceed
+    ``INIT_CLUSTER_CAP``, only the highest-variance dimensions that fit are
+    used for the ids (everything downstream still sees full dimensionality).
     """
-    points = np.atleast_2d(np.asarray(getattr(dataset, "points", dataset), dtype=float))
+    points = as_points(dataset)
     n, d = points.shape
     s = int(s)
     if s < 2:
         raise ValueError("social rank count must be >= 2")
-    if d * math.log(s) <= math.log(cap):
+    if d * math.log(s) <= math.log(INIT_CLUSTER_CAP):
         dims = np.arange(d)
     else:
-        d_eff = int(math.floor(math.log(cap) / math.log(s)))
+        d_eff = int(math.floor(math.log(INIT_CLUSTER_CAP) / math.log(s)))
         if d_eff < 1:
-            raise ValueError(
-                f"social rank count {s} exceeds the initialization cap {cap}; lower it")
+            raise ValueError(f"social rank count {s} exceeds the initialization "
+                             f"cap {INIT_CLUSTER_CAP}; lower it")
         variances = points.var(axis=0)
         dims = np.sort(np.argsort(-variances, kind="stable")[:d_eff])
     k = s ** len(dims)
@@ -190,7 +191,7 @@ def clustering_one(state, dataset, rng, memo=None):
     ``run_cluster_suite``); without one, the call starts with an empty memo.
     """
     memo = {} if memo is None else memo
-    points = np.atleast_2d(np.asarray(getattr(dataset, "points", dataset), dtype=float))
+    points = as_points(dataset)
     n = points.shape[0]
     assignment = np.asarray(state.assignment)
     if assignment.shape[0] != n or n == 0:
@@ -306,19 +307,15 @@ def _fingerprint(points, assignment, memo):
     return (solution_inter([points[g] for g in groups]),) + intra_sorted
 
 
-def run_eca_star(dataset, params, gt_centroids=None, gt_labels=None, memo=None):
+def run_eca_star(dataset, params, memo=None):
     """Full clustering run; returns the final partition and its quality.
 
-    Ground truth defaults to whatever the dataset carries; pass it explicitly
-    to override. ``memo`` holds cohesion and gap values already computed on
-    the same points, by earlier runs of a suite; without one, the run starts
-    with an empty memo.
+    The quality report scores against whatever ground truth the dataset
+    carries (none for a bare point array). ``memo`` holds cohesion and gap
+    values already computed on the same points, by earlier runs of a suite;
+    without one, the run starts with an empty memo.
     """
-    points = np.atleast_2d(np.asarray(getattr(dataset, "points", dataset), dtype=float))
-    if gt_centroids is None:
-        gt_centroids = getattr(dataset, "true_centroids", None)
-    if gt_labels is None:
-        gt_labels = getattr(dataset, "true_labels", None)
+    points = as_points(dataset)
     rng = RngStream(params.seed)
     low = points.min(axis=0)
     up = points.max(axis=0)
@@ -346,6 +343,7 @@ def run_eca_star(dataset, params, gt_centroids=None, gt_labels=None, memo=None):
 
     live, final_assignment, _ = _compact(assign_nearest(points, mo))
     result = Clustering(assignment=final_assignment, centroids=mo[live])
-    report = quality_report(points, result, gt_centroids=gt_centroids,
-                            gt_labels=gt_labels)
+    report = quality_report(points, result,
+                            gt_centroids=getattr(dataset, "true_centroids", None),
+                            gt_labels=getattr(dataset, "true_labels", None))
     return result, report

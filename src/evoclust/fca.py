@@ -468,21 +468,6 @@ def read_cxt(source):
     return ctx
 
 
-def lattice_to_json(ctx, lattice=None):
-    """Lattice as a JSON-ready dict: labeled concepts, edges, invariants."""
-    if lattice is None:
-        lattice = build_lattice(ctx)
-    return {
-        "concepts": [
-            {"extent": [ctx.objects[i] for i in c.extent],
-             "intent": [ctx.attributes[j] for j in c.intent]}
-            for c in lattice.concepts
-        ],
-        "edges": [list(e) for e in lattice.hasse_edges],
-        "invariants": _invariants_json(lattice),
-    }
-
-
 def _invariants_json(lattice):
     """The lattice's invariants as a JSON-ready dict (no concept labels)."""
     return {

@@ -5,14 +5,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .measures import Clustering, assign_nearest
+from .measures import Clustering, as_points, assign_nearest
 from .rng import RngStream
+
+MAX_ITERS = 300  # Lloyd iterations after the seeding, at most
 
 
 @dataclass
 class KmConfig:
     k: int
-    max_iters: int = 300
     seed: int = 0
     init: str = "random"  # or "plusplus"
 
@@ -71,8 +72,8 @@ def _repair_empty(points, centroids, labels):
 
 def kmeans(dataset, config):
     """Lloyd iterations from random or D^2-weighted seeds to an assignment
-    fixpoint (or max_iters)."""
-    points = np.atleast_2d(np.asarray(getattr(dataset, "points", dataset), dtype=float))
+    fixpoint (or ``MAX_ITERS``)."""
+    points = as_points(dataset)
     n = points.shape[0]
     if config.k > n:
         raise ValueError(f"k={config.k} exceeds the {n} available points")
@@ -84,7 +85,7 @@ def kmeans(dataset, config):
         centroids = points[pick].copy()
     labels = assign_nearest(points, centroids)
     centroids, labels = _repair_empty(points, centroids, labels)
-    for _ in range(config.max_iters):
+    for _ in range(MAX_ITERS):
         for i in range(config.k):
             mask = labels == i
             if mask.any():

@@ -9,6 +9,11 @@ from scipy.spatial.distance import cdist, pdist
 MIN_DISTANCE_BLOCK = 256  # rows of A per cdist in pairwise_min_distance
 
 
+def as_points(dataset):
+    """The (N, D) float points of a Dataset, or of a point array."""
+    return np.atleast_2d(np.asarray(getattr(dataset, "points", dataset), dtype=float))
+
+
 def intra_cluster(points):
     """Mean distance over ordered point pairs within one cluster.
 
@@ -109,7 +114,3 @@ class Clustering:
     @property
     def k(self):
         return int(self.centroids.shape[0])
-
-    def members(self, points, i):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        return points[np.asarray(self.assignment) == i]

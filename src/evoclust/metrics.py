@@ -9,9 +9,9 @@ from typing import Optional
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .measures import Clustering, assign_nearest
+from .measures import Clustering, as_points, assign_nearest
 
-DEFAULT_SSE_OPT = 0.001
+SSE_OPT = 0.001  # the target SSE of the epsilon ratio
 
 
 @dataclass
@@ -23,19 +23,10 @@ class QualityReport:
     csi: Optional[float] = None
     nmi: Optional[float] = None
 
-    COLUMNS = ("ci", "csi", "nmi", "sse", "nmse", "eps_ratio")
-
-    def as_row(self):
-        return [getattr(self, c) for c in self.COLUMNS]
-
-
-def _points_of(dataset):
-    return np.atleast_2d(np.asarray(getattr(dataset, "points", dataset), dtype=float))
-
 
 def sse(dataset, clustering):
     """Sum of squared distances from each point to its own cluster centroid."""
-    points = _points_of(dataset)
+    points = as_points(dataset)
     labels = np.asarray(clustering.assignment)
     centroids = np.atleast_2d(np.asarray(clustering.centroids, dtype=float))
     diffs = points - centroids[labels]
@@ -50,11 +41,9 @@ def nmse(sse_value, n, d):
     return float(sse_value) / (n * d)
 
 
-def eps_ratio(sse_value, sse_opt=DEFAULT_SSE_OPT):
-    """Relative excess of SSE over a (nominally optimal) target SSE."""
-    if sse_opt <= 0:
-        raise ValueError("sse_opt must be positive")
-    return (float(sse_value) - sse_opt) / sse_opt
+def eps_ratio(sse_value):
+    """Relative excess of SSE over the (nominally optimal) target ``SSE_OPT``."""
+    return (float(sse_value) - SSE_OPT) / SSE_OPT
 
 
 def centroid_index(solution_centroids, gt_centroids):
@@ -141,15 +130,14 @@ def nmi(labels_a, labels_b):
     return mi / math.sqrt(hx * hy)
 
 
-def quality_report(dataset, clustering, gt_centroids=None, gt_labels=None,
-                   sse_opt=DEFAULT_SSE_OPT):
+def quality_report(dataset, clustering, gt_centroids=None, gt_labels=None):
     """Assemble the full report; ground-truth columns appear only when truth
     is supplied. Given centroids but no labels, truth labels default to the
     nearest-ground-truth-centroid assignment."""
-    points = _points_of(dataset)
+    points = as_points(dataset)
     n, d = points.shape
     s = sse(points, clustering)
-    report = QualityReport(sse=s, nmse=nmse(s, n, d), eps_ratio=eps_ratio(s, sse_opt))
+    report = QualityReport(sse=s, nmse=nmse(s, n, d), eps_ratio=eps_ratio(s))
     if gt_centroids is None and gt_labels is None:
         return report
     if gt_centroids is None:

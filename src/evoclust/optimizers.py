@@ -24,6 +24,20 @@ from .rng import RngStream, permute, standard_normal, stream_for_run, uniform, u
 
 ALGORITHMS = ("bsa", "de", "pso", "abc", "ff")
 
+# Algorithm constants. The runners read them at call time, so a test can
+# patch one for a run.
+BSA_MIXRATE = 1.0  # BSA (Civicioglu 2013): crossover map scale
+DE_F = 0.5  # DE/rand/1/bin: differential weight
+DE_CR = 0.9  # ... and crossover rate
+PSO_W = 0.729  # PSO, constriction-style: inertia
+PSO_C1 = 1.49445  # ... cognitive weight
+PSO_C2 = 1.49445  # ... social weight
+ABC_LIMIT = 100  # ABC (Karaboga & Basturk 2007): failed trials before a scout
+FF_BETA0 = 1.0  # firefly (Yang 2009): attractiveness at distance 0
+FF_GAMMA = 1.0  # ... light absorption
+FF_ALPHA = 0.2  # ... initial random-step scale, a share of the bounds' span
+FF_ALPHA_DECAY = 0.97  # ... per-iteration factor on that scale
+
 
 @dataclass
 class OptimizerConfig:
@@ -32,22 +46,6 @@ class OptimizerConfig:
     runs: int = 30
     success_tolerance: float = 1e-6
     stop_on_success: bool = True
-    # BSA
-    mixrate: float = 1.0
-    # DE/rand/1/bin
-    de_f: float = 0.5
-    de_cr: float = 0.9
-    # PSO (constriction-style inertia)
-    pso_w: float = 0.729
-    pso_c1: float = 1.49445
-    pso_c2: float = 1.49445
-    # ABC
-    abc_limit: int = 100
-    # firefly
-    ff_beta0: float = 1.0
-    ff_gamma: float = 1.0
-    ff_alpha: float = 0.2
-    ff_alpha_decay: float = 0.97
 
     def __post_init__(self):
         if self.population_size < 1 or self.runs < 1:
@@ -56,8 +54,6 @@ class OptimizerConfig:
             raise ValueError("max_iterations must be >= 0")
         if self.success_tolerance <= 0:
             raise ValueError("success_tolerance must be positive")
-        if not 0 < self.mixrate <= 1:
-            raise ValueError("mixrate must lie in (0, 1]")
 
 
 @dataclass
@@ -99,8 +95,8 @@ def bsa_mutation(P, Pold, F):
     return P + F * (Pold - P)
 
 
-def bsa_crossover(P, Mutant, mixrate, rng):
-    """Two-branch binary map: with even odds either ceil(mixrate*rand*D)
+def bsa_crossover(P, Mutant, rng):
+    """Two-branch binary map: with even odds either ceil(BSA_MIXRATE*rand*D)
     random positions per row take the mutant, or exactly one does; every
     other position keeps P.
 
@@ -110,7 +106,7 @@ def bsa_crossover(P, Mutant, mixrate, rng):
     rows = np.arange(n)
     mutate = np.zeros((n, d), dtype=bool)
     if uniform(rng, 0.0, 1.0) < uniform(rng, 0.0, 1.0):
-        k = np.maximum(1, np.ceil(mixrate * rng.generator.random(n) * d))
+        k = np.maximum(1, np.ceil(BSA_MIXRATE * rng.generator.random(n) * d))
         order = np.argsort(rng.generator.random((n, d)), axis=1)
         mutate[rows[:, None], order] = np.arange(d) < k[:, None]
     else:
@@ -148,7 +144,7 @@ def _run_bsa(fn, dim, low, up, config, rng):
         yield fP, P
         Pold = bsa_selection1(P, Pold, rng)
         F = 3.0 * standard_normal(rng)
-        trial = bsa_crossover(P, bsa_mutation(P, Pold, F), config.mixrate, rng)
+        trial = bsa_crossover(P, bsa_mutation(P, Pold, F), rng)
         T = boundary_control(trial, low, up, rng)
         P, fP = bsa_selection2(P, fP, T, benchmarks.evaluate_batch(fn, T))
 
@@ -169,8 +165,8 @@ def _run_de(fn, dim, low, up, config, rng):
     while True:
         yield fx, X
         r = de_picks(rng, n)
-        V = X[r[:, 0]] + config.de_f * (X[r[:, 1]] - X[r[:, 2]])
-        cross = rng.generator.random((n, dim)) < config.de_cr
+        V = X[r[:, 0]] + DE_F * (X[r[:, 1]] - X[r[:, 2]])
+        cross = rng.generator.random((n, dim)) < DE_CR
         cross[np.arange(n), rng.generator.integers(dim, size=n)] = True
         U = np.where(cross, V, X)
         U = boundary_control(U, low, up, rng)
@@ -192,8 +188,8 @@ def _run_pso(fn, dim, low, up, config, rng):
         yield fx, X
         r1 = rng.generator.random((n, dim))
         r2 = rng.generator.random((n, dim))
-        V = (config.pso_w * V + config.pso_c1 * r1 * (pbest - X)
-             + config.pso_c2 * r2 * (gbest - X))
+        V = (PSO_W * V + PSO_C1 * r1 * (pbest - X)
+             + PSO_C2 * r2 * (gbest - X))
         X = X + V
         outside = (X < low) | (X > up)
         X = np.clip(X, low, up)
@@ -270,8 +266,8 @@ def _run_abc(fn, dim, low, up, config, rng):
 
     It departs from the reference algorithm in three ways: an onlooker
     reads its partner as it stood at the start of the onlooker's wave, not
-    after every earlier move; the abandonment limit is ``abc_limit``, fixed
-    at 100 whatever the colony size and dimension; and at most
+    after every earlier move; the abandonment limit is the module constant
+    ``ABC_LIMIT`` (100), whatever the colony size and dimension; and at most
     one source, the one with the most failed trials, turns scout per
     iteration."""
     n_food = max(2, config.population_size // 2)
@@ -282,7 +278,7 @@ def _run_abc(fn, dim, low, up, config, rng):
         yield fx, X
         abc_phases(fn, X, fx, trial, config.population_size - n_food, low, up, rng)
         worst = int(np.argmax(trial))
-        if trial[worst] > config.abc_limit:
+        if trial[worst] > ABC_LIMIT:
             X[worst] = uniform_matrix(rng, low, up, (dim,))
             fx[worst] = benchmarks.evaluate_batch(fn, X[worst][None, :])[0]
             trial[worst] = 0
@@ -320,15 +316,15 @@ def _run_ff(fn, dim, low, up, config, rng):
     n = config.population_size
     X = uniform_matrix(rng, low, up, (n, dim))
     fx = benchmarks.evaluate_batch(fn, X)
-    alpha = config.ff_alpha
+    alpha = FF_ALPHA
     span = up - low
     while True:
         yield fx, X
         noise = rng.generator.random((n, n, dim)) - 0.5
-        moved = ff_sweep(X, fx, noise, config.ff_beta0, config.ff_gamma, alpha * span)
+        moved = ff_sweep(X, fx, noise, FF_BETA0, FF_GAMMA, alpha * span)
         X = np.clip(moved, low, up)
         fx = benchmarks.evaluate_batch(fn, X)
-        alpha *= config.ff_alpha_decay
+        alpha *= FF_ALPHA_DECAY
 
 
 _RUNNERS = {"bsa": _run_bsa, "de": _run_de, "pso": _run_pso, "abc": _run_abc, "ff": _run_ff}

@@ -24,20 +24,21 @@ from .ecastar import EcaParams, run_eca_star
 from .kmeans import KmConfig, kmeans
 from .metrics import QualityReport, quality_report
 from .optimizers import ALGORITHMS, OptimizerConfig, run_repetitions
-from .stats import success_ratio, summarize, wilcoxon_signed_rank
+from .stats import check_alpha, success_ratio, summarize, wilcoxon_signed_rank
 
 RANGES = {"R1": (-5.0, 5.0), "R2": (-250.0, 250.0), "R3": (-500.0, 500.0)}
 OUT_DIR_ENV = "EVOCLUST_OUT_DIR"
+SIG_DIGITS = 4  # significant digits of the human CSV flavor
 
 
-def fmt_sig(value, digits=4):
-    """Scientific notation with the given significant digits: 1.092E+02."""
+def fmt_sig(value):
+    """Scientific notation with ``SIG_DIGITS`` significant digits: 1.092E+02."""
     if value is None:
         return ""
     if isinstance(value, bool):
         return str(value)
     v = float(value)
-    return f"{v:.{digits - 1}E}"
+    return f"{v:.{SIG_DIGITS - 1}E}"
 
 
 def fmt_full(value):
@@ -103,7 +104,6 @@ class BenchConfig:
     population_size: int = 30
     max_iterations: int = 2000
     tolerance: float = 1e-6
-    stop_on_success: bool = True
     out: Optional[str] = None
     human: bool = False
 
@@ -149,8 +149,7 @@ def run_bench_suite(config):
     opt = OptimizerConfig(population_size=config.population_size,
                           max_iterations=config.max_iterations,
                           runs=config.runs,
-                          success_tolerance=config.tolerance,
-                          stop_on_success=config.stop_on_success)
+                          success_tolerance=config.tolerance)
     bounds = None if config.range_name == "default" else RANGES[config.range_name]
     fn_ids = _bench_functions(config.functions)
     algos = _bench_algos(config.algos)
@@ -205,7 +204,7 @@ def run_bench_suite(config):
             "population_size": config.population_size,
             "max_iterations": config.max_iterations,
             "tolerance": config.tolerance,
-            "stop_on_success": config.stop_on_success,
+            "stop_on_success": opt.stop_on_success,
         },
         "stats": [dict(zip(STATS_HEADER, row)) for row in stats_rows],
         "pairwise": [dict(zip(PAIR_HEADER, row)) for row in pair_rows],
@@ -417,12 +416,23 @@ def run_fca_suite(config):
 # ------------------------------------------------------------- comparison
 
 def run_report(in_path, compare, metric="iters", alpha=0.05, out=None):
-    """Paired rank test between two algorithms from a bench-suite JSON."""
+    """Paired rank test between two algorithms from a bench-suite JSON.
+
+    Both algorithms must differ and have runs in the input, and ``alpha``
+    must lie in (0, 1)."""
+    check_alpha(alpha)
     data = json.loads(Path(in_path).read_text())
     algo_a, algo_b = [a.strip().lower() for a in compare]
+    if algo_a == algo_b:
+        raise ValueError(f"compare names {algo_a!r} twice; name two algorithms")
     by_fn = {}
     for block in data.get("detail", []):
         by_fn.setdefault(block["function"], {})[block["algo"]] = block["runs"]
+    recorded = set().union(*by_fn.values())
+    missing = [a for a in (algo_a, algo_b) if a not in recorded]
+    if missing:
+        raise ValueError(f"{in_path}: no runs of {', '.join(map(repr, missing))} "
+                         f"(recorded: {', '.join(sorted(recorded)) or 'none'})")
     rows = [_pairwise_row(fid, algo_a, algo_b, algos[algo_a], algos[algo_b],
                           metric, alpha)
             for fid, algos in sorted(by_fn.items())

@@ -10,6 +10,8 @@ from scipy.special import ndtr
 #: runs whose p-value path switches from exact enumeration to the normal
 #: approximation (exact distribution computed for n' at or below this)
 EXACT_LIMIT = 25
+#: successful runs that make a function count as solved in ``success_ratio``
+MIN_SUCCESSES = 1
 
 
 @dataclass
@@ -21,10 +23,6 @@ class SummaryStats:
     mean_exec_time: float
     n_success: int
     n_failure: int
-
-    @property
-    def converged(self):
-        return self.n_success > 0
 
 
 def summarize(results, metric="iters"):
@@ -72,8 +70,9 @@ def wilcoxon_signed_rank(a, b, alpha=0.05):
     differences share average ranks. The p-value is exact (full
     sign-assignment distribution) for n' <= 25 and a tie-corrected normal
     approximation above. The winner is the smaller-median side when
-    p < alpha, smaller-is-better.
+    p < alpha, smaller-is-better; alpha must lie in (0, 1).
     """
+    check_alpha(alpha)
     a = np.asarray(a, dtype=float).ravel()
     b = np.asarray(b, dtype=float).ravel()
     if a.size != b.size:
@@ -107,6 +106,12 @@ def wilcoxon_signed_rank(a, b, alpha=0.05):
             # medians tie: the side contributing less rank mass is smaller
             winner = "A" if r_plus < r_minus else "B"
     return WilcoxonResult(r_plus, r_minus, float(p), winner, n, exact)
+
+
+def check_alpha(alpha):
+    """Reject a significance level outside (0, 1), NaN included."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
 
 
 def _average_ranks(x):
@@ -156,15 +161,15 @@ def _normal_two_sided_p(ranks, r_plus, n):
     return float(min(1.0, 2.0 * ndtr(-abs(z))))
 
 
-def success_ratio(success_counts, min_successes=1):
+def success_ratio(success_counts):
     """Per-algorithm solved/failed tallies over a function suite.
 
     ``success_counts`` maps algorithm -> {function id -> #successful runs};
     a function counts as solved when its success count reaches
-    ``min_successes``.
+    ``MIN_SUCCESSES``.
     """
     report = {}
     for algo, per_fn in success_counts.items():
-        solved = sum(1 for c in per_fn.values() if c >= min_successes)
+        solved = sum(1 for c in per_fn.values() if c >= MIN_SUCCESSES)
         report[algo] = (solved, len(per_fn) - solved)
     return report

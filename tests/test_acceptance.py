@@ -16,7 +16,7 @@ import pytest
 from scipy.stats import spearmanr
 from conftest import check_reduction_faithful
 
-from evoclust import cli
+from evoclust import cli, metrics
 from evoclust.benchmarks import CATALOG
 from evoclust.datasets import gaussian_blobs, load_dataset, save_points
 from evoclust.ecastar import EcaParams, run_eca_star
@@ -186,7 +186,7 @@ def test_criterion_06_s1_benchmark_if_present():
         assert hits >= 20, f"only {hits}/30 runs reached CI=0"
 
 
-def test_criterion_07_metric_identities():
+def test_criterion_07_metric_identities(monkeypatch):
     with criterion(7, "quality-metric identities and agreement scores"):
         rng = np.random.Generator(np.random.PCG64(11))
         for _ in range(10_000):
@@ -196,7 +196,8 @@ def test_criterion_07_metric_identities():
             opt = float(rng.uniform(1e-6, 10))
             tol = 1e-12 * max(1.0, abs(s))
             assert abs(nmse(s, n, d) * n * d - s) <= tol
-            assert abs(eps_ratio(s, opt) * opt + opt - s) <= tol
+            monkeypatch.setattr(metrics, "SSE_OPT", opt)
+            assert abs(eps_ratio(s) * opt + opt - s) <= tol
         labels = rng.integers(0, 4, size=60)
         pts = rng.normal(size=(60, 3))
         cents = np.vstack([pts[labels == j].mean(axis=0) for j in range(4)])

@@ -11,7 +11,7 @@ import pytest
 
 from evoclust import benchmarks
 from evoclust.benchmarks import (CATALOG, evaluate, evaluate_batch,
-                                 get_function, metadata, reference_minimum)
+                                 get_function, reference_minimum)
 
 # independently located optima: (id, argmin, minimum)
 FROZEN_OPTIMA = [
@@ -135,12 +135,12 @@ def test_batch_matches_single():
         assert batch == pytest.approx(singles, rel=1e-12), fid
 
 
-def test_metadata_shape():
-    bounds, gmin, rule, hardness = metadata("F14")
-    assert bounds == (-1.0, 1.0)
-    assert gmin == 0.0
-    assert rule == "fixed-2"
-    assert hardness == 82.75
+def test_f14_catalog_entry():
+    fn = get_function("F14")
+    assert (fn.low, fn.up) == (-1.0, 1.0)
+    assert fn.global_min_value == 0.0
+    assert fn.dimension_rule == "fixed-2"
+    assert fn.hardness_pct == 82.75
 
 
 def test_hardness_values():

@@ -93,13 +93,17 @@ def test_bench_unknown_algorithm_exits_1_before_any_run(tmp_path, capsys, monkey
     assert err["error"] == "ValueError" and "'xyz'" in err["message"]
 
 
-def test_report_compares_from_bench_json(tmp_path, capsys):
-    out = tmp_path / "b.csv"
-    assert cli.main(["bench-opt", "--algo", "bsa,de", "--fn", "F14",
-                     "--runs", "3", "--iters", "80", "--seed", "1",
-                     "--out", str(out)]) == 0
+@pytest.fixture
+def bench_json(tmp_path, capsys):
+    """A 3-run bsa-vs-de bench-opt JSON on F14."""
+    assert cli.main(["bench-opt", "--algo", "bsa,de", "--fn", "F14", "--runs", "3",
+                     "--iters", "80", "--seed", "1", "--out", str(tmp_path / "b.csv")]) == 0
     capsys.readouterr()
-    rc = cli.main(["report", "--in", str(tmp_path / "b.json"),
+    return tmp_path / "b.json"
+
+
+def test_report_compares_from_bench_json(bench_json, tmp_path, capsys):
+    rc = cli.main(["report", "--in", str(bench_json),
                    "--compare", "bsa,de", "--metric", "value",
                    "--out", str(tmp_path / "cmp.csv")])
     assert rc == 0
@@ -108,6 +112,33 @@ def test_report_compares_from_bench_json(tmp_path, capsys):
     row = cmp_payload["comparison"][0]
     assert row["n_pairs"] == 3
     assert row["winner"] in ("bsa", "de", "tie")
+
+
+@pytest.mark.parametrize("alpha", ["7", "nan", "0", "1", "-0.5"])
+def test_report_rejects_alpha_outside_unit_interval(bench_json, tmp_path, capsys, alpha):
+    rc = cli.main(["report", "--in", str(bench_json), "--compare", "bsa,de",
+                   "--metric", "value", "--alpha", alpha,
+                   "--out", str(tmp_path / "cmp.csv")])
+    assert rc == 1
+    err = _err(capsys)
+    assert err["error"] == "ValueError" and "alpha must lie in (0, 1)" in err["message"]
+    assert not (tmp_path / "cmp.json").exists()
+
+
+@pytest.mark.parametrize("pair,named", [("bsa,bsa", "'bsa' twice"),
+                                        ("DE,de", "'de' twice"),
+                                        ("bsa,pso", "no runs of 'pso'"),
+                                        ("ff,abc", "no runs of 'ff', 'abc'")])
+def test_report_rejects_a_pair_the_input_cannot_compare(bench_json, tmp_path, capsys,
+                                                        pair, named):
+    rc = cli.main(["report", "--in", str(bench_json), "--compare", pair,
+                   "--out", str(tmp_path / "cmp.csv")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err.strip().splitlines()[-1])
+    assert err["error"] == "ValueError" and named in err["message"]
+    assert not (tmp_path / "cmp.json").exists()
 
 
 def test_cluster_eca_star(blob_file, tmp_path, capsys):

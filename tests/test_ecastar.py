@@ -50,11 +50,12 @@ def test_init_cap_limits_dimensions():
     assert ids.max() < k and ids.min() >= 0
 
 
-def test_init_cap_picks_high_variance_dims():
+def test_init_cap_picks_high_variance_dims(monkeypatch):
+    monkeypatch.setattr(ecastar, "INIT_CLUSTER_CAP", 2)  # room for one dimension only
     rng = np.random.Generator(np.random.PCG64(1))
     pts = np.column_stack([rng.normal(scale=1e-6, size=4),
                            np.array([1.0, 2.0, 3.0, 4.0])])
-    k, ids = init_assign(pts, 2, cap=2)  # room for one dimension only
+    k, ids = init_assign(pts, 2)
     assert k == 2
     assert ids.tolist() == [0, 0, 1, 1]  # grouped by the wide column
 

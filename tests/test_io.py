@@ -8,9 +8,9 @@ import warnings
 import numpy as np
 import pytest
 
+from evoclust import reports
 from evoclust.datasets import (Dataset, gaussian_blobs, load_dataset,
-                               load_labels, load_points, save_points,
-                               uniform_cloud)
+                               load_labels, load_points, save_points)
 from evoclust.reports import (OUT_DIR_ENV, fmt_full, fmt_sig, resolve_out,
                               scrub_timing, write_csv, write_json)
 from evoclust.rng import RngStream
@@ -124,25 +124,21 @@ def test_synthetic_generators():
     assert ds.n == 30 and ds.dim == 2
     assert ds.true_labels.tolist() == [0] * 10 + [1] * 20
     assert ds.true_centroids.tolist() == [[0, 0], [5, 5]]
-    low, up = ds.bounds()
-    assert np.all(low <= up)
-    cloud = uniform_cloud(rng, n=50, low=-1.0, up=1.0, dim=2)
-    assert cloud.points.shape == (50, 2)
-    assert cloud.points.min() >= -1 and cloud.points.max() <= 1
     with pytest.raises(ValueError):
         gaussian_blobs(rng, centers=[(0, 0)], spread=1.0, points_per_cluster=0)
 
 
 # ------------------------------------------------------------- formatting
 
-def test_fmt_sig():
+def test_fmt_sig(monkeypatch):
     assert fmt_sig(109.2) == "1.092E+02"
     assert fmt_sig(109199.0) == "1.092E+05"
     assert fmt_sig(-0.00012345) == "-1.234E-04"  # round-half-even on 5
     assert fmt_sig(0.0) == "0.000E+00"
     assert fmt_sig(None) == ""
     assert fmt_sig(True) == "True"
-    assert fmt_sig(2.0, digits=2) == "2.0E+00"
+    monkeypatch.setattr(reports, "SIG_DIGITS", 2)
+    assert fmt_sig(2.0) == "2.0E+00"
 
 
 def test_fmt_full_round_trips():
@@ -199,5 +195,3 @@ def test_out_dir_env_reroutes_relative_paths(tmp_path, monkeypatch):
 def test_dataset_record_basics():
     ds = Dataset(np.array([[0.0, 1.0], [2.0, 3.0]]), name="pair")
     assert ds.n == 2 and ds.dim == 2
-    low, up = ds.bounds()
-    assert low.tolist() == [0.0, 1.0] and up.tolist() == [2.0, 3.0]

@@ -1,5 +1,6 @@
 """Lloyd iteration and D-squared seeding."""
 
+import importlib
 import itertools
 
 import numpy as np
@@ -9,6 +10,9 @@ from evoclust.datasets import Dataset, gaussian_blobs
 from evoclust.kmeans import KmConfig, kmeans, kmeans_pp_seed, _dsq_weights
 from evoclust.metrics import sse
 from evoclust.rng import RngStream
+
+# the package re-exports the kmeans function under the module's own name
+kmeans_module = importlib.import_module("evoclust.kmeans")
 
 
 def _toy(points):
@@ -90,13 +94,15 @@ def test_pp_seed_duplicate_points_fall_back_to_uniform():
         kmeans_pp_seed(pts, 6, RngStream(1))
 
 
-def test_more_iters_never_hurts():
+def test_more_iters_never_hurts(monkeypatch):
     rng = RngStream(21)
     ds = gaussian_blobs(rng, centers=[(0, 0), (6, 0), (0, 6)], spread=1.0,
                         points_per_cluster=30)
     for seed in range(6):
-        one = sse(ds, kmeans(ds, KmConfig(k=3, seed=seed, max_iters=1)))
-        full = sse(ds, kmeans(ds, KmConfig(k=3, seed=seed, max_iters=300)))
+        monkeypatch.setattr(kmeans_module, "MAX_ITERS", 1)
+        one = sse(ds, kmeans(ds, KmConfig(k=3, seed=seed)))
+        monkeypatch.setattr(kmeans_module, "MAX_ITERS", 300)
+        full = sse(ds, kmeans(ds, KmConfig(k=3, seed=seed)))
         assert full <= one + 1e-9
 
 
@@ -105,9 +111,8 @@ def test_centroids_inside_bounding_box():
     ds = gaussian_blobs(rng, centers=[(0, 0), (8, 8)], spread=0.5,
                         points_per_cluster=25)
     res = kmeans(ds, KmConfig(k=2, seed=1))
-    low, up = ds.bounds()
-    assert np.all(res.centroids >= low - 1e-12)
-    assert np.all(res.centroids <= up + 1e-12)
+    assert np.all(res.centroids >= ds.points.min(axis=0) - 1e-12)
+    assert np.all(res.centroids <= ds.points.max(axis=0) + 1e-12)
     assert res.assignment.shape == (ds.n,)
 
 

@@ -217,5 +217,3 @@ def test_clustering_record():
     c = Clustering(assignment=np.array([0, 0, 1]),
                    centroids=np.array([[0.0, 0], [5, 5]]))
     assert c.k == 2
-    pts = np.array([[0.0, 0], [0, 1], [5, 5]])
-    assert c.members(pts, 0).shape == (2, 2)

@@ -32,8 +32,6 @@ def test_config_validation():
         OptimizerConfig(max_iterations=-1)
     with pytest.raises(ValueError):
         OptimizerConfig(success_tolerance=0.0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(mixrate=0.0)
 
 
 def test_init_draws_inside_bounds_and_evaluates(monkeypatch):
@@ -93,7 +91,7 @@ def test_crossover_changes_at_least_one_position_per_row():
     P = rng_data.normal(size=(30, 6))
     mutant = P + 100.0  # any change is visible
     for seed in range(50):
-        trial = bsa_crossover(P, mutant, 1.0, RngStream(seed))
+        trial = bsa_crossover(P, mutant, RngStream(seed))
         changed = trial != P
         assert np.all(changed.sum(axis=1) >= 1)
         # positions are copied from exactly one parent
@@ -106,17 +104,18 @@ def test_crossover_single_position_branch_exists():
     mutant = np.ones((8, 5))
     per_seed_counts = []
     for seed in range(60):
-        trial = bsa_crossover(P, mutant, 1.0, RngStream(seed))
+        trial = bsa_crossover(P, mutant, RngStream(seed))
         per_seed_counts.append((trial != 0).sum(axis=1))
     assert any(np.all(c == 1) for c in per_seed_counts)
     assert any(np.any(c > 1) for c in per_seed_counts)
 
 
-def test_low_mixrate_still_flips_one():
+def test_low_mixrate_still_flips_one(monkeypatch):
+    monkeypatch.setattr(optimizers, "BSA_MIXRATE", 1e-9)
     P = np.zeros((10, 8))
     mutant = np.ones((10, 8))
     for seed in range(30):
-        trial = bsa_crossover(P, mutant, 1e-9, RngStream(seed))
+        trial = bsa_crossover(P, mutant, RngStream(seed))
         assert np.all((trial != 0).sum(axis=1) >= 1)
 
 
@@ -295,8 +294,9 @@ def test_ff_iteration_matches_pair_loop(monkeypatch):
     X0 = uniform_matrix(rng, -2.0, 2.0, (12, 3))
     noise = rng.generator.random((12, 12, 3)) - 0.5
     f0 = real(get_function("F11"), X0)
-    want = np.clip(_ff_pairs_reference(X0, f0, noise, cfg.ff_beta0, cfg.ff_gamma,
-                                       cfg.ff_alpha * 4.0), -2.0, 2.0)
+    want = np.clip(_ff_pairs_reference(X0, f0, noise, optimizers.FF_BETA0,
+                                       optimizers.FF_GAMMA, optimizers.FF_ALPHA * 4.0),
+                   -2.0, 2.0)
     np.testing.assert_array_equal(seen[0], X0)
     np.testing.assert_allclose(seen[1], want, rtol=1e-12, atol=0)
 
@@ -381,8 +381,9 @@ def test_abc_iteration_calls_at_most_two_plus_busiest_source(monkeypatch):
                         lambda picks: events.append(picks.copy()) or real_rank(picks))
     monkeypatch.setattr(optimizers, "abc_phases",
                         lambda *a: events.append("|") or real_phases(*a))
+    monkeypatch.setattr(optimizers, "ABC_LIMIT", 3)
     cfg = OptimizerConfig(population_size=30, max_iterations=60, runs=1,
-                          stop_on_success=False, abc_limit=3)
+                          stop_on_success=False)
     run_optimizer("abc", "F11", cfg, seed=4, dim=4)
     assert events[0] == 15  # the initial food sources
     iterations = []
@@ -407,7 +408,7 @@ def test_abc_iteration_calls_at_most_two_plus_busiest_source(monkeypatch):
 
 def _crossover_masks(n, d, seeds):
     P = np.zeros((n, d))
-    return [bsa_crossover(P, np.ones((n, d)), 1.0, RngStream(s)) == 1 for s in seeds]
+    return [bsa_crossover(P, np.ones((n, d)), RngStream(s)) == 1 for s in seeds]
 
 
 def test_crossover_counts_uniform_and_columns_even():

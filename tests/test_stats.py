@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm, rankdata
 
+from evoclust import stats
 from evoclust.stats import (SummaryStats, _average_ranks, success_ratio,
                             summarize, wilcoxon_signed_rank)
 
@@ -26,7 +27,6 @@ def test_summarize_basic():
     s = summarize(runs, metric="iters")
     assert (s.mean, s.sd, s.best, s.worst) == (2.0, 1.0, 1.0, 3.0)
     assert s.n_success == 3 and s.n_failure == 0
-    assert s.converged
 
 
 def test_summarize_single_run_sd_zero():
@@ -37,8 +37,7 @@ def test_summarize_single_run_sd_zero():
 def test_summarize_all_failed_gives_nc_row():
     s = summarize([_run(False), _run(False)])
     assert s.mean is None and s.sd is None and s.best is None and s.worst is None
-    assert s.n_failure == 2
-    assert not s.converged
+    assert s.n_success == 0 and s.n_failure == 2
 
 
 def test_summarize_mixed_uses_successes_only():
@@ -187,6 +186,13 @@ def test_wilcoxon_winner_needs_significance():
     assert r.p_value == 1.0 and r.winner == "tie"
 
 
+@pytest.mark.parametrize("alpha", [7.0, 1.0, 0.0, -0.05, math.nan, math.inf])
+def test_wilcoxon_rejects_alpha_outside_unit_interval(alpha):
+    # at alpha = 7 the 3-pair p of 0.25 would otherwise name a winner
+    with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+        wilcoxon_signed_rank([1.0, 2.0, 3.0], [2.0, 4.0, 6.0], alpha=alpha)
+
+
 def test_wilcoxon_length_mismatch():
     with pytest.raises(ValueError):
         wilcoxon_signed_rank([1, 2], [1])
@@ -194,7 +200,7 @@ def test_wilcoxon_length_mismatch():
         wilcoxon_signed_rank([], [])
 
 
-def test_success_ratio_counts():
+def test_success_ratio_counts(monkeypatch):
     counts = {
         "bsa": {"F1": 30, "F2": 0, "F3": 1},
         "de": {"F1": 0, "F2": 0, "F3": 0},
@@ -202,5 +208,6 @@ def test_success_ratio_counts():
     out = success_ratio(counts)
     assert out["bsa"] == (2, 1)
     assert out["de"] == (0, 3)
-    strict = success_ratio(counts, min_successes=2)
+    monkeypatch.setattr(stats, "MIN_SUCCESSES", 2)
+    strict = success_ratio(counts)
     assert strict["bsa"] == (1, 2)
