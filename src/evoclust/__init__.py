@@ -12,9 +12,9 @@ from .benchmarks import (CATALOG, BenchmarkFunction, catalog_rows, evaluate,
 from .datasets import Dataset, gaussian_blobs, load_dataset, load_points, save_points
 from .ecastar import (EcaParams, EcaState, clustering_one, clustering_two,
                       init_assign, mut_over, run_eca_star)
-from .fca import (Concept, ConceptLattice, FormalContext, build_lattice,
-                  derive_concepts, hasse_edges, invariants, lattice_quality,
-                  read_cxt, write_cxt)
+from .fca import (Concept, ConceptLattice, FormalContext, PackedConcepts,
+                  build_lattice, derive_concepts, hasse_edges, invariants,
+                  lattice_quality, read_cxt, write_cxt)
 from .kmeans import KmConfig, kmeans, kmeans_pp_seed
 from .measures import (Clustering, assign_nearest, intra_cluster,
                        percentile_ranks, solution_inter)

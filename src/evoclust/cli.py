@@ -9,6 +9,7 @@ import json
 import sys
 
 from . import benchmarks
+from .ecastar import EcaParams
 from .reports import (BenchConfig, ClusterConfig, FcaConfig, fmt_full, fmt_sig,
                       run_bench_suite, run_cluster_suite, run_fca_suite,
                       run_report)
@@ -56,12 +57,20 @@ def _build_parser():
     p.add_argument("--data", required=True, help="points file (one point per line)")
     p.add_argument("--gt", default=None, help="ground-truth centroid file")
     p.add_argument("--labels", default=None, help="ground-truth label file")
+    # km/km++ read only --k and eca-star only the next four; giving either
+    # algorithm an option of the other is an error
     p.add_argument("--k", type=int, default=None, help="cluster count for km/km++")
-    p.add_argument("--ranks", type=int, default=2, help="social rank count S")
-    p.add_argument("--cycles", type=int, default=50)
-    p.add_argument("--density", type=float, default=0.01,
-                   help="low-density merge threshold")
-    p.add_argument("--levy-alpha", type=float, default=1.001)
+    p.add_argument("--ranks", type=int, default=None,
+                   help="eca-star: social rank count S "
+                        f"(default {EcaParams.social_ranks})")
+    p.add_argument("--cycles", type=int, default=None,
+                   help=f"eca-star: cycle cap (default {EcaParams.max_cycles})")
+    p.add_argument("--density", type=float, default=None,
+                   help="eca-star: low-density merge threshold "
+                        f"(default {EcaParams.density_threshold})")
+    p.add_argument("--levy-alpha", type=float, default=None,
+                   help="eca-star: Levy stability index "
+                        f"(default {EcaParams.levy_alpha})")
     p.add_argument("--runs", type=int, default=30)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)

@@ -2,19 +2,22 @@
 and the structural invariants used to compare an original lattice with its
 reduced counterpart.
 
-Rows and columns are packed into integer bitmasks. The intents are built by
-closing the full attribute set under intersection with each object row, and
-each extent is the AND of its attributes' columns. Covers come from Lindig's
-neighbour step run as blocked array operations on intents packed into uint64
-words. The order that the exact width needs is extent inclusion, read from
-the extents packed the same way.
+A lattice is built on one packed form from enumeration to invariants: each
+concept's extent and intent are rows of uint64 words (``PackedConcepts``).
+The intents are built as Python int bitmasks by closing the full attribute
+set under intersection with each object row, then packed in one go; each
+extent is the set of objects whose packed row holds the intent, and one
+``np.lexsort`` puts the concepts in order. Covers come from Lindig's
+neighbour step run as blocked array operations on the packed intents, and
+the order that the exact width needs is extent inclusion, read from the
+packed extents. ``Concept`` index tuples are made only when a caller reads
+a concept.
 """
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -54,13 +57,36 @@ class FormalContext:
 
     def row_masks(self):
         """Each object's attribute set as an int bitmask (bit j = attr j)."""
-        return [_bits(np.flatnonzero(row)) for row in self.incidence]
+        return [int.from_bytes(row.tobytes(), "little") for row in _pack(self.incidence)]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
+class PackedConcepts:
+    """Concepts as rows of little-endian uint64 words: bit i of word w of an
+    extent is object 64w + i, and likewise for intents over attributes.
+    sizes holds each extent's object count, and n_objects the context's,
+    which the zero padding bits do not show. ``concepts[k]`` is concept k
+    as a ``Concept``.
+    """
+    extents: np.ndarray  # (n, words) uint64
+    intents: np.ndarray  # (n, words) uint64
+    sizes: np.ndarray  # (n,) extent sizes
+    n_objects: int
+
+    def __len__(self):
+        return len(self.sizes)
+
+    def __getitem__(self, k):
+        return Concept(_set_bits(self.extents[k]), _set_bits(self.intents[k]))
+
+    def __iter__(self):
+        return (self[k] for k in range(len(self)))
+
+
+@dataclass(eq=False)
 class ConceptLattice:
-    concepts: List[Concept]
-    hasse_edges: List[Tuple[int, int]]  # (child, parent) covering pairs
+    concepts: PackedConcepts
+    hasse_edges: np.ndarray  # (m, 2) covering pairs (child, parent), sorted
     height: int
     width_interval: Tuple[int, int]
     degree_mean: float = 0.0
@@ -68,43 +94,55 @@ class ConceptLattice:
     cycle_length: int = 0  # girth of the undirected diagram, 0 if acyclic
 
 
+def _pack(bits):
+    """The rows of a bool matrix as uint64 words (bit i of word w is column
+    64w + i), at least one word per row."""
+    n, width = bits.shape
+    padded = np.zeros((n, 64 * max(1, -(-width // 64))), dtype=bool)
+    padded[:, :width] = bits
+    return np.packbits(padded, axis=1, bitorder="little").view("<u8")
+
+
+def _words(masks, n_bits):
+    """Int bitmasks below 2**n_bits as rows of uint64 words, packed as by
+    ``_pack``."""
+    width = max(1, -(-n_bits // 64))
+    packed = b"".join(m.to_bytes(8 * width, "little") for m in masks)
+    return np.frombuffer(packed, dtype="<u8").reshape(len(masks), width)
+
+
+def _set_bits(words):
+    """The set bits of one packed row, ascending."""
+    bits = np.unpackbits(words.view(np.uint8), bitorder="little")
+    return tuple(np.flatnonzero(bits).tolist())
+
+
 def derive_concepts(ctx):
-    """All formal concepts, ordered by extent size then extent tuple.
+    """All formal concepts, packed and ordered by extent size then extent
+    tuple.
 
     The intents are the full attribute set and every intersection of object
-    rows (Kuznetsov & Obiedkov 2002), so the set is closed under each row in
-    turn; an intent's extent is the AND of its attributes' object columns.
+    rows (Kuznetsov & Obiedkov 2002), so the set of int bitmasks is closed
+    under each row in turn; they are then packed into uint64 words in one
+    go. An intent's extent is every object whose packed row holds it, a
+    word-wise AND over all concepts at once. One ``np.lexsort`` on the
+    extent size and the extent bits, object 0 first with a held object
+    before a missing one, gives the order.
     """
     n_obj, n_att = ctx.shape
+    masks = ctx.row_masks()
     intents = {(1 << n_att) - 1}
-    for r in ctx.row_masks():
+    for r in masks:
         intents |= {i & r for i in intents}
-    columns = [_bits(np.flatnonzero(col)) for col in ctx.incidence.T]
-    out = []
-    for intent in intents:
-        attrs = _indices(intent)
-        extent = (1 << n_obj) - 1
-        for j in attrs:
-            extent &= columns[j]
-        out.append(Concept(_indices(extent), attrs))
-    out.sort(key=lambda c: (len(c.extent), c.extent))
-    return out
-
-
-def _bits(indices):
-    m = 0
-    for i in indices:
-        m |= 1 << int(i)
-    return m
-
-
-def _indices(mask):
-    """The set bits of mask, ascending."""
-    out = []
-    while mask:
-        out.append((mask & -mask).bit_length() - 1)
-        mask &= mask - 1
-    return tuple(out)
+    intents, rows = _words(intents, n_att), _words(masks, n_att)
+    holds = np.ones((len(intents), n_obj), dtype=bool)
+    for w in range(intents.shape[1]):
+        holds &= (intents[:, w, None] & rows[:, w]) == intents[:, w, None]
+    sizes = holds.sum(axis=1)
+    # packbits puts object 0 in the top bit of byte 0, so sorting the bytes
+    # of the complement compares extent tuples
+    order = np.lexsort((*np.packbits(~holds, axis=1).T[::-1], sizes))
+    return PackedConcepts(_pack(holds[order]), intents[order], sizes[order], n_obj)
 
 
 # concepts per block of hasse_edges: its transient arrays hold at most
@@ -113,7 +151,8 @@ HASSE_BLOCK = 128
 
 
 def hasse_edges(concepts):
-    """Covering pairs (child, parent) of the extent-inclusion order, sorted.
+    """Covering pairs (child, parent) of the extent-inclusion order of packed
+    concepts, as an (m, 2) array sorted by child then parent.
 
     Lindig's neighbour step (Fast Concept Analysis, 2000): every upper
     neighbour of (A, B) has intent B & g' for some object g outside A, where
@@ -121,47 +160,32 @@ def hasse_edges(concepts):
     A candidate is a cover iff every object it adds to A generates it, i.e.
     the number of generating objects equals |extent(candidate)| - |A|.
 
-    The step runs as array operations on intents packed into uint64 words,
-    HASSE_BLOCK concepts at a time: every (concept, object outside its
-    extent) pair of a block forms its candidate at once, each candidate is
-    looked up exactly among the sorted intents, and one ``np.unique`` over
-    (concept, candidate) keys counts the generating objects.
+    The step runs as array operations on the packed intents, HASSE_BLOCK
+    concepts at a time: every (concept, object outside its extent) pair of a
+    block forms its candidate at once, each candidate is looked up exactly
+    among the sorted intents, and one ``np.unique`` over (concept, candidate)
+    keys counts the generating objects.
     """
     n = len(concepts)
     if n < 2:
-        return []
-    extents = _membership([c.extent for c in concepts], 1)
-    bits = _membership([c.intent for c in concepts], 64)
-    intents = np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
-    size = extents.sum(axis=1)
+        return np.empty((0, 2), dtype=np.intp)
+    holds = np.unpackbits(concepts.extents.view(np.uint8), axis=1,
+                          count=concepts.n_objects, bitorder="little").view(bool)
+    intents, size = concepts.intents, concepts.sizes
     by_size = np.argsort(size)
     # g' of every object g: the intent of the first concept, by size, holding g
-    object_intents = intents[by_size[extents[by_size].argmax(axis=0)]]
+    object_intents = intents[by_size[holds[by_size].argmax(axis=0)]]
     lookup = _IntentIndex(intents)
     edges = []
     for lo in range(0, n, HASSE_BLOCK):
-        rows, objs = np.nonzero(~extents[lo:lo + HASSE_BLOCK])
+        rows, objs = np.nonzero(~holds[lo:lo + HASSE_BLOCK])
         rows += lo
         parent = lookup.find(intents[rows] & object_intents[objs])
         keys, counts = np.unique(rows * n + parent, return_counts=True)
         child, parent = np.divmod(keys, n)
         cover = counts == size[parent] - size[child]
-        edges += zip(child[cover].tolist(), parent[cover].tolist())
-    return edges
-
-
-def _membership(index_tuples, align):
-    """Bool matrix whose row r is true at the indices in index_tuples[r], as
-    wide as the largest index + 1 rounded up to a multiple of align."""
-    counts = np.fromiter(map(len, index_tuples), dtype=np.intp,
-                         count=len(index_tuples))
-    flat = np.fromiter(itertools.chain.from_iterable(index_tuples),
-                       dtype=np.intp, count=int(counts.sum()))
-    top = int(flat.max()) if flat.size else -1
-    out = np.zeros((len(index_tuples), -(-(top + 1) // align) * align),
-                   dtype=bool)
-    out[np.repeat(np.arange(len(index_tuples)), counts), flat] = True
-    return out
+        edges.append(np.column_stack((child[cover], parent[cover])))
+    return np.concatenate(edges)
 
 
 class _IntentIndex:
@@ -213,12 +237,18 @@ def _sorted_search(table, queries):
     return out
 
 
+def _edge_columns(edges):
+    """(child, parent) pairs, given as a list or an (m, 2) array, as a
+    (2, m) array of children over parents."""
+    return np.asarray(edges, dtype=np.intp).reshape(-1, 2).T
+
+
 def _transitive_closure(n, edges):
     """Strict reachability along edges as an n x n bool matrix, from one pass
     of bitset unions over the nodes in reverse topological order."""
     parents = [[] for _ in range(n)]
     indeg = [0] * n
-    for a, b in edges:
+    for a, b in zip(*_edge_columns(edges).tolist()):
         parents[a].append(b)
         indeg[b] += 1
     order = [v for v in range(n) if indeg[v] == 0]
@@ -247,7 +277,7 @@ def _girth(n, edges):
     covering graph has no triangles.
     """
     adj = [[] for _ in range(n)]
-    for a, b in edges:
+    for a, b in zip(*_edge_columns(edges).tolist()):
         adj[a].append(b)
         adj[b].append(a)
     best = 0
@@ -280,7 +310,8 @@ ORDER_CELLS = 1 << 16
 
 
 def invariants(concepts, edges=None):
-    """Size, edge count, height, and width interval of a lattice.
+    """Size, edge count, height, and width interval of the lattice of packed
+    concepts.
 
     Height counts nodes on a longest chain along the edges, and the width
     interval's lower end is the largest level of that longest-path level
@@ -288,22 +319,19 @@ def invariants(concepts, edges=None):
     ``np.maximum.at`` per extent size of the edges' children. The upper end
     is the exact width, the largest antichain, which by Dilworth's theorem is
     n minus a maximum matching of the strict order (a minimum chain cover).
-    That order is extent inclusion, read from the extents packed into uint64
-    words, ORDER_CELLS concept pairs at a time, straight into a CSR matrix.
-    Edges default to the covering pairs of the concepts; an edge that is not
-    a strict extent inclusion raises ValueError.
+    That order is extent inclusion, read from the packed extents,
+    ORDER_CELLS concept pairs at a time, straight into a CSR matrix. Edges,
+    (child, parent) index pairs, default to the covering pairs of the
+    concepts; an edge that is not a strict extent inclusion raises
+    ValueError.
     """
     if edges is None:
         edges = hasse_edges(concepts)
     n = len(concepts)
     if n == 0:
         return {"n_concepts": 0, "n_edges": 0, "height": 0, "width_interval": (0, 0)}
-    extents = [c.extent for c in concepts]
-    size = np.fromiter(map(len, extents), dtype=np.intp, count=n)
-    words = np.packbits(_membership(extents, 64), axis=1,
-                        bitorder="little").view(np.uint64)
-    child, parent = np.fromiter(itertools.chain.from_iterable(edges),
-                                dtype=np.intp, count=2 * len(edges)).reshape(-1, 2).T
+    words, size = concepts.extents, concepts.sizes
+    child, parent = _edge_columns(edges)
     # an index out of range is checked as the pair (0, 0), which fails
     in_range = (np.minimum(child, parent) >= 0) & (np.maximum(child, parent) < n)
     a, b = np.where(in_range, child, 0), np.where(in_range, parent, 0)
@@ -325,7 +353,7 @@ def invariants(concepts, edges=None):
     match = maximum_bipartite_matching(_strict_order(words, size),
                                        perm_type="column")
     width = n - int(np.count_nonzero(match != -1))
-    return {"n_concepts": n, "n_edges": len(edges), "height": height,
+    return {"n_concepts": n, "n_edges": len(child), "height": height,
             "width_interval": (level_bound, width)}
 
 
@@ -360,17 +388,17 @@ def _strict_order(words, size):
 
 
 def build_lattice(ctx):
-    """Concepts, covering edges, and invariants for one context."""
+    """Packed concepts, covering edges, and invariants for one context; a
+    context always has at least one concept."""
     concepts = derive_concepts(ctx)
     edges = hasse_edges(concepts)
     inv = invariants(concepts, edges)
     n = len(concepts)
-    degree = np.bincount(np.asarray(edges, dtype=int).ravel(), minlength=n)
+    degree = np.bincount(edges.ravel(), minlength=n)
     return ConceptLattice(
         concepts=concepts, hasse_edges=edges, height=inv["height"],
         width_interval=inv["width_interval"],
-        degree_mean=float(degree.mean()) if n else 0.0,
-        degree_max=int(degree.max()) if n else 0,
+        degree_mean=float(degree.mean()), degree_max=int(degree.max()),
         cycle_length=_girth(n, edges))
 
 

@@ -264,11 +264,13 @@ class ClusterConfig:
     data: str = ""
     gt: Optional[str] = None
     labels: Optional[str] = None
+    # None is "not given": k is km/km++'s, the next four are ECA*'s, and an
+    # option given to the other algorithm is an error
     k: Optional[int] = None
-    ranks: int = 2
-    cycles: int = 50
-    density_threshold: float = 0.01
-    levy_alpha: float = 1.001
+    ranks: Optional[int] = None
+    cycles: Optional[int] = None
+    density_threshold: Optional[float] = None
+    levy_alpha: Optional[float] = None
     runs: int = 30
     seed: int = 0
     out: Optional[str] = None
@@ -280,39 +282,66 @@ CLUSTER_HEADER = ["dataset", "algo", "runs", "k_mean",
                   "sse_mean", "nmse_mean", "eps_ratio_mean", "mean_exec_time_s"]
 
 
-def _cluster_once(algo, dataset, cfg, seed, memo):
-    start = time.perf_counter()
+# ECA* options: ClusterConfig field -> (EcaParams field, CLI flag)
+ECA_OPTIONS = {"ranks": ("social_ranks", "--ranks"),
+               "cycles": ("max_cycles", "--cycles"),
+               "density_threshold": ("density_threshold", "--density"),
+               "levy_alpha": ("levy_alpha", "--levy-alpha")}
+
+
+def _algo_options(algo, cfg):
+    """The options that algo reads, by ClusterConfig field, with ECA*'s
+    defaults filled in from ``EcaParams``. An option of the other algorithm
+    that was given is a ValueError, so the config never records a setting
+    that no run read."""
     if algo == "eca-star":
-        params = EcaParams(social_ranks=cfg.ranks, max_cycles=cfg.cycles,
-                           density_threshold=cfg.density_threshold,
-                           levy_alpha=cfg.levy_alpha, seed=seed)
-        clustering, report = run_eca_star(dataset, params, memo=memo)
-    elif algo in ("km", "km++"):
+        if cfg.k is not None:
+            raise ValueError("eca-star finds the cluster count itself and "
+                             "does not read --k")
+        defaults = EcaParams()
+        return {name: getattr(defaults, param) if getattr(cfg, name) is None
+                else getattr(cfg, name) for name, (param, _) in ECA_OPTIONS.items()}
+    if algo in ("km", "km++"):
+        given = [flag for name, (_, flag) in ECA_OPTIONS.items()
+                 if getattr(cfg, name) is not None]
+        if given:
+            raise ValueError(f"{algo} does not read {', '.join(given)}")
         if cfg.k is None:
             raise ValueError("k-means needs --k")
-        km_cfg = KmConfig(k=cfg.k, seed=seed,
+        return {"k": cfg.k}
+    raise ValueError(f"unknown clustering algorithm: {algo!r}")
+
+
+def _cluster_once(algo, dataset, options, seed, memo):
+    start = time.perf_counter()
+    if algo == "eca-star":
+        params = EcaParams(**{param: options[name]
+                              for name, (param, _) in ECA_OPTIONS.items()}, seed=seed)
+        clustering, report = run_eca_star(dataset, params, memo=memo)
+    else:
+        km_cfg = KmConfig(k=options["k"], seed=seed,
                           init="plusplus" if algo == "km++" else "random")
         clustering = kmeans(dataset, km_cfg)
         report = quality_report(dataset, clustering,
                                 gt_centroids=dataset.true_centroids,
                                 gt_labels=dataset.true_labels)
-    else:
-        raise ValueError(f"unknown clustering algorithm: {algo!r}")
     return clustering, report, time.perf_counter() - start
 
 
 def run_cluster_suite(config):
     """Repeated clustering runs on one dataset; emits the per-algorithm
-    average quality row plus per-run detail."""
+    average quality row plus per-run detail; the config records only the
+    options that the algorithm reads."""
+    algo = config.algo.lower()
+    options = _algo_options(algo, config)
     dataset = load_dataset(config.data, centroids_path=config.gt,
                            labels_path=config.labels)
-    algo = config.algo.lower()
     # ECA* cohesion and gap values on this dataset's points: every run starts
     # from the same partition, so later runs reuse what earlier ones computed
     memo = {}
     per_run = []
     for i in range(config.runs):
-        clustering, report, elapsed = _cluster_once(algo, dataset, config,
+        clustering, report, elapsed = _cluster_once(algo, dataset, options,
                                                     config.seed + i, memo)
         per_run.append((clustering, report, elapsed))
 
@@ -345,10 +374,7 @@ def run_cluster_suite(config):
             "algo": algo, "data": str(config.data),
             "gt": str(config.gt) if config.gt else None,
             "labels": str(config.labels) if config.labels else None,
-            "k": config.k, "ranks": config.ranks, "cycles": config.cycles,
-            "density_threshold": config.density_threshold,
-            "levy_alpha": config.levy_alpha,
-            "runs": config.runs, "seed": config.seed,
+            **options, "runs": config.runs, "seed": config.seed,
         },
         "summary": dict(zip(CLUSTER_HEADER, row)),
         "detail": detail,

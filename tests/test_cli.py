@@ -176,6 +176,39 @@ def test_cluster_kmeans_variants(blob_file, tmp_path, capsys):
         assert "sse_mean=" in capsys.readouterr().out
 
 
+def test_cluster_rejects_options_of_the_other_algorithm(blob_file, tmp_path, capsys):
+    data, gt = blob_file
+    base = ["cluster", "--data", str(data), "--gt", str(gt), "--runs", "1",
+            "--out", str(tmp_path / "x.csv")]
+    for extra, named in ((["--algo", "eca-star", "--k", "7"], ["--k"]),
+                         (["--algo", "km", "--k", "2", "--cycles", "3",
+                           "--levy-alpha", "1.5"], ["--cycles", "--levy-alpha"]),
+                         (["--algo", "km++", "--k", "2", "--ranks", "2"], ["--ranks"]),
+                         (["--algo", "km", "--k", "2", "--density", "0.01"],
+                          ["--density"])):
+        assert cli.main(base + extra) == 1
+        err = _err(capsys)
+        assert err["error"] == "ValueError"
+        assert all(flag in err["message"] for flag in named), err["message"]
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_cluster_config_records_only_the_options_read(blob_file, tmp_path):
+    data, gt = blob_file
+    base = ["cluster", "--data", str(data), "--gt", str(gt), "--runs", "1"]
+    assert cli.main(base + ["--out", str(tmp_path / "e.csv"), "--cycles", "7"]) == 0
+    config = json.loads((tmp_path / "e.json").read_text())["config"]
+    assert "k" not in config
+    assert {key: config[key] for key in ("ranks", "cycles", "density_threshold",
+                                         "levy_alpha")} == {
+        "ranks": 2, "cycles": 7, "density_threshold": 0.01, "levy_alpha": 1.001}
+    assert cli.main(base + ["--out", str(tmp_path / "k.csv"), "--algo", "km++",
+                            "--k", "2"]) == 0
+    config = json.loads((tmp_path / "k.json").read_text())["config"]
+    assert config["k"] == 2
+    assert not {"ranks", "cycles", "density_threshold", "levy_alpha"} & config.keys()
+
+
 def test_cluster_km_requires_k(blob_file, capsys):
     data, _ = blob_file
     rc = cli.main(["cluster", "--algo", "km", "--data", str(data),

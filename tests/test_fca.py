@@ -52,18 +52,30 @@ def test_context_validation():
         FormalContext(["o"], ["a"], np.zeros((2, 2)))
 
 
+def _take(concepts, index):
+    """The packed concepts at index (an index array or a slice), in that
+    order."""
+    return fca.PackedConcepts(concepts.extents[index], concepts.intents[index],
+                              concepts.sizes[index], concepts.n_objects)
+
+
+def _edge_list(edges):
+    """Covering pairs as a list of (child, parent) tuples."""
+    return [tuple(e) for e in edges.tolist()]
+
+
 def test_single_cell_full_has_one_concept():
-    concepts = derive_concepts(_ctx([[1]]))
+    concepts = list(derive_concepts(_ctx([[1]])))
     assert concepts == [Concept((0,), (0,))]
 
 
 def test_single_cell_empty_has_two_concepts():
-    concepts = derive_concepts(_ctx([[0]]))
+    concepts = list(derive_concepts(_ctx([[0]])))
     assert concepts == [Concept((), (0,)), Concept((0,), ())]
 
 
 def test_no_objects_still_one_concept():
-    concepts = derive_concepts(_ctx(np.zeros((0, 2))))
+    concepts = list(derive_concepts(_ctx(np.zeros((0, 2)))))
     assert concepts == [Concept((), (0, 1))]
 
 
@@ -118,7 +130,7 @@ def test_closure_is_idempotent():
 
 def _assert_matches_reference(inc):
     ctx = _ctx(inc)
-    got = derive_concepts(ctx)
+    got = list(derive_concepts(ctx))
     assert got == _ref_derive_concepts(ctx)  # order included
     return got
 
@@ -165,6 +177,84 @@ def test_derive_concepts_matches_reference_on_a_large_planted_context():
     assert len(_assert_matches_reference(_planted_incidence(1, 52, 23))) > 512
 
 
+@pytest.mark.parametrize("shape, same_first_word", [
+    ((63, 6), False), ((64, 6), False), ((65, 6), False), ((130, 7), False),
+    ((70, 6), True), ((130, 7), True),
+    ((6, 63), False), ((6, 64), False), ((6, 65), False), ((7, 130), False),
+    ((7, 70), True), ((7, 130), True)])
+def test_concept_order_matches_reference_across_word_boundaries(shape, same_first_word):
+    # extents past 64 objects and intents past 64 attributes take several
+    # uint64 words; with the first word alike in every row, equal-size
+    # extents differ only past it and must still sort as their tuples do
+    rng = np.random.Generator(np.random.PCG64(sum(shape)))
+    inc = rng.random(shape) < 0.5
+    if same_first_word and shape[0] > 64:
+        inc[:64] = inc[0]
+    elif same_first_word:
+        inc[:, :64] = True
+    concepts = _assert_matches_reference(inc)
+    if same_first_word and shape[0] > 64:
+        head = [(len(c.extent), tuple(i for i in c.extent if i < 64))
+                for c in concepts]
+        assert len(set(head)) < len(head)  # ties broken past word 0
+
+
+def test_packed_path_accepts_shuffled_concepts():
+    # hasse_edges and invariants read packed concepts in any order, and
+    # their indices follow that order
+    rng = np.random.Generator(np.random.PCG64(640))
+    for shape in ((70, 9), (9, 70)):
+        concepts = derive_concepts(_ctx(rng.random(shape) < 0.4))
+        edges = hasse_edges(concepts)
+        perm = rng.permutation(len(concepts))
+        shuffled = _take(concepts, perm)
+        assert list(shuffled) == [concepts[k] for k in perm]
+        got = hasse_edges(shuffled)
+        assert _edge_list(got) == _ref_hasse_edges(shuffled)
+        assert sorted(_edge_list(perm[got])) == _edge_list(edges)  # renumbered
+        assert (invariants(shuffled, got) == invariants(shuffled)
+                == _ref_invariants(list(shuffled), _edge_list(got))
+                == invariants(concepts, edges))
+
+
+def test_build_lattice_matches_reference_on_degenerate_contexts():
+    rng = np.random.Generator(np.random.PCG64(650))
+    inc = rng.random((6, 5)) < 0.5
+    dup = inc[[0, 1, 1, 2, 3, 3, 3, 4, 5, 0]][:, [0, 0, 1, 2, 2, 3, 4, 4]]
+    cases = [np.zeros(shape, dtype=bool)
+             for shape in ((0, 0), (0, 5), (5, 0), (0, 70), (70, 0))]
+    cases += [np.ones((3, 70), dtype=bool), dup, dup.T]
+    for inc in cases:
+        ctx = _ctx(inc)
+        lat = build_lattice(ctx)
+        concepts = _ref_derive_concepts(ctx)
+        edges = _ref_hasse_edges(concepts)
+        assert list(lat.concepts) == concepts
+        assert _edge_list(lat.hasse_edges) == edges
+        ref = _ref_invariants(concepts, edges)
+        assert (lat.height, lat.width_interval) == (ref["height"], ref["width_interval"])
+        assert lat.cycle_length == _ref_girth(len(concepts), edges)
+        degree = [sum(k in e for e in edges) for k in range(len(concepts))]
+        assert (lat.degree_mean, lat.degree_max) == (sum(degree) / len(degree),
+                                                     max(degree))
+
+
+def test_build_lattice_makes_no_concept_tuples(monkeypatch):
+    made = []
+
+    def counted(extent, intent):
+        made.append(extent)
+        return Concept(extent, intent)
+
+    monkeypatch.setattr(fca, "Concept", counted)
+    lat = build_lattice(_ctx(_planted_incidence(1, 52, 23)))
+    assert len(lat.concepts) > 512
+    assert made == []
+    # reading a concept makes one
+    assert lat.concepts[0] == Concept((), tuple(range(23)))
+    assert len(made) == 1
+
+
 @pytest.mark.parametrize("seed", range(30))
 def test_matches_power_set_oracle(seed):
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -179,7 +269,7 @@ def test_matches_power_set_oracle(seed):
 def test_diamond_lattice():
     lat = build_lattice(_ctx([[1, 0], [0, 1]]))
     assert len(lat.concepts) == 4
-    assert lat.hasse_edges == [(0, 1), (0, 2), (1, 3), (2, 3)]
+    assert _edge_list(lat.hasse_edges) == [(0, 1), (0, 2), (1, 3), (2, 3)]
     assert lat.height == 3
     assert lat.width_interval == (2, 2)
     assert lat.degree_mean == 2.0
@@ -281,7 +371,7 @@ def _ref_girth(n, edges):
 
 def _assert_order_matches_reference(concepts):
     edges = hasse_edges(concepts)
-    assert edges == _ref_hasse_edges(concepts)  # order included
+    assert _edge_list(edges) == _ref_hasse_edges(concepts)  # order included
     n = len(concepts)
     reach = _transitive_closure(n, edges)
     assert reach.dtype == bool
@@ -301,8 +391,8 @@ def test_order_layer_matches_reference_on_random_contexts():
         concepts = derive_concepts(_ctx(inc))
         girths.add(_assert_order_matches_reference(concepts))
         # indices need not follow extent size
-        _assert_order_matches_reference([concepts[i] for i in
-                                         rng.permutation(len(concepts))])
+        _assert_order_matches_reference(
+            _take(concepts, rng.permutation(len(concepts))))
     # chains, diamonds and longer shortest cycles were all drawn
     assert {0, 4} <= girths and max(girths) > 4
 
@@ -317,10 +407,10 @@ def _assert_covers_match_reference(inc, seed=0):
     """hasse_edges equals the reference on the concepts of inc, both in
     extent-size order and shuffled; returns the concepts."""
     concepts = derive_concepts(_ctx(inc))
-    assert hasse_edges(concepts) == _ref_hasse_edges(concepts)
+    assert _edge_list(hasse_edges(concepts)) == _ref_hasse_edges(concepts)
     rng = np.random.Generator(np.random.PCG64(seed))
-    shuffled = [concepts[i] for i in rng.permutation(len(concepts))]
-    assert hasse_edges(shuffled) == _ref_hasse_edges(shuffled)
+    shuffled = _take(concepts, rng.permutation(len(concepts)))
+    assert _edge_list(hasse_edges(shuffled)) == _ref_hasse_edges(shuffled)
     return concepts
 
 
@@ -369,7 +459,8 @@ def test_covers_match_reference_on_degenerate_contexts():
 def test_hasse_edges_rejects_an_incomplete_lattice():
     concepts = derive_concepts(_ctx(_boolean_context(3)))
     with pytest.raises(ValueError, match="complete lattice"):
-        hasse_edges([c for c in concepts if c.extent != (0, 1)])
+        hasse_edges(_take(concepts, [k for k, c in enumerate(concepts)
+                                     if c.extent != (0, 1)]))
 
 
 def test_girth_pentagon_is_five():
@@ -392,7 +483,7 @@ def test_girth_five_after_a_six_cycle():
 
 
 def test_order_layer_empty_inputs():
-    assert hasse_edges([]) == []
+    assert hasse_edges([]).shape == (0, 2)
     assert _girth(0, []) == 0
     assert _transitive_closure(0, []).shape == (0, 0)
 
@@ -491,7 +582,7 @@ def _shuffled(concepts, edges, rng):
     """The same lattice with its concepts listed in a random order."""
     perm = rng.permutation(len(concepts))
     where = np.argsort(perm)
-    return ([concepts[i] for i in perm],
+    return (_take(concepts, perm),
             [(int(where[a]), int(where[b])) for a, b in edges])
 
 
@@ -533,7 +624,7 @@ def test_invariants_match_reference_at_order_block_edges(monkeypatch):
     assert len(concepts) > side + 1
     for k in (side - 1, side, side + 1):
         _assert_invariants_match_reference(
-            concepts[:k], [(a, b) for a, b in edges if b < k], rng)
+            _take(concepts, slice(k)), [(a, b) for a, b in edges if b < k], rng)
     # tiny blocks: one row each, and boundaries on either side of n
     concepts = derive_concepts(_ctx(rng.random((9, 7)) < 0.5))
     edges = hasse_edges(concepts)

@@ -454,6 +454,13 @@ def test_reduce_is_deterministic(tax):
     assert np.array_equal(a[0].incidence, b[0].incidence)
 
 
+def _same_lattice(a, b):
+    """Equal concepts, covering edges and invariants."""
+    return (list(a.concepts) == list(b.concepts)
+            and np.array_equal(a.hasse_edges, b.hasse_edges)
+            and fca._invariants_json(a) == fca._invariants_json(b))
+
+
 def test_reduce_returns_the_lattices_of_both_contexts(tax):
     chain = _ctx(np.eye(4), ["o1", "o2", "o3", "o4"],
                  ["cat", "feline", "mammal", "animal"])
@@ -464,8 +471,8 @@ def test_reduce_returns_the_lattices_of_both_contexts(tax):
               ReduceParams())]  # nothing merges
     for ctx, t, params in cases:
         out = reduce_context(ctx, t, params)
-        assert out.original == build_lattice(ctx)
-        assert out.reduced == build_lattice(out.context)
+        assert _same_lattice(out.original, build_lattice(ctx))
+        assert _same_lattice(out.reduced, build_lattice(out.context))
         if not out.trace:
             assert out.reduced is out.original
 
