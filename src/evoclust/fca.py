@@ -20,8 +20,6 @@ from pathlib import Path
 from typing import Tuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
 
 
 @dataclass(frozen=True)
@@ -325,6 +323,8 @@ def invariants(concepts, edges=None):
     concepts; an edge that is not a strict extent inclusion raises
     ValueError.
     """
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
     if edges is None:
         edges = hasse_edges(concepts)
     n = len(concepts)
@@ -364,6 +364,8 @@ def _strict_order(words, size):
     no earlier one's (an earlier extent is no larger, and distinct concepts
     have distinct extents), so each block of rows is tested only against the
     columns from its first row on; words are the packed extents."""
+    from scipy.sparse import csr_matrix
+
     n = len(words)
     words = words[np.argsort(size, kind="stable")]
     outside = ~words

@@ -3,7 +3,6 @@
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .measures import Clustering, as_points, assign_nearest
 from .rng import RngStream
@@ -26,6 +25,8 @@ class KmConfig:
 
 def _dsq_weights(points, chosen):
     """Squared distance from each point to its nearest already-chosen seed."""
+    from scipy.spatial.distance import cdist
+
     d = cdist(points, np.atleast_2d(chosen))
     return d.min(axis=1) ** 2
 

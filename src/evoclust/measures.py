@@ -4,7 +4,6 @@ separation, percentile ranks, and the Clustering result record."""
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist
 
 MIN_DISTANCE_BLOCK = 256  # rows of A per cdist in pairwise_min_distance
 
@@ -20,6 +19,8 @@ def intra_cluster(points):
     Sum of d(x, y) over all x != y divided by |A|(|A|-1); a singleton has no
     pairs and scores 0 by convention.
     """
+    from scipy.spatial.distance import pdist
+
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n = points.shape[0]
     if n == 0:
@@ -42,6 +43,8 @@ def solution_inter(clusters):
     from cluster i's members to mean j, so pair (i, j) scores
     (S[i, j] + S[j, i]) / (n_i + n_j).
     """
+    from scipy.spatial.distance import cdist
+
     live = [np.atleast_2d(np.asarray(c, dtype=float)) for c in clusters]
     live = [c for c in live if c.shape[0] > 0]
     if len(live) < 2:
@@ -73,6 +76,8 @@ def pairwise_min_distance(A, B):
     many rows of the |A| x |B| distance matrix are held at once; each distance
     is computed as ``cdist(A, B)`` computes it, so the minimum is the same.
     """
+    from scipy.spatial.distance import cdist
+
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     if A.shape[0] == 0 or B.shape[0] == 0:
@@ -84,6 +89,8 @@ def pairwise_min_distance(A, B):
 def assign_nearest(points, centroids):
     """Label each point with the index of its nearest centroid (ties break
     toward the lower index)."""
+    from scipy.spatial.distance import cdist
+
     points = np.atleast_2d(np.asarray(points, dtype=float))
     centroids = np.atleast_2d(np.asarray(centroids, dtype=float))
     if centroids.shape[0] == 0:

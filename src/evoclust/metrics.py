@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .measures import Clustering, as_points, assign_nearest
 
@@ -61,7 +60,7 @@ def centroid_index(solution_centroids, gt_centroids):
 
     def orphans(src, dst):
         hit = np.zeros(dst.shape[0], dtype=bool)
-        hit[cdist(src, dst).argmin(axis=1)] = True
+        hit[assign_nearest(src, dst)] = True
         return int(np.count_nonzero(~hit))
 
     return max(orphans(A, B), orphans(B, A))
@@ -69,20 +68,21 @@ def centroid_index(solution_centroids, gt_centroids):
 
 def _greedy_pairs(sol_centroids, gt_centroids):
     """Pair clusters by globally nearest centroids, closest first; ties break
-    toward the lower (row, column) index."""
+    toward the lower (row, column) index.
+
+    One stable sort of the row-major distance matrix puts the pairs in that
+    order; a pair is taken when neither its row nor its column is taken yet.
+    """
+    from scipy.spatial.distance import cdist
+
     d = cdist(np.atleast_2d(sol_centroids), np.atleast_2d(gt_centroids))
-    pairs = []
-    live_r = set(range(d.shape[0]))
-    live_c = set(range(d.shape[1]))
-    while live_r and live_c:
-        best = None
-        for r in sorted(live_r):
-            for c in sorted(live_c):
-                if best is None or d[r, c] < d[best]:
-                    best = (r, c)
-        pairs.append(best)
-        live_r.discard(best[0])
-        live_c.discard(best[1])
+    pairs, used_r, used_c = [], set(), set()
+    for flat in np.argsort(d, axis=None, kind="stable").tolist():
+        r, c = divmod(flat, d.shape[1])
+        if r not in used_r and c not in used_c:
+            pairs.append((r, c))
+            used_r.add(r)
+            used_c.add(c)
     return pairs
 
 

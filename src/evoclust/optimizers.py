@@ -37,6 +37,7 @@ FF_BETA0 = 1.0  # firefly (Yang 2009): attractiveness at distance 0
 FF_GAMMA = 1.0  # ... light absorption
 FF_ALPHA = 0.2  # ... initial random-step scale, a share of the bounds' span
 FF_ALPHA_DECAY = 0.97  # ... per-iteration factor on that scale
+STOP_ON_SUCCESS = True  # a run ends at its first iteration within tolerance
 
 
 @dataclass
@@ -45,7 +46,6 @@ class OptimizerConfig:
     max_iterations: int = 2000
     runs: int = 30
     success_tolerance: float = 1e-6
-    stop_on_success: bool = True
 
     def __post_init__(self):
         if self.population_size < 1 or self.runs < 1:
@@ -337,7 +337,7 @@ def run_optimizer(algo, fn, config, seed, dim=None, bounds=None):
     Success means the best so far comes within the configured tolerance of
     the function's minimum on the active bounds. Iteration 0 is the initial
     population; the run takes at most ``max_iterations`` more, and with
-    ``stop_on_success`` it ends at the first successful iteration, without
+    ``STOP_ON_SUCCESS`` it ends at the first successful iteration, without
     drawing or evaluating anything further.
     """
     algo = str(algo).lower()
@@ -368,7 +368,7 @@ def run_optimizer(algo, fn, config, seed, dim=None, bounds=None):
             best_value, best_point = float(values[i]), np.array(points[i], dtype=float)
         if success_at is None and abs(best_value - reference) <= config.success_tolerance:
             success_at = it
-            if config.stop_on_success:
+            if STOP_ON_SUCCESS:
                 break
     wall = time.perf_counter() - start
     return RunResult(algo, fn.id, dim, int(seed), best_value, best_point,

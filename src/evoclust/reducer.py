@@ -72,22 +72,28 @@ class Taxonomy:
         self._cones = {}  # (term, depth) -> ancestors_within's answer
 
     def _check_acyclic(self):
-        WHITE, GRAY, BLACK = 0, 1, 2
-        color = {}
-
-        def visit(node):
-            color[node] = GRAY
-            for p in self.parent_map.get(node, ()):
-                c = color.get(p, WHITE)
-                if c == GRAY:
-                    raise ValueError(f"taxonomy cycle through {p!r}")
-                if c == WHITE:
-                    visit(p)
-            color[node] = BLACK
-
-        for term in list(self.parent_map):
-            if color.get(term, WHITE) == WHITE:
-                visit(term)
+        """Depth-first walk up the hypernym edges with an explicit stack, so
+        a chain of any depth is checked; an edge back to a term on the current
+        path is a cycle."""
+        on_path, done = set(), set()
+        for term in self.parent_map:
+            if term in done:
+                continue
+            on_path.add(term)
+            stack = [(term, iter(self.parent_map[term]))]
+            while stack:
+                node, parents = stack[-1]
+                for p in parents:
+                    if p in on_path:
+                        raise ValueError(f"taxonomy cycle through {p!r}")
+                    if p not in done:
+                        on_path.add(p)
+                        stack.append((p, iter(self.parent_map.get(p, ()))))
+                        break
+                else:
+                    stack.pop()
+                    on_path.discard(node)
+                    done.add(node)
 
     def synset(self, term):
         idx = self._synset_of.get(str(term))

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import benchmarks, fca, reducer
+from . import benchmarks, fca, optimizers, reducer
 from .datasets import load_dataset
 from .ecastar import EcaParams, run_eca_star
 from .kmeans import KmConfig, kmeans
@@ -204,7 +204,7 @@ def run_bench_suite(config):
             "population_size": config.population_size,
             "max_iterations": config.max_iterations,
             "tolerance": config.tolerance,
-            "stop_on_success": opt.stop_on_success,
+            "stop_on_success": optimizers.STOP_ON_SUCCESS,
         },
         "stats": [dict(zip(STATS_HEADER, row)) for row in stats_rows],
         "pairwise": [dict(zip(PAIR_HEADER, row)) for row in pair_rows],
@@ -444,15 +444,20 @@ def run_fca_suite(config):
 def run_report(in_path, compare, metric="iters", alpha=0.05, out=None):
     """Paired rank test between two algorithms from a bench-suite JSON.
 
-    Both algorithms must differ and have runs in the input, and ``alpha``
-    must lie in (0, 1)."""
+    The input must be a JSON object whose ``detail`` is a list of objects,
+    both algorithms must differ and have runs in it, and ``alpha`` must lie
+    in (0, 1)."""
     check_alpha(alpha)
     data = json.loads(Path(in_path).read_text())
+    detail = data.get("detail", []) if isinstance(data, dict) else None
+    if not (isinstance(detail, list) and all(isinstance(b, dict) for b in detail)):
+        raise ValueError(f"{in_path}: not a bench-opt result (expected an object "
+                         "whose 'detail' is a list of objects)")
     algo_a, algo_b = [a.strip().lower() for a in compare]
     if algo_a == algo_b:
         raise ValueError(f"compare names {algo_a!r} twice; name two algorithms")
     by_fn = {}
-    for block in data.get("detail", []):
+    for block in detail:
         by_fn.setdefault(block["function"], {})[block["algo"]] = block["runs"]
     recorded = set().union(*by_fn.values())
     missing = [a for a in (algo_a, algo_b) if a not in recorded]

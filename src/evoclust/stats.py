@@ -5,7 +5,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtr
 
 #: runs whose p-value path switches from exact enumeration to the normal
 #: approximation (exact distribution computed for n' at or below this)
@@ -149,6 +148,8 @@ def _exact_two_sided_p(ranks, r_plus):
 
 
 def _normal_two_sided_p(ranks, r_plus, n):
+    from scipy.special import ndtr
+
     mean = n * (n + 1) / 4.0
     var = n * (n + 1) * (2 * n + 1) / 24.0
     # tie correction: each group of t tied ranks removes (t^3 - t)/48

@@ -141,6 +141,19 @@ def test_report_rejects_a_pair_the_input_cannot_compare(bench_json, tmp_path, ca
     assert not (tmp_path / "cmp.json").exists()
 
 
+@pytest.mark.parametrize("text", ["[]", '{"detail": [1, 2]}', '{"detail": "x"}'])
+def test_report_rejects_json_that_is_not_a_bench_result(tmp_path, capsys, text):
+    path = tmp_path / "odd.json"
+    path.write_text(text)
+    assert cli.main(["report", "--in", str(path), "--compare", "bsa,de"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.strip().splitlines()
+    err = json.loads(line)
+    assert err["error"] == "ValueError"
+    assert str(path) in err["message"] and "not a bench-opt result" in err["message"]
+
+
 def test_cluster_eca_star(blob_file, tmp_path, capsys):
     data, gt = blob_file
     out = tmp_path / "clu.csv"

@@ -1,11 +1,17 @@
-"""Every demo under demos/ runs to the end and prints something."""
+"""Every demo under demos/ runs to the end and prints something, and so does
+the README's minimal tour."""
 
 import importlib.util
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=[p.stem for p in DEMOS])
@@ -15,3 +21,14 @@ def test_demo_runs(path, capsys):
     spec.loader.exec_module(module)
     module.main()
     assert capsys.readouterr().out.strip()
+
+
+def test_readme_python_block_runs(tmp_path):
+    """The tour imports every name from its module, in a fresh interpreter."""
+    blocks = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(),
+                        flags=re.M | re.S)
+    assert blocks
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", "\n".join(blocks)], env=env,
+                         cwd=tmp_path, check=True, capture_output=True, text=True)
+    assert out.stdout.strip()

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from evoclust import metrics
 from evoclust.measures import Clustering
@@ -84,6 +85,32 @@ def test_centroid_index_double_orphan():
     gt = np.array([[0.0, 0.0], [10.0, 0.0], [20.0, 0.0]])
     piled = np.array([[0.1, 0.0], [0.2, 0.0], [0.3, 0.0]])
     assert centroid_index(piled, gt) == 2
+
+
+def _greedy_pairs_reference(sol, gt):
+    """Rescan every live (row, col) pair for each pick, in row-major order."""
+    d = cdist(sol, gt)
+    pairs, live_r, live_c = [], set(range(d.shape[0])), set(range(d.shape[1]))
+    while live_r and live_c:
+        best = None
+        for r in sorted(live_r):
+            for c in sorted(live_c):
+                if best is None or d[r, c] < d[best]:
+                    best = (r, c)
+        pairs.append(best)
+        live_r.discard(best[0])
+        live_c.discard(best[1])
+    return pairs
+
+
+def test_greedy_pairs_match_the_rescan_on_tie_heavy_layouts():
+    g = np.random.Generator(np.random.PCG64(5))
+    for _ in range(300):
+        k, m = (int(v) for v in g.integers(1, 9, size=2))
+        # a 3x3 integer grid: many centroids coincide and many distances tie
+        sol = g.integers(0, 3, size=(k, 2)).astype(float)
+        gt = g.integers(0, 3, size=(m, 2)).astype(float)
+        assert metrics._greedy_pairs(sol, gt) == _greedy_pairs_reference(sol, gt)
 
 
 def test_csi_identical_up_to_relabeling():

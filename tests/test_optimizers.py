@@ -189,11 +189,11 @@ def test_every_algorithm_optimizes_sphere(algo):
     assert abs(r.best_point).max() <= 1.0
 
 
-def test_stop_on_success_controls_early_exit():
-    fast = OptimizerConfig(max_iterations=2000, runs=1, stop_on_success=True)
-    slow = OptimizerConfig(max_iterations=2000, runs=1, stop_on_success=False)
-    a = run_optimizer("bsa", "F14", fast, seed=2, dim=2, bounds=(-1, 1))
-    b = run_optimizer("bsa", "F14", slow, seed=2, dim=2, bounds=(-1, 1))
+def test_stop_on_success_controls_early_exit(monkeypatch):
+    cfg = OptimizerConfig(max_iterations=2000, runs=1)
+    a = run_optimizer("bsa", "F14", cfg, seed=2, dim=2, bounds=(-1, 1))
+    monkeypatch.setattr(optimizers, "STOP_ON_SUCCESS", False)
+    b = run_optimizer("bsa", "F14", cfg, seed=2, dim=2, bounds=(-1, 1))
     assert a.iterations_to_success == b.iterations_to_success  # same stream
     assert b.best_value <= a.best_value  # kept refining
 
@@ -287,8 +287,8 @@ def test_ff_iteration_matches_pair_loop(monkeypatch):
     real = benchmarks.evaluate_batch
     monkeypatch.setattr(benchmarks, "evaluate_batch",
                         lambda fn, X: seen.append(X.copy()) or real(fn, X))
-    cfg = OptimizerConfig(population_size=12, max_iterations=1, runs=1,
-                          stop_on_success=False)
+    monkeypatch.setattr(optimizers, "STOP_ON_SUCCESS", False)
+    cfg = OptimizerConfig(population_size=12, max_iterations=1, runs=1)
     run_optimizer("ff", "F11", cfg, seed=3, dim=3, bounds=(-2.0, 2.0))
     rng = RngStream(3)
     X0 = uniform_matrix(rng, -2.0, 2.0, (12, 3))
@@ -382,8 +382,8 @@ def test_abc_iteration_calls_at_most_two_plus_busiest_source(monkeypatch):
     monkeypatch.setattr(optimizers, "abc_phases",
                         lambda *a: events.append("|") or real_phases(*a))
     monkeypatch.setattr(optimizers, "ABC_LIMIT", 3)
-    cfg = OptimizerConfig(population_size=30, max_iterations=60, runs=1,
-                          stop_on_success=False)
+    monkeypatch.setattr(optimizers, "STOP_ON_SUCCESS", False)
+    cfg = OptimizerConfig(population_size=30, max_iterations=60, runs=1)
     run_optimizer("abc", "F11", cfg, seed=4, dim=4)
     assert events[0] == 15  # the initial food sources
     iterations = []
@@ -460,8 +460,8 @@ def test_profiled_names_exposed():
 @pytest.mark.parametrize("algo", ALGORITHMS)
 def test_every_iteration_evaluates_through_evaluate_batch(algo, monkeypatch):
     calls = _evaluated_rows(monkeypatch)
-    cfg = OptimizerConfig(population_size=10, max_iterations=8, runs=1,
-                          stop_on_success=False)
+    monkeypatch.setattr(optimizers, "STOP_ON_SUCCESS", False)
+    cfg = OptimizerConfig(population_size=10, max_iterations=8, runs=1)
     run_optimizer(algo, "F11", cfg, seed=2, dim=3)
     assert len(calls) >= cfg.max_iterations + 1  # the initial population too
 
@@ -483,8 +483,8 @@ def _counting(monkeypatch, algo):
 @pytest.mark.parametrize("algo", ALGORITHMS)
 def test_run_loop_takes_initial_population_plus_cap(algo, monkeypatch):
     steps = _counting(monkeypatch, algo)
-    cfg = OptimizerConfig(population_size=10, max_iterations=8, runs=1,
-                          stop_on_success=False)
+    monkeypatch.setattr(optimizers, "STOP_ON_SUCCESS", False)
+    cfg = OptimizerConfig(population_size=10, max_iterations=8, runs=1)
     run_optimizer(algo, "F11", cfg, seed=2, dim=3)
     assert len(steps) == cfg.max_iterations + 1
     for values, points in steps:
@@ -494,8 +494,8 @@ def test_run_loop_takes_initial_population_plus_cap(algo, monkeypatch):
 @pytest.mark.parametrize("algo", ALGORITHMS)
 def test_zero_iterations_evaluates_only_initial_population(algo, monkeypatch):
     calls = _evaluated_rows(monkeypatch)
-    cfg = OptimizerConfig(population_size=10, max_iterations=0, runs=1,
-                          stop_on_success=False)
+    monkeypatch.setattr(optimizers, "STOP_ON_SUCCESS", False)
+    cfg = OptimizerConfig(population_size=10, max_iterations=0, runs=1)
     r = run_optimizer(algo, "F14", cfg, seed=3, dim=2, bounds=(-1, 1))
     assert calls == [5 if algo == "abc" else 10]
     assert r.iterations_to_success in (0, None)

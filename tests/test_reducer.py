@@ -51,6 +51,15 @@ def test_cycle_detection():
         Taxonomy(parent_map={"a": {"a"}})
 
 
+def test_deep_chain_is_checked_without_recursion():
+    chain = {f"t{i}": {f"t{i + 1}"} for i in range(5000)}
+    tax = Taxonomy(parent_map=chain)
+    assert tax.ancestors_within("t0", 2) == {"t0": 0, "t1": 1, "t2": 2}
+    chain["t5000"] = {"t4999"}  # a cycle 5000 hypernym levels above t0
+    with pytest.raises(ValueError, match="cycle through 't4999'"):
+        Taxonomy(parent_map=chain)
+
+
 def test_ancestors_within_depth(tax):
     assert tax.ancestors_within("cat", 2) == {"cat": 0, "feline": 1, "mammal": 2}
     assert tax.ancestors_within("cat", 1) == {"cat": 0, "feline": 1}
