@@ -7,12 +7,23 @@ centroids (mut-over), reassignment, and a minimum-distance merge of clusters
 that touch (clustering II). Iteration stops when the cohesion/separation
 fingerprint of the partition stops moving, or at the cycle cap.
 
+A cycle computes only the values it reads. Clustering I scores the
+separation of both candidate partitions, but their per-cluster cohesions
+only when the historical one separates better, the one case in which
+mut-over adopts the mutant and reads them. Clustering II rules a pair out
+by the gap between the two clusters' bounding boxes, a lower bound on the
+closest cross distance, and scans the cross distances only when that bound
+cannot.
+
 The same member sets recur within a run: a partition is scored by the
 centroid candidates of clustering I, by the merge radii of clustering II, by
 the stop fingerprint and again by the next cycle, and every run of a suite
 starts from the same percentile-rank partition. ``run_cluster_suite`` keeps
-one memo for the suite and hands it to each ``run_eca_star``, so each distinct
-cluster's cohesion, and each tested pair's gap, is computed once per suite.
+one memo for the suite and hands it to each ``run_eca_star``. It holds each
+distinct cluster's cohesion (keyed by the digest of its member indices), each
+tested pair's merge decision (keyed by the pair of digests) and the start
+partition of each social rank count (keyed by a tuple that begins with a
+string, so it equals no digest), so each is computed once per suite.
 """
 
 import hashlib
@@ -31,6 +42,12 @@ from .rng import LevyParams, RngStream, levy_step, uniform_matrix
 
 INIT_CLUSTER_CAP = 4096  # most clusters init_assign may form
 _STOP_TOL = 1e-9
+# The box gap may rule a merge out only when it exceeds the merge radius by
+# more than rounding can explain. Rounding is monotone, so each squared
+# coordinate gap of two boxes is at most the matching term of any of their
+# cross distances; only the order of the D-term sums may differ, a relative
+# error of about D * 2^-53, far below _BOX_RTOL for any D < 10^6.
+_BOX_RTOL = 1e-9
 
 
 @dataclass
@@ -55,9 +72,11 @@ class EcaParams:
 @dataclass
 class EcaState:
     """What one cycle hands the next: the operative assignment, the two
-    candidate centroid sets of clustering I with the cohesion and separation
-    of the partitions they induce (mut-over reads these), and how many
-    clusters clustering I found empty and folded for low density."""
+    candidate centroid sets of clustering I with the separation of the
+    partitions they induce, and how many clusters clustering I found empty
+    and folded for low density. The per-cluster cohesions are set only when
+    ``old_inter > inter``, the case in which mut-over reads them; otherwise
+    both are None."""
 
     assignment: np.ndarray
     centroids: Optional[np.ndarray] = None  # quartile-mean centroids C
@@ -164,28 +183,51 @@ def _cohesion(points, g, memo):
     return memo[key]
 
 
-def _gap(points, g_i, g_j, memo):
-    """pairwise_min_distance between two member sets, memoized by the pair."""
+def _touches(points, g_i, g_j, bound, memo):
+    """Merge test of clustering II, memoized by the pair: whether the closest
+    cross distance of two member sets is no larger than the larger of their
+    cohesions. ``bound`` is a lower bound on that distance; the exact scan
+    runs only when the bound does not already rule the merge out."""
     key = (_key(g_i), _key(g_j))
     if key not in memo:
-        memo[key] = pairwise_min_distance(points[g_i], points[g_j])
+        radius = max(_cohesion(points, g_i, memo), _cohesion(points, g_j, memo))
+        memo[key] = bool(bound <= radius * (1 + _BOX_RTOL) and
+                         pairwise_min_distance(points[g_i], points[g_j]) <= radius)
     return memo[key]
 
 
-def _induced_quality(points, centroids, memo):
-    """Cohesion per centroid and one separation scalar for the partition the
-    centroid set induces by nearest-centroid assignment."""
+def _box_gaps(points, groups):
+    """Distance between the bounding boxes of each adjacent pair of nonempty
+    groups (0 where the boxes meet): a lower bound on the pair's closest
+    cross distance. The boxes come from one reduceat over the members sorted
+    by group."""
+    sizes = np.array([g.size for g in groups])
+    starts = np.cumsum(sizes) - sizes
+    members = points[np.concatenate(groups)]
+    lo = np.minimum.reduceat(members, starts, axis=0)
+    hi = np.maximum.reduceat(members, starts, axis=0)
+    apart = np.maximum(0.0, np.maximum(lo[1:] - hi[:-1], lo[:-1] - hi[1:]))
+    return np.sqrt((apart ** 2).sum(axis=1))
+
+
+def _induced(points, centroids):
+    """Member indices per centroid and one separation scalar for the
+    partition the centroid set induces by nearest-centroid assignment."""
     labels = assign_nearest(points, centroids)
     groups = group_indices(labels, centroids.shape[0])
-    intra = np.array([_cohesion(points, g, memo) if g.size else 0.0 for g in groups])
-    inter = solution_inter([points[g] for g in groups if g.size])
-    return intra, inter
+    return groups, solution_inter([points[g] for g in groups if g.size])
+
+
+def _cohesions(points, groups, memo):
+    return np.array([_cohesion(points, g, memo) if g.size else 0.0 for g in groups])
 
 
 def clustering_one(state, dataset, rng, memo=None):
     """Prune empty clusters, fold low-density clusters into their nearest
     surviving neighbor, then build the two candidate centroid sets and score
-    the partitions they induce.
+    the partitions they induce: always their separation, and their
+    per-cluster cohesions only when the historical partition separates
+    better (``old_inter > inter``), since only then does mut-over read them.
 
     ``memo`` holds cohesion values already computed on the same points (see
     ``run_cluster_suite``); without one, the call starts with an empty memo.
@@ -220,8 +262,12 @@ def clustering_one(state, dataset, rng, memo=None):
     # one (k, d) draw, filled row by row: the numbers of k draws of length d
     oldC = uniform_matrix(rng, Q1, Q3, Q1.shape)
 
-    intra, inter = _induced_quality(points, C, memo)
-    old_intra, old_inter = _induced_quality(points, oldC, memo)
+    groups, inter = _induced(points, C)
+    old_groups, old_inter = _induced(points, oldC)
+    intra = old_intra = None
+    if old_inter > inter:
+        intra = _cohesions(points, groups, memo)
+        old_intra = _cohesions(points, old_groups, memo)
     return EcaState(assignment=assignment, centroids=C, historical=oldC,
                     intra=intra, old_intra=old_intra, inter=inter,
                     old_inter=old_inter, k_empty=k_empty, k_dth=k_dth,
@@ -232,20 +278,23 @@ def mut_over(state, rng):
     """Evolve each centroid either by a Levy-scaled jump along its historical
     direction or by a uniform crossover of the two candidate sets.
 
-    Both candidates are formed first (one scalar Levy factor per cluster, one
-    coin per gene), then the changeover picks the mutant exactly when the
-    historical partition separated better than the current one; out-of-bounds
-    coordinates are redrawn inside the data envelope.
+    The draws for both candidates come first (one scalar Levy factor per
+    cluster, then one coin per gene), so the stream moves the same way
+    whichever is taken. The changeover takes the mutant exactly when the
+    historical partition separated better than the current one; only then
+    are the cohesions read, to point the jump. Out-of-bounds coordinates are
+    redrawn inside the data envelope.
     """
     C, oldC = state.centroids, state.historical
     k, d = C.shape
-    better_now = state.intra < state.old_intra
-    hi = np.where(better_now[:, None], oldC - C, C - oldC)
     F = np.array([levy_step(rng, state.levy) for _ in range(k)])
-    mutant = C + F[:, None] * hi
     take_old = rng.generator.random((k, d)) < 0.5
-    new_c = np.where(take_old, oldC, C)
-    mo = mutant if state.old_inter > state.inter else new_c
+    if state.old_inter > state.inter:
+        better_now = state.intra < state.old_intra
+        hi = np.where(better_now[:, None], oldC - C, C - oldC)
+        mo = C + F[:, None] * hi
+    else:
+        mo = np.where(take_old, oldC, C)
     if state.bounds is not None:
         low, up = state.bounds
         mo = boundary_control(mo, low, up, rng)
@@ -257,14 +306,16 @@ def clustering_two(points, assignment, mo, memo=None):
 
     Adjacent live pairs (i, i+1) are tested on a snapshot: with Dmin the
     closest cross-cluster point distance and R each cluster's mean intra
-    distance, the pair merges when min(Dmin - R_i, Dmin - R_j) <= 0. Merged
-    centroids are the size-weighted mean of the members' centroids.
+    distance, the pair merges when min(Dmin - R_i, Dmin - R_j) <= 0, that is
+    when Dmin <= max(R_i, R_j). Dmin is scanned only for pairs whose bounding
+    boxes lie no farther apart than that radius. Merged centroids are the
+    size-weighted mean of the members' centroids.
 
-    R and Dmin are looked up in ``memo``, keyed by member indices, and
-    computed only when missing, so for as long as one memo lives each distinct
-    cluster's cohesion and each tested pair's gap is computed once. A memo is
-    only valid for the points it was filled on; without one, the call starts
-    with an empty memo.
+    Cohesions and merge decisions are looked up in ``memo``, keyed by member
+    indices, and computed only when missing, so for as long as one memo lives
+    each distinct cluster's cohesion and each tested pair's decision is
+    computed once. A memo is only valid for the points it was filled on;
+    without one, the call starts with an empty memo.
     """
     memo = {} if memo is None else memo
     points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -283,12 +334,10 @@ def clustering_two(points, assignment, mo, memo=None):
             x = parent[x]
         return x
 
+    box_gaps = _box_gaps(points, groups)
     for i in range(k - 1):
         j = i + 1
-        dmin = _gap(points, groups[i], groups[j], memo)
-        sigma = min(dmin - _cohesion(points, groups[i], memo),
-                    dmin - _cohesion(points, groups[j], memo))
-        if sigma <= 0:
+        if _touches(points, groups[i], groups[j], box_gaps[i], memo):
             parent[find(j)] = find(i)
 
     # cluster i goes to the rank of its root among the roots
@@ -311,9 +360,9 @@ def run_eca_star(dataset, params, memo=None):
     """Full clustering run; returns the final partition and its quality.
 
     The quality report scores against whatever ground truth the dataset
-    carries (none for a bare point array). ``memo`` holds cohesion and gap
-    values already computed on the same points, by earlier runs of a suite;
-    without one, the run starts with an empty memo.
+    carries (none for a bare point array). ``memo`` holds cohesions, merge
+    decisions and start partitions already computed on the same points, by
+    earlier runs of a suite; without one, the run starts with an empty memo.
     """
     points = as_points(dataset)
     rng = RngStream(params.seed)
@@ -322,11 +371,15 @@ def run_eca_star(dataset, params, memo=None):
     scale = 0.01 * float(np.mean(up - low))
     levy = LevyParams(alpha=params.levy_alpha, scale=scale)
 
-    _, assignment = init_assign(points, params.social_ranks)
-    state = EcaState(assignment=assignment, levy=levy, bounds=(low, up),
+    memo = {} if memo is None else memo
+    start = ("init_assign", params.social_ranks)
+    if start not in memo:
+        _, assignment = init_assign(points, params.social_ranks)
+        assignment.setflags(write=False)  # shared by every run of the suite
+        memo[start] = assignment
+    state = EcaState(assignment=memo[start], levy=levy, bounds=(low, up),
                      params=params)
 
-    memo = {} if memo is None else memo
     prev = None
     mo = None
     for _ in range(params.max_cycles):

@@ -228,11 +228,15 @@ def run_bench_suite(config):
     return payload
 
 
+# report metric -> the run key it compares
+METRIC_KEYS = {"iters": "iterations_to_success", "value": "best_value"}
+
+
 def _pairwise_row(fid, algo_a, algo_b, runs_a, runs_b, metric="iters", alpha=0.05):
     """One PAIR_HEADER row: the exact signed-rank test on two algorithms'
     paired runs (detail dicts) of one function. For ``iters`` only the pairs
     where both runs succeeded count; no pair left gives an "NC" row."""
-    key = {"iters": "iterations_to_success", "value": "best_value"}[metric]
+    key = METRIC_KEYS[metric]
     xs, ys = [], []
     for run_a, run_b in zip(runs_a, runs_b):
         if metric == "iters" and not (run_a["succeeded"] and run_b["succeeded"]):
@@ -334,10 +338,13 @@ def run_cluster_suite(config):
     options that the algorithm reads."""
     algo = config.algo.lower()
     options = _algo_options(algo, config)
+    if config.runs < 1:
+        raise ValueError("runs must be >= 1")
     dataset = load_dataset(config.data, centroids_path=config.gt,
                            labels_path=config.labels)
-    # ECA* cohesion and gap values on this dataset's points: every run starts
-    # from the same partition, so later runs reuse what earlier ones computed
+    # ECA* start partition, cohesions and merge decisions on this dataset's
+    # points: every run starts from the same partition, so later runs reuse
+    # what earlier ones computed
     memo = {}
     per_run = []
     for i in range(config.runs):
@@ -441,18 +448,43 @@ def run_fca_suite(config):
 
 # ------------------------------------------------------------- comparison
 
+def _readable_run(run, metric):
+    """Whether a run object holds a number under the key ``metric`` compares
+    (for ``iters``, also ``succeeded``, and the number only if it is true)."""
+    key = METRIC_KEYS[metric]
+    if not isinstance(run, dict) or key not in run:
+        return False
+    if metric == "iters":
+        if "succeeded" not in run:
+            return False
+        if not run["succeeded"]:
+            return True
+    return isinstance(run[key], (int, float))
+
+
 def run_report(in_path, compare, metric="iters", alpha=0.05, out=None):
     """Paired rank test between two algorithms from a bench-suite JSON.
 
-    The input must be a JSON object whose ``detail`` is a list of objects,
-    both algorithms must differ and have runs in it, and ``alpha`` must lie
-    in (0, 1)."""
+    The input must be a JSON object whose ``detail`` is a list of blocks,
+    each with a string ``function`` and ``algo`` and a list of run objects
+    holding what ``metric`` compares; both algorithms must differ and have
+    runs in it, and ``alpha`` must lie in (0, 1)."""
     check_alpha(alpha)
     data = json.loads(Path(in_path).read_text())
     detail = data.get("detail", []) if isinstance(data, dict) else None
     if not (isinstance(detail, list) and all(isinstance(b, dict) for b in detail)):
         raise ValueError(f"{in_path}: not a bench-opt result (expected an object "
                          "whose 'detail' is a list of objects)")
+    for i, block in enumerate(detail):
+        for name in ("function", "algo"):
+            if not isinstance(block.get(name), str):
+                raise ValueError(f"{in_path}: detail block {i} has no string {name!r}")
+        runs = block.get("runs")
+        if not (isinstance(runs, list) and all(_readable_run(r, metric) for r in runs)):
+            flag = "'succeeded' and " if metric == "iters" else ""
+            raise ValueError(f"{in_path}: detail block {i} ({block['function']}, "
+                             f"{block['algo']}): 'runs' is not a list of run objects "
+                             f"with {flag}a number under {METRIC_KEYS[metric]!r}")
     algo_a, algo_b = [a.strip().lower() for a in compare]
     if algo_a == algo_b:
         raise ValueError(f"compare names {algo_a!r} twice; name two algorithms")

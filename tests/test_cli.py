@@ -154,6 +154,66 @@ def test_report_rejects_json_that_is_not_a_bench_result(tmp_path, capsys, text):
     assert str(path) in err["message"] and "not a bench-opt result" in err["message"]
 
 
+@pytest.mark.parametrize("detail,named", [
+    ([{"function": "F1", "algo": "bsa", "runs": 5},
+      {"function": "F1", "algo": "de", "runs": 5}], "detail block 0 (F1, bsa)"),
+    ([{"algo": "bsa", "runs": []}], "detail block 0 has no string 'function'"),
+    ([{"function": "F1", "algo": "bsa", "runs": []},
+      {"function": "F1", "runs": []}], "detail block 1 has no string 'algo'"),
+    ([{"function": "F1", "algo": "bsa", "runs": [{"succeeded": True}]}],
+     "'succeeded' and a number under 'iterations_to_success'"),
+    ([{"function": "F1", "algo": "bsa", "runs": [{"iterations_to_success": 3}]}],
+     "'succeeded' and a number under 'iterations_to_success'"),
+    ([{"function": "F1", "algo": "bsa",
+       "runs": [{"succeeded": True, "iterations_to_success": None}]}],
+     "'iterations_to_success'"),
+])
+def test_report_rejects_malformed_detail_blocks(tmp_path, capsys, detail, named):
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps({"detail": detail}))
+    assert cli.main(["report", "--in", str(path), "--compare", "bsa,de"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.strip().splitlines()
+    err = json.loads(line)
+    assert err["error"] == "ValueError"
+    assert str(path) in err["message"] and named in err["message"]
+
+
+def test_report_checks_only_the_keys_its_metric_reads(tmp_path, capsys):
+    # a failed run needs no iteration count, and --metric value reads only
+    # best_value
+    runs = [{"succeeded": False, "iterations_to_success": None, "best_value": 1.0},
+            {"succeeded": True, "iterations_to_success": 4, "best_value": 0.5}]
+    path = tmp_path / "ok.json"
+    path.write_text(json.dumps({"detail": [
+        {"function": "F1", "algo": "bsa", "runs": runs},
+        {"function": "F1", "algo": "de", "runs": runs}]}))
+    assert cli.main(["report", "--in", str(path), "--compare", "bsa,de"]) == 0
+    value_only = [{"best_value": 1.0}, {"best_value": 2.0}]
+    path.write_text(json.dumps({"detail": [
+        {"function": "F1", "algo": "bsa", "runs": value_only},
+        {"function": "F1", "algo": "de", "runs": value_only}]}))
+    assert cli.main(["report", "--in", str(path), "--compare", "bsa,de",
+                     "--metric", "value"]) == 0
+    assert cli.main(["report", "--in", str(path), "--compare", "bsa,de"]) == 1
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("runs", ["0", "-2"])
+def test_cluster_rejects_fewer_than_one_run(blob_file, tmp_path, capsys, runs):
+    data, gt = blob_file
+    out = tmp_path / "clu.csv"
+    rc = cli.main(["cluster", "--data", str(data), "--gt", str(gt),
+                   "--runs", runs, "--out", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err.strip().splitlines()[-1])
+    assert err == {"error": "ValueError", "message": "runs must be >= 1"}
+    assert not out.exists() and not out.with_suffix(".json").exists()
+
+
 def test_cluster_eca_star(blob_file, tmp_path, capsys):
     data, gt = blob_file
     out = tmp_path / "clu.csv"

@@ -1,5 +1,7 @@
 """Evolutionary clustering phases, each pinned on small hand-checkable data."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,8 @@ from evoclust.datasets import Dataset, gaussian_blobs, save_points
 from evoclust.ecastar import (EcaParams, EcaState, _cluster_quartiles,
                               clustering_one, clustering_two, init_assign,
                               mut_over, run_eca_star)
-from evoclust.measures import group_indices
+from evoclust.measures import (assign_nearest, group_indices, intra_cluster,
+                               pairwise_min_distance)
 from evoclust.reports import ClusterConfig, run_cluster_suite, scrub_timing
 from evoclust.rng import LevyParams, RngStream, uniform_matrix
 
@@ -113,7 +116,30 @@ def test_clustering_one_quartile_centroid():
     assert out.historical[0, 0] == pytest.approx(0.0)
     assert 2.0 <= out.historical[0, 1] <= 6.0
     assert out.inter == 0.0  # single cluster has no separation
-    assert out.intra[0] > 0
+    # both candidates separate equally (0), so mut-over crosses over and
+    # reads no cohesion: none is computed
+    assert out.intra is None and out.old_intra is None
+
+
+def test_clustering_one_scores_cohesions_only_for_the_mutant():
+    ds = gaussian_blobs(RngStream(3), centers=[(0, 0), (4, 0), (0, 4), (4, 4)],
+                        spread=1.2, points_per_cluster=25)
+    _, start = init_assign(ds.points, 3)
+    branches = set()
+    for seed in range(12):
+        out = clustering_one(_state(start), ds.points, RngStream(seed))
+        mutant = out.old_inter > out.inter
+        branches.add(mutant)
+        if not mutant:
+            assert out.intra is None and out.old_intra is None
+            continue
+        for centroids, got in ((out.centroids, out.intra),
+                               (out.historical, out.old_intra)):
+            labels = assign_nearest(ds.points, centroids)
+            want = [intra_cluster(ds.points[g]) if g.size else 0.0
+                    for g in group_indices(labels, centroids.shape[0])]
+            assert got.tolist() == want
+    assert branches == {True, False}
 
 
 def test_clustering_one_prunes_empty_ids():
@@ -215,6 +241,19 @@ def test_mut_over_crossover_branch_mixes_genes():
     assert seen_old and seen_cur
 
 
+def test_mut_over_crossover_reads_no_cohesion():
+    C = np.array([[0.0, 0.0, 0.0], [4.0, 4.0, 4.0]])
+    oldC = np.array([[1.0, 1.0, 1.0], [5.0, 5.0, 5.0]])
+    scored = _scored_state(np.zeros((4, 3)), C, oldC, [1, 1], [2, 2], inter=1.0,
+                           old_inter=0.5, bounds=(np.full(3, -1.0), np.full(3, 6.0)))
+    unscored = dataclasses.replace(scored, intra=None, old_intra=None)
+    for seed in range(5):
+        rng_a, rng_b = RngStream(seed), RngStream(seed)
+        assert mut_over(scored, rng_a).tobytes() == mut_over(unscored, rng_b).tobytes()
+        # the stream moved by the same draws either way
+        assert rng_a.generator.random() == rng_b.generator.random()
+
+
 def test_mut_over_tie_on_separation_uses_crossover():
     C = np.array([[0.0]])
     oldC = np.array([[1.0]])
@@ -306,6 +345,96 @@ def test_merge_rejects_ids_without_a_centroid_row():
             clustering_two(pts[:len(labels)], np.array(labels, dtype=int), mo)
 
 
+def _merge_full_scan(points, assignment, mo):
+    """clustering_two with every adjacent pair's cross distances scanned: the
+    reference the box-pruned merge test must agree with."""
+    live, assignment = np.unique(assignment, return_inverse=True)
+    mo = mo[live]
+    groups = group_indices(assignment, live.size)
+    parent = list(range(live.size))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for i in range(live.size - 1):
+        a, b = points[groups[i]], points[groups[i + 1]]
+        dmin = pairwise_min_distance(a, b)
+        if min(dmin - intra_cluster(a), dmin - intra_cluster(b)) <= 0:
+            parent[find(i + 1)] = find(i)
+    roots, new_id = np.unique([find(i) for i in range(live.size)], return_inverse=True)
+    sizes = np.array([g.size for g in groups], dtype=float)
+    new_mo = np.zeros((roots.size, mo.shape[1]))
+    weight = np.zeros(roots.size)
+    np.add.at(new_mo, new_id, sizes[:, None] * mo)
+    np.add.at(weight, new_id, sizes)
+    return new_id[assignment], new_mo / weight[:, None]
+
+
+def _random_layout(rng, d, n, k, grid):
+    """n points in d dimensions, labelled along the first coordinate with some
+    noise so adjacent ids range from overlapping to far apart. On a grid the
+    coordinates are small integers: coincident points and boxes that touch
+    at a face are common."""
+    centres = np.sort(rng.uniform(0, 12, size=k))
+    labels = rng.integers(0, k, size=n)
+    points = rng.normal(size=(n, d)) * rng.uniform(0.1, 2.0, size=k)[labels, None]
+    points[:, 0] += centres[labels]
+    if grid:
+        points = np.round(points)
+    mo = np.array([points[labels == i].mean(axis=0) if np.any(labels == i)
+                   else np.zeros(d) for i in range(k)])
+    return points, labels, mo
+
+
+@pytest.mark.parametrize("d", [1, 2, 10])
+def test_box_pruned_merge_matches_full_scan(d, monkeypatch):
+    scans = []
+
+    def counted_gap(a, b):
+        scans.append(1)
+        return pairwise_min_distance(a, b)
+
+    monkeypatch.setattr(ecastar, "pairwise_min_distance", counted_gap)
+    rng = np.random.Generator(np.random.PCG64(100 + d))
+    pairs = 0
+    for trial in range(40):
+        points, labels, mo = _random_layout(rng, d, int(rng.integers(2, 60)),
+                                            int(rng.integers(2, 9)), grid=trial % 2 == 1)
+        got = clustering_two(points, labels, mo)
+        want = _merge_full_scan(points, labels, mo)
+        assert got[0].tolist() == want[0].tolist()
+        assert got[1].tobytes() == want[1].tobytes()
+        pairs += np.unique(labels).size - 1
+    assert 0 < len(scans) < pairs  # some pairs pruned, some scanned
+
+
+@pytest.mark.parametrize("far", [0.0, 1e-12, 1e-3, 1.0])
+def test_box_pruned_merge_at_the_radius(far):
+    # cluster 0 = {0, 2} has R = 2; singleton 1 sits at gap 2 + far, so the
+    # box gap equals R exactly (a merge) or lies just above it
+    for d in (1, 2, 10):
+        points = np.zeros((3, d))
+        points[:, 0] = [0.0, 2.0, 4.0 + far]
+        labels = np.array([0, 0, 1])
+        mo = np.array([points[:2].mean(axis=0), points[2]])
+        got = clustering_two(points, labels, mo)
+        want = _merge_full_scan(points, labels, mo)
+        assert got[0].tolist() == want[0].tolist() == ([0, 0, 0] if far == 0 else [0, 0, 1])
+        assert got[1].tobytes() == want[1].tobytes()
+
+
+def test_box_pruned_merge_with_coincident_points():
+    # the two clusters share a point, so their gap is 0
+    points = np.array([[1.0, 1.0], [3.0, 3.0], [1.0, 1.0], [-5.0, -5.0]])
+    labels = np.array([0, 0, 1, 1])
+    mo = np.array([[2.0, 2.0], [-2.0, -2.0]])
+    got = clustering_two(points, labels, mo)
+    assert got[0].tolist() == [0, 0, 0, 0]
+    assert got[1].tobytes() == _merge_full_scan(points, labels, mo)[1].tobytes()
+
+
 def test_merge_memo_does_not_leak_between_point_sets():
     labels = np.array([0, 0, 1, 1])
     mo = np.array([[0.0, 1.0], [0.0, 4.0]])
@@ -351,7 +480,16 @@ def test_run_scores_each_member_set_once(monkeypatch):
                         spread=1.0, points_per_cluster=100)
     result, _ = run_eca_star(ds, EcaParams(seed=4))
     assert result.k == 4
-    assert intra_sets and gap_pairs
+    assert intra_sets
+    assert len(intra_sets) == len(set(intra_sets))
+    assert len(gap_pairs) == len(set(gap_pairs))
+    # blobs whose boxes overlap: the bound rules out fewer pairs, so the
+    # exact scans run, each pair at most once
+    del intra_sets[:], gap_pairs[:]
+    ds = gaussian_blobs(RngStream(23), centers=[(0, 0), (3, 0), (0, 3)],
+                        spread=1.0, points_per_cluster=60)
+    run_eca_star(ds, EcaParams(seed=4))
+    assert gap_pairs
     assert len(intra_sets) == len(set(intra_sets))
     assert len(gap_pairs) == len(set(gap_pairs))
 
@@ -373,6 +511,19 @@ def test_suite_memo_matches_separate_runs(tmp_path):
                                                 runs=1, seed=6 + i))["detail"][0]
                 for i in range(3)]
     assert scrub_timing(suite["detail"]) == scrub_timing(separate)
+
+
+def test_suite_builds_the_start_partition_once(tmp_path, monkeypatch):
+    data, gt = _suite_file(tmp_path)
+    starts = []
+
+    def counted_init(dataset, s):
+        starts.append(s)
+        return init_assign(dataset, s)
+
+    monkeypatch.setattr(ecastar, "init_assign", counted_init)
+    run_cluster_suite(ClusterConfig(data=str(data), gt=str(gt), runs=3, seed=6))
+    assert starts == [2]
 
 
 def test_suite_memo_scores_shared_clusters_once(tmp_path, monkeypatch):
