@@ -5,6 +5,7 @@ exits nonzero, so wrappers never have to scrape tracebacks.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -26,6 +27,7 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(f"{self.prog}: {message}")
 
 
+@functools.cache  # parse_args keeps no state: one parser serves every main call
 def _build_parser():
     parser = _Parser(prog="evoclust",
                      description="Optimization benchmarks, evolutionary "

@@ -4,8 +4,16 @@ The on-disk format is deliberately plain: one point per line, coordinates
 separated by whitespace, ``#`` comments and blank lines ignored. Ground-truth
 centroid files use the same layout. Every value must be finite: ``nan`` and
 ``inf`` are rejected at load time with the file and line.
+
+A file is read by numpy's C reader (``np.loadtxt``) first. Whenever that
+reader refuses the text, finds no rows or reads a non-finite value, or the
+text holds a line break other than ``\n`` and ``\r`` (which the reader would
+take for whitespace), the text is parsed line by line instead: that parse
+reads every token as ``float()`` does (``1_0`` included) and names the file
+and line of the first fault.
 """
 
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -64,23 +72,46 @@ def _parse_matrix(text, source):
     return values, linenos
 
 
+# str.splitlines() ends a line at each of these too, where numpy's reader
+# takes them for whitespace inside the line
+_OTHER_LINE_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _read_matrix(path):
+    """The matrix of a points or labels file: numpy's C reader's when it
+    splits the text into the same lines and returns finite rows, else
+    ``_parse_matrix``'s. Both decode the file in the locale's encoding."""
+    text = path.read_text()
+    if not any(c in text for c in _OTHER_LINE_BREAKS):
+        try:
+            with warnings.catch_warnings():
+                # a file with no rows warns here and is refused below
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                values = np.loadtxt(path, comments="#", ndmin=2)
+        except ValueError:
+            values = None
+        if values is not None and values.size and np.isfinite(values).all():
+            return values
+    return _parse_matrix(text, str(path))[0]
+
+
 def load_points(path):
     """Read a whitespace-separated matrix of points; errors carry line numbers."""
-    path = Path(path)
-    return _parse_matrix(path.read_text(), str(path))[0]
+    return _read_matrix(Path(path))
 
 
 def load_labels(path):
     """Read one integer label per line; each must fit in an int64."""
     path = Path(path)
-    values, linenos = _parse_matrix(path.read_text(), str(path))
+    values = _read_matrix(path)
     if values.shape[1] != 1:
         raise ValueError(f"{path}: labels must be one value per line")
     flat = values[:, 0]
     # every float in [-2**63, 2**63) casts to int64 exactly; others overflow
     bad = np.flatnonzero((flat != np.round(flat)) | (flat < -2.0**63) | (flat >= 2.0**63))
     if bad.size:
-        raise ValueError(f"{path}:{linenos[bad[0]]}: labels must be integers "
+        lineno = _parse_matrix(path.read_text(), str(path))[1][bad[0]]
+        raise ValueError(f"{path}:{lineno}: labels must be integers "
                          f"in the int64 range, got {float(flat[bad[0]])!r}")
     return flat.astype(np.int64)
 

@@ -1,11 +1,20 @@
 """Shared clustering substrate: intra-cluster cohesion, cross-cluster
-separation, percentile ranks, and the Clustering result record."""
+separation, percentile ranks, and the Clustering result record.
+
+The two quadratic distance kernels, ``intra_cluster`` and
+``pairwise_min_distance``, work over row blocks sized so that one block holds
+at most ``DISTANCE_CELLS`` distances (4 MB of doubles; one row, if a row is
+longer), so their memory does not grow with the square of the cluster size.
+``pairwise_min_distance`` is exact; the cohesion sum equals one ``pdist``'s
+bit for bit whenever n² <= DISTANCE_CELLS (n <= 724 points), and may differ
+from it in the last bits above that.
+"""
 
 from dataclasses import dataclass
 
 import numpy as np
 
-MIN_DISTANCE_BLOCK = 256  # rows of A per cdist in pairwise_min_distance
+DISTANCE_CELLS = 1 << 19  # distances held at once by a blocked distance kernel
 
 
 def as_points(dataset):
@@ -18,8 +27,15 @@ def intra_cluster(points):
 
     Sum of d(x, y) over all x != y divided by |A|(|A|-1); a singleton has no
     pairs and scores 0 by convention.
+
+    The sum runs over blocks of ``DISTANCE_CELLS // n`` points (at least
+    one): each block adds its own ``pdist`` and its ``cdist`` to every later
+    point, so at most ``max(DISTANCE_CELLS, n)`` distances are held at once.
+    When n² <= DISTANCE_CELLS there is one block, and the value is
+    ``pdist(points).sum()``'s bit for bit; with more blocks the sum is added
+    in another order and may differ from it in the last bits.
     """
-    from scipy.spatial.distance import pdist
+    from scipy.spatial.distance import cdist, pdist
 
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n = points.shape[0]
@@ -27,8 +43,15 @@ def intra_cluster(points):
         raise ValueError("intra_cluster of an empty cluster is undefined")
     if n == 1:
         return 0.0
-    # pdist gives each unordered pair once; ordered pairs double it
-    return float(2.0 * pdist(points).sum() / (n * (n - 1)))
+    rows = max(1, DISTANCE_CELLS // n)
+    total = 0.0
+    for i in range(0, n, rows):
+        block = points[i:i + rows]
+        total += pdist(block).sum()
+        if i + rows < n:
+            total += cdist(block, points[i + rows:]).sum()
+    # each unordered pair is summed once; ordered pairs double it
+    return float(2.0 * total / (n * (n - 1)))
 
 
 def solution_inter(clusters):
@@ -72,9 +95,10 @@ def percentile_ranks(values):
 def pairwise_min_distance(A, B):
     """Smallest distance between any member of A and any member of B.
 
-    Taken over blocks of ``MIN_DISTANCE_BLOCK`` rows of A, so at most that
-    many rows of the |A| x |B| distance matrix are held at once; each distance
-    is computed as ``cdist(A, B)`` computes it, so the minimum is the same.
+    Taken over blocks of ``DISTANCE_CELLS // |B|`` rows of A (at least one),
+    so at most ``max(DISTANCE_CELLS, |B|)`` entries of the |A| x |B| distance
+    matrix are held at once; each distance is computed as ``cdist(A, B)``
+    computes it, so the minimum is the same.
     """
     from scipy.spatial.distance import cdist
 
@@ -82,8 +106,9 @@ def pairwise_min_distance(A, B):
     B = np.atleast_2d(np.asarray(B, dtype=float))
     if A.shape[0] == 0 or B.shape[0] == 0:
         raise ValueError("pairwise_min_distance requires nonempty inputs")
-    return float(min(cdist(A[i:i + MIN_DISTANCE_BLOCK], B).min()
-                     for i in range(0, A.shape[0], MIN_DISTANCE_BLOCK)))
+    rows = max(1, DISTANCE_CELLS // B.shape[0])
+    return float(min(cdist(A[i:i + rows], B).min()
+                     for i in range(0, A.shape[0], rows)))
 
 
 def assign_nearest(points, centroids):

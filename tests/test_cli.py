@@ -376,6 +376,33 @@ def test_usage_errors_exit_2(capsys):
     assert "exactly two" in _err(capsys)["message"]
 
 
+def test_one_parser_serves_every_call_of_a_process(blob_file, tmp_path, capsys):
+    data, gt = blob_file
+    calls = [["cluster", "--algo", "km", "--data", str(data), "--k", "two"],
+             ["cluster", "--algo", "km++", "--data", str(data), "--gt", str(gt),
+              "--k", "2", "--runs", "2", "--out", str(tmp_path / "c.csv")],
+             ["bench-opt", "--algo", "bsa,de", "--fn", "F14", "--runs", "2",
+              "--iters", "10", "--out", str(tmp_path / "b.csv")]]
+
+    def run(argv):
+        for f in tmp_path.glob("*.json"):
+            f.unlink()
+        rc = cli.main(argv)
+        captured = capsys.readouterr()
+        written = {f.name: scrub_timing(json.loads(f.read_text()))
+                   for f in sorted(tmp_path.glob("*.json"))}
+        return rc, captured.out, captured.err, written
+
+    cli._build_parser.cache_clear()
+    shared = [run(argv) for argv in calls]
+    assert cli._build_parser.cache_info().misses == 1
+    assert shared[0][0] == 2 and json.loads(shared[0][2])["error"] == "usage"
+    assert [r[0] for r in shared[1:]] == [0, 0]
+    for argv, result in zip(calls, shared):
+        cli._build_parser.cache_clear()
+        assert run(argv) == result, argv
+
+
 def test_runtime_errors_exit_1(tmp_path, capsys):
     assert cli.main(["bench-opt", "--fn", "F99", "--runs", "1",
                      "--iters", "5"]) == 1

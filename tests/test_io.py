@@ -48,6 +48,37 @@ def test_load_points_errors_carry_line_numbers(tmp_path):
         load_points(empty)
 
 
+@pytest.mark.parametrize("brk", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                 "\u2028", "\u2029"])
+def test_load_points_ends_lines_where_str_splitlines_does(tmp_path, brk):
+    # numpy's reader takes these for whitespace; the rows must not join
+    f = tmp_path / "pts.txt"
+    f.write_text(f"1 2{brk}3 4\n", encoding="utf-8")
+    assert load_points(f).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    f.write_text(f"# ids\n0{brk}1\n", encoding="utf-8")
+    assert load_labels(f).tolist() == [0, 1]
+
+
+def test_load_points_reads_comments_and_blank_lines_without_warnings(tmp_path):
+    rng = np.random.Generator(np.random.PCG64(3))
+    pts = rng.normal(size=(300, 3)) * 10.0 ** rng.integers(-8, 8, size=(300, 1))
+    f = tmp_path / "pts.txt"
+    save_points(f, pts)
+    lines = f.read_text().splitlines()
+    lines[100:100] = ["", "# x y z", "   "]
+    lines[7] += "  # a note"
+    f.write_text("# header\n\n" + "\r\n".join(lines) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(load_points(f), pts)
+        empty = tmp_path / "empty.txt"
+        empty.write_text("# x y\n\n")
+        with pytest.raises(ValueError, match="no data points"):
+            load_points(empty)
+        with pytest.raises(ValueError, match="no data points"):
+            load_labels(empty)
+
+
 @pytest.mark.parametrize("bad", ["nan", "-inf", "infinity"])
 def test_load_points_rejects_non_finite(tmp_path, bad):
     f = tmp_path / "pts.txt"

@@ -1,12 +1,14 @@
 """Clustering substrate: distances, cohesion/separation, percentile ranks,
 quartiles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist
 
-from evoclust.measures import (MIN_DISTANCE_BLOCK, Clustering, assign_nearest,
+from evoclust.measures import (DISTANCE_CELLS, Clustering, assign_nearest,
                                group_indices, intra_cluster, pairwise_min_distance,
                                percentile_ranks, solution_inter)
 
@@ -63,6 +65,68 @@ def test_intra_cluster_three_points():
 def test_intra_cluster_empty_rejected():
     with pytest.raises(ValueError):
         intra_cluster(np.zeros((0, 2)))
+
+
+def _pdist_cohesion(points):
+    """The one-buffer reference for ``intra_cluster``."""
+    n = points.shape[0]
+    return float(2.0 * pdist(points).sum() / (n * (n - 1)))
+
+
+# the largest cluster that still fits one block: n * n <= DISTANCE_CELLS
+ONE_BLOCK_N = int(np.sqrt(DISTANCE_CELLS))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 10])
+def test_intra_cluster_in_one_block_is_pdist_bit_for_bit(dim):
+    assert ONE_BLOCK_N ** 2 <= DISTANCE_CELLS < (ONE_BLOCK_N + 1) ** 2
+    rng = np.random.Generator(np.random.PCG64(dim))
+    assert intra_cluster(rng.normal(size=(1, dim))) == 0.0
+    for n in (2, 3, 17, 300, ONE_BLOCK_N - 1, ONE_BLOCK_N):
+        X = rng.normal(size=(n, dim)) * 10.0 ** rng.integers(-3, 4)
+        assert intra_cluster(X) == _pdist_cohesion(X), n
+
+
+@pytest.mark.parametrize("dim", [1, 2, 10])
+def test_intra_cluster_over_blocks_matches_pdist(dim):
+    rng = np.random.Generator(np.random.PCG64(100 + dim))
+    # n = DISTANCE_CELLS // n at ONE_BLOCK_N, so these are n equal to the
+    # block's row count and one either side, then 3 to 8 blocks
+    for n in (ONE_BLOCK_N - 1, ONE_BLOCK_N, ONE_BLOCK_N + 1, 1500, 2000):
+        X = rng.normal(size=(n, dim)) + rng.integers(-2, 3, size=(n, 1))
+        assert intra_cluster(X) == pytest.approx(_pdist_cohesion(X), rel=1e-12, abs=0), n
+
+
+@pytest.mark.parametrize("dim", [1, 2, 10])
+def test_intra_cluster_with_coincident_points(dim):
+    rng = np.random.Generator(np.random.PCG64(200 + dim))
+    for n in (2, ONE_BLOCK_N, ONE_BLOCK_N + 1, 1600):
+        assert intra_cluster(np.full((n, dim), 3.25)) == 0.0
+        # every point drawn from eight sites, so most pairs coincide
+        X = rng.integers(-2, 2, size=(8, dim)).astype(float)[rng.integers(0, 8, size=n)]
+        expect = _pdist_cohesion(X)
+        if n <= ONE_BLOCK_N:
+            assert intra_cluster(X) == expect, n
+        else:
+            assert intra_cluster(X) == pytest.approx(expect, rel=1e-12, abs=0), n
+
+
+def test_intra_cluster_memory_stays_within_the_cell_budget():
+    # one pdist of 8,000 points would hold 32 M doubles, 256 MB
+    X = np.random.Generator(np.random.PCG64(5)).normal(size=(8000, 2))
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        value = intra_cluster(X)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak < 2 * DISTANCE_CELLS * 8
+    assert value == pytest.approx(_pdist_cohesion(X), rel=1e-12, abs=0)
 
 
 def test_inter_cluster_singletons():
@@ -167,12 +231,17 @@ def test_pairwise_min_distance():
     assert pairwise_min_distance(A, B) == pytest.approx(2.0)
 
 
-@pytest.mark.parametrize("rows", [1, MIN_DISTANCE_BLOCK - 1, MIN_DISTANCE_BLOCK,
-                                  MIN_DISTANCE_BLOCK + 1, 3 * MIN_DISTANCE_BLOCK])
+# against B_POINTS points, a block of A holds BLOCK_ROWS rows
+B_POINTS = 2048
+BLOCK_ROWS = DISTANCE_CELLS // B_POINTS
+
+
+@pytest.mark.parametrize("rows", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                                  3 * BLOCK_ROWS])
 def test_pairwise_min_distance_over_row_blocks_equals_full_matrix(rows):
     rng = np.random.Generator(np.random.PCG64(rows))
     A = rng.normal(size=(rows, 3))
-    B = rng.normal(size=(70, 3)) + 2.0
+    B = rng.normal(size=(B_POINTS, 3)) + 2.0
     A[-1] = B[5] + 1e-3  # the closest pair sits in the last block
     assert pairwise_min_distance(A, B) == cdist(A, B).min()
 
