@@ -132,7 +132,7 @@ def derive_concepts(ctx):
     intents = {(1 << n_att) - 1}
     for r in masks:
         intents |= {i & r for i in intents}
-    intents, rows = _words(intents, n_att), _words(masks, n_att)
+    intents, rows = _words(intents, n_att), _pack(ctx.incidence)
     holds = np.ones((len(intents), n_obj), dtype=bool)
     for w in range(intents.shape[1]):
         holds &= (intents[:, w, None] & rows[:, w]) == intents[:, w, None]

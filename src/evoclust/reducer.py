@@ -297,10 +297,9 @@ def reduce_context(ctx, tax, params):
             for label_a, label_b in enumerate_pairs(snapshot):
                 if cones[label_a].isdisjoint(cones[label_b]):
                     continue  # unrelated: see the docstring
+                # a merge removes only labels it adds to consumed, so every
+                # other snapshot label is still in ctx
                 if label_a in consumed or label_b in consumed:
-                    continue
-                current = ctx.attributes if axis == "attribute" else ctx.objects
-                if label_a not in current or label_b not in current:
                     continue
                 kind = classify_pair(label_a, label_b, tax, params)
                 if kind == UNRELATED:

@@ -12,9 +12,7 @@ import csv
 import json
 import os
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -22,7 +20,7 @@ from . import benchmarks, fca, optimizers, reducer
 from .datasets import load_dataset
 from .ecastar import EcaParams, run_eca_star
 from .kmeans import KmConfig, kmeans
-from .metrics import QualityReport, quality_report
+from .metrics import quality_report
 from .optimizers import ALGORITHMS, OptimizerConfig, run_repetitions
 from .stats import check_alpha, success_ratio, summarize, wilcoxon_signed_rank
 
@@ -91,22 +89,22 @@ def write_csv(path, header, rows, human=False):
     return path
 
 
+def _write_tables(payload, out, tables, human=False):
+    """Set ``payload["written"]``. With an ``out`` path, first write each
+    CSV table, given as key -> (name tag, header, rows), to ``out`` with the
+    tag added to its stem, then the payload as JSON beside ``out``."""
+    written = {}
+    if out:
+        out = Path(out)
+        for key, (tag, header, rows) in tables.items():
+            path = out.with_name(out.stem + tag + out.suffix) if tag else out
+            written[key] = str(write_csv(path, header, rows, human))
+        written["json"] = str(write_json(out.with_suffix(".json"), payload))
+    payload["written"] = written
+    return payload
+
+
 # ------------------------------------------------------------ bench suite
-
-@dataclass
-class BenchConfig:
-    algos: Sequence[str] = ("bsa",)
-    functions: Sequence[str] = ("all",)
-    dim: int = 2
-    range_name: str = "default"
-    runs: int = 30
-    seed: int = 0
-    population_size: int = 30
-    max_iterations: int = 2000
-    tolerance: float = 1e-6
-    out: Optional[str] = None
-    human: bool = False
-
 
 def _first_seen(items, what):
     """``items`` once each, in first-seen order; an empty list is an error."""
@@ -143,24 +141,25 @@ def _usable_dim(fn, dim):
     return 2 if fn.dimension_rule == "fixed-2" else dim
 
 
-def run_bench_suite(config):
+def run_bench_suite(algos=("bsa",), functions=("all",), dim=2,
+                    range_name="default", seed=0, out=None, human=False,
+                    **settings):
     """Optimize every requested function with every requested algorithm and
-    aggregate stats, pairwise rank tests, and the success/failure table."""
-    opt = OptimizerConfig(population_size=config.population_size,
-                          max_iterations=config.max_iterations,
-                          runs=config.runs,
-                          success_tolerance=config.tolerance)
-    bounds = None if config.range_name == "default" else RANGES[config.range_name]
-    fn_ids = _bench_functions(config.functions)
-    algos = _bench_algos(config.algos)
+    aggregate stats, pairwise rank tests, and the success/failure table.
+    ``settings`` are ``OptimizerConfig`` fields (population_size,
+    max_iterations, runs, success_tolerance)."""
+    opt = OptimizerConfig(**settings)
+    bounds = None if range_name == "default" else RANGES[range_name]
+    fn_ids = _bench_functions(functions)
+    algos = _bench_algos(algos)
     suite_start = time.perf_counter()
 
     entries = {}
     for fid in fn_ids:
         fn = benchmarks.get_function(fid)
-        dim = _usable_dim(fn, config.dim)
         for algo in algos:
-            results = run_repetitions(algo, fn, opt, config.seed, dim=dim, bounds=bounds)
+            results = run_repetitions(algo, fn, opt, seed, dim=_usable_dim(fn, dim),
+                                      bounds=bounds)
             entries[(fid, algo)] = results
 
     stats_rows = []
@@ -199,11 +198,11 @@ def run_bench_suite(config):
 
     payload = {
         "config": {
-            "algos": list(algos), "functions": list(fn_ids), "dim": config.dim,
-            "range": config.range_name, "runs": config.runs, "seed": config.seed,
-            "population_size": config.population_size,
-            "max_iterations": config.max_iterations,
-            "tolerance": config.tolerance,
+            "algos": list(algos), "functions": list(fn_ids), "dim": dim,
+            "range": range_name, "runs": opt.runs, "seed": seed,
+            "population_size": opt.population_size,
+            "max_iterations": opt.max_iterations,
+            "tolerance": opt.success_tolerance,
             "stop_on_success": optimizers.STOP_ON_SUCCESS,
         },
         "stats": [dict(zip(STATS_HEADER, row)) for row in stats_rows],
@@ -212,20 +211,10 @@ def run_bench_suite(config):
         "detail": runs_payload,
         "suite_time_s": time.perf_counter() - suite_start,
     }
-
-    written = {}
-    if config.out:
-        out = Path(config.out)
-        written["csv"] = str(write_csv(out, STATS_HEADER, stats_rows, config.human))
-        written["pairwise_csv"] = str(write_csv(
-            out.with_name(out.stem + "_pairwise" + out.suffix),
-            PAIR_HEADER, pair_rows, config.human))
-        written["ratio_csv"] = str(write_csv(
-            out.with_name(out.stem + "_ratio" + out.suffix),
-            RATIO_HEADER, ratio_rows, config.human))
-        written["json"] = str(write_json(out.with_suffix(".json"), payload))
-    payload["written"] = written
-    return payload
+    return _write_tables(payload, out, {
+        "csv": ("", STATS_HEADER, stats_rows),
+        "pairwise_csv": ("_pairwise", PAIR_HEADER, pair_rows),
+        "ratio_csv": ("_ratio", RATIO_HEADER, ratio_rows)}, human)
 
 
 # report metric -> the run key it compares
@@ -262,57 +251,41 @@ RATIO_HEADER = ["algo", "solved", "failed"]
 
 # ---------------------------------------------------------- cluster suite
 
-@dataclass
-class ClusterConfig:
-    algo: str = "eca-star"
-    data: str = ""
-    gt: Optional[str] = None
-    labels: Optional[str] = None
-    # None is "not given": k is km/km++'s, the next four are ECA*'s, and an
-    # option given to the other algorithm is an error
-    k: Optional[int] = None
-    ranks: Optional[int] = None
-    cycles: Optional[int] = None
-    density_threshold: Optional[float] = None
-    levy_alpha: Optional[float] = None
-    runs: int = 30
-    seed: int = 0
-    out: Optional[str] = None
-    human: bool = False
-
-
 CLUSTER_HEADER = ["dataset", "algo", "runs", "k_mean",
                   "ci_mean", "csi_mean", "nmi_mean",
                   "sse_mean", "nmse_mean", "eps_ratio_mean", "mean_exec_time_s"]
 
 
-# ECA* options: ClusterConfig field -> (EcaParams field, CLI flag)
+# ECA* options: suite keyword -> (EcaParams field, CLI flag); km/km++ read k
 ECA_OPTIONS = {"ranks": ("social_ranks", "--ranks"),
                "cycles": ("max_cycles", "--cycles"),
                "density_threshold": ("density_threshold", "--density"),
                "levy_alpha": ("levy_alpha", "--levy-alpha")}
 
 
-def _algo_options(algo, cfg):
-    """The options that algo reads, by ClusterConfig field, with ECA*'s
-    defaults filled in from ``EcaParams``. An option of the other algorithm
-    that was given is a ValueError, so the config never records a setting
-    that no run read."""
+def _algo_options(algo, given):
+    """The options that algo reads, by suite keyword, from those ``given``,
+    with ECA*'s defaults filled in from ``EcaParams``. An unknown keyword is
+    a TypeError, and a given option of the other algorithm a ValueError, so
+    the config never records a setting that no run read."""
+    unknown = sorted(given.keys() - ECA_OPTIONS.keys() - {"k"})
+    if unknown:
+        raise TypeError(f"run_cluster_suite() got unexpected keyword "
+                        f"arguments: {', '.join(unknown)}")
     if algo == "eca-star":
-        if cfg.k is not None:
+        if "k" in given:
             raise ValueError("eca-star finds the cluster count itself and "
                              "does not read --k")
         defaults = EcaParams()
-        return {name: getattr(defaults, param) if getattr(cfg, name) is None
-                else getattr(cfg, name) for name, (param, _) in ECA_OPTIONS.items()}
+        return {name: given.get(name, getattr(defaults, param))
+                for name, (param, _) in ECA_OPTIONS.items()}
     if algo in ("km", "km++"):
-        given = [flag for name, (_, flag) in ECA_OPTIONS.items()
-                 if getattr(cfg, name) is not None]
-        if given:
-            raise ValueError(f"{algo} does not read {', '.join(given)}")
-        if cfg.k is None:
+        flags = [flag for name, (_, flag) in ECA_OPTIONS.items() if name in given]
+        if flags:
+            raise ValueError(f"{algo} does not read {', '.join(flags)}")
+        if "k" not in given:
             raise ValueError("k-means needs --k")
-        return {"k": cfg.k}
+        return {"k": given["k"]}
     raise ValueError(f"unknown clustering algorithm: {algo!r}")
 
 
@@ -332,24 +305,25 @@ def _cluster_once(algo, dataset, options, seed, memo):
     return clustering, report, time.perf_counter() - start
 
 
-def run_cluster_suite(config):
+def run_cluster_suite(data, algo="eca-star", gt=None, labels=None, runs=30,
+                      seed=0, out=None, human=False, **options):
     """Repeated clustering runs on one dataset; emits the per-algorithm
-    average quality row plus per-run detail; the config records only the
-    options that the algorithm reads."""
-    algo = config.algo.lower()
-    options = _algo_options(algo, config)
-    if config.runs < 1:
+    average quality row plus per-run detail. ``options`` are km/km++'s
+    ``k`` or ECA*'s ``ECA_OPTIONS``; the config records only the options
+    that the algorithm reads."""
+    algo = algo.lower()
+    options = _algo_options(algo, options)
+    if runs < 1:
         raise ValueError("runs must be >= 1")
-    dataset = load_dataset(config.data, centroids_path=config.gt,
-                           labels_path=config.labels)
+    dataset = load_dataset(data, centroids_path=gt, labels_path=labels)
     # ECA* start partition, cohesions and merge decisions on this dataset's
     # points: every run starts from the same partition, so later runs reuse
     # what earlier ones computed
     memo = {}
     per_run = []
-    for i in range(config.runs):
+    for i in range(runs):
         clustering, report, elapsed = _cluster_once(algo, dataset, options,
-                                                    config.seed + i, memo)
+                                                    seed + i, memo)
         per_run.append((clustering, report, elapsed))
 
     def mean_of(attr):
@@ -359,7 +333,7 @@ def run_cluster_suite(config):
         return float(np.mean(vals))
 
     has_gt = dataset.true_centroids is not None or dataset.true_labels is not None
-    row = [dataset.name, algo, config.runs,
+    row = [dataset.name, algo, runs,
            float(np.mean([c.centroids.shape[0] for c, _, _ in per_run])),
            mean_of("ci") if has_gt else None,
            mean_of("csi") if has_gt else None,
@@ -369,7 +343,7 @@ def run_cluster_suite(config):
 
     detail = []
     for i, (clustering, report, elapsed) in enumerate(per_run):
-        entry = {"seed": config.seed + i, "k": int(clustering.centroids.shape[0]),
+        entry = {"seed": seed + i, "k": int(clustering.centroids.shape[0]),
                  "sse": report.sse, "nmse": report.nmse,
                  "eps_ratio": report.eps_ratio, "run_time_s": elapsed}
         if report.ci is not None:
@@ -378,70 +352,50 @@ def run_cluster_suite(config):
 
     payload = {
         "config": {
-            "algo": algo, "data": str(config.data),
-            "gt": str(config.gt) if config.gt else None,
-            "labels": str(config.labels) if config.labels else None,
-            **options, "runs": config.runs, "seed": config.seed,
+            "algo": algo, "data": str(data),
+            "gt": str(gt) if gt else None,
+            "labels": str(labels) if labels else None,
+            **options, "runs": runs, "seed": seed,
         },
         "summary": dict(zip(CLUSTER_HEADER, row)),
         "detail": detail,
     }
-    written = {}
-    if config.out:
-        out = Path(config.out)
-        written["csv"] = str(write_csv(out, CLUSTER_HEADER, [row], config.human))
-        written["json"] = str(write_json(out.with_suffix(".json"), payload))
-    payload["written"] = written
-    return payload
+    return _write_tables(payload, out, {"csv": ("", CLUSTER_HEADER, [row])}, human)
 
 
 # -------------------------------------------------------------- fca suite
 
-@dataclass
-class FcaConfig:
-    ctx: str = ""
-    tax: str = ""
-    hyper_depth: int = 4
-    hypo_depth: int = 4
-    iters: int = 30
-    quality_floor: float = 0.8
-    out: Optional[str] = None
-    report: Optional[str] = None
-
-
-def run_fca_suite(config):
+def run_fca_suite(ctx, tax, out=None, report=None, **settings):
     """Reduce one context against a taxonomy; emits the reduced context and
-    a report with both lattices' invariants, the quality, and the trace."""
-    ctx = fca.read_cxt(Path(config.ctx))  # a path, never literal text
-    tax = reducer.load_taxonomy(config.tax)
-    params = reducer.ReduceParams(hypernym_depth=config.hyper_depth,
-                                  hyponym_depth=config.hypo_depth,
-                                  max_iterations=config.iters,
-                                  quality_floor=config.quality_floor)
+    a report with both lattices' invariants, the quality, and the trace.
+    ``settings`` are ``ReduceParams`` fields."""
+    context = fca.read_cxt(Path(ctx))  # a path, never literal text
+    taxonomy = reducer.load_taxonomy(tax)
+    params = reducer.ReduceParams(**settings)
     start = time.perf_counter()
-    reduced, trace, lat_orig, lat_red = reducer.reduce_context(ctx, tax, params)
+    reduced, trace, lat_orig, lat_red = reducer.reduce_context(context, taxonomy, params)
     elapsed = time.perf_counter() - start
     payload = {
         "config": {
-            "ctx": str(config.ctx), "tax": str(config.tax),
-            "hyper_depth": config.hyper_depth, "hypo_depth": config.hypo_depth,
-            "iters": config.iters, "quality_floor": config.quality_floor,
+            "ctx": str(ctx), "tax": str(tax),
+            "hyper_depth": params.hypernym_depth, "hypo_depth": params.hyponym_depth,
+            "iters": params.max_iterations, "quality_floor": params.quality_floor,
         },
         "original": fca._invariants_json(lat_orig),
         "reduced": fca._invariants_json(lat_red),
-        "original_shape": list(ctx.shape),
+        "original_shape": list(context.shape),
         "reduced_shape": list(reduced.shape),
         "quality": fca.lattice_quality(lat_orig, lat_red),
         "trace": [list(e) for e in trace],
         "reduce_time_s": elapsed,
     }
     written = {}
-    if config.out:
-        out = resolve_out(config.out)
-        fca.write_cxt(reduced, out, name=getattr(ctx, "name", "context"))
+    if out:
+        out = resolve_out(out)
+        fca.write_cxt(reduced, out, name=getattr(context, "name", "context"))
         written["cxt"] = str(out)
-    if config.report:
-        written["report"] = str(write_json(config.report, payload))
+    if report:
+        written["report"] = str(write_json(report, payload))
     payload["written"] = written
     return payload
 
@@ -505,10 +459,4 @@ def run_report(in_path, compare, metric="iters", alpha=0.05, out=None):
                    "metric": metric, "alpha": alpha},
         "comparison": [dict(zip(PAIR_HEADER, row)) for row in rows],
     }
-    written = {}
-    if out:
-        out = Path(out)
-        written["csv"] = str(write_csv(out, PAIR_HEADER, rows))
-        written["json"] = str(write_json(out.with_suffix(".json"), payload))
-    payload["written"] = written
-    return payload
+    return _write_tables(payload, out, {"csv": ("", PAIR_HEADER, rows)})

@@ -1,13 +1,17 @@
 """End-to-end command-line runs, in process via main(argv)."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from evoclust import cli
+from evoclust import benchmarks, cli, reports
 from evoclust.datasets import gaussian_blobs, save_points
+from evoclust.ecastar import EcaParams
 from evoclust.fca import FormalContext, read_cxt, write_cxt
+from evoclust.optimizers import OptimizerConfig
+from evoclust.reducer import ReduceParams
 from evoclust.reports import scrub_timing
 from evoclust.rng import RngStream
 
@@ -304,14 +308,17 @@ def test_cluster_same_seed_reports_identical(blob_file, tmp_path):
     assert scrub_timing(first) == scrub_timing(second)
 
 
-def test_fca_reduce_end_to_end(tmp_path, capsys):
+def _toy_fca(tmp_path):
     ctx = FormalContext(["o1", "o2", "o3"], ["car", "automobile", "wheel"],
                         np.array([[1, 0, 1], [0, 1, 0], [0, 0, 1]], dtype=bool))
-    ctx_path = tmp_path / "toy.cxt"
-    write_cxt(ctx, ctx_path, name="toy")
-    tax_path = tmp_path / "lex.tsv"
-    tax_path.write_text("syn\tcar\tautomobile\n")
-    rc = cli.main(["fca-reduce", "--ctx", str(ctx_path), "--tax", str(tax_path),
+    write_cxt(ctx, tmp_path / "toy.cxt", name="toy")
+    (tmp_path / "lex.tsv").write_text("syn\tcar\tautomobile\n")
+    return str(tmp_path / "toy.cxt"), str(tmp_path / "lex.tsv")
+
+
+def test_fca_reduce_end_to_end(tmp_path, capsys):
+    ctx, tax = _toy_fca(tmp_path)
+    rc = cli.main(["fca-reduce", "--ctx", ctx, "--tax", tax,
                    "--out", str(tmp_path / "red.cxt"),
                    "--report", str(tmp_path / "rep.json")])
     assert rc == 0
@@ -429,3 +436,71 @@ def test_cluster_rejects_non_finite_points(blob_file, tmp_path, capsys, bad):
         assert err["error"] == "ValueError"
         assert f"{data}:5: non-finite" in err["message"]
     assert not (tmp_path / "q.csv").exists()
+
+
+# ------------------------------------------------ defaults and keywords
+# each setting is declared once, where the suite reads it: a flag that is not
+# given is absent, so the params record's (or the suite's) default applies
+
+def test_bench_defaults_are_optimizer_config_defaults(tmp_path, capsys, monkeypatch):
+    real = reports.run_repetitions
+
+    def one_short_run(algo, fn, config, seed, **kwargs):
+        # the suite records the config it was given; one 1-iteration run per
+        # cell keeps the 16-function default cheap
+        return real(algo, fn, dataclasses.replace(config, runs=1, max_iterations=1),
+                    seed, **kwargs)
+
+    monkeypatch.setattr(reports, "run_repetitions", one_short_run)
+    assert cli.main(["bench-opt", "--out", str(tmp_path / "b.csv")]) == 0
+    capsys.readouterr()
+    config = json.loads((tmp_path / "b.json").read_text())["config"]
+    want = OptimizerConfig()
+    assert {key: config[key] for key in ("population_size", "max_iterations",
+                                         "runs", "tolerance")} == {
+        "population_size": want.population_size, "max_iterations": want.max_iterations,
+        "runs": want.runs, "tolerance": want.success_tolerance}
+    assert (config["algos"], config["dim"], config["range"], config["seed"]) == (
+        ["bsa"], 2, "default", 0)
+    assert config["functions"] == list(benchmarks.CATALOG)
+
+
+def test_cluster_defaults_are_eca_params_defaults(blob_file, tmp_path, capsys):
+    data, _ = blob_file
+    assert cli.main(["cluster", "--data", str(data), "--out", str(tmp_path / "c.csv")]) == 0
+    capsys.readouterr()
+    config = json.loads((tmp_path / "c.json").read_text())["config"]
+    want = EcaParams()
+    assert {key: config[key] for key in ("ranks", "cycles", "density_threshold",
+                                         "levy_alpha")} == {
+        "ranks": want.social_ranks, "cycles": want.max_cycles,
+        "density_threshold": want.density_threshold, "levy_alpha": want.levy_alpha}
+    assert (config["algo"], config["runs"], config["seed"]) == ("eca-star", 30, 0)
+
+
+def test_fca_reduce_defaults_are_reduce_params_defaults(tmp_path, capsys):
+    ctx, tax = _toy_fca(tmp_path)
+    assert cli.main(["fca-reduce", "--ctx", ctx, "--tax", tax,
+                     "--report", str(tmp_path / "rep.json")]) == 0
+    capsys.readouterr()
+    config = json.loads((tmp_path / "rep.json").read_text())["config"]
+    want = ReduceParams()
+    assert config == {"ctx": ctx, "tax": tax,
+                      "hyper_depth": want.hypernym_depth, "hypo_depth": want.hyponym_depth,
+                      "iters": want.max_iterations, "quality_floor": want.quality_floor}
+
+
+def test_suites_reject_unknown_keywords(blob_file, tmp_path, monkeypatch):
+    # the JSON config keys are not keywords: a misnamed setting must fail,
+    # never fall back to the default
+    monkeypatch.setattr(reports, "run_repetitions",
+                        lambda *a, **k: pytest.fail("ran with an unknown keyword"))
+    with pytest.raises(TypeError, match="tolerance"):
+        reports.run_bench_suite(functions=["F14"], tolerance=1e-3)
+    data, _ = blob_file
+    for extra in ({"density": 0.02}, {"algo": "km", "k": 2, "kk": 3}):
+        with pytest.raises(TypeError, match="density|kk"):
+            reports.run_cluster_suite(data=str(data), runs=1, **extra)
+    ctx, tax = _toy_fca(tmp_path)
+    with pytest.raises(TypeError, match="hyper_depth"):
+        reports.run_fca_suite(ctx, tax, hyper_depth=2)

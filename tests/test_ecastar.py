@@ -14,7 +14,7 @@ from evoclust.ecastar import (EcaParams, EcaState, _cluster_quartiles,
                               mut_over, run_eca_star)
 from evoclust.measures import (assign_nearest, group_indices, intra_cluster,
                                pairwise_min_distance)
-from evoclust.reports import ClusterConfig, run_cluster_suite, scrub_timing
+from evoclust.reports import run_cluster_suite, scrub_timing
 from evoclust.rng import LevyParams, RngStream, uniform_matrix
 
 
@@ -505,10 +505,9 @@ def _suite_file(tmp_path):
 
 def test_suite_memo_matches_separate_runs(tmp_path):
     data, gt = _suite_file(tmp_path)
-    suite = run_cluster_suite(ClusterConfig(data=str(data), gt=str(gt),
-                                            runs=3, seed=6))
-    separate = [run_cluster_suite(ClusterConfig(data=str(data), gt=str(gt),
-                                                runs=1, seed=6 + i))["detail"][0]
+    suite = run_cluster_suite(data=str(data), gt=str(gt), runs=3, seed=6)
+    separate = [run_cluster_suite(data=str(data), gt=str(gt), runs=1,
+                                  seed=6 + i)["detail"][0]
                 for i in range(3)]
     assert scrub_timing(suite["detail"]) == scrub_timing(separate)
 
@@ -522,7 +521,7 @@ def test_suite_builds_the_start_partition_once(tmp_path, monkeypatch):
         return init_assign(dataset, s)
 
     monkeypatch.setattr(ecastar, "init_assign", counted_init)
-    run_cluster_suite(ClusterConfig(data=str(data), gt=str(gt), runs=3, seed=6))
+    run_cluster_suite(data=str(data), gt=str(gt), runs=3, seed=6)
     assert starts == [2]
 
 
@@ -535,12 +534,11 @@ def test_suite_memo_scores_shared_clusters_once(tmp_path, monkeypatch):
         return measures.intra_cluster(points)
 
     monkeypatch.setattr(ecastar, "intra_cluster", counted_intra)
-    run_cluster_suite(ClusterConfig(data=str(data), gt=str(gt), runs=3, seed=6))
+    run_cluster_suite(data=str(data), gt=str(gt), runs=3, seed=6)
     in_suite = len(calls)
     del calls[:]
     for i in range(3):
-        run_cluster_suite(ClusterConfig(data=str(data), gt=str(gt), runs=1,
-                                        seed=6 + i))
+        run_cluster_suite(data=str(data), gt=str(gt), runs=1, seed=6 + i)
     assert 0 < in_suite < len(calls)
 
 

@@ -11,7 +11,7 @@ from evoclust.reducer import (RELATED, SIMILAR, UNRELATED, MergeEvent,
                               ReduceParams, Taxonomy, classify_pair,
                               common_hypernym, enumerate_pairs, load_taxonomy,
                               merge_pair, reduce_context)
-from evoclust.reports import FcaConfig, run_fca_suite
+from evoclust.reports import run_fca_suite
 
 
 @pytest.fixture
@@ -491,8 +491,8 @@ def test_fca_suite_builds_only_the_reducers_lattices(tmp_path, monkeypatch):
                ["cat", "feline", "mammal", "animal"])
     write_cxt(ctx, tmp_path / "c.cxt", name="chain")
     (tmp_path / "t.tsv").write_text("cat\tfeline\nfeline\tmammal\nmammal\tanimal\n")
-    config = FcaConfig(ctx=str(tmp_path / "c.cxt"), tax=str(tmp_path / "t.tsv"),
-                       quality_floor=0.0)
+    config = dict(ctx=str(tmp_path / "c.cxt"), tax=str(tmp_path / "t.tsv"),
+                  quality_floor=0.0)
     calls = []
     real = fca.build_lattice
 
@@ -502,10 +502,10 @@ def test_fca_suite_builds_only_the_reducers_lattices(tmp_path, monkeypatch):
 
     monkeypatch.setattr(fca, "build_lattice", counted)
     monkeypatch.setattr(reducer, "build_lattice", counted)
-    reduce_context(ctx, load_taxonomy(config.tax), ReduceParams(quality_floor=0.0))
+    reduce_context(ctx, load_taxonomy(config["tax"]), ReduceParams(quality_floor=0.0))
     by_reducer = len(calls)
     del calls[:]
-    assert run_fca_suite(config)["trace"]
+    assert run_fca_suite(**config)["trace"]
     assert by_reducer > 1 and len(calls) == by_reducer
 
 
@@ -514,13 +514,13 @@ def test_fca_suite_reports_invariants_of_both_lattices(tmp_path):
                ["cat", "feline", "mammal", "animal"])
     write_cxt(ctx, tmp_path / "c.cxt", name="chain")
     (tmp_path / "t.tsv").write_text("cat\tfeline\nfeline\tmammal\nmammal\tanimal\n")
-    config = FcaConfig(ctx=str(tmp_path / "c.cxt"), tax=str(tmp_path / "t.tsv"),
-                       quality_floor=0.0)
+    config = dict(ctx=str(tmp_path / "c.cxt"), tax=str(tmp_path / "t.tsv"),
+                  quality_floor=0.0)
     _, _, lat_orig, lat_red = reduce_context(
-        ctx, load_taxonomy(config.tax), ReduceParams(quality_floor=0.0))
+        ctx, load_taxonomy(config["tax"]), ReduceParams(quality_floor=0.0))
     want_orig = fca._invariants_json(lat_orig)
     want_red = fca._invariants_json(lat_red)
-    payload = run_fca_suite(config)
+    payload = run_fca_suite(**config)
     assert payload["original"] == want_orig and payload["reduced"] == want_red
     assert want_orig != want_red
 
