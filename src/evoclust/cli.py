@@ -115,6 +115,13 @@ def _build_parser():
     return parser
 
 
+def _flags(command, dests):
+    """The flags, sorted, that set the given dests of one subcommand."""
+    sub = next(a for a in _build_parser()._actions if a.dest == "command")
+    return sorted(a.option_strings[0] for a in sub.choices[command]._actions
+                  if a.dest in dests)
+
+
 def _print_written(payload):
     if payload["written"]:
         print("written: " + ", ".join(sorted(set(payload["written"].values()))))
@@ -135,7 +142,11 @@ def _catalog_csv(human):
 
 def _cmd_bench(settings):
     if settings.pop("list", False):
-        print(_catalog_csv(settings.get("human", False)))
+        human = settings.pop("human", False)
+        if settings:  # only the flags given are in settings
+            raise CliError("evoclust bench-opt: --list takes no option but --human; got "
+                           + ", ".join(_flags("bench-opt", settings)))
+        print(_catalog_csv(human))
         return
     payload = run_bench_suite(**settings)
     for row in payload["stats"]:

@@ -21,9 +21,17 @@ the stop fingerprint and again by the next cycle, and every run of a suite
 starts from the same percentile-rank partition. ``run_cluster_suite`` keeps
 one memo for the suite and hands it to each ``run_eca_star``. It holds each
 distinct cluster's cohesion (keyed by the digest of its member indices), each
-tested pair's merge decision (keyed by the pair of digests) and the start
-partition of each social rank count (keyed by a tuple that begins with a
-string, so it equals no digest), so each is computed once per suite.
+tested pair's merge decision (keyed by the pair of digests), the start
+partition of each social rank count and each column's sort order of the
+points, read by the quartiles of clustering I (both keyed by a tuple that
+begins with a string, so it equals no digest), so each is computed once per
+suite.
+
+Each partition is held as one member layout: a stable argsort of its ids,
+cut into one member-index array per cluster. Renumbering, density folding,
+quartiles, separation and merging are whole-array passes; the Python loops
+left are the memo lookups, one per cluster or tested pair, and mut-over's
+Levy draws, one per cluster.
 """
 
 import hashlib
@@ -33,9 +41,9 @@ from typing import Optional
 
 import numpy as np
 
-from .measures import (Clustering, as_points, assign_nearest, group_indices,
-                       intra_cluster, pairwise_min_distance, percentile_ranks,
-                       solution_inter)
+from .measures import (DISTANCE_CELLS, Clustering, as_points, assign_nearest,
+                       group_indices, group_means, intra_cluster,
+                       pairwise_min_distance, percentile_ranks, solution_inter)
 from .metrics import quality_report
 from .optimizers import boundary_control
 from .rng import LevyParams, RngStream, levy_step, uniform_matrix
@@ -99,10 +107,14 @@ class EcaState:
 def _compact(assignment):
     """Drop the empty cluster ids of a partition: the live ids ascending, the
     assignment renumbered 0..len(live)-1 in that order, and the member
-    indices of each renumbered cluster."""
-    live, assignment = np.unique(assignment, return_inverse=True)
-    if live.size and live[0] < 0:
+    indices of each renumbered cluster. A live id's new number is the count
+    of live ids below it, one cumsum over the id counts."""
+    assignment = np.asarray(assignment, dtype=np.intp)
+    if assignment.size and assignment.min() < 0:
         raise ValueError("cluster ids must be non-negative")
+    counts = np.bincount(assignment)
+    live = np.flatnonzero(counts)
+    assignment = (np.cumsum(counts > 0) - 1)[assignment]
     return live, assignment, group_indices(assignment, live.size)
 
 
@@ -142,12 +154,27 @@ def init_assign(dataset, s):
 _QUARTILES = np.array([0.25, 0.5, 0.75])
 
 
-def _cluster_quartiles(points, assignment, k):
+def _column_orders(points, memo):
+    """Each column's stable sort order of the points, a (D, N) index array:
+    computed once per memo, since a memo belongs to one point set."""
+    key = ("column_orders",)
+    if key not in memo:
+        memo[key] = np.argsort(points, axis=0, kind="stable").T.copy()
+    return memo[key]
+
+
+def _cluster_quartiles(points, assignment, k, orders):
     """Per-cluster, per-dimension (Q1, Q2, Q3) stacked as a (3, k, D) array.
 
-    Every id in [0, k) must have members. One lexsort by (cluster, value) per
-    column puts each cluster's order statistics in a run that starts at its
-    offset; quartile q of a cluster of n sits at (n - 1) q within its run.
+    Every id in [0, k) must have members. ``orders`` holds each column's
+    stable sort order of the points (``_column_orders``). A stable sort of the cluster ids read in that order then
+    sorts the column by (cluster, value, index), the permutation of a
+    lexsort by (cluster, value), and puts each cluster's order statistics in
+    a run that starts at its offset; quartile q of a cluster of n sits at
+    (n - 1) q within its run. The ids are cast to the narrowest unsigned
+    type that holds k, so that up to 65,536 clusters the sort is numpy's
+    radix sort.
+
     The neighbours a, b are interpolated by numpy's rule, a + (b - a) t but
     b - (b - a)(1 - t) where t >= 0.5, so each entry equals
     ``np.quantile(points[members, j], q)`` bit for bit. The one exception is
@@ -161,10 +188,11 @@ def _cluster_quartiles(points, assignment, k):
     t = at - below
     below = starts + below.astype(np.intp)
     above = np.minimum(below + 1, starts + sizes - 1)
+    ids = np.asarray(assignment).astype(np.min_scalar_type(max(k - 1, 0)))
     out = np.empty((3, k, points.shape[1]))
-    for j in range(points.shape[1]):
-        column = points[np.lexsort((points[:, j], assignment)), j]
-        a, b = column[below], column[above]
+    for j, order in enumerate(orders):
+        ranked = order[np.argsort(ids[order], kind="stable")]
+        a, b = points[ranked[below], j], points[ranked[above], j]
         out[:, :, j] = np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
     return out
 
@@ -175,24 +203,28 @@ def _key(g):
     return hashlib.blake2b(g.tobytes(), digest_size=16).digest()
 
 
-def _cohesion(points, g, memo):
-    """intra_cluster of the members with indices g, memoized by those indices."""
-    key = _key(g)
+def _cohesion(points, g, memo, key=None):
+    """intra_cluster of the members with indices g, memoized by those indices
+    (``key`` is their ``_key``, when the caller already has it)."""
+    key = _key(g) if key is None else key
     if key not in memo:
-        memo[key] = intra_cluster(points[g])
+        memo[key] = intra_cluster(np.take(points, g, axis=0))
     return memo[key]
 
 
-def _touches(points, g_i, g_j, bound, memo):
+def _touches(points, g_i, g_j, key_i, key_j, bound, memo):
     """Merge test of clustering II, memoized by the pair: whether the closest
     cross distance of two member sets is no larger than the larger of their
-    cohesions. ``bound`` is a lower bound on that distance; the exact scan
-    runs only when the bound does not already rule the merge out."""
-    key = (_key(g_i), _key(g_j))
+    cohesions. ``key_i`` and ``key_j`` are the sets' ``_key``s; ``bound`` is
+    a lower bound on that distance, and the exact scan runs only when the
+    bound does not already rule the merge out."""
+    key = (key_i, key_j)
     if key not in memo:
-        radius = max(_cohesion(points, g_i, memo), _cohesion(points, g_j, memo))
+        radius = max(_cohesion(points, g_i, memo, key_i),
+                     _cohesion(points, g_j, memo, key_j))
         memo[key] = bool(bound <= radius * (1 + _BOX_RTOL) and
-                         pairwise_min_distance(points[g_i], points[g_j]) <= radius)
+                         pairwise_min_distance(np.take(points, g_i, axis=0),
+                                               np.take(points, g_j, axis=0)) <= radius)
     return memo[key]
 
 
@@ -201,9 +233,9 @@ def _box_gaps(points, groups):
     groups (0 where the boxes meet): a lower bound on the pair's closest
     cross distance. The boxes come from one reduceat over the members sorted
     by group."""
-    sizes = np.array([g.size for g in groups])
+    sizes = np.fromiter(map(len, groups), dtype=np.intp, count=len(groups))
     starts = np.cumsum(sizes) - sizes
-    members = points[np.concatenate(groups)]
+    members = np.take(points, np.concatenate(groups), axis=0)
     lo = np.minimum.reduceat(members, starts, axis=0)
     hi = np.maximum.reduceat(members, starts, axis=0)
     apart = np.maximum(0.0, np.maximum(lo[1:] - hi[:-1], lo[:-1] - hi[1:]))
@@ -215,7 +247,25 @@ def _induced(points, centroids):
     partition the centroid set induces by nearest-centroid assignment."""
     labels = assign_nearest(points, centroids)
     groups = group_indices(labels, centroids.shape[0])
-    return groups, solution_inter([points[g] for g in groups if g.size])
+    return groups, solution_inter(points, groups)
+
+
+def _fold(points, assignment, groups, sizes, sparse):
+    """The assignment with each sparse cluster's members moved to the
+    surviving cluster whose mean lies nearest its own (ties toward the lower
+    id). The means are ``group_means``'; the mean-to-mean distances are
+    taken over blocks of sparse clusters that hold at most
+    ``DISTANCE_CELLS`` coordinate differences each."""
+    means = group_means(np.take(points, np.concatenate(groups), axis=0), sizes)
+    survivors = np.flatnonzero(~sparse)
+    flagged = np.flatnonzero(sparse)
+    target = np.arange(sizes.size)
+    rows = max(1, DISTANCE_CELLS // (survivors.size * points.shape[1]))
+    for i in range(0, flagged.size, rows):
+        block = flagged[i:i + rows]
+        gaps = np.linalg.norm(means[survivors] - means[block, None], axis=2)
+        target[block] = survivors[np.argmin(gaps, axis=1)]
+    return target[assignment]
 
 
 def _cohesions(points, groups, memo):
@@ -242,22 +292,19 @@ def clustering_one(state, dataset, rng, memo=None):
     live, assignment, groups = _compact(assignment)
     k_empty = int(live[-1]) + 1 - live.size
 
-    density = np.array([g.size / n for g in groups])
-    flagged = np.flatnonzero(density < state.params.density_threshold)
-    if flagged.size == len(groups):
+    sizes = np.bincount(assignment, minlength=live.size)
+    density = sizes / n
+    sparse = density < state.params.density_threshold
+    if sparse.all():
         # everything is sparse; the largest cluster survives as the anchor
-        flagged = np.delete(flagged, int(np.argmax(density)))
-    k_dth = int(flagged.size)
+        sparse[int(np.argmax(density))] = False
+    k_dth = int(np.count_nonzero(sparse))
     if k_dth:
-        survivors = np.setdiff1d(np.arange(len(groups)), flagged)
-        surv_means = np.array([points[groups[i]].mean(axis=0) for i in survivors])
-        for i in flagged:
-            mean_i = points[groups[i]].mean(axis=0)
-            target = survivors[int(np.argmin(np.linalg.norm(surv_means - mean_i, axis=1)))]
-            assignment[groups[i]] = target
+        assignment = _fold(points, assignment, groups, sizes, sparse)
         _, assignment, groups = _compact(assignment)
 
-    Q1, Q2, Q3 = _cluster_quartiles(points, assignment, len(groups))
+    Q1, Q2, Q3 = _cluster_quartiles(points, assignment, len(groups),
+                                    _column_orders(points, memo))
     C = (Q1 + Q2 + Q3) / 3.0
     # one (k, d) draw, filled row by row: the numbers of k draws of length d
     oldC = uniform_matrix(rng, Q1, Q3, Q1.shape)
@@ -320,31 +367,21 @@ def clustering_two(points, assignment, mo, memo=None):
     memo = {} if memo is None else memo
     points = np.atleast_2d(np.asarray(points, dtype=float))
     mo = np.atleast_2d(np.asarray(mo, dtype=float))
-    live, assignment, groups = _compact(assignment)
-    if not live.size or live[-1] >= mo.shape[0]:
+    assignment = np.asarray(assignment, dtype=np.intp)
+    if not assignment.size or assignment.max() >= mo.shape[0]:
         raise ValueError("every point needs the id of a row of mo")
+    live, assignment, groups = _compact(assignment)
     mo = mo[live]
-    k = len(groups)
-
-    parent = list(range(k))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    keys = [_key(g) for g in groups]
     box_gaps = _box_gaps(points, groups)
-    for i in range(k - 1):
-        j = i + 1
-        if _touches(points, groups[i], groups[j], box_gaps[i], memo):
-            parent[find(j)] = find(i)
-
-    # cluster i goes to the rank of its root among the roots
-    roots, new_id = np.unique([find(i) for i in range(k)], return_inverse=True)
-    sizes = np.array([g.size for g in groups], dtype=float)
-    new_mo = np.zeros((roots.size, mo.shape[1]))
-    weight = np.zeros(roots.size)
+    merged = [_touches(points, groups[i], groups[i + 1], keys[i], keys[i + 1],
+                       box_gaps[i], memo) for i in range(len(groups) - 1)]
+    # merges join only neighbours, so each merged cluster is a run of ids:
+    # cluster i goes to the count of runs that start at or before it, less one
+    new_id = np.cumsum(np.logical_not([False] + merged)) - 1
+    sizes = np.bincount(assignment).astype(float)
+    new_mo = np.zeros((new_id[-1] + 1, mo.shape[1]))
+    weight = np.zeros(new_id[-1] + 1)
     np.add.at(new_mo, new_id, sizes[:, None] * mo)  # adds in cluster order
     np.add.at(weight, new_id, sizes)
     return new_id[assignment], new_mo / weight[:, None]
@@ -353,7 +390,7 @@ def clustering_two(points, assignment, mo, memo=None):
 def _fingerprint(points, assignment, memo):
     _, _, groups = _compact(assignment)
     intra_sorted = tuple(sorted(_cohesion(points, g, memo) for g in groups))
-    return (solution_inter([points[g] for g in groups]),) + intra_sorted
+    return (solution_inter(points, groups),) + intra_sorted
 
 
 def run_eca_star(dataset, params, memo=None):

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import Clustering, as_points, assign_nearest
+from .measures import Clustering, as_points, assign_nearest, group_indices
 from .rng import RngStream
 
 MAX_ITERS = 300  # Lloyd iterations after the seeding, at most
@@ -34,6 +34,12 @@ def _dsq_weights(points, chosen):
 def kmeans_pp_seed(points, k, rng):
     """Sequential D^2-weighted seeding; every seed is a dataset point.
 
+    The weights are kept as a running minimum: each new seed lowers them to
+    its own squared distances where those are smaller, one (N, 1) distance
+    column per seed. Squaring is monotone, so the minimum of the squares
+    equals the square of the minimum distance to all seeds so far bit for
+    bit.
+
     When all remaining weights are zero (every point coincides with a chosen
     seed) the next seed is drawn uniformly from the not-yet-chosen indices, so
     duplicate-free data with k = N selects each point exactly once.
@@ -43,8 +49,8 @@ def kmeans_pp_seed(points, k, rng):
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, {n}], got {k}")
     chosen = [int(rng.generator.integers(n))]
+    w = _dsq_weights(points, points[chosen])
     while len(chosen) < k:
-        w = _dsq_weights(points, points[chosen])
         total = w.sum()
         if total > 0:
             u = rng.generator.random() * total
@@ -54,6 +60,7 @@ def kmeans_pp_seed(points, k, rng):
             remaining = np.setdiff1d(np.arange(n), np.asarray(chosen))
             idx = int(remaining[rng.generator.integers(remaining.size)])
         chosen.append(idx)
+        w = np.minimum(w, _dsq_weights(points, points[idx]))
     return points[chosen].copy()
 
 
@@ -69,6 +76,14 @@ def _repair_empty(points, centroids, labels):
         labels[far] = i
         counts = np.bincount(labels, minlength=k)
     return centroids, labels
+
+
+def _update_means(points, centroids, labels):
+    """Set each nonempty cluster's centroid to its members' mean, in place;
+    the members come from one ``group_indices`` call."""
+    for i, g in enumerate(group_indices(labels, centroids.shape[0])):
+        if g.size:
+            centroids[i] = np.take(points, g, axis=0).mean(axis=0)
 
 
 def kmeans(dataset, config):
@@ -87,17 +102,11 @@ def kmeans(dataset, config):
     labels = assign_nearest(points, centroids)
     centroids, labels = _repair_empty(points, centroids, labels)
     for _ in range(MAX_ITERS):
-        for i in range(config.k):
-            mask = labels == i
-            if mask.any():
-                centroids[i] = points[mask].mean(axis=0)
+        _update_means(points, centroids, labels)
         new_labels = assign_nearest(points, centroids)
         centroids, new_labels = _repair_empty(points, centroids, new_labels)
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-    for i in range(config.k):
-        mask = labels == i
-        if mask.any():
-            centroids[i] = points[mask].mean(axis=0)
+    _update_means(points, centroids, labels)
     return Clustering(assignment=labels, centroids=centroids)

@@ -1,6 +1,14 @@
 """Shared clustering substrate: intra-cluster cohesion, cross-cluster
 separation, percentile ranks, and the Clustering result record.
 
+A partition is held as one member layout: a stable argsort of its labels,
+cut into one ascending member-index array per cluster (``group_indices``).
+The per-partition measures read that layout in a few whole-array passes, with
+no Python loop over clusters or points: ``solution_inter`` gathers the
+members once and sums each cluster's rows of one (N, k) distance matrix.
+Members are gathered with ``np.take(points, idx, axis=0)``: the same rows as
+``points[idx]``, copied many times faster when rows are narrow.
+
 The two quadratic distance kernels, ``intra_cluster`` and
 ``pairwise_min_distance``, work over row blocks sized so that one block holds
 at most ``DISTANCE_CELLS`` distances (4 MB of doubles; one row, if a row is
@@ -54,29 +62,48 @@ def intra_cluster(points):
     return float(2.0 * total / (n * (n - 1)))
 
 
-def solution_inter(clusters):
+def group_means(members, sizes):
+    """Mean of each run of ``sizes[i]`` consecutive rows of ``members``.
+
+    Each run is summed row by row in order, one ``bincount`` per column, as
+    ``run.mean(axis=0)`` sums a run of two or more columns; so for D >= 2 the
+    means equal the per-run ``.mean(axis=0)`` bit for bit, apart from the sign
+    of a zero. With one column ``.mean`` sums pairwise, and a run of eight or
+    more rows may differ from it in the last bits.
+    """
+    sizes = np.asarray(sizes)
+    labels = np.repeat(np.arange(sizes.size), sizes)
+    sums = np.empty((sizes.size, members.shape[1]))
+    for j in range(members.shape[1]):
+        sums[:, j] = np.bincount(labels, weights=members[:, j], minlength=sizes.size)
+    return sums / sizes[:, None]
+
+
+def solution_inter(points, groups):
     """One scalar separation score for a whole clustering: the mean, over all
     unordered pairs of nonempty clusters, of the pair's cross-cluster
     separation (0 when fewer than two clusters are nonempty). A pair's
     separation is the distance of each member of either cluster to the other
     cluster's mean, averaged over all |A|+|B| members.
 
-    All pairs come from one (N, k) distance matrix between the N members and
-    the k cluster means: summed per cluster, S[i, j] is the total distance
-    from cluster i's members to mean j, so pair (i, j) scores
-    (S[i, j] + S[j, i]) / (n_i + n_j).
+    ``groups`` holds each cluster's member indices into ``points`` (empty
+    clusters allowed), as ``group_indices`` cuts them. The members are
+    gathered once, in group order, and all pairs come from one (N, k)
+    distance matrix between them and the k cluster means: summed per
+    cluster, S[i, j] is the total distance from cluster i's members to mean
+    j, so pair (i, j) scores (S[i, j] + S[j, i]) / (n_i + n_j). The means
+    are ``group_means``'.
     """
     from scipy.spatial.distance import cdist
 
-    live = [np.atleast_2d(np.asarray(c, dtype=float)) for c in clusters]
-    live = [c for c in live if c.shape[0] > 0]
-    if len(live) < 2:
+    sizes = np.fromiter(map(len, groups), dtype=np.intp, count=len(groups))
+    sizes = sizes[sizes > 0]
+    if sizes.size < 2:
         return 0.0
-    sizes = np.array([c.shape[0] for c in live])
-    offsets = np.concatenate(([0], np.cumsum(sizes[:-1])))
-    means = np.array([c.mean(axis=0) for c in live])
-    S = np.add.reduceat(cdist(np.concatenate(live), means), offsets, axis=0)
-    i, j = np.triu_indices(len(live), 1)
+    members = np.take(as_points(points), np.concatenate(groups), axis=0)
+    means = group_means(members, sizes)
+    S = np.add.reduceat(cdist(members, means), np.cumsum(sizes) - sizes, axis=0)
+    i, j = np.triu_indices(sizes.size, 1)
     return float(np.mean((S[i, j] + S[j, i]) / (sizes[i] + sizes[j])))
 
 
@@ -125,14 +152,15 @@ def assign_nearest(points, centroids):
 
 def group_indices(assignment, k):
     """Member-index arrays for clusters 0..k-1 (possibly empty), each
-    ascending: one stable argsort cut at the cluster sizes. Every id must lie
-    in [0, k)."""
+    ascending: slices of one stable argsort of the labels, cut at the
+    running cluster sizes. Every id must lie in [0, k)."""
     assignment = np.asarray(assignment, dtype=np.intp)
     k = int(k)
     if assignment.size and (assignment.min() < 0 or assignment.max() >= k):
         raise ValueError(f"cluster ids must lie in [0, {k})")
-    cuts = np.cumsum(np.bincount(assignment, minlength=k))[:-1]
-    return np.split(np.argsort(assignment, kind="stable"), cuts) if k else []
+    order = np.argsort(assignment, kind="stable")
+    ends = np.cumsum(np.bincount(assignment, minlength=k)).tolist()
+    return [order[start:end] for start, end in zip([0] + ends[:-1], ends)]
 
 
 @dataclass

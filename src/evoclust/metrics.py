@@ -8,7 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from .measures import Clustering, as_points, assign_nearest
+from .measures import Clustering, as_points, assign_nearest, group_indices
 
 SSE_OPT = 0.001  # the target SSE of the epsilon ratio
 
@@ -28,7 +28,7 @@ def sse(dataset, clustering):
     points = as_points(dataset)
     labels = np.asarray(clustering.assignment)
     centroids = np.atleast_2d(np.asarray(clustering.centroids, dtype=float))
-    diffs = points - centroids[labels]
+    diffs = points - np.take(centroids, labels, axis=0)
     return float(np.einsum("ij,ij->", diffs, diffs))
 
 
@@ -94,10 +94,11 @@ def csi(solution, truth):
     if la.shape[0] != lb.shape[0]:
         raise ValueError("clusterings cover different numbers of points")
     n = la.shape[0]
-    agree = 0
+    # each solution cluster's paired truth cluster, -1 where it has none
+    partner = np.full(np.atleast_2d(solution.centroids).shape[0], -1)
     for r, c in _greedy_pairs(solution.centroids, truth.centroids):
-        agree += int(np.count_nonzero((la == r) & (lb == c)))
-    return agree / n
+        partner[r] = c
+    return int(np.count_nonzero(partner[la] == lb)) / n
 
 
 def nmi(labels_a, labels_b):
@@ -130,6 +131,24 @@ def nmi(labels_a, labels_b):
     return mi / math.sqrt(hx * hy)
 
 
+def _truth(points, gt_centroids, gt_labels):
+    """The ground truth as a Clustering. Given labels, their ids, however
+    numbered, become 0..m-1 in ascending order (one ``np.unique`` pass), and
+    the centroids are the label means unless m centroids were given; given
+    centroids alone, each point takes its nearest centroid's label."""
+    if gt_labels is None:
+        gt_centroids = np.atleast_2d(np.asarray(gt_centroids, dtype=float))
+        return Clustering(assignment=assign_nearest(points, gt_centroids),
+                          centroids=gt_centroids)
+    uniq, gt_labels = np.unique(np.asarray(gt_labels).ravel(), return_inverse=True)
+    if gt_centroids is not None:
+        gt_centroids = np.atleast_2d(np.asarray(gt_centroids, dtype=float))
+    if gt_centroids is None or gt_centroids.shape[0] != uniq.size:
+        gt_centroids = np.vstack([np.take(points, g, axis=0).mean(axis=0)
+                                  for g in group_indices(gt_labels, uniq.size)])
+    return Clustering(assignment=gt_labels, centroids=gt_centroids)
+
+
 def quality_report(dataset, clustering, gt_centroids=None, gt_labels=None):
     """Assemble the full report; ground-truth columns appear only when truth
     is supplied. Given centroids but no labels, truth labels default to the
@@ -140,21 +159,8 @@ def quality_report(dataset, clustering, gt_centroids=None, gt_labels=None):
     report = QualityReport(sse=s, nmse=nmse(s, n, d), eps_ratio=eps_ratio(s))
     if gt_centroids is None and gt_labels is None:
         return report
-    if gt_centroids is None:
-        gt_centroids = np.vstack([points[np.asarray(gt_labels) == u].mean(axis=0)
-                                  for u in np.unique(gt_labels)])
-    gt_centroids = np.atleast_2d(np.asarray(gt_centroids, dtype=float))
-    if gt_labels is None:
-        gt_labels = assign_nearest(points, gt_centroids)
-    else:
-        gt_labels = np.asarray(gt_labels)
-        uniq = np.unique(gt_labels)
-        remap = {int(u): i for i, u in enumerate(uniq)}
-        if gt_centroids.shape[0] != uniq.size:
-            gt_centroids = np.vstack([points[gt_labels == u].mean(axis=0) for u in uniq])
-        gt_labels = np.asarray([remap[int(v)] for v in gt_labels])
-    truth = Clustering(assignment=gt_labels, centroids=gt_centroids)
-    report.ci = centroid_index(clustering.centroids, gt_centroids)
+    truth = _truth(points, gt_centroids, gt_labels)
+    report.ci = centroid_index(clustering.centroids, truth.centroids)
     report.csi = csi(clustering, truth)
-    report.nmi = nmi(clustering.assignment, gt_labels)
+    report.nmi = nmi(clustering.assignment, truth.assignment)
     return report

@@ -222,9 +222,12 @@ METRIC_KEYS = {"iters": "iterations_to_success", "value": "best_value"}
 
 
 def _pairwise_row(fid, algo_a, algo_b, runs_a, runs_b, metric="iters", alpha=0.05):
-    """One PAIR_HEADER row: the exact signed-rank test on two algorithms'
+    """One PAIR_HEADER row: the Wilcoxon signed-rank test on two algorithms'
     paired runs (detail dicts) of one function. For ``iters`` only the pairs
-    where both runs succeeded count; no pair left gives an "NC" row."""
+    where both runs succeeded count; no pair left gives an "NC" row. The p
+    is exact up to ``stats.EXACT_LIMIT`` nonzero differences and the normal
+    approximation above it; the ``exact`` column says which (None on an "NC"
+    row)."""
     key = METRIC_KEYS[metric]
     xs, ys = [], []
     for run_a, run_b in zip(runs_a, runs_b):
@@ -233,10 +236,11 @@ def _pairwise_row(fid, algo_a, algo_b, runs_a, runs_b, metric="iters", alpha=0.0
         xs.append(float(run_a[key]))
         ys.append(float(run_b[key]))
     if not xs:
-        return [fid, algo_a, algo_b, 0, None, None, None, "NC"]
+        return [fid, algo_a, algo_b, 0, None, None, None, None, "NC"]
     w = wilcoxon_signed_rank(xs, ys, alpha=alpha)
     winner = {"A": algo_a, "B": algo_b, "tie": "tie"}[w.winner]
-    return [fid, algo_a, algo_b, len(xs), w.r_plus, w.r_minus, w.p_value, winner]
+    return [fid, algo_a, algo_b, len(xs), w.r_plus, w.r_minus, w.p_value,
+            w.exact, winner]
 
 
 STATS_HEADER = ["function", "name", "algo", "dim", "reference_min",
@@ -245,7 +249,7 @@ STATS_HEADER = ["function", "name", "algo", "dim", "reference_min",
                 "value_mean", "value_sd", "value_best", "value_worst",
                 "mean_exec_time_s"]
 PAIR_HEADER = ["function", "algo_a", "algo_b", "n_pairs", "r_plus", "r_minus",
-               "p_value", "winner"]
+               "p_value", "exact", "winner"]
 RATIO_HEADER = ["algo", "solved", "failed"]
 
 

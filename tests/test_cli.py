@@ -14,6 +14,7 @@ from evoclust.optimizers import OptimizerConfig
 from evoclust.reducer import ReduceParams
 from evoclust.reports import scrub_timing
 from evoclust.rng import RngStream
+from evoclust.stats import EXACT_LIMIT
 
 
 @pytest.fixture
@@ -39,6 +40,32 @@ def test_bench_list(capsys):
     assert out[0] == "id,name,low,up,dimension_rule,global_min,hardness_pct"
     assert len(out) == 17
     assert any(line.startswith("F14,") for line in out)
+
+
+def test_bench_list_human_prints_the_catalog(capsys):
+    assert cli.main(["bench-opt", "--list", "--human"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 17
+    assert any(line.startswith("F14,") and "E+" in line for line in out)
+
+
+@pytest.mark.parametrize("extra,named", [
+    (["--pop", "0"], "--pop"),
+    (["--fn", "F99"], "--fn"),
+    (["--human", "--seed", "3", "--algo", "bsa"], "--algo, --seed"),
+    (["--out", "x.csv", "--iters", "5", "--dim", "2", "--range", "R1"],
+     "--dim, --iters, --out, --range"),
+    (["--runs", "2", "--tol", "1e-3"], "--runs, --tol")])
+def test_bench_list_rejects_every_other_flag(tmp_path, monkeypatch, capsys, extra, named):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["bench-opt", "--list", *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "usage" and err["message"].endswith("got " + named)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bench_run_writes_reports(tmp_path, capsys):
@@ -115,7 +142,35 @@ def test_report_compares_from_bench_json(bench_json, tmp_path, capsys):
     cmp_payload = json.loads((tmp_path / "cmp.json").read_text())
     row = cmp_payload["comparison"][0]
     assert row["n_pairs"] == 3
+    assert row["exact"] is True
     assert row["winner"] in ("bsa", "de", "tie")
+    header = (tmp_path / "cmp.csv").read_text().splitlines()[0].split(",")
+    assert header[header.index("p_value") + 1] == "exact"
+
+
+@pytest.mark.parametrize("n_pairs", [EXACT_LIMIT, EXACT_LIMIT + 1])
+def test_report_says_whether_its_p_is_exact(tmp_path, capsys, n_pairs):
+    # every difference is nonzero, so the exact enumeration ends at the limit
+    def runs(step):
+        return [{"succeeded": True, "iterations_to_success": 10 + step * (i + 1),
+                 "best_value": 0.0} for i in range(n_pairs)]
+    never = [{"succeeded": False, "iterations_to_success": None, "best_value": 0.0}]
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"detail": [
+        {"function": "F1", "algo": "bsa", "runs": runs(1)},
+        {"function": "F1", "algo": "de", "runs": runs(2)},
+        {"function": "F2", "algo": "bsa", "runs": never},
+        {"function": "F2", "algo": "de", "runs": never}]}))
+    assert cli.main(["report", "--in", str(path), "--compare", "bsa,de",
+                     "--out", str(tmp_path / "cmp.csv")]) == 0
+    capsys.readouterr()
+    rows = json.loads((tmp_path / "cmp.json").read_text())["comparison"]
+    assert rows[0]["exact"] is (n_pairs <= EXACT_LIMIT)
+    assert rows[1]["winner"] == "NC" and rows[1]["exact"] is None
+    csv_rows = [line.split(",") for line in
+                (tmp_path / "cmp.csv").read_text().splitlines()[1:]]
+    assert csv_rows[0][7] == str(n_pairs <= EXACT_LIMIT)
+    assert csv_rows[1][7] == ""
 
 
 @pytest.mark.parametrize("alpha", ["7", "nan", "0", "1", "-0.5"])

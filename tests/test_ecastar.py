@@ -10,8 +10,9 @@ from test_measures import quartiles
 from evoclust import ecastar, measures
 from evoclust.datasets import Dataset, gaussian_blobs, save_points
 from evoclust.ecastar import (EcaParams, EcaState, _cluster_quartiles,
-                              clustering_one, clustering_two, init_assign,
-                              mut_over, run_eca_star)
+                              _column_orders, _compact, _fold, clustering_one,
+                              clustering_two, init_assign, mut_over,
+                              run_eca_star)
 from evoclust.measures import (assign_nearest, group_indices, intra_cluster,
                                pairwise_min_distance)
 from evoclust.reports import run_cluster_suite, scrub_timing
@@ -80,7 +81,8 @@ def test_quartile_stats_equals_per_column_quartiles():
                np.ones((7, 2)),
                rng.normal(size=(101, 5)) * 1e6]
     for members in samples:
-        got = _cluster_quartiles(members, np.zeros(len(members), dtype=int), 1)[:, 0]
+        got = _cluster_quartiles(members, np.zeros(len(members), dtype=int), 1,
+                                 _column_orders(members, {}))[:, 0]
         for j in range(members.shape[1]):
             assert tuple(float(q[j]) for q in got) == quartiles(members[:, j])
 
@@ -93,11 +95,84 @@ def test_cluster_quartiles_equal_each_clusters_quartiles():
                    np.round(rng.normal(size=(n, 3)), 1),  # tied values
                    rng.normal(size=(n, 3)) * 1e6):
         assignment = rng.permutation(np.repeat(np.arange(k), sizes))  # unsorted ids
-        got = _cluster_quartiles(points, assignment, k)
+        got = _cluster_quartiles(points, assignment, k, _column_orders(points, {}))
         assert got.shape == (3, k, 3)
         for i, g in enumerate(group_indices(assignment, k)):
             for j in range(3):
                 assert tuple(float(q) for q in got[:, i, j]) == quartiles(points[g, j])
+
+
+def _quartiles_by_lexsort(points, assignment, k):
+    """The oracle for ``_cluster_quartiles``: its former form, one lexsort
+    by (cluster, value) per column."""
+    sizes = np.bincount(assignment, minlength=k)
+    starts = np.cumsum(sizes) - sizes
+    at = (sizes - 1) * np.array([0.25, 0.5, 0.75])[:, None]
+    below = np.floor(at)
+    t = at - below
+    below = starts + below.astype(np.intp)
+    above = np.minimum(below + 1, starts + sizes - 1)
+    out = np.empty((3, k, points.shape[1]))
+    for j in range(points.shape[1]):
+        column = points[np.lexsort((points[:, j], assignment)), j]
+        a, b = column[below], column[above]
+        out[:, :, j] = np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 10])
+def test_cluster_quartiles_match_the_lexsort_form(d):
+    # sizes from singletons up, tied and coincident values, k = N, and more
+    # than 256 clusters (ids wider than one byte)
+    rng = np.random.Generator(np.random.PCG64(26 + d))
+    for trial in range(40):
+        n = int(rng.integers(1, 400))
+        k = n if trial % 5 == 0 else int(rng.integers(1, n + 1))
+        points = rng.normal(scale=5.0, size=(n, d))
+        if trial % 2:
+            points = np.round(points)
+        assignment = rng.permutation(np.concatenate([np.arange(k),
+                                                     rng.integers(0, k, n - k)]))
+        got = _cluster_quartiles(points, assignment, k, _column_orders(points, {}))
+        assert got.tobytes() == _quartiles_by_lexsort(points, assignment, k).tobytes()
+
+
+def test_column_orders_are_kept_in_the_memo():
+    points = np.array([[3.0, 0.0], [1.0, 0.0], [2.0, -1.0]])
+    memo = {}
+    orders = _column_orders(points, memo)
+    assert orders.tolist() == [[1, 2, 0], [2, 0, 1]]
+    assert _column_orders(points, memo) is orders
+    assert list(memo) == [("column_orders",)]
+
+
+def _compact_by_unique(assignment):
+    """The oracle for ``_compact``: its former form, np.unique's sort."""
+    live, assignment = np.unique(assignment, return_inverse=True)
+    return live, assignment, group_indices(assignment, live.size)
+
+
+def test_compact_matches_the_unique_form():
+    rng = np.random.Generator(np.random.PCG64(27))
+    cases = [np.array([], dtype=int), np.zeros(4, dtype=int), np.array([7]),
+             np.array([5, 0, 5, 9])]
+    for _ in range(80):
+        k = int(rng.integers(1, 300))
+        ids = rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False)
+        cases.append(rng.choice(ids, size=int(rng.integers(1, 400))))  # empty ids
+    for assignment in cases:
+        got = _compact(assignment)
+        want = _compact_by_unique(assignment)
+        assert np.array_equal(got[0], want[0])
+        assert got[1].dtype == want[1].dtype and np.array_equal(got[1], want[1])
+        assert len(got[2]) == len(want[2])
+        for g, w in zip(got[2], want[2]):
+            assert np.array_equal(g, w)
+
+
+def test_compact_rejects_negative_ids():
+    with pytest.raises(ValueError, match="non-negative"):
+        _compact(np.array([0, -2, 1]))
 
 
 # ------------------------------------------------------------- clustering I
@@ -181,6 +256,41 @@ def test_all_sparse_keeps_largest():
     assert out.k_dth == 1
 
 
+def _fold_by_loop(points, assignment, groups, sparse):
+    """The oracle for ``_fold``: its former form, one loop over the sparse
+    clusters with per-cluster ``.mean(axis=0)``."""
+    assignment = assignment.copy()
+    flagged = np.flatnonzero(sparse)
+    survivors = np.setdiff1d(np.arange(len(groups)), flagged)
+    surv_means = np.array([points[groups[i]].mean(axis=0) for i in survivors])
+    for i in flagged:
+        mean_i = points[groups[i]].mean(axis=0)
+        target = survivors[int(np.argmin(np.linalg.norm(surv_means - mean_i, axis=1)))]
+        assignment[groups[i]] = target
+    return assignment
+
+
+@pytest.mark.parametrize("d", [1, 2, 10])
+def test_fold_matches_the_loop_form(d, monkeypatch):
+    rng = np.random.Generator(np.random.PCG64(28 + d))
+    for trial in range(60):
+        n = int(rng.integers(2, 300))
+        k = int(rng.integers(2, min(n, 60) + 1))
+        points = rng.normal(scale=8.0, size=(n, d))
+        if trial % 2:
+            points = np.round(points / 4.0)  # coincident points, tied means
+        _, assignment, groups = _compact(rng.integers(0, k, size=n))
+        sizes = np.bincount(assignment)
+        sparse = rng.random(sizes.size) < 0.5
+        if sparse.all() or not sparse.any():
+            continue
+        if trial % 3 == 0:  # blocks of one sparse cluster each
+            monkeypatch.setattr(ecastar, "DISTANCE_CELLS", 1)
+        want = _fold_by_loop(points, assignment, groups, sparse)
+        assert np.array_equal(_fold(points, assignment, groups, sizes, sparse), want)
+        monkeypatch.undo()
+
+
 def test_clustering_one_draws_history_cluster_by_cluster():
     # one (k, d) draw gives the numbers of k per-cluster draws of length d
     ds = gaussian_blobs(RngStream(7), centers=[(0, 0), (12, 0), (0, 12)],
@@ -189,7 +299,8 @@ def test_clustering_one_draws_history_cluster_by_cluster():
     out = clustering_one(_state(labels), ds.points, RngStream(8))
     assert out.k == 3 and out.k_empty == 1
     rng = RngStream(8)
-    Q1, _, Q3 = _cluster_quartiles(ds.points, out.assignment, out.k)
+    Q1, _, Q3 = _cluster_quartiles(ds.points, out.assignment, out.k,
+                                   _column_orders(ds.points, {}))
     for i in range(out.k):
         assert np.array_equal(out.historical[i], uniform_matrix(rng, Q1[i], Q3[i], (2,)))
 

@@ -85,6 +85,40 @@ def test_pp_seed_prefers_far_point():
     assert hits > 280
 
 
+def _pp_seed_all_seeds(points, k, rng):
+    """The oracle for ``kmeans_pp_seed``: its former form, which measured
+    each point against every seed chosen so far at each step."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    n = points.shape[0]
+    chosen = [int(rng.generator.integers(n))]
+    while len(chosen) < k:
+        w = _dsq_weights(points, points[chosen])
+        total = w.sum()
+        if total > 0:
+            u = rng.generator.random() * total
+            idx = min(int(np.searchsorted(np.cumsum(w), u, side="right")), n - 1)
+        else:
+            remaining = np.setdiff1d(np.arange(n), np.asarray(chosen))
+            idx = int(remaining[rng.generator.integers(remaining.size)])
+        chosen.append(idx)
+    return points[chosen].copy()
+
+
+@pytest.mark.parametrize("d", [1, 2, 10])
+def test_pp_seed_matches_the_all_seeds_form(d):
+    # k = N and coincident points reach the uniform fallback
+    g = np.random.Generator(np.random.PCG64(40 + d))
+    for trial in range(40):
+        n = int(g.integers(1, 80))
+        points = g.normal(scale=6.0, size=(n, d))
+        if trial % 2:
+            points = np.round(points / 6.0)
+        k = n if trial % 4 == 0 else int(g.integers(1, n + 1))
+        got = kmeans_pp_seed(points, k, RngStream(trial))
+        want = _pp_seed_all_seeds(points, k, RngStream(trial))
+        assert got.tobytes() == want.tobytes()
+
+
 def test_pp_seed_duplicate_points_fall_back_to_uniform():
     pts = np.zeros((5, 2))
     seeds = kmeans_pp_seed(pts, 3, RngStream(4))

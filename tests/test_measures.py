@@ -9,8 +9,9 @@ import pytest
 from scipy.spatial.distance import cdist, pdist
 
 from evoclust.measures import (DISTANCE_CELLS, Clustering, assign_nearest,
-                               group_indices, intra_cluster, pairwise_min_distance,
-                               percentile_ranks, solution_inter)
+                               group_indices, group_means, intra_cluster,
+                               pairwise_min_distance, percentile_ranks,
+                               solution_inter)
 
 
 def percentile_rank(values, x):
@@ -149,18 +150,43 @@ def test_inter_cluster_symmetry_and_oracle():
         inter_cluster(A, np.zeros((0, 2)))
 
 
+def solution_inter_of_lists(clusters):
+    """The oracle for ``solution_inter``: its former form, which took one
+    point array per cluster and formed each mean by ``.mean(axis=0)``."""
+    live = [np.atleast_2d(np.asarray(c, dtype=float)) for c in clusters]
+    live = [c for c in live if c.shape[0] > 0]
+    if len(live) < 2:
+        return 0.0
+    sizes = np.array([c.shape[0] for c in live])
+    offsets = np.concatenate(([0], np.cumsum(sizes[:-1])))
+    means = np.array([c.mean(axis=0) for c in live])
+    S = np.add.reduceat(cdist(np.concatenate(live), means), offsets, axis=0)
+    i, j = np.triu_indices(len(live), 1)
+    return float(np.mean((S[i, j] + S[j, i]) / (sizes[i] + sizes[j])))
+
+
+def _stacked(clusters):
+    """The clusters' points stacked in order, and each one's index array."""
+    sizes = [len(c) for c in clusters]
+    ends = np.cumsum(sizes)
+    groups = [np.arange(e - n, e) for n, e in zip(sizes, ends)]
+    return np.concatenate(clusters), groups
+
+
 def test_solution_inter_pair_mean():
-    a = [[0.0, 0]]
-    b = [[2.0, 0]]
-    c = [[0.0, 4]]
-    got = solution_inter([a, b, c])
+    points = np.array([[0.0, 0], [2.0, 0], [0.0, 4]])
+    groups = [np.array([0]), np.array([1]), np.array([2])]
+    a, b, c = points[:1], points[1:2], points[2:]
+    got = solution_inter(points, groups)
     expect = np.mean([inter_cluster(a, b), inter_cluster(a, c), inter_cluster(b, c)])
     assert got == pytest.approx(expect, rel=1e-12)
 
 
 def test_solution_inter_degenerate():
-    assert solution_inter([[[1.0, 1.0]]]) == 0.0
-    assert solution_inter([[[1.0, 1.0]], np.zeros((0, 2))]) == 0.0
+    points = np.array([[1.0, 1.0]])
+    assert solution_inter(points, [np.array([0])]) == 0.0
+    assert solution_inter(points, [np.array([0]), np.array([], dtype=np.intp)]) == 0.0
+    assert solution_inter(points, []) == 0.0
 
 
 def test_solution_inter_matches_pair_loop():
@@ -180,7 +206,48 @@ def test_solution_inter_matches_pair_loop():
             continue
         expect = np.mean([inter_cluster(live[i], live[j])
                           for i in range(len(live)) for j in range(i + 1, len(live))])
-        assert solution_inter(clusters) == pytest.approx(expect, rel=1e-12)
+        assert solution_inter(*_stacked(clusters)) == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2, 10])
+def test_solution_inter_matches_the_list_form(d):
+    # member indices in any order and with empty ids between them; coincident
+    # points on the grid layouts. Means summed row by row equal .mean's for
+    # D >= 2, so the score is the list form's bit for bit; with one column
+    # .mean sums pairwise and the score may move in its last bits
+    rng = np.random.Generator(np.random.PCG64(60 + d))
+    for trial in range(80):
+        n = int(rng.integers(1, 300))
+        k = int(rng.integers(1, 30))
+        points = rng.normal(scale=10.0, size=(n, d))
+        if trial % 2:
+            points = np.round(points / 5.0)
+        labels = rng.integers(0, k, size=n)
+        groups = group_indices(labels, k)
+        want = solution_inter_of_lists([points[g] for g in groups])
+        got = solution_inter(points, groups)
+        if d >= 2:
+            assert got == want
+        else:
+            assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2, 10])
+def test_group_means_equal_each_runs_mean(d):
+    rng = np.random.Generator(np.random.PCG64(70 + d))
+    for trial in range(60):
+        sizes = rng.integers(1, 40, size=int(rng.integers(1, 20)))
+        members = rng.normal(scale=1e3, size=(int(sizes.sum()), d)) + 7.0
+        if trial % 2:
+            members = np.round(members / 300.0)  # coincident rows
+        starts = np.cumsum(sizes) - sizes
+        want = np.array([members[s:s + m].mean(axis=0) for s, m in zip(starts, sizes)])
+        got = group_means(members, sizes)
+        assert got.shape == want.shape
+        if d >= 2:
+            assert np.array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-9)
 
 
 def test_percentile_rank_hand_values():
@@ -272,6 +339,30 @@ def test_group_indices_matches_per_cluster_scan():
         got = group_indices(labels, k)
         want = [np.flatnonzero(labels == i) for i in range(k)]
         assert len(got) == k
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+def group_indices_by_split(assignment, k):
+    """The oracle for ``group_indices``: its former form, ``np.split`` of the
+    stable argsort at the cluster sizes."""
+    assignment = np.asarray(assignment, dtype=np.intp)
+    cuts = np.cumsum(np.bincount(assignment, minlength=k))[:-1]
+    return np.split(np.argsort(assignment, kind="stable"), cuts) if k else []
+
+
+def test_group_indices_match_the_split_form():
+    rng = np.random.Generator(np.random.PCG64(32))
+    cases = [(np.array([], dtype=int), 0), (np.array([], dtype=int), 4),
+             (np.zeros(3, dtype=int), 1), (np.array([6, 6, 0, 6]), 9)]
+    for _ in range(80):
+        k = int(rng.integers(1, 40))
+        ids = rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False)
+        cases.append((rng.choice(ids, size=int(rng.integers(0, 500))), k))
+    for labels, k in cases:
+        got = group_indices(labels, k)
+        want = group_indices_by_split(labels, k)
+        assert len(got) == len(want) == k
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and np.array_equal(g, w)
 

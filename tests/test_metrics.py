@@ -204,6 +204,61 @@ def test_quality_report_with_labels_only():
     assert rep.nmi == pytest.approx(1.0)
 
 
+def _truth_by_dict(points, gt_labels, gt_centroids):
+    """The oracle for ``quality_report``'s truth labels: its former form, a
+    per-point dict lookup, with centroids from one mask per truth id when
+    their count does not match."""
+    gt_labels = np.asarray(gt_labels)
+    uniq = np.unique(gt_labels)
+    remap = {int(u): i for i, u in enumerate(uniq)}
+    if gt_centroids is None or len(gt_centroids) != uniq.size:
+        gt_centroids = np.vstack([points[gt_labels == u].mean(axis=0) for u in uniq])
+    return np.asarray([remap[int(v)] for v in gt_labels]), gt_centroids
+
+
+def _csi_by_masks(solution, truth):
+    """The oracle for ``csi``: its former form, one mask pair per pairing."""
+    la, lb = np.asarray(solution.assignment), np.asarray(truth.assignment)
+    agree = sum(int(np.count_nonzero((la == r) & (lb == c)))
+                for r, c in metrics._greedy_pairs(solution.centroids, truth.centroids))
+    return agree / la.shape[0]
+
+
+@pytest.mark.parametrize("d", [1, 2, 10])
+def test_truth_labels_match_the_dict_form(d):
+    # negative, non-contiguous and shuffled truth ids, with no centroid file,
+    # one of the matching length and one of another length
+    g = np.random.Generator(np.random.PCG64(90 + d))
+    for trial in range(30):
+        n = int(g.integers(1, 200))
+        points = g.normal(scale=4.0, size=(n, d))
+        ids = g.choice(np.arange(-50, 50), size=int(g.integers(1, 9)), replace=False)
+        labels = g.choice(ids, size=n)
+        m = np.unique(labels).size
+        given = None if trial % 3 == 0 else g.normal(size=(m + trial % 3 - 1, d))
+        truth = metrics._truth(points, given, labels)
+        want_labels, want_centroids = _truth_by_dict(points, labels, given)
+        assert truth.assignment.tolist() == want_labels.tolist()
+        assert truth.centroids.tobytes() == np.asarray(want_centroids).tobytes()
+        k = int(g.integers(1, n + 1))
+        sol = _clust(g.integers(0, k, size=n), g.normal(size=(k, d)))
+        rep = quality_report(points, sol, gt_centroids=given, gt_labels=labels)
+        want = Clustering(want_labels, want_centroids)
+        assert rep.csi == _csi_by_masks(sol, want)
+        assert rep.ci == centroid_index(sol.centroids, want_centroids)
+        assert rep.nmi == nmi(sol.assignment, want_labels)
+
+
+def test_csi_matches_the_mask_form_on_tie_heavy_layouts():
+    g = np.random.Generator(np.random.PCG64(8))
+    for _ in range(200):
+        n = int(g.integers(1, 60))
+        k, m = (int(v) for v in g.integers(1, 9, size=2))
+        sol = _clust(g.integers(0, k, size=n), g.integers(0, 3, size=(k, 2)))
+        truth = _clust(g.integers(0, m, size=n), g.integers(0, 3, size=(m, 2)))
+        assert csi(sol, truth) == _csi_by_masks(sol, truth)
+
+
 def test_quality_report_detects_split():
     pts = np.array([[0.0, 0], [0.2, 0], [6.0, 0], [6.2, 0]])
     sol = _clust([0, 1, 2, 2], [[0.0, 0], [0.2, 0], [6.1, 0]])
