@@ -3,7 +3,9 @@
 The on-disk format is deliberately plain: one point per line, coordinates
 separated by whitespace, ``#`` comments and blank lines ignored. Ground-truth
 centroid files use the same layout. Every value must be finite: ``nan`` and
-``inf`` are rejected at load time with the file and line.
+``inf`` are rejected at load time with the file and line. So must every
+squared distance between the points, and between them and the centroids:
+``load_dataset`` rejects a file whose coordinate span would overflow one.
 
 A file is read by numpy's C reader (``np.loadtxt``) first. Whenever that
 reader refuses the text, finds no rows or reads a non-finite value, or the
@@ -116,10 +118,25 @@ def load_labels(path):
     return flat.astype(np.int64)
 
 
+def _check_span(source, low, high):
+    """Refuse the box [low, high] when the squared length of its diagonal,
+    the largest squared distance between two of its points, overflows."""
+    with np.errstate(over="ignore"):
+        diagonal = np.sum(np.square(high - low))
+    if not np.isfinite(diagonal):
+        raise ValueError(f"{source}: coordinates span too wide a range: a squared "
+                         f"distance between two points would overflow")
+
+
 def load_dataset(path, centroids_path=None, labels_path=None):
-    """Load a dataset with optional ground-truth centroids and labels."""
+    """Load a dataset with optional ground-truth centroids and labels.
+
+    Points, and centroids together with the points, whose squared distances
+    could overflow are refused, naming the file."""
     path = Path(path)
     points = load_points(path)
+    low, high = points.min(axis=0), points.max(axis=0)
+    _check_span(path, low, high)
     centroids = None
     if centroids_path is not None:
         centroids = load_points(centroids_path)
@@ -127,6 +144,8 @@ def load_dataset(path, centroids_path=None, labels_path=None):
             raise ValueError(
                 f"{centroids_path}: centroid dimension {centroids.shape[1]} "
                 f"does not match data dimension {points.shape[1]}")
+        _check_span(centroids_path, np.minimum(low, centroids.min(axis=0)),
+                    np.maximum(high, centroids.max(axis=0)))
     labels = None
     if labels_path is not None:
         labels = load_labels(labels_path)

@@ -10,14 +10,20 @@ fingerprint of the partition stops moving, or at the cycle cap.
 A cycle computes only the values it reads. Clustering I scores the
 separation of both candidate partitions, but their per-cluster cohesions
 only when the historical one separates better, the one case in which
-mut-over adopts the mutant and reads them. Clustering II rules a pair out
-by the gap between the two clusters' bounding boxes, a lower bound on the
-closest cross distance, and scans the cross distances only when that bound
-cannot.
+mut-over adopts the mutant and reads them. Clustering II bounds both sides
+of each merge test before it computes either: the gap between the two
+clusters' bounding boxes is a lower bound on their closest cross distance,
+and a bound from the members' distances to their mean is an upper bound on
+each cohesion. A pair whose box gap exceeds the larger upper bound is ruled
+out with no cohesion computed; otherwise the cohesions are computed, and the
+cross distances are scanned only when the box gap does not exceed the larger
+of them. The stop test compares the sorted cohesions of two consecutive
+partitions only when their cluster counts and separations already agree and
+their member sets differ: equal member sets have equal cohesions.
 
 The same member sets recur within a run: a partition is scored by the
 centroid candidates of clustering I, by the merge radii of clustering II, by
-the stop fingerprint and again by the next cycle, and every run of a suite
+the stop test and again by the next cycle, and every run of a suite
 starts from the same percentile-rank partition. ``run_cluster_suite`` keeps
 one memo for the suite and hands it to each ``run_eca_star``. It holds each
 distinct cluster's cohesion (keyed by the digest of its member indices), each
@@ -56,6 +62,15 @@ _STOP_TOL = 1e-9
 # cross distances; only the order of the D-term sums may differ, a relative
 # error of about D * 2^-53, far below _BOX_RTOL for any D < 10^6.
 _BOX_RTOL = 1e-9
+# The upper bound on a cohesion holds exactly for any centre, so only the
+# rounding of the two computations can put a computed cohesion above it.
+# The bound's sums of n member terms err by at most about (n + D) * 2^-53;
+# intra_cluster's sum, added per block of at most DISTANCE_CELLS distances,
+# by about (D + n^2 / 2^18 + 40) * 2^-53. Their total stays below
+# _COHESION_RTOL (about 9 * 10^6 * 2^-53) for clusters of up to 10^6 points
+# in fewer than 10^6 dimensions whose squared coordinate differences neither
+# overflow nor fall below the normal range.
+_COHESION_RTOL = 1e-9
 
 
 @dataclass
@@ -212,34 +227,59 @@ def _cohesion(points, g, memo, key=None):
     return memo[key]
 
 
-def _touches(points, g_i, g_j, key_i, key_j, bound, memo):
+def _touches(points, g_i, g_j, key_i, key_j, gap, upper, memo):
     """Merge test of clustering II, memoized by the pair: whether the closest
     cross distance of two member sets is no larger than the larger of their
-    cohesions. ``key_i`` and ``key_j`` are the sets' ``_key``s; ``bound`` is
-    a lower bound on that distance, and the exact scan runs only when the
-    bound does not already rule the merge out."""
+    cohesions. ``key_i`` and ``key_j`` are the sets' ``_key``s; ``gap`` is
+    a lower bound on that distance and ``upper`` an upper bound on the larger
+    cohesion. When the gap exceeds ``upper``, the merge is ruled out with no
+    cohesion computed; otherwise the exact scan runs only when the gap does
+    not exceed the larger cohesion."""
     key = (key_i, key_j)
     if key not in memo:
-        radius = max(_cohesion(points, g_i, memo, key_i),
-                     _cohesion(points, g_j, memo, key_j))
-        memo[key] = bool(bound <= radius * (1 + _BOX_RTOL) and
-                         pairwise_min_distance(np.take(points, g_i, axis=0),
-                                               np.take(points, g_j, axis=0)) <= radius)
+        if gap > upper * (1 + _BOX_RTOL):
+            memo[key] = False
+        else:
+            radius = max(_cohesion(points, g_i, memo, key_i),
+                         _cohesion(points, g_j, memo, key_j))
+            memo[key] = bool(gap <= radius * (1 + _BOX_RTOL) and
+                             pairwise_min_distance(np.take(points, g_i, axis=0),
+                                                   np.take(points, g_j, axis=0)) <= radius)
     return memo[key]
 
 
-def _box_gaps(points, groups):
-    """Distance between the bounding boxes of each adjacent pair of nonempty
-    groups (0 where the boxes meet): a lower bound on the pair's closest
-    cross distance. The boxes come from one reduceat over the members sorted
-    by group."""
+def _merge_bounds(points, groups):
+    """Both bounds of the merge tests, from one gather of the members sorted
+    by group (every group nonempty).
+
+    - The distance between the bounding boxes of each adjacent pair of
+      groups (0 where the boxes meet): a lower bound on the pair's closest
+      cross distance. The boxes come from one reduceat.
+    - An upper bound on each group's cohesion, ``intra_cluster`` of its
+      members. With c any point, m1 and m2 the mean of |x - c| and of
+      |x - c|^2 over the n members, the triangle inequality bounds the mean
+      pair distance by 2 m1, and Jensen's inequality with the mean's least
+      sum of squares bounds it by sqrt(2n / (n - 1) m2). Here c is the
+      members' mean as one reduceat sums it (the bounds need no exact
+      mean), and the smaller bound, raised by ``_COHESION_RTOL`` to cover
+      rounding, is returned; a singleton's is 0.
+    """
     sizes = np.fromiter(map(len, groups), dtype=np.intp, count=len(groups))
     starts = np.cumsum(sizes) - sizes
     members = np.take(points, np.concatenate(groups), axis=0)
     lo = np.minimum.reduceat(members, starts, axis=0)
     hi = np.maximum.reduceat(members, starts, axis=0)
     apart = np.maximum(0.0, np.maximum(lo[1:] - hi[:-1], lo[:-1] - hi[1:]))
-    return np.sqrt((apart ** 2).sum(axis=1))
+    gaps = np.sqrt((apart ** 2).sum(axis=1))
+    # an overflow makes a bound inf or nan, and neither rules a pair out
+    with np.errstate(over="ignore", invalid="ignore"):
+        centres = np.add.reduceat(members, starts, axis=0) / sizes[:, None]
+        offsets = members - np.repeat(centres, sizes, axis=0)
+        squares = np.einsum("ij,ij->i", offsets, offsets)
+        m1, m2 = (np.add.reduceat(np.column_stack((np.sqrt(squares), squares)),
+                                  starts, axis=0) / sizes[:, None]).T
+        upper = np.minimum(2.0 * m1, np.sqrt(2.0 * sizes / np.maximum(sizes - 1, 1) * m2))
+    return gaps, upper * (1 + _COHESION_RTOL)
 
 
 def _induced(points, centroids):
@@ -354,9 +394,16 @@ def clustering_two(points, assignment, mo, memo=None):
     Adjacent live pairs (i, i+1) are tested on a snapshot: with Dmin the
     closest cross-cluster point distance and R each cluster's mean intra
     distance, the pair merges when min(Dmin - R_i, Dmin - R_j) <= 0, that is
-    when Dmin <= max(R_i, R_j). Dmin is scanned only for pairs whose bounding
-    boxes lie no farther apart than that radius. Merged centroids are the
-    size-weighted mean of the members' centroids.
+    when Dmin <= max(R_i, R_j). Merged centroids are the size-weighted mean
+    of the members' centroids.
+
+    One pass over the members sorted by cluster bounds both sides of each
+    test (``_merge_bounds``): the gap between the pair's bounding boxes
+    bounds Dmin from below, and the members' spread about their mean bounds
+    each R from above. A pair whose box gap exceeds the larger upper bound
+    is ruled out without computing R; otherwise both R are computed, and
+    Dmin is scanned only when the box gap does not exceed max(R_i, R_j).
+    Every decision is the one the exact test makes.
 
     Cohesions and merge decisions are looked up in ``memo``, keyed by member
     indices, and computed only when missing, so for as long as one memo lives
@@ -373,9 +420,10 @@ def clustering_two(points, assignment, mo, memo=None):
     live, assignment, groups = _compact(assignment)
     mo = mo[live]
     keys = [_key(g) for g in groups]
-    box_gaps = _box_gaps(points, groups)
+    gaps, upper = _merge_bounds(points, groups)
+    upper = np.maximum(upper[:-1], upper[1:]).tolist()
     merged = [_touches(points, groups[i], groups[i + 1], keys[i], keys[i + 1],
-                       box_gaps[i], memo) for i in range(len(groups) - 1)]
+                       gaps[i], upper[i], memo) for i in range(len(groups) - 1)]
     # merges join only neighbours, so each merged cluster is a run of ids:
     # cluster i goes to the count of runs that start at or before it, less one
     new_id = np.cumsum(np.logical_not([False] + merged)) - 1
@@ -387,10 +435,26 @@ def clustering_two(points, assignment, mo, memo=None):
     return new_id[assignment], new_mo / weight[:, None]
 
 
-def _fingerprint(points, assignment, memo):
+def _fingerprint(points, assignment):
+    """What the stop test reads of a partition: its separation, its
+    member-index arrays and their digests, sorted."""
     _, _, groups = _compact(assignment)
-    intra_sorted = tuple(sorted(_cohesion(points, g, memo) for g in groups))
-    return (solution_inter(points, groups),) + intra_sorted
+    return solution_inter(points, groups), groups, sorted(map(_key, groups))
+
+
+def _settled(points, prev, sig, memo):
+    """Whether two consecutive partitions' fingerprints agree: the same
+    cluster count, separations within ``_STOP_TOL``, and sorted cohesions
+    within ``_STOP_TOL`` each. Equal member sets have equal cohesions, so
+    the cohesions are computed only when the member digests differ."""
+    (inter, groups, keys), (prev_inter, prev_groups, prev_keys) = sig, prev
+    if len(keys) != len(prev_keys) or abs(inter - prev_inter) > _STOP_TOL:
+        return False
+    if keys == prev_keys:
+        return True
+    now = sorted(_cohesion(points, g, memo) for g in groups)
+    before = sorted(_cohesion(points, g, memo) for g in prev_groups)
+    return max(abs(a - b) for a, b in zip(now, before)) <= _STOP_TOL
 
 
 def run_eca_star(dataset, params, memo=None):
@@ -425,9 +489,8 @@ def run_eca_star(dataset, params, memo=None):
         assignment = assign_nearest(points, mo)
         assignment, mo = clustering_two(points, assignment, mo, memo)
         state.assignment = assignment
-        sig = _fingerprint(points, assignment, memo)
-        if prev is not None and len(sig) == len(prev) \
-                and max(abs(a - b) for a, b in zip(sig, prev)) <= _STOP_TOL:
+        sig = _fingerprint(points, assignment)
+        if prev is not None and _settled(points, prev, sig, memo):
             break
         prev = sig
 

@@ -71,8 +71,11 @@ def resolve_out(path):
 
 
 def write_json(path, payload):
+    """Write strict JSON: a NaN or infinite value raises ValueError before
+    the file is opened, since RFC 8259 has no token for it."""
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     path = resolve_out(path)
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    path.write_text(text)
     return path
 
 

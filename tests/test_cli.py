@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -491,6 +492,37 @@ def test_cluster_rejects_non_finite_points(blob_file, tmp_path, capsys, bad):
         assert err["error"] == "ValueError"
         assert f"{data}:5: non-finite" in err["message"]
     assert not (tmp_path / "q.csv").exists()
+
+
+def test_cluster_rejects_points_whose_squared_distances_overflow(tmp_path, capsys):
+    data = tmp_path / "wide.txt"
+    data.write_text("0 0\n1e308 1e308\n-1e308 -1e308\n")
+    for algo in (["eca-star"], ["km", "--k", "2"]):
+        argv = ["cluster", "--algo", *algo, "--data", str(data), "--runs", "1",
+                "--out", str(tmp_path / "q.csv")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow warning either
+            assert cli.main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "ValueError"
+        assert f"{data}: coordinates span too wide" in json.loads(err[0])["message"]
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["wide.txt"]
+
+
+def test_cluster_refuses_a_non_finite_result_at_write_time(tmp_path, capsys):
+    # squared distances fit in a float, but their sum over 100 points does
+    # not: the SSE overflows, and strict JSON refuses it before the JSON file
+    rng = np.random.Generator(np.random.PCG64(3))
+    data = tmp_path / "wide.txt"
+    save_points(data, rng.uniform(-4.5e153, 4.5e153, size=(100, 2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert cli.main(["cluster", "--algo", "km", "--k", "1", "--data", str(data),
+                         "--runs", "1", "--out", str(tmp_path / "q.csv")]) == 1
+    err = _err(capsys)
+    assert err["error"] == "ValueError" and "not JSON compliant" in err["message"]
+    assert not (tmp_path / "q.json").exists()
 
 
 # ------------------------------------------------ defaults and keywords

@@ -14,7 +14,7 @@ from evoclust.ecastar import (EcaParams, EcaState, _cluster_quartiles,
                               clustering_two, init_assign, mut_over,
                               run_eca_star)
 from evoclust.measures import (assign_nearest, group_indices, intra_cluster,
-                               pairwise_min_distance)
+                               pairwise_min_distance, solution_inter)
 from evoclust.reports import run_cluster_suite, scrub_timing
 from evoclust.rng import LevyParams, RngStream, uniform_matrix
 
@@ -546,6 +546,89 @@ def test_box_pruned_merge_with_coincident_points():
     assert got[1].tobytes() == _merge_full_scan(points, labels, mo)[1].tobytes()
 
 
+def _bound_layouts(rng, d):
+    """Point sets cut into groups for the cohesion bound: singletons, pairs
+    and larger groups of random spread, coincident points, integer grids,
+    and the same shapes moved by 1e6 or scaled by 1e-6."""
+    for trial in range(30):
+        k = int(rng.integers(1, 8))
+        sizes = rng.choice([1, 2, 3, 5, 17, 40], size=k)
+        labels = np.repeat(np.arange(k), sizes)
+        points = rng.normal(size=(labels.size, d)) * rng.uniform(0.01, 5.0, size=k)[labels, None]
+        points += rng.uniform(-20, 20, size=(k, d))[labels]
+        kind = trial % 5
+        if kind == 1:
+            points = np.round(points)  # integer grid: many coincident points
+        elif kind == 2:
+            points[::2] = points[0]  # one point repeated across groups
+        elif kind == 3:
+            points += 1e6
+        elif kind == 4:
+            points *= 1e-6
+        yield points, group_indices(labels, k)
+    yield np.full((6, d), 3.7), [np.arange(6)]  # all coincident
+
+
+@pytest.mark.parametrize("d", [1, 2, 10])
+def test_cohesion_upper_bound_holds(d):
+    rng = np.random.Generator(np.random.PCG64(300 + d))
+    groups_seen = 0
+    for points, groups in _bound_layouts(rng, d):
+        _, upper = ecastar._merge_bounds(points, groups)
+        for g, u in zip(groups, upper):
+            cohesion = intra_cluster(points[g])
+            assert u >= cohesion
+            if g.size <= 2:  # the bound is exact for a pair, 0 for a singleton
+                assert u <= cohesion * (1 + 1e-8)
+            groups_seen += 1
+    assert groups_seen > 100
+
+
+def _three_and_one(d, gap):
+    """A 3-point cluster {-2, -2, 0} (R = 4/3, upper bound sqrt(8/3) up to
+    rounding) and a singleton at ``gap`` from its box, along axis 0."""
+    points = np.zeros((4, d))
+    points[:, 0] = [-2.0, -2.0, 0.0, gap]
+    labels = np.array([0, 0, 0, 1])
+    return points, labels, np.array([points[:3].mean(axis=0), points[3]])
+
+
+@pytest.mark.parametrize("where", ["radius", "between", "upper", "above"])
+def test_merge_at_the_upper_bound(where, monkeypatch):
+    cohesions, scans = [], []
+
+    def counted_intra(points):
+        cohesions.append(len(points))
+        return measures.intra_cluster(points)
+
+    def counted_gap(a, b):
+        scans.append(1)
+        return measures.pairwise_min_distance(a, b)
+
+    monkeypatch.setattr(ecastar, "intra_cluster", counted_intra)
+    monkeypatch.setattr(ecastar, "pairwise_min_distance", counted_gap)
+    for d in (1, 2, 10):
+        cluster = _three_and_one(d, 0.0)[0][:3]
+        radius = intra_cluster(cluster)
+        upper = ecastar._merge_bounds(cluster, [np.arange(3)])[1][0]
+        assert radius < upper < 2.0
+        gap = {"radius": radius, "between": (radius + upper) / 2, "upper": upper,
+               "above": upper * (1 + 1e-6)}[where]
+        points, labels, mo = _three_and_one(d, gap)
+        groups = group_indices(labels, 2)
+        assert ecastar._merge_bounds(points, groups)[0][0] == gap
+        del cohesions[:], scans[:]
+        got = clustering_two(points, labels, mo)
+        want = _merge_full_scan(points, labels, mo)
+        assert got[0].tolist() == want[0].tolist() == (
+            [0, 0, 0, 0] if where == "radius" else [0, 0, 0, 1])
+        assert got[1].tobytes() == want[1].tobytes()
+        # above the upper bound no cohesion is computed; at it and below,
+        # both are, and the cross distances are scanned only at the radius
+        assert sorted(cohesions) == ([] if where == "above" else [1, 3])
+        assert len(scans) == (where == "radius")
+
+
 def test_merge_memo_does_not_leak_between_point_sets():
     labels = np.array([0, 0, 1, 1])
     mo = np.array([[0.0, 1.0], [0.0, 4.0]])
@@ -591,18 +674,96 @@ def test_run_scores_each_member_set_once(monkeypatch):
                         spread=1.0, points_per_cluster=100)
     result, _ = run_eca_star(ds, EcaParams(seed=4))
     assert result.k == 4
-    assert intra_sets
+    # separated blobs: every merge is ruled out by the upper bounds, and the
+    # run settles on a repeated partition, so no cohesion is computed
+    assert not intra_sets
     assert len(intra_sets) == len(set(intra_sets))
     assert len(gap_pairs) == len(set(gap_pairs))
-    # blobs whose boxes overlap: the bound rules out fewer pairs, so the
-    # exact scans run, each pair at most once
+    # blobs whose boxes overlap: the bounds rule out fewer pairs, so the
+    # cohesions and the exact scans run, each set or pair at most once
     del intra_sets[:], gap_pairs[:]
     ds = gaussian_blobs(RngStream(23), centers=[(0, 0), (3, 0), (0, 3)],
                         spread=1.0, points_per_cluster=60)
     run_eca_star(ds, EcaParams(seed=4))
-    assert gap_pairs
+    assert intra_sets and gap_pairs
     assert len(intra_sets) == len(set(intra_sets))
     assert len(gap_pairs) == len(set(gap_pairs))
+
+
+def _fingerprint_by_cohesions(points, assignment, memo):
+    """The stop fingerprint that scores every cluster: the separation, then
+    the sorted cohesions. Two consecutive partitions are settled when their
+    fingerprints have one length and differ by at most _STOP_TOL each."""
+    _, _, groups = _compact(assignment)
+    return (solution_inter(points, groups),) + tuple(
+        sorted(ecastar._cohesion(points, g, memo) for g in groups))
+
+
+def _settled_by_cohesions(prev, sig):
+    return len(sig) == len(prev) and max(
+        abs(a - b) for a, b in zip(sig, prev)) <= ecastar._STOP_TOL
+
+
+def test_settled_compares_cohesions_only_of_distinct_member_sets():
+    # points 0 and 1 coincide, as do 2 and 3: {0, 2}, {1, 3} and {0, 3},
+    # {1, 2} are distinct partitions with the same scores
+    points = np.array([[0.0, 0.0], [0.0, 0.0], [4.0, 1.0], [4.0, 1.0], [9.0, 9.0]])
+    partitions = {"p": [0, 1, 0, 1, 2], "p mirrored": [0, 1, 1, 0, 2],
+                  "other 3": [0, 0, 1, 1, 2], "other 2": [0, 0, 1, 1, 1]}
+    partitions = {name: np.array(a) for name, a in partitions.items()}
+    # (settled, cohesions computed) against "p"
+    expect = {"p": (True, False), "p mirrored": (True, True),
+              "other 3": (False, False), "other 2": (False, False)}
+    for name, b in partitions.items():
+        a, memo = partitions["p"], {}
+        got = ecastar._settled(points, ecastar._fingerprint(points, a),
+                               ecastar._fingerprint(points, b), memo)
+        want = _settled_by_cohesions(_fingerprint_by_cohesions(points, a, {}),
+                                     _fingerprint_by_cohesions(points, b, {}))
+        assert got == want == expect[name][0]
+        assert bool(memo) == expect[name][1]
+
+
+def _stop_layouts():
+    """40 blob layouts in D = 1, 2, 3 and 10, each with a ranks count 2-5."""
+    rng = np.random.Generator(np.random.PCG64(41))
+    for i in range(40):
+        d = (1, 2, 3, 10)[i % 4]
+        k = int(rng.integers(2, 6))
+        ds = gaussian_blobs(RngStream(int(rng.integers(2**31))),
+                            centers=rng.uniform(0, 12, size=(k, d)),
+                            spread=float(rng.uniform(0.3, 1.5)),
+                            points_per_cluster=int(rng.integers(8, 30)))
+        yield ds, EcaParams(social_ranks=2 + i % 4, seed=i, max_cycles=20)
+
+
+def test_stop_rule_matches_the_cohesion_fingerprint(monkeypatch):
+    cycles = []
+
+    def counted_clustering_one(*args):
+        cycles[-1] += 1
+        return clustering_one(*args)
+
+    monkeypatch.setattr(ecastar, "clustering_one", counted_clustering_one)
+    runs = []
+    for oracle in (False, True):
+        if oracle:  # the reference rule scores every cluster of both partitions
+            monkeypatch.setattr(ecastar, "_fingerprint", lambda points, assignment:
+                                (points, assignment))
+            monkeypatch.setattr(ecastar, "_settled", lambda points, prev, sig, memo:
+                                _settled_by_cohesions(
+                                    _fingerprint_by_cohesions(*prev, memo),
+                                    _fingerprint_by_cohesions(*sig, memo)))
+        out = []
+        for ds, params in _stop_layouts():
+            cycles.append(0)
+            result, report = run_eca_star(ds, params)
+            out.append((result.assignment.tobytes(), result.centroids.tobytes(),
+                        repr(report), cycles[-1]))
+        runs.append(out)
+    assert runs[0] == runs[1]
+    stops = [c for *_, c in runs[0]]
+    assert min(stops) < 20 and max(stops) > 2  # early and late stops both occur
 
 
 def _suite_file(tmp_path):

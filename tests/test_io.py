@@ -148,6 +148,25 @@ def test_load_dataset_cross_checks(tmp_path):
         load_dataset(tmp_path / "d.txt", labels_path=tmp_path / "l3.txt")
 
 
+def test_load_dataset_refuses_spans_whose_squared_distances_overflow(tmp_path):
+    data = tmp_path / "wide.txt"
+    data.write_text("0 0\n1e308 1e308\n-1e308 -1e308\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the check itself overflows silently
+        with pytest.raises(ValueError, match=re.escape(f"{data}: coordinates span too wide")):
+            load_dataset(data)
+    # finite squared distances: spans around 1e150 load
+    (tmp_path / "d.txt").write_text("0 0\n1e150 -1e150\n-1e150 1e150\n")
+    assert load_dataset(tmp_path / "d.txt").n == 3
+    # a centroid file is checked together with the points it is scored on
+    (tmp_path / "c.txt").write_text("2e154 0\n")
+    with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'c.txt'}: coordinates span")):
+        load_dataset(tmp_path / "d.txt", centroids_path=tmp_path / "c.txt")
+    (tmp_path / "c_near.txt").write_text("1e150 0\n")
+    ds = load_dataset(tmp_path / "d.txt", centroids_path=tmp_path / "c_near.txt")
+    assert ds.true_centroids.tolist() == [[1e150, 0.0]]
+
+
 def test_synthetic_generators():
     rng = RngStream(1)
     ds = gaussian_blobs(rng, centers=[(0, 0), (5, 5)], spread=0.1,
@@ -195,6 +214,14 @@ def test_write_json_sorted_and_newline(tmp_path):
     text = p.read_text()
     assert text == '{\n  "a": [\n    1.5,\n    null\n  ],\n  "b": 1\n}\n'
     assert json.loads(text) == {"a": [1.5, None], "b": 1}
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+def test_write_json_refuses_non_finite_numbers(tmp_path, bad):
+    path = tmp_path / "x.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_json(path, {"a": {"b": [1.0, bad]}})
+    assert not path.exists()
 
 
 def test_write_csv_lossless_and_human(tmp_path):
