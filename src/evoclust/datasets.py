@@ -3,9 +3,10 @@
 The on-disk format is deliberately plain: one point per line, coordinates
 separated by whitespace, ``#`` comments and blank lines ignored. Ground-truth
 centroid files use the same layout. Every value must be finite: ``nan`` and
-``inf`` are rejected at load time with the file and line. So must every
-squared distance between the points, and between them and the centroids:
-``load_dataset`` rejects a file whose coordinate span would overflow one.
+``inf`` are rejected at load time with the file and line. So must every sum
+of N squared distances, N the point count, between the points and between
+them and the centroids: ``load_dataset`` rejects a file whose coordinate
+span would let such a sum (an SSE, a k-means++ weight total) overflow.
 
 A file is read by numpy's C reader (``np.loadtxt``) first. Whenever that
 reader refuses the text, finds no rows or reads a non-finite value, or the
@@ -118,25 +119,27 @@ def load_labels(path):
     return flat.astype(np.int64)
 
 
-def _check_span(source, low, high):
-    """Refuse the box [low, high] when the squared length of its diagonal,
-    the largest squared distance between two of its points, overflows."""
+def _check_span(source, low, high, n):
+    """Refuse the box [low, high] when n times the squared length of its
+    diagonal overflows. That squared length is the largest squared distance
+    between two points of the box, so the product bounds every sum of n
+    squared distances within it: each SSE and k-means++ weight total."""
     with np.errstate(over="ignore"):
-        diagonal = np.sum(np.square(high - low))
-    if not np.isfinite(diagonal):
-        raise ValueError(f"{source}: coordinates span too wide a range: a squared "
-                         f"distance between two points would overflow")
+        bound = n * np.sum(np.square(high - low))
+    if not np.isfinite(bound):
+        raise ValueError(f"{source}: coordinates span too wide a range: a sum of "
+                         f"{n} squared distances between points would overflow")
 
 
 def load_dataset(path, centroids_path=None, labels_path=None):
     """Load a dataset with optional ground-truth centroids and labels.
 
-    Points, and centroids together with the points, whose squared distances
-    could overflow are refused, naming the file."""
+    Points, and centroids together with the points, whose sums of N squared
+    distances could overflow are refused, naming the file."""
     path = Path(path)
     points = load_points(path)
     low, high = points.min(axis=0), points.max(axis=0)
-    _check_span(path, low, high)
+    _check_span(path, low, high, len(points))
     centroids = None
     if centroids_path is not None:
         centroids = load_points(centroids_path)
@@ -145,7 +148,7 @@ def load_dataset(path, centroids_path=None, labels_path=None):
                 f"{centroids_path}: centroid dimension {centroids.shape[1]} "
                 f"does not match data dimension {points.shape[1]}")
         _check_span(centroids_path, np.minimum(low, centroids.min(axis=0)),
-                    np.maximum(high, centroids.max(axis=0)))
+                    np.maximum(high, centroids.max(axis=0)), len(points))
     labels = None
     if labels_path is not None:
         labels = load_labels(labels_path)

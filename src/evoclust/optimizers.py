@@ -4,12 +4,15 @@ counterparts for head-to-head benchmarking.
 
 Each algorithm is a generator of its iterations: it draws and evaluates its
 initial population, yields ``(values, points)``, and yields again after each
-iteration. ``run_optimizer`` is the one loop that consumes them: it keeps the
-best so far and stops the run at the iteration cap or, when configured, at
-the first iteration within tolerance of the minimum.
+iteration. One run loop consumes them: it keeps the best so far and stops a
+run at the iteration cap or, when configured, at the first iteration within
+tolerance of the minimum. The firefly's generator advances a stack of runs
+in lockstep, each on its own stream, and ``run_repetitions`` runs all of
+its repetitions as one stack; a single run is a stack of one.
 
 Every run is single-threaded and fully determined by its seed; repetitions
-use independently seeded streams.
+use independently seeded streams, so a run's results do not depend on the
+runs beside it.
 """
 
 import math
@@ -58,6 +61,11 @@ class OptimizerConfig:
 
 @dataclass
 class RunResult:
+    """One run's outcome. ``wall_time`` is the run's share of the time its
+    batch took: each iteration's time divided by the runs live in it, so
+    the times of a lockstep batch's runs add up to the batch's wall time,
+    and a lone run's is its own wall time."""
+
     algo: str
     fn_id: str
     dim: int
@@ -284,62 +292,97 @@ def _run_abc(fn, dim, low, up, config, rng):
             trial[worst] = 0
 
 
-def ff_sweep(X, fitness, noise, beta0, gamma, step):
-    """One firefly iteration's moves (Yang 2009), before clipping.
+def ff_sweep(X, fitness, kick, beta0, gamma):
+    """One firefly iteration's moves (Yang 2009), before clipping, for a
+    stack of runs: ``X`` is (..., n, D), ``fitness`` (..., n) and ``kick``
+    (..., n, n, D), where ``kick[..., i, j, :]`` is firefly i's random step
+    toward attractor j.
 
     For each attractor j in index order, every firefly dimmer than j (by
     ``fitness``, the start-of-iteration values) moves toward j's
     start-of-iteration position at once: x_i += beta0 * exp(-gamma * r^2) *
-    (x_j - x_i) + step * noise[i, j], with r measured from x_i's current,
+    (x_j - x_i) + kick[i, j], with r measured from x_i's current,
     already-moved position. So each firefly still passes through its
     brighter fireflies one at a time in index order; only the attractors
-    stay where they stood when the iteration began."""
-    # With the rows sorted by fitness, the fireflies dimmer than j are the
-    # slice after j's tie group, so each step updates a view in place.
-    order = np.argsort(fitness)
-    first_dimmer = np.searchsorted(fitness[order], fitness, side="right")
-    moved = X[order]
-    kick = step * noise[order]
-    for j in range(len(X)):
-        s = first_dimmer[j]
-        if s == len(X):
-            continue
-        diff = X[j] - moved[s:]
-        beta = beta0 * np.exp(-gamma * np.einsum("ij,ij->i", diff, diff))
-        moved[s:] += beta[:, None] * diff + kick[s:, j]
-    out = np.empty_like(moved)
-    out[order] = moved
-    return out
+    stay where they stood when the iteration began. Each run reads only its
+    own rows, so its moves do not depend on the other runs in the stack."""
+    n = X.shape[-2]
+    dimmer = fitness[..., :, None, None] > fitness[..., None, :, None]  # [..., i, j, 0]
+    # indexed by j first: attractor[j] is X[..., j, None, :], and so on
+    attractor = np.moveaxis(X, -2, 0)[..., None, :]
+    attracted = np.moveaxis(dimmer, -2, 0)
+    kicks = np.moveaxis(kick, -2, 0)
+    moved = X.copy()
+    for j in np.flatnonzero(dimmer.reshape(-1, n).any(axis=0)):
+        step = attractor[j] - moved
+        beta = beta0 * np.exp(-gamma * np.einsum("...d,...d->...", step, step))
+        step *= beta[..., None]
+        step += kicks[j]
+        np.add(moved, step, out=moved, where=attracted[j])
+    return moved
 
 
-def _run_ff(fn, dim, low, up, config, rng):
+# cells of firefly noise held at once: 128 KiB, glibc's default mmap
+# threshold, so the noise stays on the heap and does not grow with the run
+# count (all three runs' noise at D = 10 raised the optimizer protocol's peak
+# memory by 0.2 MB)
+_FF_NOISE_CELLS = 2**14
+
+
+def _run_ff(fn, dim, low, up, config, rngs):
+    """Firefly (Yang 2009) over a stack of runs in lockstep, one stream per
+    run: each run draws its initial population and then, per iteration, its
+    (n, n, D) noise from its own stream, in the order a lone run would, and
+    the whole stack is evaluated in one batch. After each yield the run loop
+    sends ``None`` or a mask of the runs that stay; the others leave the
+    stack and draw nothing more.
+
+    Each iteration sweeps the stack in groups of consecutive runs whose noise
+    fits in ``_FF_NOISE_CELLS`` cells (one run at least): each group draws
+    into one buffer, reused by every group and iteration and scaled in place
+    into the kicks."""
     n = config.population_size
-    X = uniform_matrix(rng, low, up, (n, dim))
-    fx = benchmarks.evaluate_batch(fn, X)
+    X = np.stack([uniform_matrix(rng, low, up, (n, dim)) for rng in rngs])
+    fx = benchmarks.evaluate_batch(fn, X.reshape(-1, dim)).reshape(len(rngs), n)
+    group = max(1, _FF_NOISE_CELLS // (n * n * dim))
+    noise = np.empty((min(group, len(rngs)), n, n, dim))
     alpha = FF_ALPHA
     span = up - low
     while True:
-        yield fx, X
-        noise = rng.generator.random((n, n, dim)) - 0.5
-        moved = ff_sweep(X, fx, noise, FF_BETA0, FF_GAMMA, alpha * span)
+        keep = yield fx, X
+        if keep is not None:
+            X, fx = X[keep], fx[keep]
+            rngs = [rng for rng, stays in zip(rngs, keep) if stays]
+        moved = np.empty_like(X)
+        for start in range(0, len(rngs), group):
+            runs = slice(start, start + group)
+            kick = noise[:len(rngs[runs])]
+            for r, rng in enumerate(rngs[runs]):
+                rng.generator.random(out=kick[r])
+            kick -= 0.5
+            kick *= alpha * span
+            moved[runs] = ff_sweep(X[runs], fx[runs], kick, FF_BETA0, FF_GAMMA)
         X = np.clip(moved, low, up)
-        fx = benchmarks.evaluate_batch(fn, X)
+        fx = benchmarks.evaluate_batch(fn, X.reshape(-1, dim)).reshape(len(rngs), n)
         alpha *= FF_ALPHA_DECAY
 
 
 _RUNNERS = {"bsa": _run_bsa, "de": _run_de, "pso": _run_pso, "abc": _run_abc, "ff": _run_ff}
+# runners that advance a stack of runs, one stream each; the others run one
+_LOCKSTEP = ("ff",)
 
 
-def run_optimizer(algo, fn, config, seed, dim=None, bounds=None):
-    """One full optimization run of ``algo`` on benchmark ``fn``.
+def _run_batch(algo, fn, config, seeds, dim, bounds):
+    """The run loop: one ``RunResult`` per seed, all advanced together.
 
-    ``dim`` defaults to 2; ``bounds`` defaults to the catalog search space.
-    Success means the best so far comes within the configured tolerance of
-    the function's minimum on the active bounds. Iteration 0 is the initial
-    population; the run takes at most ``max_iterations`` more, and with
-    ``STOP_ON_SUCCESS`` it ends at the first successful iteration, without
-    drawing or evaluating anything further.
-    """
+    A lockstep runner yields ``(values, points)`` stacks of shape (L, n) and
+    (L, n, D) for the L runs still live; any other runner takes one seed and
+    its steps are read as stacks of one. Each step keeps every live run's
+    best so far and records its first iteration within tolerance; with
+    ``STOP_ON_SUCCESS`` a run that succeeds leaves the batch, and the runner
+    is told so before it is resumed. The loop never resumes the runner after
+    the iteration cap or once no run is live. Each step's wall time is split
+    evenly over the runs live in it."""
     algo = str(algo).lower()
     if algo not in _RUNNERS:
         raise ValueError(f"unknown algorithm: {algo!r} (expected one of {ALGORITHMS})")
@@ -358,25 +401,62 @@ def run_optimizer(algo, fn, config, seed, dim=None, bounds=None):
         raise ValueError("bounds must satisfy low < up")
     fn._check_dim(dim)
     reference = benchmarks.reference_minimum(fn, dim, low, up)
-    best_value, best_point, success_at = math.inf, None, None
-    start = time.perf_counter()
-    steps = _RUNNERS[algo](fn, dim, float(low), float(up), config, RngStream(seed))
-    # zip draws from the range first, so the cap never resumes the generator
-    for it, (values, points) in zip(range(config.max_iterations + 1), steps):
-        i = int(np.argmin(values))
-        if values[i] < best_value:
-            best_value, best_point = float(values[i]), np.array(points[i], dtype=float)
-        if success_at is None and abs(best_value - reference) <= config.success_tolerance:
-            success_at = it
-            if STOP_ON_SUCCESS:
-                break
-    wall = time.perf_counter() - start
-    return RunResult(algo, fn.id, dim, int(seed), best_value, best_point,
-                     success_at, success_at is not None, wall, reference)
+    runs = len(seeds)
+    best_value, best_point = [math.inf] * runs, [None] * runs
+    success_at, wall = [None] * runs, [0.0] * runs
+    live = list(range(runs))
+    last = time.perf_counter()
+    rngs = [RngStream(seed) for seed in seeds]
+    if algo in _LOCKSTEP:
+        steps = _RUNNERS[algo](fn, dim, float(low), float(up), config, rngs)
+    else:
+        (rng,) = rngs
+        steps = ((values[None], points[None]) for values, points
+                 in _RUNNERS[algo](fn, dim, float(low), float(up), config, rng))
+    values, points = next(steps)
+    for it in range(config.max_iterations + 1):
+        keep = []
+        for row, r in enumerate(live):
+            i = int(np.argmin(values[row]))
+            if values[row, i] < best_value[r]:
+                best_value[r] = float(values[row, i])
+                best_point[r] = np.array(points[row, i], dtype=float)
+            if success_at[r] is None and abs(best_value[r] - reference) <= config.success_tolerance:
+                success_at[r] = it
+            keep.append(not (STOP_ON_SUCCESS and success_at[r] is not None))
+        now = time.perf_counter()
+        for r in live:
+            wall[r] += (now - last) / len(live)
+        last = now
+        live = [r for r, stays in zip(live, keep) if stays]
+        if not live or it == config.max_iterations:
+            break
+        values, points = steps.send(None if len(live) == len(keep) else keep)
+    return [RunResult(algo, fn.id, dim, int(seed), best_value[r], best_point[r],
+                      success_at[r], success_at[r] is not None, wall[r], reference)
+            for r, seed in enumerate(seeds)]
+
+
+def run_optimizer(algo, fn, config, seed, dim=None, bounds=None):
+    """One full optimization run of ``algo`` on benchmark ``fn``.
+
+    ``dim`` defaults to 2; ``bounds`` defaults to the catalog search space.
+    Success means the best so far comes within the configured tolerance of
+    the function's minimum on the active bounds. Iteration 0 is the initial
+    population; the run takes at most ``max_iterations`` more, and with
+    ``STOP_ON_SUCCESS`` it ends at the first successful iteration, without
+    drawing or evaluating anything further.
+    """
+    return _run_batch(algo, fn, config, [seed], dim, bounds)[0]
 
 
 def run_repetitions(algo, fn, config, base_seed, dim=None, bounds=None):
-    """The configured number of independent repetitions (seed = base + i)."""
-    return [run_optimizer(algo, fn, config, stream_for_run(base_seed, i).seed,
-                          dim=dim, bounds=bounds)
-            for i in range(config.runs)]
+    """The configured number of independent repetitions (seed = base + i).
+
+    ff's repetitions run in lockstep, one stack with a stream per run, and
+    give each run the results ``run_optimizer`` gives its seed; the other
+    algorithms call ``run_optimizer`` once per run."""
+    seeds = [stream_for_run(base_seed, i).seed for i in range(config.runs)]
+    if str(algo).lower() in _LOCKSTEP:
+        return _run_batch(algo, fn, config, seeds, dim, bounds)
+    return [run_optimizer(algo, fn, config, seed, dim=dim, bounds=bounds) for seed in seeds]

@@ -149,7 +149,8 @@ def test_report_compares_from_bench_json(bench_json, tmp_path, capsys):
     assert header[header.index("p_value") + 1] == "exact"
 
 
-@pytest.mark.parametrize("n_pairs", [EXACT_LIMIT, EXACT_LIMIT + 1])
+# 25 and 26 straddle the earlier limit of 25 and now both sit on the exact path
+@pytest.mark.parametrize("n_pairs", sorted({25, 26, EXACT_LIMIT, EXACT_LIMIT + 1}))
 def test_report_says_whether_its_p_is_exact(tmp_path, capsys, n_pairs):
     # every difference is nonzero, so the exact enumeration ends at the limit
     def runs(step):
@@ -510,16 +511,35 @@ def test_cluster_rejects_points_whose_squared_distances_overflow(tmp_path, capsy
     assert sorted(f.name for f in tmp_path.iterdir()) == ["wide.txt"]
 
 
-def test_cluster_refuses_a_non_finite_result_at_write_time(tmp_path, capsys):
-    # squared distances fit in a float, but their sum over 100 points does
-    # not: the SSE overflows, and strict JSON refuses it before the JSON file
+def test_cluster_rejects_points_whose_squared_distance_sums_overflow(tmp_path, capsys):
+    # every squared distance fits in a float, but their sum over 100 points
+    # does not: the load refuses the file before any SSE or k-means++ weight
+    # total can overflow
     rng = np.random.Generator(np.random.PCG64(3))
     data = tmp_path / "wide.txt"
     save_points(data, rng.uniform(-4.5e153, 4.5e153, size=(100, 2)))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        assert cli.main(["cluster", "--algo", "km", "--k", "1", "--data", str(data),
-                         "--runs", "1", "--out", str(tmp_path / "q.csv")]) == 1
+    for algo in (["km", "--k", "1"], ["km++", "--k", "2"]):
+        argv = ["cluster", "--algo", *algo, "--data", str(data), "--runs", "1",
+                "--out", str(tmp_path / "q.csv")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow warning either
+            assert cli.main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "ValueError"
+        assert f"{data}: coordinates span too wide" in json.loads(err[0])["message"]
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["wide.txt"]
+
+
+def test_cluster_refuses_a_non_finite_result_at_write_time(blob_file, tmp_path, capsys,
+                                                           monkeypatch):
+    # strict JSON refuses a non-finite number before the JSON file is opened
+    real = reports.quality_report
+    monkeypatch.setattr(reports, "quality_report",
+                        lambda *a, **kw: dataclasses.replace(real(*a, **kw), sse=float("inf")))
+    data, _ = blob_file
+    assert cli.main(["cluster", "--algo", "km", "--k", "2", "--data", str(data),
+                     "--runs", "1", "--out", str(tmp_path / "q.csv")]) == 1
     err = _err(capsys)
     assert err["error"] == "ValueError" and "not JSON compliant" in err["message"]
     assert not (tmp_path / "q.json").exists()

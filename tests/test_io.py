@@ -167,6 +167,30 @@ def test_load_dataset_refuses_spans_whose_squared_distances_overflow(tmp_path):
     assert ds.true_centroids.tolist() == [[1e150, 0.0]]
 
 
+def test_load_dataset_refuses_spans_whose_squared_distance_sums_overflow(tmp_path):
+    """N times the squared diagonal must fit: it bounds every SSE and
+    k-means++ weight total over the N points."""
+    rng = np.random.Generator(np.random.PCG64(3))
+    wide = rng.uniform(-4.5e153, 4.5e153, size=(100, 2))
+    assert np.isfinite(np.sum(np.square(wide.max(axis=0) - wide.min(axis=0))))
+    data = tmp_path / "wide.txt"
+    save_points(data, wide)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(f"{data}: coordinates span too wide")):
+            load_dataset(data)
+    # a box 20 times narrower holds the 100 points, but not 1,000
+    save_points(tmp_path / "narrow.txt", wide / 20)
+    assert load_dataset(tmp_path / "narrow.txt").n == 100
+    save_points(tmp_path / "many.txt", rng.uniform(-2.25e152, 2.25e152, size=(1000, 2)))
+    with pytest.raises(ValueError, match="a sum of 1000 squared distances"):
+        load_dataset(tmp_path / "many.txt")
+    # a centroid file is checked over the points' count
+    (tmp_path / "c.txt").write_text("4.5e153 0\n")
+    with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'c.txt'}: coordinates span")):
+        load_dataset(tmp_path / "narrow.txt", centroids_path=tmp_path / "c.txt")
+
+
 def test_synthetic_generators():
     rng = RngStream(1)
     ds = gaussian_blobs(rng, centers=[(0, 0), (5, 5)], spread=0.1,

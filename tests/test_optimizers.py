@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -271,14 +272,20 @@ def _ff_pairs_reference(X, fitness, noise, beta0, gamma, step):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_ff_sweep_matches_pair_loop(seed):
+    """Each run of a stack moves as the pair loop moves it, and as the sweep
+    moves it alone: runs with different fitness orders share no moves."""
     g = np.random.Generator(np.random.PCG64(seed))
-    n, d = int(g.integers(2, 25)), int(g.integers(1, 6))
-    X = g.normal(size=(n, d))
-    fitness = np.round(g.random(n), 1)  # ties: equals do not attract
-    noise = g.random((n, n, d)) - 0.5
-    got = ff_sweep(X, fitness, noise, 1.0, 0.7, 0.3)
-    want = _ff_pairs_reference(X, fitness, noise, 1.0, 0.7, 0.3)
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    runs, n, d = int(g.integers(2, 5)), int(g.integers(2, 25)), int(g.integers(1, 6))
+    X = g.normal(size=(runs, n, d))
+    fitness = np.round(g.random((runs, n)), 1)  # ties: equals do not attract
+    assert len({tuple(np.argsort(f, kind="stable")) for f in fitness}) > 1
+    noise = g.random((runs, n, n, d)) - 0.5
+    got = ff_sweep(X, fitness, 0.3 * noise, 1.0, 0.7)
+    for r in range(runs):
+        want = _ff_pairs_reference(X[r], fitness[r], noise[r], 1.0, 0.7, 0.3)
+        np.testing.assert_allclose(got[r], want, rtol=1e-12, atol=0)
+        alone = ff_sweep(X[r], fitness[r], 0.3 * noise[r], 1.0, 0.7)
+        np.testing.assert_array_equal(got[r], alone)
 
 
 def test_ff_iteration_matches_pair_loop(monkeypatch):
@@ -299,6 +306,71 @@ def test_ff_iteration_matches_pair_loop(monkeypatch):
                    -2.0, 2.0)
     np.testing.assert_array_equal(seen[0], X0)
     np.testing.assert_allclose(seen[1], want, rtol=1e-12, atol=0)
+
+
+def _ff_lockstep_equals_single_runs(fn, cfg, dim=2, bounds=None, base_seed=0):
+    """run_repetitions("ff") against run_optimizer seed by seed, bit for bit."""
+    batch = run_repetitions("ff", fn, cfg, base_seed, dim=dim, bounds=bounds)
+    assert [r.seed for r in batch] == list(range(base_seed, base_seed + cfg.runs))
+    for r in batch:
+        solo = run_optimizer("ff", fn, cfg, seed=r.seed, dim=dim, bounds=bounds)
+        assert r.best_value == solo.best_value
+        np.testing.assert_array_equal(r.best_point, solo.best_point)
+        assert r.iterations_to_success == solo.iterations_to_success
+        assert r.succeeded == solo.succeeded
+    return batch
+
+
+@pytest.mark.parametrize("stop", [True, False])
+# one sweep over the stack, and sweeps over groups of two runs
+@pytest.mark.parametrize("cells", [2**14, 4000])
+def test_ff_lockstep_runs_leave_the_batch_as_they_succeed(stop, cells, monkeypatch):
+    monkeypatch.setattr(optimizers, "STOP_ON_SUCCESS", stop)
+    monkeypatch.setattr(optimizers, "_FF_NOISE_CELLS", cells)
+    cfg = OptimizerConfig(max_iterations=120, runs=8, success_tolerance=1e-3)
+    batch = _ff_lockstep_equals_single_runs("F14", cfg, base_seed=40)
+    done = [r.iterations_to_success for r in batch if r.succeeded]
+    assert len(set(done)) >= 3 and max(done) > 0  # rows leave at several iterations
+
+
+@pytest.mark.parametrize("iters,runs", [(0, 1), (0, 3), (5, 1)])
+def test_ff_lockstep_at_zero_iterations_and_one_run(iters, runs):
+    cfg = OptimizerConfig(max_iterations=iters, runs=runs)
+    _ff_lockstep_equals_single_runs("F11", cfg, dim=3)
+
+
+@pytest.mark.parametrize("pop,fn,dim", [(1, "F14", 2), (2, "F14", 2), (7, "F11", 1), (1, "F1", 1)])
+def test_ff_lockstep_at_small_populations_and_one_dimension(pop, fn, dim):
+    cfg = OptimizerConfig(population_size=pop, max_iterations=40, runs=4,
+                          success_tolerance=1e-2)
+    _ff_lockstep_equals_single_runs(fn, cfg, dim=dim)
+
+
+def test_ff_lockstep_with_tied_fitness():
+    """Far from its peak Easom underflows to exactly 0, so fireflies tie."""
+    cfg = OptimizerConfig(population_size=12, max_iterations=30, runs=3)
+    fn = get_function("F6")
+    for seed in range(3):
+        first = uniform_matrix(RngStream(seed), -100.0, 100.0, (12, 2))
+        values = benchmarks.evaluate_batch(fn, first)
+        assert len(np.unique(values)) < len(values)
+    _ff_lockstep_equals_single_runs(fn, cfg)
+
+
+def test_ff_lockstep_splits_each_step_over_its_live_runs(monkeypatch):
+    """A clock that ticks once per read makes every step last 1: a run's
+    wall_time is the sum of 1/L over the steps it was live in, L the runs
+    live in that step, so the runs' times add up to the batch's."""
+    clock = iter(range(10**6))
+    monkeypatch.setattr(optimizers, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+    cfg = OptimizerConfig(max_iterations=60, runs=6, success_tolerance=1e-3)
+    batch = run_repetitions("ff", "F14", cfg, base_seed=40)
+    last = [r.iterations_to_success if r.succeeded else cfg.max_iterations for r in batch]
+    live = [sum(t <= end for end in last) for t in range(max(last) + 1)]
+    assert len(set(last)) >= 3
+    for r, end in zip(batch, last):
+        assert r.wall_time == pytest.approx(sum(1 / n for n in live[:end + 1]))
+    assert sum(r.wall_time for r in batch) == pytest.approx(max(last) + 1)
 
 
 # ------------------------------------------------------- ABC phases
@@ -487,8 +559,8 @@ def test_run_loop_takes_initial_population_plus_cap(algo, monkeypatch):
     cfg = OptimizerConfig(population_size=10, max_iterations=8, runs=1)
     run_optimizer(algo, "F11", cfg, seed=2, dim=3)
     assert len(steps) == cfg.max_iterations + 1
-    for values, points in steps:
-        assert points.shape == (len(values), 3)
+    for values, points in steps:  # one point per value, in a stack for ff
+        assert points.shape == values.shape + (3,)
 
 
 @pytest.mark.parametrize("algo", ALGORITHMS)

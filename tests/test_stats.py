@@ -13,7 +13,7 @@ import pytest
 from scipy.stats import norm, rankdata
 
 from evoclust import stats
-from evoclust.stats import (SummaryStats, _average_ranks, success_ratio,
+from evoclust.stats import (EXACT_LIMIT, SummaryStats, _average_ranks, success_ratio,
                             summarize, wilcoxon_signed_rank)
 
 
@@ -128,9 +128,10 @@ def test_wilcoxon_swap_symmetry():
 
 
 def test_wilcoxon_normal_approximation_path():
+    n = EXACT_LIMIT + 10
     rng = np.random.Generator(np.random.PCG64(13))
-    a = rng.normal(size=40)
-    b = a + 0.8 + rng.normal(scale=0.2, size=40)
+    a = rng.normal(size=n)
+    b = a + 0.8 + rng.normal(scale=0.2, size=n)
     r = wilcoxon_signed_rank(a, b)
     assert not r.exact
     assert r.p_value < 0.001
@@ -154,11 +155,11 @@ def test_average_ranks_equal_scipy_rankdata():
 
 
 def test_wilcoxon_normal_path_equals_scipy_tail():
-    """For n' from 26 to 60 the p-value is exactly min(1, 2 norm.sf(|z|)),
-    with z tie-corrected as the test computes it."""
+    """For 35 values of n' above EXACT_LIMIT the p-value is exactly
+    min(1, 2 norm.sf(|z|)), with z tie-corrected as the test computes it."""
     for seed in range(4):
         rng = np.random.Generator(np.random.PCG64(100 + seed))
-        for n in range(26, 61):
+        for n in range(EXACT_LIMIT + 1, EXACT_LIMIT + 36):
             a = np.round(rng.normal(size=n), 1)
             b = np.round(rng.normal(loc=0.3 * seed, size=n), 1)
             b[a == b] += 0.05
