@@ -7,15 +7,16 @@ concept's extent and intent are rows of uint64 words (``PackedConcepts``).
 The intents are built as Python int bitmasks by closing the full attribute
 set under intersection with each object row, then packed in one go; each
 extent is the set of objects whose packed row holds the intent, and one
-``np.lexsort`` puts the concepts in order. Covers come from Lindig's
-neighbour step run as blocked array operations on the packed intents, and
-the order that the exact width needs is extent inclusion, read from the
-packed extents. ``Concept`` index tuples are made only when a caller reads
-a concept.
+``np.lexsort`` puts the concepts in order. The strict order of a concept
+family is extent inclusion, read from the packed extents once per family
+(``PackedConcepts.order``): the covers are its pairs with nothing between
+them, and the exact width is n minus a maximum matching of it. ``Concept``
+index tuples are made only when a caller reads a concept.
 """
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Tuple
 
@@ -64,7 +65,8 @@ class PackedConcepts:
     extent is object 64w + i, and likewise for intents over attributes.
     sizes holds each extent's object count, and n_objects the context's,
     which the zero padding bits do not show. ``concepts[k]`` is concept k
-    as a ``Concept``.
+    as a ``Concept``, and ``order`` is the strict extent-inclusion order,
+    built on first read and kept for ``hasse_edges`` and ``invariants``.
     """
     extents: np.ndarray  # (n, words) uint64
     intents: np.ndarray  # (n, words) uint64
@@ -79,6 +81,16 @@ class PackedConcepts:
 
     def __iter__(self):
         return (self[k] for k in range(len(self)))
+
+    @cached_property
+    def order(self):
+        """(by_size, less): the concept indices ordered by extent size, and
+        the strict extent-inclusion order over them as a bool CSR matrix, in
+        which row i holds each j whose extent strictly contains by_size[i]'s.
+        Permuting rows and columns alike keeps both the covers and the size
+        of a maximum matching."""
+        by_size = np.argsort(self.sizes, kind="stable")
+        return by_size, _strict_order(self.extents[by_size])
 
 
 @dataclass(eq=False)
@@ -143,96 +155,23 @@ def derive_concepts(ctx):
     return PackedConcepts(_pack(holds[order]), intents[order], sizes[order], n_obj)
 
 
-# concepts per block of hasse_edges: its transient arrays hold at most
-# HASSE_BLOCK x objects candidates
-HASSE_BLOCK = 128
-
-
 def hasse_edges(concepts):
     """Covering pairs (child, parent) of the extent-inclusion order of packed
     concepts, as an (m, 2) array sorted by child then parent.
 
-    Lindig's neighbour step (Fast Concept Analysis, 2000): every upper
-    neighbour of (A, B) has intent B & g' for some object g outside A, where
-    g' is the intent of g's object concept, the smallest concept holding g.
-    A candidate is a cover iff every object it adds to A generates it, i.e.
-    the number of generating objects equals |extent(candidate)| - |A|.
-
-    The step runs as array operations on the packed intents, HASSE_BLOCK
-    concepts at a time: every (concept, object outside its extent) pair of a
-    block forms its candidate at once, each candidate is looked up exactly
-    among the sorted intents, and one ``np.unique`` over (concept, candidate)
-    keys counts the generating objects.
+    A cover is a pair of the strict order with no concept between its ends:
+    ``less > less @ less`` in bool sparse arithmetic, on the order that the
+    concepts build once (``PackedConcepts.order``), with both ends mapped
+    back through its extent-size permutation. Any family of distinct
+    extents has these covers, a complete lattice or not.
     """
-    n = len(concepts)
-    if n < 2:
+    if len(concepts) < 2:
         return np.empty((0, 2), dtype=np.intp)
-    holds = np.unpackbits(concepts.extents.view(np.uint8), axis=1,
-                          count=concepts.n_objects, bitorder="little").view(bool)
-    intents, size = concepts.intents, concepts.sizes
-    by_size = np.argsort(size)
-    # g' of every object g: the intent of the first concept, by size, holding g
-    object_intents = intents[by_size[holds[by_size].argmax(axis=0)]]
-    lookup = _IntentIndex(intents)
-    edges = []
-    for lo in range(0, n, HASSE_BLOCK):
-        rows, objs = np.nonzero(~holds[lo:lo + HASSE_BLOCK])
-        rows += lo
-        parent = lookup.find(intents[rows] & object_intents[objs])
-        keys, counts = np.unique(rows * n + parent, return_counts=True)
-        child, parent = np.divmod(keys, n)
-        cover = counts == size[parent] - size[child]
-        edges.append(np.column_stack((child[cover], parent[cover])))
-    return np.concatenate(edges)
-
-
-class _IntentIndex:
-    """Exact lookup of packed intents (rows of uint64 words) by value.
-
-    An intent's code is its rank among the distinct values of its first
-    word, then, one word at a time, the rank of (code, rank of the next word)
-    among the distinct such pairs. A query is folded through the same sorted
-    tables with ``searchsorted``, so the lookup is exact at every word count
-    and needs no hashing.
-    """
-
-    def __init__(self, intents):
-        self.words = intents
-        self.tables = []
-        code = None
-        for column in intents.T:
-            values, rank = np.unique(column, return_inverse=True)
-            if code is None:
-                code, prefixes = rank, None
-            else:
-                prefixes, code = np.unique(code * len(values) + rank,
-                                           return_inverse=True)
-            self.tables.append((values, prefixes))
-        self.index_of = np.zeros(len(intents), dtype=np.intp)
-        self.index_of[code] = np.arange(len(intents))
-
-    def find(self, queries):
-        """Row index of each query; ValueError when one is not an intent."""
-        code = None
-        for column, (values, prefixes) in zip(queries.T, self.tables):
-            rank = _sorted_search(values, column)
-            code = rank if code is None else _sorted_search(
-                prefixes, code * len(values) + rank)
-        found = self.index_of[np.minimum(code, len(self.index_of) - 1)]
-        if not np.array_equal(self.words[found], queries):
-            raise ValueError("concepts do not form a complete lattice")
-        return found
-
-
-def _sorted_search(table, queries):
-    """``np.searchsorted(table, queries)``, run on the queries in sorted
-    order: for 5,000 shuffled uint64 queries into 700 keys, searchsorted
-    alone takes about twice as long as argsort plus searchsorted on the
-    sorted queries."""
-    order = np.argsort(queries)
-    out = np.empty(len(queries), dtype=np.intp)
-    out[order] = np.searchsorted(table, queries[order])
-    return out
+    by_size, less = concepts.order
+    cover = (less > less @ less).tocoo()
+    child, parent = by_size[cover.row], by_size[cover.col]
+    first = np.lexsort((parent, child))
+    return np.column_stack((child[first], parent[first]))
 
 
 def _edge_columns(edges):
@@ -302,8 +241,8 @@ def _girth(n, edges):
     return best
 
 
-# concept pairs per block of invariants' strict order: each block's transient
-# arrays hold about this many uint64 words
+# concept pairs per block of the strict order: each block's transient arrays
+# hold about this many uint64 words
 ORDER_CELLS = 1 << 16
 
 
@@ -316,30 +255,27 @@ def invariants(concepts, edges=None):
     decomposition (levels are antichains); the levels are relaxed with one
     ``np.maximum.at`` per extent size of the edges' children. The upper end
     is the exact width, the largest antichain, which by Dilworth's theorem is
-    n minus a maximum matching of the strict order (a minimum chain cover).
-    That order is extent inclusion, read from the packed extents,
-    ORDER_CELLS concept pairs at a time, straight into a CSR matrix. Edges,
-    (child, parent) index pairs, default to the covering pairs of the
-    concepts; an edge that is not a strict extent inclusion raises
-    ValueError.
+    n minus a maximum matching of the strict order (a minimum chain cover),
+    the concepts' ``order``, shared with ``hasse_edges``. Edges, (child,
+    parent) index pairs, default to the covering pairs of the concepts; an
+    edge that is not a strict extent inclusion raises ValueError.
     """
     from scipy.sparse.csgraph import maximum_bipartite_matching
 
-    if edges is None:
-        edges = hasse_edges(concepts)
     n = len(concepts)
-    if n == 0:
-        return {"n_concepts": 0, "n_edges": 0, "height": 0, "width_interval": (0, 0)}
-    words, size = concepts.extents, concepts.sizes
-    child, parent = _edge_columns(edges)
-    # an index out of range is checked as the pair (0, 0), which fails
+    child, parent = _edge_columns(hasse_edges(concepts) if edges is None else edges)
     in_range = (np.minimum(child, parent) >= 0) & (np.maximum(child, parent) < n)
-    a, b = np.where(in_range, child, 0), np.where(in_range, parent, 0)
-    bad = (size[a] >= size[b]) | np.any(words[a] & ~words[b], axis=1)
+    bad = ~in_range
+    if n:
+        words, size = concepts.extents, concepts.sizes
+        a, b = np.where(in_range, child, 0), np.where(in_range, parent, 0)
+        bad |= (size[a] >= size[b]) | np.any(words[a] & ~words[b], axis=1)
     if bad.any():
         k = int(np.argmax(bad))
         raise ValueError(f"edge {(int(child[k]), int(parent[k]))} is not a strict "
                          f"extent inclusion of two of the {n} concepts")
+    if n == 0:
+        return {"n_concepts": 0, "n_edges": 0, "height": 0, "width_interval": (0, 0)}
     # longest chain ending at each node: an edge's child has a smaller extent
     # than its parent, so children of one size are final before they relax
     order = np.argsort(size[child], kind="stable")
@@ -350,24 +286,22 @@ def invariants(concepts, edges=None):
         np.maximum.at(level, above, level[below] + 1)
     height = int(level.max())
     level_bound = int(np.bincount(level).max())
-    match = maximum_bipartite_matching(_strict_order(words, size),
-                                       perm_type="column")
+    match = maximum_bipartite_matching(concepts.order[1], perm_type="column")
     width = n - int(np.count_nonzero(match != -1))
     return {"n_concepts": n, "n_edges": len(child), "height": height,
             "width_interval": (level_bound, width)}
 
 
-def _strict_order(words, size):
-    """The strict extent inclusion order as a CSR matrix over the concepts
-    taken by extent size, which permutes rows and columns alike and so keeps
-    the size of a maximum matching. In that order a concept's extent lies in
-    no earlier one's (an earlier extent is no larger, and distinct concepts
-    have distinct extents), so each block of rows is tested only against the
-    columns from its first row on; words are the packed extents."""
+def _strict_order(words):
+    """The strict inclusion order of packed extents (rows of uint64 words)
+    already sorted by size, as a bool CSR matrix: row i holds each j whose
+    extent strictly contains extent i. No extent lies in an earlier one (an
+    earlier extent is no larger, and distinct concepts have distinct
+    extents), so each block of ORDER_CELLS concept pairs tests its rows only
+    against the columns from its first row on."""
     from scipy.sparse import csr_matrix
 
     n = len(words)
-    words = words[np.argsort(size, kind="stable")]
     outside = ~words
     counts, cols = [], []
     lo = 0

@@ -68,8 +68,8 @@ def wilcoxon_signed_rank(a, b, alpha=0.05):
 
     Zero differences are dropped and NaN differences rejected; tied absolute
     differences share average ranks. The p-value is exact (full
-    sign-assignment distribution) for n' <= 25 and a tie-corrected normal
-    approximation above. The winner is the smaller-median side when
+    sign-assignment distribution) for n' <= EXACT_LIMIT and a tie-corrected
+    normal approximation above. The winner is the smaller-median side when
     p < alpha, smaller-is-better; alpha must lie in (0, 1).
     """
     check_alpha(alpha)

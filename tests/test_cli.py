@@ -545,6 +545,106 @@ def test_cluster_refuses_a_non_finite_result_at_write_time(blob_file, tmp_path, 
     assert not (tmp_path / "q.json").exists()
 
 
+# ------------------------------------------------ edge-case sweep
+# every subcommand on degenerate, malformed and overflowing inputs: whatever
+# the outcome, the exit code is 0, 1 or 2, a failure is one JSON error line on
+# stderr, and every JSON file written is strict JSON
+
+def _write_sweep_inputs(root):
+    (root / "wide.txt").write_text("0 0\n1e308 1e308\n-1e308 -1e308\n")
+    rng = np.random.Generator(np.random.PCG64(3))
+    save_points(root / "wider.txt", rng.uniform(-4.5e153, 4.5e153, size=(100, 2)))
+    ds = gaussian_blobs(RngStream(2), centers=[(0, 0), (9, 9)], spread=0.3,
+                        points_per_cluster=20)
+    save_points(root / "blobs.txt", ds.points)
+    save_points(root / "gt3.txt", np.ones((2, 3)))  # 3-D centroids, 2-D points
+    (root / "labels.txt").write_text("0\n1\n0\n")  # 3 labels, 40 points
+    (root / "one.txt").write_text("5 5\n")
+    (root / "three.txt").write_text("0 0\n1 1\n2 2\n")
+    (root / "same.txt").write_text("1 1\n" * 12)
+    lines = (root / "blobs.txt").read_text().splitlines()
+    lines[3] = "nan 1.0"
+    (root / "nan.txt").write_text("\n".join(lines) + "\n")
+    for name, incidence in (("empty", np.zeros((0, 0))), ("no_objects", np.zeros((0, 3))),
+                            ("no_attributes", np.zeros((3, 0))),
+                            ("no_crosses", np.zeros((3, 3))), ("full", np.ones((3, 3)))):
+        n_obj, n_att = incidence.shape
+        ctx = FormalContext([f"o{i}" for i in range(n_obj)],
+                            [f"a{j}" for j in range(n_att)], incidence)
+        write_cxt(ctx, root / f"{name}.cxt", name=name)
+    (root / "lex.tsv").write_text("syn\ta0\ta1\n")
+
+
+def _cluster(algo, data, *extra):
+    return ["cluster", "--algo", *algo.split(), "--data", data, "--runs", "1",
+            "--out", "c.csv", *extra]
+
+
+def _fca(ctx):
+    return ["fca-reduce", "--ctx", ctx, "--tax", "lex.tsv", "--out", "red.cxt",
+            "--report", "red.json"]
+
+
+_SWEEP = {  # case: the calls, in order, and each call's exit code
+    **{f"span-1e308-{algo}": ([_cluster(algo, "wide.txt")], [1])
+       for algo in ("eca-star", "km --k 2", "km++ --k 2")},
+    **{f"span-4.5e153-{algo}": ([_cluster(algo, "wider.txt")], [1])
+       for algo in ("eca-star", "km --k 1", "km++ --k 2")},
+    **{f"gt-of-another-dimension-{algo}": ([_cluster(algo, "blobs.txt", "--gt", "gt3.txt")], [1])
+       for algo in ("eca-star", "km++ --k 2")},
+    **{f"label-count-mismatch-{algo}": (
+        [_cluster(algo, "blobs.txt", "--labels", "labels.txt")], [1])
+       for algo in ("eca-star", "km --k 2")},
+    "one-point-eca-star": ([_cluster("eca-star", "one.txt")], [0]),
+    "one-point-km-k1": ([_cluster("km --k 1", "one.txt")], [0]),
+    "one-point-km-k2": ([_cluster("km --k 2", "one.txt")], [1]),
+    "k-above-n-km": ([_cluster("km --k 5", "three.txt")], [1]),
+    "k-above-n-km++": ([_cluster("km++ --k 5", "three.txt")], [1]),
+    **{f"identical-points-{algo}": ([_cluster(algo, "same.txt")], [0])
+       for algo in ("eca-star", "km --k 2", "km++ --k 2")},
+    **{f"nan-{algo}": ([_cluster(algo, "nan.txt")], [1]) for algo in ("eca-star", "km++ --k 2")},
+    "empty-context": ([_fca("empty.cxt")], [1]),
+    "context-without-objects": ([_fca("no_objects.cxt")], [1]),
+    "context-without-attributes": ([_fca("no_attributes.cxt")], [1]),
+    "context-without-crosses": ([_fca("no_crosses.cxt")], [0]),
+    "context-of-one-concept": ([_fca("full.cxt")], [0]),
+    "no-iterations-then-report": (
+        [["bench-opt", "--algo", "bsa,de", "--fn", "F14", "--runs", "1", "--iters", "0",
+          "--out", "b.csv"],
+         ["report", "--in", "b.json", "--compare", "bsa,de", "--out", "r.csv"]], [0, 0]),
+    "population-too-small": (
+        [["bench-opt", "--algo", "de", "--fn", "F1", "--dim", "1", "--runs", "1",
+          "--iters", "3", "--pop", "1", "--out", "b.csv"]], [1]),
+    "report-on-a-missing-file": ([["report", "--in", "b.json", "--compare", "bsa,de"]], [1]),
+    "report-on-one-algorithm": ([["report", "--in", "b.json", "--compare", "bsa"]], [2]),
+}
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("case", sorted(_SWEEP))
+def test_edge_case_sweep_exits_cleanly_and_writes_strict_json(tmp_path, monkeypatch,
+                                                              capsys, case):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("EVOCLUST_OUT_DIR", raising=False)
+    _write_sweep_inputs(tmp_path)
+    calls, codes = _SWEEP[case]
+    for argv, code in zip(calls, codes):
+        rc = cli.main(argv)
+        assert rc in (0, 1, 2)
+        err = capsys.readouterr().err.splitlines()
+        if rc:
+            assert len(err) == 1, err
+            assert set(json.loads(err[0])) == {"error", "message"}
+        assert rc == code, (argv, err)
+    written = list(tmp_path.rglob("*.json"))
+    assert bool(written) == (0 in codes)  # a failed call writes no JSON
+    for path in written:
+        json.loads(path.read_text(), parse_constant=_refuse_constant)
+
+
 # ------------------------------------------------ defaults and keywords
 # each setting is declared once, where the suite reads it: a flag that is not
 # given is absent, so the params record's (or the suite's) default applies

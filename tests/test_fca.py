@@ -439,10 +439,10 @@ def test_covers_match_reference_at_block_boundaries():
     plus_one = np.zeros((8, 8), dtype=bool)
     plus_one[:7, :7] = one_block
     plus_one[7, 7] = True
-    assert len(_assert_covers_match_reference(one_block)) == fca.HASSE_BLOCK
-    assert len(_assert_covers_match_reference(plus_one)) == fca.HASSE_BLOCK + 1
+    assert len(_assert_covers_match_reference(one_block)) == 128
+    assert len(_assert_covers_match_reference(plus_one)) == 129
     several = _assert_covers_match_reference(_planted_incidence(1, 52, 23))
-    assert len(several) > 5 * fca.HASSE_BLOCK
+    assert len(several) > 640
 
 
 def test_covers_match_reference_on_degenerate_contexts():
@@ -456,11 +456,20 @@ def test_covers_match_reference_on_degenerate_contexts():
             == len(derive_concepts(_ctx(inc))))
 
 
-def test_hasse_edges_rejects_an_incomplete_lattice():
+def test_hasse_edges_of_an_incomplete_family_match_reference():
+    # covers read from the order are defined for any family of distinct
+    # extents, here the subsets of {0, 1, 2} but {0, 1}, so {0} and {1}
+    # have no join; the family's covers are the lattice's but the three
+    # that touch {0, 1}
     concepts = derive_concepts(_ctx(_boolean_context(3)))
-    with pytest.raises(ValueError, match="complete lattice"):
-        hasse_edges(_take(concepts, [k for k, c in enumerate(concepts)
-                                     if c.extent != (0, 1)]))
+    family = _take(concepts, [k for k, c in enumerate(concepts)
+                              if c.extent != (0, 1)])
+    edges = _edge_list(hasse_edges(family))
+    assert edges == _ref_hasse_edges(family)
+    lattice = {(c.extent, d.extent) for c, d in
+               ((concepts[a], concepts[b]) for a, b in hasse_edges(concepts))}
+    assert ({(family[a].extent, family[b].extent) for a, b in edges}
+            == {cover for cover in lattice if (0, 1) not in cover})
 
 
 def test_girth_pentagon_is_five():
@@ -631,7 +640,9 @@ def test_invariants_match_reference_at_order_block_edges(monkeypatch):
     n = len(concepts)
     for cells in (1, 2, n - 1, n, n + 1, 3 * n + 1):
         monkeypatch.setattr(fca, "ORDER_CELLS", cells)
-        _assert_invariants_match_reference(concepts, edges, rng)
+        fresh = _take(concepts, slice(None))  # a family builds its order once
+        assert np.array_equal(hasse_edges(fresh), edges)
+        _assert_invariants_match_reference(fresh, edges, rng)
 
 
 def test_invariants_of_a_chain_and_a_single_concept():
@@ -664,23 +675,48 @@ def test_invariants_rejects_edges_that_are_not_strict_inclusions(edges, bad):
     concepts = derive_concepts(_ctx([[1, 0], [0, 1]]))  # (), (0,), (1,), (0, 1)
     with pytest.raises(ValueError, match=re.escape(str(bad))):
         invariants(concepts, edges)
+    # with no concepts, no edge is an inclusion: the first one is named
+    for none in (_take(concepts, slice(0)), []):
+        with pytest.raises(ValueError, match=re.escape(f"{edges[0]} is not a strict "
+                                                       "extent inclusion of two of the 0")):
+            invariants(none, edges)
 
 
 def test_invariants_memory_stays_far_below_n_squared():
-    # the dense closure alone took n^2 bytes; the blocked order keeps the
-    # peak below a quarter of that
+    # the dense closure alone took n^2 bytes; the blocked order, built once
+    # and read by both the covers and the width, keeps the peak below a
+    # quarter of that
     rng = np.random.Generator(np.random.PCG64(3))
     concepts = derive_concepts(_ctx(rng.random((80, 24)) < 0.35))
-    edges = hasse_edges(concepts)
     n = len(concepts)
     assert n > 3000
     tracemalloc.start()
     try:
-        invariants(concepts, edges)
+        fresh = _take(concepts, slice(None))  # its order is not built yet
+        invariants(fresh, hasse_edges(fresh))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < n * n / 4
+
+
+def test_the_order_is_built_once_per_family(monkeypatch):
+    built = []
+    real = fca._strict_order
+
+    def counted(words):
+        built.append(len(words))
+        return real(words)
+
+    monkeypatch.setattr(fca, "_strict_order", counted)
+    lat = build_lattice(_ctx(_planted_incidence(1, 52, 23)))
+    assert built == [len(lat.concepts)]
+    built.clear()
+    concepts = derive_concepts(_ctx(_boolean_context(5)))
+    edges = hasse_edges(concepts)
+    invariants(concepts, edges)
+    invariants(concepts)
+    assert built == [32]
 
 
 def test_ratio_conventions():
