@@ -42,10 +42,9 @@ def show(ctx):
 
 
 def describe(tag, lattice):
-    lo, hi = lattice.width_interval
     print(f"{tag}: {len(lattice.concepts)} concepts, "
           f"{len(lattice.hasse_edges)} edges, height {lattice.height}, "
-          f"width in [{lo}, {hi}]")
+          f"width {lattice.width}")
 
 
 def run_pass(title, ctx, tax, params):

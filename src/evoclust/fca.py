@@ -9,9 +9,11 @@ set under intersection with each object row, then packed in one go; each
 extent is the set of objects whose packed row holds the intent, and one
 ``np.lexsort`` puts the concepts in order. The strict order of a concept
 family is extent inclusion, read from the packed extents once per family
-(``PackedConcepts.order``): the covers are its pairs with nothing between
-them, and the exact width is n minus a maximum matching of it. ``Concept``
-index tuples are made only when a caller reads a concept.
+(``PackedConcepts.order``). The exact width is n minus a maximum matching
+of that order, and the covers are its pairs with nothing between them,
+also built once per family (``PackedConcepts.covers``), so a family's
+invariants need nothing but the family. ``Concept`` index tuples are made
+only when a caller reads a concept.
 """
 
 from collections import deque
@@ -34,8 +36,9 @@ class FormalContext:
     objects: Tuple[str, ...]
     attributes: Tuple[str, ...]
     incidence: np.ndarray  # |O| x |A| bool
+    name: str = "context"  # the .cxt header's name line
 
-    def __init__(self, objects, attributes, incidence):
+    def __init__(self, objects, attributes, incidence, name="context"):
         objects = tuple(str(o) for o in objects)
         attributes = tuple(str(a) for a in attributes)
         for what, labels in (("object", objects), ("attribute", attributes)):
@@ -49,6 +52,7 @@ class FormalContext:
         self.objects = objects
         self.attributes = attributes
         self.incidence = incidence
+        self.name = str(name)
 
     @property
     def shape(self):
@@ -65,8 +69,9 @@ class PackedConcepts:
     extent is object 64w + i, and likewise for intents over attributes.
     sizes holds each extent's object count, and n_objects the context's,
     which the zero padding bits do not show. ``concepts[k]`` is concept k
-    as a ``Concept``, and ``order`` is the strict extent-inclusion order,
-    built on first read and kept for ``hasse_edges`` and ``invariants``.
+    as a ``Concept``. ``order``, the strict extent-inclusion order, and
+    ``covers``, its covering pairs, are built on first read and kept for
+    ``hasse_edges`` and ``invariants``.
     """
     extents: np.ndarray  # (n, words) uint64
     intents: np.ndarray  # (n, words) uint64
@@ -92,13 +97,27 @@ class PackedConcepts:
         by_size = np.argsort(self.sizes, kind="stable")
         return by_size, _strict_order(self.extents[by_size])
 
+    @cached_property
+    def covers(self):
+        """Covering pairs (child, parent) of ``order`` as a read-only (m, 2)
+        array sorted by child then parent: ``less > less @ less`` in bool
+        sparse arithmetic, both ends mapped back through the extent-size
+        permutation."""
+        by_size, less = self.order
+        cover = (less > less @ less).tocoo()
+        child, parent = by_size[cover.row], by_size[cover.col]
+        first = np.lexsort((parent, child))
+        edges = np.column_stack((child[first], parent[first]))
+        edges.flags.writeable = False
+        return edges
+
 
 @dataclass(eq=False)
 class ConceptLattice:
     concepts: PackedConcepts
     hasse_edges: np.ndarray  # (m, 2) covering pairs (child, parent), sorted
     height: int
-    width_interval: Tuple[int, int]
+    width: int
     degree_mean: float = 0.0
     degree_max: int = 0
     cycle_length: int = 0  # girth of the undirected diagram, 0 if acyclic
@@ -157,21 +176,15 @@ def derive_concepts(ctx):
 
 def hasse_edges(concepts):
     """Covering pairs (child, parent) of the extent-inclusion order of packed
-    concepts, as an (m, 2) array sorted by child then parent.
-
-    A cover is a pair of the strict order with no concept between its ends:
-    ``less > less @ less`` in bool sparse arithmetic, on the order that the
-    concepts build once (``PackedConcepts.order``), with both ends mapped
-    back through its extent-size permutation. Any family of distinct
-    extents has these covers, a complete lattice or not.
+    concepts, as an (m, 2) array sorted by child then parent: the pairs of
+    the strict order with no concept between their ends. A family of two or
+    more concepts builds them once and shares them read-only
+    (``PackedConcepts.covers``). Any family of distinct extents has these
+    covers, a complete lattice or not.
     """
     if len(concepts) < 2:
         return np.empty((0, 2), dtype=np.intp)
-    by_size, less = concepts.order
-    cover = (less > less @ less).tocoo()
-    child, parent = by_size[cover.row], by_size[cover.col]
-    first = np.lexsort((parent, child))
-    return np.column_stack((child[first], parent[first]))
+    return concepts.covers
 
 
 def _edge_columns(edges):
@@ -246,37 +259,24 @@ def _girth(n, edges):
 ORDER_CELLS = 1 << 16
 
 
-def invariants(concepts, edges=None):
-    """Size, edge count, height, and width interval of the lattice of packed
-    concepts.
+def invariants(concepts):
+    """Size, cover count, height, and width of the lattice of packed
+    concepts, all read from the concepts' own order.
 
-    Height counts nodes on a longest chain along the edges, and the width
-    interval's lower end is the largest level of that longest-path level
-    decomposition (levels are antichains); the levels are relaxed with one
-    ``np.maximum.at`` per extent size of the edges' children. The upper end
-    is the exact width, the largest antichain, which by Dilworth's theorem is
-    n minus a maximum matching of the strict order (a minimum chain cover),
-    the concepts' ``order``, shared with ``hasse_edges``. Edges, (child,
-    parent) index pairs, default to the covering pairs of the concepts; an
-    edge that is not a strict extent inclusion raises ValueError.
+    Height counts nodes on a longest chain along the covers, relaxed with
+    one ``np.maximum.at`` per extent size of the covers' children. The width
+    is exact: the largest antichain, which by Dilworth's theorem is n minus
+    a maximum matching of the strict order (a minimum chain cover), the
+    concepts' ``order``, shared with the covers.
     """
     from scipy.sparse.csgraph import maximum_bipartite_matching
 
     n = len(concepts)
-    child, parent = _edge_columns(hasse_edges(concepts) if edges is None else edges)
-    in_range = (np.minimum(child, parent) >= 0) & (np.maximum(child, parent) < n)
-    bad = ~in_range
-    if n:
-        words, size = concepts.extents, concepts.sizes
-        a, b = np.where(in_range, child, 0), np.where(in_range, parent, 0)
-        bad |= (size[a] >= size[b]) | np.any(words[a] & ~words[b], axis=1)
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise ValueError(f"edge {(int(child[k]), int(parent[k]))} is not a strict "
-                         f"extent inclusion of two of the {n} concepts")
     if n == 0:
-        return {"n_concepts": 0, "n_edges": 0, "height": 0, "width_interval": (0, 0)}
-    # longest chain ending at each node: an edge's child has a smaller extent
+        return {"n_concepts": 0, "n_edges": 0, "height": 0, "width": 0}
+    child, parent = concepts.covers.T
+    size = concepts.sizes
+    # longest chain ending at each node: a cover's child has a smaller extent
     # than its parent, so children of one size are final before they relax
     order = np.argsort(size[child], kind="stable")
     child, parent = child[order], parent[order]
@@ -284,12 +284,9 @@ def invariants(concepts, edges=None):
     level = np.ones(n, dtype=np.intp)
     for below, above in zip(np.split(child, groups), np.split(parent, groups)):
         np.maximum.at(level, above, level[below] + 1)
-    height = int(level.max())
-    level_bound = int(np.bincount(level).max())
     match = maximum_bipartite_matching(concepts.order[1], perm_type="column")
-    width = n - int(np.count_nonzero(match != -1))
-    return {"n_concepts": n, "n_edges": len(child), "height": height,
-            "width_interval": (level_bound, width)}
+    return {"n_concepts": n, "n_edges": len(child), "height": int(level.max()),
+            "width": n - int(np.count_nonzero(match != -1))}
 
 
 def _strict_order(words):
@@ -328,12 +325,12 @@ def build_lattice(ctx):
     context always has at least one concept."""
     concepts = derive_concepts(ctx)
     edges = hasse_edges(concepts)
-    inv = invariants(concepts, edges)
+    inv = invariants(concepts)
     n = len(concepts)
     degree = np.bincount(edges.ravel(), minlength=n)
     return ConceptLattice(
         concepts=concepts, hasse_edges=edges, height=inv["height"],
-        width_interval=inv["width_interval"],
+        width=inv["width"],
         degree_mean=float(degree.mean()), degree_max=int(degree.max()),
         cycle_length=_girth(n, edges))
 
@@ -345,13 +342,12 @@ def _ratio(a, b):
 
 def lattice_quality(orig, reduced):
     """Structural agreement of two built lattices in [0, 1]: the mean of
-    min/max ratios of concept count, edge count, height, and width-interval
-    midpoint."""
+    min/max ratios of concept count, edge count, height, and width."""
     ratios = [
         _ratio(len(orig.concepts), len(reduced.concepts)),
         _ratio(len(orig.hasse_edges), len(reduced.hasse_edges)),
         _ratio(orig.height, reduced.height),
-        _ratio(sum(orig.width_interval) / 2.0, sum(reduced.width_interval) / 2.0),
+        _ratio(orig.width, reduced.width),
     ]
     return float(np.mean(ratios))
 
@@ -370,28 +366,17 @@ def write_cxt(ctx, path=None, name="context"):
     return text
 
 
-def read_cxt(source):
-    """Parse the Burmeister layout from a path or literal text. A single
-    blank line after the counts and blank lines after the incidence rows are
-    tolerated; a repeated label or any other trailing line is an error that
-    names its line."""
-    try:
-        is_path = isinstance(source, Path) or (
-            "\n" not in str(source) and Path(str(source)).exists())
-    except OSError:
-        is_path = False
-    if is_path:
-        text = Path(source).read_text()
-        origin = str(source)
-    else:
-        text = str(source)
-        origin = "<string>"
-    lines = text.splitlines()
+def read_cxt(path):
+    """Parse the Burmeister layout from the file at path; the context takes
+    the file's name line. A single blank line after the counts and blank
+    lines after the incidence rows are tolerated; a repeated label or any
+    other trailing line is an error that names its file and line."""
+    origin = str(path)
+    lines = Path(path).read_text().splitlines()
     if not lines or lines[0].strip() != "B":
         raise ValueError(f"{origin}:1: expected header 'B'")
     if len(lines) < 4:
         raise ValueError(f"{origin}: truncated header")
-    name = lines[1]
     try:
         n_obj = int(lines[2].strip())
         n_att = int(lines[3].strip())
@@ -427,9 +412,7 @@ def read_cxt(source):
         if lines[lineno - 1].strip():
             raise ValueError(f"{origin}:{lineno}: unexpected line after the "
                              f"{n_obj} incidence rows")
-    ctx = FormalContext(objects, attributes, incidence)
-    ctx.name = name
-    return ctx
+    return FormalContext(objects, attributes, incidence, name=lines[1])
 
 
 def _invariants_json(lattice):
@@ -438,7 +421,7 @@ def _invariants_json(lattice):
         "n_concepts": len(lattice.concepts),
         "n_edges": len(lattice.hasse_edges),
         "height": lattice.height,
-        "width_interval": list(lattice.width_interval),
+        "width": lattice.width,
         "degree_mean": lattice.degree_mean,
         "degree_max": lattice.degree_max,
         "cycle_length": lattice.cycle_length,

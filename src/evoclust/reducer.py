@@ -221,49 +221,41 @@ def common_hypernym(a, b, tax, params) -> Optional[str]:
 
 def merge_pair(ctx, axis, i, j, new_label):
     """Replace entries i and j on an axis with one entry at min(i, j) whose
-    incidence is their bitwise OR."""
+    incidence is their bitwise OR. Both axes take one path: the attribute
+    axis works on the transposed incidence."""
     if axis not in ("object", "attribute"):
         raise ValueError("axis must be 'object' or 'attribute'")
     i, j = int(i), int(j)
-    size = len(ctx.objects) if axis == "object" else len(ctx.attributes)
+    labels = list(ctx.objects if axis == "object" else ctx.attributes)
+    size = len(labels)
     if i == j:
         raise ValueError("cannot merge an entry with itself")
     if not (0 <= i < size and 0 <= j < size):
         raise ValueError(f"{axis} index out of range (size {size})")
     lo, hi = min(i, j), max(i, j)
+    rows = ctx.incidence if axis == "object" else ctx.incidence.T
+    merged = rows[i] | rows[j]
+    rows = np.delete(rows, hi, axis=0)
+    rows[lo] = merged
+    del labels[hi]
+    labels[lo] = str(new_label)
     if axis == "object":
-        merged_row = ctx.incidence[i] | ctx.incidence[j]
-        incidence = np.delete(ctx.incidence, hi, axis=0)
-        incidence[lo] = merged_row
-        objects = list(ctx.objects)
-        del objects[hi]
-        objects[lo] = str(new_label)
-        return FormalContext(objects, ctx.attributes, incidence)
-    merged_col = ctx.incidence[:, i] | ctx.incidence[:, j]
-    incidence = np.delete(ctx.incidence, hi, axis=1)
-    incidence[:, lo] = merged_col
-    attributes = list(ctx.attributes)
-    del attributes[hi]
-    attributes[lo] = str(new_label)
-    return FormalContext(ctx.objects, attributes, incidence)
+        return FormalContext(labels, ctx.attributes, rows)
+    return FormalContext(ctx.objects, labels, rows.T)
 
 
 def _merge_labels(ctx, axis, label_a, label_b, new_label):
     """Merge two labeled entries; if the target label already exists
     elsewhere, both fold into that holder."""
-    def labels():
-        return ctx.objects if axis == "object" else ctx.attributes
-
-    def idx(lbl):
-        return labels().index(lbl)
-
-    existing = [lbl for lbl in labels() if lbl == new_label and lbl not in (label_a, label_b)]
-    if existing:
-        ctx = merge_pair(ctx, axis, idx(new_label), idx(label_a), new_label)
-        ctx = merge_pair(ctx, axis, idx(new_label), idx(label_b), new_label)
-    else:
-        ctx = merge_pair(ctx, axis, idx(label_a), idx(label_b), new_label)
-    return ctx
+    labels = ctx.objects if axis == "object" else ctx.attributes
+    a, b = labels.index(label_a), labels.index(label_b)
+    if new_label in labels and new_label not in (label_a, label_b):
+        holder = labels.index(new_label)
+        ctx = merge_pair(ctx, axis, holder, a, new_label)
+        # the holder now sits at min(holder, a), and every entry past
+        # max(holder, a) moved down one
+        a, b = min(holder, a), b - (b > max(holder, a))
+    return merge_pair(ctx, axis, a, b, new_label)
 
 
 def reduce_context(ctx, tax, params):

@@ -376,7 +376,7 @@ def run_fca_suite(ctx, tax, out=None, report=None, **settings):
     """Reduce one context against a taxonomy; emits the reduced context and
     a report with both lattices' invariants, the quality, and the trace.
     ``settings`` are ``ReduceParams`` fields."""
-    context = fca.read_cxt(Path(ctx))  # a path, never literal text
+    context = fca.read_cxt(ctx)
     taxonomy = reducer.load_taxonomy(tax)
     params = reducer.ReduceParams(**settings)
     start = time.perf_counter()
@@ -399,7 +399,7 @@ def run_fca_suite(ctx, tax, out=None, report=None, **settings):
     written = {}
     if out:
         out = resolve_out(out)
-        fca.write_cxt(reduced, out, name=getattr(context, "name", "context"))
+        fca.write_cxt(reduced, out, name=context.name)
         written["cxt"] = str(out)
     if report:
         written["report"] = str(write_json(report, payload))

@@ -5,6 +5,7 @@ import json
 import math
 import re
 import tracemalloc
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -212,9 +213,9 @@ def test_packed_path_accepts_shuffled_concepts():
         got = hasse_edges(shuffled)
         assert _edge_list(got) == _ref_hasse_edges(shuffled)
         assert sorted(_edge_list(perm[got])) == _edge_list(edges)  # renumbered
-        assert (invariants(shuffled, got) == invariants(shuffled)
-                == _ref_invariants(list(shuffled), _edge_list(got))
-                == invariants(concepts, edges))
+        assert (invariants(shuffled)
+                == _without_level_bound(_ref_invariants(list(shuffled), _edge_list(got)))
+                == invariants(concepts))
 
 
 def test_build_lattice_matches_reference_on_degenerate_contexts():
@@ -232,7 +233,7 @@ def test_build_lattice_matches_reference_on_degenerate_contexts():
         assert list(lat.concepts) == concepts
         assert _edge_list(lat.hasse_edges) == edges
         ref = _ref_invariants(concepts, edges)
-        assert (lat.height, lat.width_interval) == (ref["height"], ref["width_interval"])
+        assert (lat.height, lat.width) == (ref["height"], ref["width"])
         assert lat.cycle_length == _ref_girth(len(concepts), edges)
         degree = [sum(k in e for e in edges) for k in range(len(concepts))]
         assert (lat.degree_mean, lat.degree_max) == (sum(degree) / len(degree),
@@ -271,7 +272,7 @@ def test_diamond_lattice():
     assert len(lat.concepts) == 4
     assert _edge_list(lat.hasse_edges) == [(0, 1), (0, 2), (1, 3), (2, 3)]
     assert lat.height == 3
-    assert lat.width_interval == (2, 2)
+    assert lat.width == 2
     assert lat.degree_mean == 2.0
     assert lat.degree_max == 2
     assert lat.cycle_length == 4  # the diamond itself
@@ -282,16 +283,15 @@ def test_chain_lattice():
     assert len(lat.concepts) == 3
     assert len(lat.hasse_edges) == 2
     assert lat.height == 3
-    assert lat.width_interval == (1, 1)
+    assert lat.width == 1
     assert lat.cycle_length == 0  # a path has no cycle
 
 
 def test_single_concept_invariants():
     inv = invariants(derive_concepts(_ctx([[1]])))
-    assert inv == {"n_concepts": 1, "n_edges": 0, "height": 1,
-                   "width_interval": (1, 1)}
+    assert inv == {"n_concepts": 1, "n_edges": 0, "height": 1, "width": 1}
     assert invariants([]) == {"n_concepts": 0, "n_edges": 0, "height": 0,
-                              "width_interval": (0, 0)}
+                              "width": 0}
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -507,8 +507,8 @@ def test_invariants_of_built_lattice_match_recomputation():
     inc = rng.random((8, 7)) < 0.4
     lat = build_lattice(_ctx(inc))
     record = {"n_concepts": len(lat.concepts), "n_edges": len(lat.hasse_edges),
-              "height": lat.height, "width_interval": lat.width_interval}
-    assert record == invariants(lat.concepts, lat.hasse_edges)
+              "height": lat.height, "width": lat.width}
+    assert record == invariants(_take(lat.concepts, slice(None)))  # a fresh family
 
 
 def test_order_layer_names_stay_importable():
@@ -537,10 +537,7 @@ def test_width_is_exact_dilworth(seed):
     concepts = derive_concepts(_ctx(inc))
     if len(concepts) > 12:
         pytest.skip("oracle too slow for this draw")
-    inv = invariants(concepts)
-    lo, hi = inv["width_interval"]
-    assert hi == _max_antichain(concepts)
-    assert lo <= hi
+    assert invariants(concepts)["width"] == _max_antichain(concepts)
 
 
 def test_width_is_exact_above_512_concepts():
@@ -558,18 +555,21 @@ def test_width_is_exact_above_512_concepts():
     np.fill_diagonal(below, False)
     match = maximum_bipartite_matching(csr_matrix(below), perm_type="column")
     width = n - int(np.count_nonzero(match != -1))
-    lo, hi = lat.width_interval
-    assert hi == width
-    assert lo < hi
+    assert lat.width == width
+    ref = _ref_invariants(list(lat.concepts), _edge_list(lat.hasse_edges))
+    assert ref["level_bound"] < width
 
 
 # Reference invariants: the edge-closure implementation, kept as the oracle
-# for the extent-inclusion order and the array longest-chain relaxation.
+# for the extent-inclusion order and the array longest-chain relaxation. It
+# also gives the level bound, the largest level of the longest-path level
+# decomposition (levels are antichains), a lower bound on the width.
 
 def _ref_invariants(concepts, edges):
     n = len(concepts)
     if n == 0:
-        return {"n_concepts": 0, "n_edges": 0, "height": 0, "width_interval": (0, 0)}
+        return {"n_concepts": 0, "n_edges": 0, "height": 0, "width": 0,
+                "level_bound": 0}
     children = [[] for _ in range(n)]
     for a, b in edges:
         children[a].append(b)
@@ -584,22 +584,21 @@ def _ref_invariants(concepts, edges):
     match = maximum_bipartite_matching(reach, perm_type="column")
     width = n - int(np.count_nonzero(match != -1))
     return {"n_concepts": n, "n_edges": len(edges), "height": height,
-            "width_interval": (level_bound, width)}
+            "width": width, "level_bound": level_bound}
 
 
-def _shuffled(concepts, edges, rng):
-    """The same lattice with its concepts listed in a random order."""
-    perm = rng.permutation(len(concepts))
-    where = np.argsort(perm)
-    return (_take(concepts, perm),
-            [(int(where[a]), int(where[b])) for a, b in edges])
+def _without_level_bound(ref):
+    """The reference invariants under the keys ``invariants`` returns."""
+    return {k: v for k, v in ref.items() if k != "level_bound"}
 
 
 def _assert_invariants_match_reference(concepts, edges, rng=None):
-    got = invariants(concepts, edges)
-    assert got == _ref_invariants(concepts, edges)
+    """invariants(concepts) against the reference on the covering edges;
+    with rng, also on the same concepts listed in a random order."""
+    got = invariants(concepts)
+    assert got == _without_level_bound(_ref_invariants(concepts, edges))
     if rng is not None:
-        assert invariants(*_shuffled(concepts, edges, rng)) == got
+        assert invariants(_take(concepts, rng.permutation(len(concepts)))) == got
     return got
 
 
@@ -648,12 +647,11 @@ def test_invariants_match_reference_at_order_block_edges(monkeypatch):
 def test_invariants_of_a_chain_and_a_single_concept():
     concepts = derive_concepts(_ctx(np.tril(np.ones((6, 6), dtype=bool))))
     chain = _assert_invariants_match_reference(concepts, hasse_edges(concepts))
-    assert chain == {"n_concepts": 6, "n_edges": 5, "height": 6,
-                     "width_interval": (1, 1)}
+    assert chain == {"n_concepts": 6, "n_edges": 5, "height": 6, "width": 1}
     for rows in ([[1]], [[1, 1], [1, 1]]):
         concepts = derive_concepts(_ctx(rows))
         assert _assert_invariants_match_reference(concepts, []) == {
-            "n_concepts": 1, "n_edges": 0, "height": 1, "width_interval": (1, 1)}
+            "n_concepts": 1, "n_edges": 0, "height": 1, "width": 1}
 
 
 def test_invariants_match_reference_on_a_large_planted_context():
@@ -661,25 +659,6 @@ def test_invariants_match_reference_on_a_large_planted_context():
     concepts = derive_concepts(_ctx(_planted_incidence(1, 52, 23)))
     assert len(concepts) > 512
     _assert_invariants_match_reference(concepts, hasse_edges(concepts), rng)
-
-
-@pytest.mark.parametrize("edges, bad", [
-    ([(0, 1), (1, 2)], (1, 2)),  # {0} and {1} are incomparable
-    ([(0, 1), (3, 1)], (3, 1)),  # reversed: the top above {0}
-    ([(0, 1), (1, 0)], (1, 0)),  # a cycle
-    ([(2, 2)], (2, 2)),  # a loop
-    ([(0, 4)], (0, 4)),  # no such concept
-    ([(-1, 3)], (-1, 3)),
-])
-def test_invariants_rejects_edges_that_are_not_strict_inclusions(edges, bad):
-    concepts = derive_concepts(_ctx([[1, 0], [0, 1]]))  # (), (0,), (1,), (0, 1)
-    with pytest.raises(ValueError, match=re.escape(str(bad))):
-        invariants(concepts, edges)
-    # with no concepts, no edge is an inclusion: the first one is named
-    for none in (_take(concepts, slice(0)), []):
-        with pytest.raises(ValueError, match=re.escape(f"{edges[0]} is not a strict "
-                                                       "extent inclusion of two of the 0")):
-            invariants(none, edges)
 
 
 def test_invariants_memory_stays_far_below_n_squared():
@@ -693,7 +672,7 @@ def test_invariants_memory_stays_far_below_n_squared():
     tracemalloc.start()
     try:
         fresh = _take(concepts, slice(None))  # its order is not built yet
-        invariants(fresh, hasse_edges(fresh))
+        invariants(fresh)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -701,22 +680,55 @@ def test_invariants_memory_stays_far_below_n_squared():
 
 
 def test_the_order_is_built_once_per_family(monkeypatch):
-    built = []
-    real = fca._strict_order
+    built, covered = [], []
+    real_order = fca._strict_order
+    real_covers = fca.PackedConcepts.covers.func
 
-    def counted(words):
+    def counted_order(words):
         built.append(len(words))
-        return real(words)
+        return real_order(words)
 
-    monkeypatch.setattr(fca, "_strict_order", counted)
+    def counted_covers(concepts):
+        covered.append(len(concepts))
+        return real_covers(concepts)
+
+    covers = cached_property(counted_covers)
+    covers.__set_name__(fca.PackedConcepts, "covers")
+    monkeypatch.setattr(fca, "_strict_order", counted_order)
+    monkeypatch.setattr(fca.PackedConcepts, "covers", covers)
     lat = build_lattice(_ctx(_planted_incidence(1, 52, 23)))
-    assert built == [len(lat.concepts)]
+    assert built == covered == [len(lat.concepts)]
+    assert invariants(lat.concepts)["n_edges"] == len(lat.hasse_edges)
+    assert hasse_edges(lat.concepts) is lat.hasse_edges
+    assert built == covered == [len(lat.concepts)]
     built.clear()
+    covered.clear()
     concepts = derive_concepts(_ctx(_boolean_context(5)))
     edges = hasse_edges(concepts)
-    invariants(concepts, edges)
-    invariants(concepts)
-    assert built == [32]
+    for _ in range(2):
+        assert invariants(concepts)["n_edges"] == len(edges) == 80
+        assert hasse_edges(concepts) is edges
+    assert built == covered == [32]
+    # the family's covers are shared, so no caller may write to them
+    with pytest.raises(ValueError, match="read-only"):
+        edges[0, 0] = 1
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_level_bound_and_height_bound_the_width(seed):
+    # the levels of the longest-path decomposition are antichains, so the
+    # largest is at most the width, and a chain cover by width chains of at
+    # most height concepts each holds all n
+    rng = np.random.Generator(np.random.PCG64(660 + seed))
+    for _ in range(40):
+        n_obj = int(rng.integers(1, 14))
+        n_att = int(rng.integers(1, 12))
+        concepts = derive_concepts(_ctx(rng.random((n_obj, n_att))
+                                        < rng.uniform(0.1, 0.9)))
+        inv = invariants(concepts)
+        ref = _ref_invariants(list(concepts), _ref_hasse_edges(list(concepts)))
+        n = inv["n_concepts"]
+        assert ref["level_bound"] <= inv["width"] <= n <= inv["height"] * inv["width"]
 
 
 def test_ratio_conventions():
@@ -734,7 +746,7 @@ def test_quality_identical_is_one():
 def test_quality_diamond_vs_chain():
     diamond = build_lattice(_ctx([[1, 0], [0, 1]]))
     chain = build_lattice(_ctx([[1, 0, 0], [1, 1, 0], [1, 1, 1]]))
-    # ratios: concepts 3/4, edges 2/4, height 3/3, width midpoint 1/2
+    # ratios: concepts 3/4, edges 2/4, height 3/3, width 1/2
     expect = (0.75 + 0.5 + 1.0 + 0.5) / 4
     assert lattice_quality(diamond, chain) == pytest.approx(expect)
     assert lattice_quality(chain, diamond) == pytest.approx(expect)
@@ -746,6 +758,7 @@ def test_cxt_round_trip_is_byte_exact(tmp_path):
     ctx = _ctx([[1, 0, 1], [0, 0, 0], [1, 1, 1]],
                objects=["ant", "bee", "cow"],
                attributes=["small", "striped", "alive"])
+    assert ctx.name == "context"
     path = tmp_path / "zoo.cxt"
     text = write_cxt(ctx, path, name="zoo")
     assert path.read_text() == text
@@ -763,59 +776,69 @@ def test_cxt_text_layout():
     assert text == "B\nt\n1\n2\no\np\nq\nX.\n"
 
 
-def test_cxt_reader_accepts_text_and_blank_line():
-    text = "B\nt\n1\n2\n\no\np\nq\nX.\n"  # blank line after the counts
-    ctx = read_cxt(text)
+def _write(tmp_path, text, name="t.cxt"):
+    path = tmp_path / name
+    path.write_text(text)
+    return path
+
+
+def test_cxt_reader_accepts_text_and_blank_line(tmp_path):
+    ctx = read_cxt(_write(tmp_path, "B\nt\n1\n2\n\no\np\nq\nX.\n"))  # after the counts
     assert ctx.objects == ("o",)
     assert ctx.incidence.tolist() == [[True, False]]
-    lower = read_cxt("B\nt\n1\n2\no\np\nq\nx.\n")  # lowercase incidence
+    assert ctx.name == "t"
+    lower = read_cxt(_write(tmp_path, "B\nt\n1\n2\no\np\nq\nx.\n"))  # lowercase incidence
     assert lower.incidence.tolist() == [[True, False]]
-    assert read_cxt("B\nt\n0\n0\n").shape == (0, 0)
+    assert read_cxt(_write(tmp_path, "B\nt\n0\n0\n")).shape == (0, 0)
 
 
-def test_cxt_reader_errors():
-    with pytest.raises(ValueError, match="header 'B'"):
-        read_cxt("A\nt\n1\n1\no\na\nX\n")
-    with pytest.raises(ValueError, match="counts must be integers"):
-        read_cxt("B\nt\none\n1\no\na\nX\n")
-    with pytest.raises(ValueError, match="more lines"):
-        read_cxt("B\nt\n2\n2\no1\no2\na1\na2\nX.\n")
-    with pytest.raises(ValueError, match="incidence row"):
-        read_cxt("B\nt\n1\n2\no\np\nq\nXY\n")
-    with pytest.raises(ValueError, match="incidence row"):
-        read_cxt("B\nt\n1\n2\no\np\nq\nX\n")
+def test_cxt_reader_errors(tmp_path):
+    def fails(text, match):
+        path = _write(tmp_path, text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}{match}")):
+            read_cxt(path)
+
+    fails("A\nt\n1\n1\no\na\nX\n", ":1: expected header 'B'")
+    fails("B\nt\none\n1\no\na\nX\n", ":3: object/attribute counts must be integers")
+    fails("B\nt\n2\n2\no1\no2\na1\na2\nX.\n", ": expected 6 more lines")
+    fails("B\nt\n1\n2\no\np\nq\nXY\n", ":8: incidence row")
+    fails("B\nt\n1\n2\no\np\nq\nX\n", ":8: incidence row")
     # a negative count must not load as 0 objects with attributes ('2', 'a')
-    with pytest.raises(ValueError, match="<string>:3: object count must be >= 0"):
-        read_cxt("B\nx\n-1\n2\na\nb\n")
-    with pytest.raises(ValueError, match="<string>:4: attribute count must be >= 0"):
-        read_cxt("B\nx\n1\n-2\no\nX\n")
+    fails("B\nx\n-1\n2\na\nb\n", ":3: object count must be >= 0")
+    fails("B\nx\n1\n-2\no\nX\n", ":4: attribute count must be >= 0")
     # counts too small must not drop the rows after them
-    with pytest.raises(ValueError, match="<string>:8: unexpected line"):
-        read_cxt("B\nx\n1\n1\no\na\nX\nextra\n")
-    with pytest.raises(ValueError, match="<string>:9: unexpected line"):
-        read_cxt("B\nx\n1\n1\no\na\nX\n\n.\n")
+    fails("B\nx\n1\n1\no\na\nX\nextra\n", ":8: unexpected line")
+    fails("B\nx\n1\n1\no\na\nX\n\n.\n", ":9: unexpected line")
 
 
-def test_cxt_reader_allows_trailing_blank_lines():
-    ctx = read_cxt("B\nt\n1\n2\no\np\nq\nX.\n\n  \n")
+def test_cxt_reader_takes_a_path_only(tmp_path):
+    # text that looks like a context is a file name, not a context
+    missing = tmp_path / "missing.cxt"
+    for source in (missing, str(missing), "B\nt\n0\n0\n"):
+        with pytest.raises(FileNotFoundError, match=re.escape(repr(str(source)))):
+            read_cxt(source)
+
+
+def test_cxt_reader_allows_trailing_blank_lines(tmp_path):
+    ctx = read_cxt(_write(tmp_path, "B\nt\n1\n2\no\np\nq\nX.\n\n  \n"))
     assert ctx.incidence.tolist() == [[True, False]]
 
 
 def test_cxt_reader_names_a_repeated_label(tmp_path):
-    path = tmp_path / "dup.cxt"
-    path.write_text("B\nt\n3\n1\no\np\no\na\nX\n.\nX\n")
+    path = _write(tmp_path, "B\nt\n3\n1\no\np\no\na\nX\n.\nX\n", "dup.cxt")
     with pytest.raises(ValueError,
                        match=f"^{re.escape(str(path))}:7: object label 'o' repeats line 5$"):
         read_cxt(path)
     # the blank line after the counts shifts every label down by one
+    path = _write(tmp_path, "B\nt\n1\n2\n\no\na\na\nX.\n", "dup2.cxt")
     with pytest.raises(ValueError,
-                       match="^<string>:8: attribute label 'a' repeats line 7$"):
-        read_cxt("B\nt\n1\n2\n\no\na\na\nX.\n")
+                       match=f"^{re.escape(str(path))}:8: attribute label 'a' repeats line 7$"):
+        read_cxt(path)
 
 
 def test_lattice_json_round_trip():
     payload = fca._invariants_json(build_lattice(_ctx([[1, 0], [0, 1]])))
     assert payload == {"n_concepts": 4, "n_edges": 4, "height": 3,
-                       "width_interval": [2, 2], "degree_mean": 2.0,
+                       "width": 2, "degree_mean": 2.0,
                        "degree_max": 2, "cycle_length": 4}
     assert json.loads(json.dumps(payload)) == payload
