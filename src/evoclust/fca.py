@@ -354,10 +354,10 @@ def lattice_quality(orig, reduced):
 
 # ----------------------------------------------------------------- CXT I/O
 
-def write_cxt(ctx, path=None, name="context"):
-    """Serialize in the Burmeister text layout; returns the text, optionally
-    writing it to path."""
-    lines = ["B", str(name), str(len(ctx.objects)), str(len(ctx.attributes)),
+def write_cxt(ctx, path=None):
+    """Serialize in the Burmeister text layout, with ``ctx.name`` on the name
+    line; returns the text, optionally writing it to path."""
+    lines = ["B", ctx.name, str(len(ctx.objects)), str(len(ctx.attributes)),
              *ctx.objects, *ctx.attributes]
     lines += ["".join("X" if v else "." for v in row) for row in ctx.incidence]
     text = "\n".join(lines) + "\n"

@@ -322,11 +322,10 @@ def ff_sweep(X, fitness, kick, beta0, gamma):
     return moved
 
 
-# cells of firefly noise held at once: 128 KiB, glibc's default mmap
-# threshold, so the noise stays on the heap and does not grow with the run
-# count (all three runs' noise at D = 10 raised the optimizer protocol's peak
-# memory by 0.2 MB)
-_FF_NOISE_CELLS = 2**14
+# cells of firefly noise held at once: 8 MiB, room for the paper's 30 runs at
+# population 30 and D = 10 in one sweep; larger stacks (30 runs at D = 50)
+# sweep in groups so that the buffer does not grow with runs x n^2 x D
+_FF_NOISE_CELLS = 2**20
 
 
 def _run_ff(fn, dim, low, up, config, rngs):
@@ -338,9 +337,10 @@ def _run_ff(fn, dim, low, up, config, rngs):
     stack and draw nothing more.
 
     Each iteration sweeps the stack in groups of consecutive runs whose noise
-    fits in ``_FF_NOISE_CELLS`` cells (one run at least): each group draws
-    into one buffer, reused by every group and iteration and scaled in place
-    into the kicks."""
+    fits in ``_FF_NOISE_CELLS`` cells (one run at least), so at the sizes the
+    protocol uses, up to 30 runs at population 30 and D = 10, every live run
+    shares one sweep. Each group draws into one buffer, reused by every group
+    and iteration and scaled in place into the kicks."""
     n = config.population_size
     X = np.stack([uniform_matrix(rng, low, up, (n, dim)) for rng in rngs])
     fx = benchmarks.evaluate_batch(fn, X.reshape(-1, dim)).reshape(len(rngs), n)

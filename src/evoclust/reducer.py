@@ -221,8 +221,9 @@ def common_hypernym(a, b, tax, params) -> Optional[str]:
 
 def merge_pair(ctx, axis, i, j, new_label):
     """Replace entries i and j on an axis with one entry at min(i, j) whose
-    incidence is their bitwise OR. Both axes take one path: the attribute
-    axis works on the transposed incidence."""
+    incidence is their bitwise OR; the result keeps the input's name. Both
+    axes take one path: the attribute axis works on the transposed
+    incidence."""
     if axis not in ("object", "attribute"):
         raise ValueError("axis must be 'object' or 'attribute'")
     i, j = int(i), int(j)
@@ -240,8 +241,8 @@ def merge_pair(ctx, axis, i, j, new_label):
     del labels[hi]
     labels[lo] = str(new_label)
     if axis == "object":
-        return FormalContext(labels, ctx.attributes, rows)
-    return FormalContext(ctx.objects, labels, rows.T)
+        return FormalContext(labels, ctx.attributes, rows, name=ctx.name)
+    return FormalContext(ctx.objects, labels, rows.T, name=ctx.name)
 
 
 def _merge_labels(ctx, axis, label_a, label_b, new_label):

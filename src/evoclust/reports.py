@@ -399,7 +399,7 @@ def run_fca_suite(ctx, tax, out=None, report=None, **settings):
     written = {}
     if out:
         out = resolve_out(out)
-        fca.write_cxt(reduced, out, name=context.name)
+        fca.write_cxt(reduced, out)
         written["cxt"] = str(out)
     if report:
         written["report"] = str(write_json(report, payload))

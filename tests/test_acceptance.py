@@ -274,7 +274,7 @@ def _planted_context(seed):
     for a, b in ((0, 1), (2, 3), (4, 5)):
         inc[b] = inc[a] ^ (rng.random(n_att) < eps)
     ctx = FormalContext([f"obj{i}" for i in range(n_obj)],
-                        [f"att{j}" for j in range(n_att)], inc)
+                        [f"att{j}" for j in range(n_att)], inc, name="planted")
     tax = Taxonomy(
         parent_map={"att2": {"shade"}, "att3": {"shade"},
                     "obj4": {"stone"}, "obj5": {"stone"}},
@@ -323,7 +323,7 @@ def test_criterion_10_deterministic_reports(tmp_path, capsys):
         save_points(gt, ds.true_centroids)
         ctx, tax = _planted_context(0)
         from evoclust.fca import write_cxt
-        write_cxt(ctx, tmp_path / "c.cxt", name="planted")
+        write_cxt(ctx, tmp_path / "c.cxt")
         tax_lines = ["syn\tatt0\tatt1", "syn\tobj0\tobj1", "syn\tobj2\tobj3",
                      "att2\tshade", "att3\tshade",
                      "obj4\tstone", "obj5\tstone"]

@@ -367,8 +367,9 @@ def test_cluster_same_seed_reports_identical(blob_file, tmp_path):
 
 def _toy_fca(tmp_path):
     ctx = FormalContext(["o1", "o2", "o3"], ["car", "automobile", "wheel"],
-                        np.array([[1, 0, 1], [0, 1, 0], [0, 0, 1]], dtype=bool))
-    write_cxt(ctx, tmp_path / "toy.cxt", name="toy")
+                        np.array([[1, 0, 1], [0, 1, 0], [0, 0, 1]], dtype=bool),
+                        name="toy")
+    write_cxt(ctx, tmp_path / "toy.cxt")
     (tmp_path / "lex.tsv").write_text("syn\tcar\tautomobile\n")
     return str(tmp_path / "toy.cxt"), str(tmp_path / "lex.tsv")
 
@@ -381,7 +382,7 @@ def test_fca_reduce_end_to_end(tmp_path, capsys):
     assert rc == 0
     assert "merges" in capsys.readouterr().out
     reduced = read_cxt(tmp_path / "red.cxt")
-    assert reduced.attributes == ("automobile", "wheel")
+    assert reduced.attributes == ("automobile", "wheel") and reduced.name == "toy"
     report = json.loads((tmp_path / "rep.json").read_text())
     assert report["original_shape"] == [3, 3]
     assert report["reduced_shape"] == [3, 2]
@@ -570,8 +571,8 @@ def _write_sweep_inputs(root):
                             ("no_crosses", np.zeros((3, 3))), ("full", np.ones((3, 3)))):
         n_obj, n_att = incidence.shape
         ctx = FormalContext([f"o{i}" for i in range(n_obj)],
-                            [f"a{j}" for j in range(n_att)], incidence)
-        write_cxt(ctx, root / f"{name}.cxt", name=name)
+                            [f"a{j}" for j in range(n_att)], incidence, name=name)
+        write_cxt(ctx, root / f"{name}.cxt")
     (root / "lex.tsv").write_text("syn\ta0\ta1\n")
 
 

@@ -22,11 +22,11 @@ from evoclust.fca import (Concept, FormalContext, build_lattice,
                           _ratio, _transitive_closure)
 
 
-def _ctx(rows, objects=None, attributes=None):
+def _ctx(rows, objects=None, attributes=None, name="context"):
     inc = np.asarray(rows, dtype=bool)
     objects = objects or [f"o{i}" for i in range(inc.shape[0])]
     attributes = attributes or [f"a{j}" for j in range(inc.shape[1])]
-    return FormalContext(objects, attributes, inc)
+    return FormalContext(objects, attributes, inc, name=name)
 
 
 def _brute_concepts(ctx):
@@ -757,22 +757,21 @@ def test_quality_diamond_vs_chain():
 def test_cxt_round_trip_is_byte_exact(tmp_path):
     ctx = _ctx([[1, 0, 1], [0, 0, 0], [1, 1, 1]],
                objects=["ant", "bee", "cow"],
-               attributes=["small", "striped", "alive"])
-    assert ctx.name == "context"
+               attributes=["small", "striped", "alive"], name="zoo")
+    assert _ctx([[1]]).name == "context"
     path = tmp_path / "zoo.cxt"
-    text = write_cxt(ctx, path, name="zoo")
+    text = write_cxt(ctx, path)
     assert path.read_text() == text
     back = read_cxt(path)
     assert back.name == "zoo"
     assert back.objects == ctx.objects
     assert back.attributes == ctx.attributes
     assert np.array_equal(back.incidence, ctx.incidence)
-    assert write_cxt(back, name="zoo") == text
+    assert write_cxt(back) == text
 
 
 def test_cxt_text_layout():
-    text = write_cxt(_ctx([[1, 0]], objects=["o"], attributes=["p", "q"]),
-                     name="t")
+    text = write_cxt(_ctx([[1, 0]], objects=["o"], attributes=["p", "q"], name="t"))
     assert text == "B\nt\n1\n2\no\np\nq\nX.\n"
 
 

@@ -322,8 +322,9 @@ def _ff_lockstep_equals_single_runs(fn, cfg, dim=2, bounds=None, base_seed=0):
 
 
 @pytest.mark.parametrize("stop", [True, False])
-# one sweep over the stack, and sweeps over groups of two runs
-@pytest.mark.parametrize("cells", [2**14, 4000])
+# one sweep over the stack, sweeps over groups of two runs, and a budget
+# below one run's noise, which still sweeps one run at a time
+@pytest.mark.parametrize("cells", [2**14, 4000, 1])
 def test_ff_lockstep_runs_leave_the_batch_as_they_succeed(stop, cells, monkeypatch):
     monkeypatch.setattr(optimizers, "STOP_ON_SUCCESS", stop)
     monkeypatch.setattr(optimizers, "_FF_NOISE_CELLS", cells)
@@ -331,6 +332,15 @@ def test_ff_lockstep_runs_leave_the_batch_as_they_succeed(stop, cells, monkeypat
     batch = _ff_lockstep_equals_single_runs("F14", cfg, base_seed=40)
     done = [r.iterations_to_success for r in batch if r.succeeded]
     assert len(set(done)) >= 3 and max(done) > 0  # rows leave at several iterations
+
+
+@pytest.mark.parametrize("fn", ["F1", "F11"])
+def test_ff_lockstep_at_the_protocol_cell_shape(fn):
+    """The benchmark's D = 10 cells at the default budget: three runs of
+    population 30 share one sweep."""
+    assert 3 * 30 * 30 * 10 <= optimizers._FF_NOISE_CELLS
+    cfg = OptimizerConfig(population_size=30, max_iterations=25, runs=3)
+    _ff_lockstep_equals_single_runs(fn, cfg, dim=10, base_seed=1)
 
 
 @pytest.mark.parametrize("iters,runs", [(0, 1), (0, 3), (5, 1)])

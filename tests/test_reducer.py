@@ -361,21 +361,21 @@ def test_load_taxonomy_errors(tmp_path):
         load_taxonomy(bad3)
 
 
-def _ctx(rows, objects, attributes):
-    return FormalContext(objects, attributes, np.asarray(rows, dtype=bool))
+def _ctx(rows, objects, attributes, name="context"):
+    return FormalContext(objects, attributes, np.asarray(rows, dtype=bool), name=name)
 
 
 def test_merge_pair_objects():
-    ctx = _ctx([[1, 0], [0, 1], [1, 1]], ["o1", "o2", "o3"], ["p", "q"])
+    ctx = _ctx([[1, 0], [0, 1], [1, 1]], ["o1", "o2", "o3"], ["p", "q"], name="pq")
     out = merge_pair(ctx, "object", 0, 2, "m")
-    assert out.objects == ("m", "o2")
+    assert out.objects == ("m", "o2") and out.name == "pq"
     assert out.incidence.tolist() == [[True, True], [False, True]]
 
 
 def test_merge_pair_attributes_and_errors():
-    ctx = _ctx([[1, 0], [0, 1]], ["o1", "o2"], ["p", "q"])
+    ctx = _ctx([[1, 0], [0, 1]], ["o1", "o2"], ["p", "q"], name="pq")
     out = merge_pair(ctx, "attribute", 1, 0, "pq")
-    assert out.attributes == ("pq",)
+    assert out.attributes == ("pq",) and out.name == "pq"
     assert out.incidence.tolist() == [[True], [True]]
     with pytest.raises(ValueError):
         merge_pair(ctx, "row", 0, 1, "x")
@@ -488,8 +488,8 @@ def test_reduce_returns_the_lattices_of_both_contexts(tax):
 
 def test_fca_suite_builds_only_the_reducers_lattices(tmp_path, monkeypatch):
     ctx = _ctx(np.eye(4), ["o1", "o2", "o3", "o4"],
-               ["cat", "feline", "mammal", "animal"])
-    write_cxt(ctx, tmp_path / "c.cxt", name="chain")
+               ["cat", "feline", "mammal", "animal"], name="chain")
+    write_cxt(ctx, tmp_path / "c.cxt")
     (tmp_path / "t.tsv").write_text("cat\tfeline\nfeline\tmammal\nmammal\tanimal\n")
     config = dict(ctx=str(tmp_path / "c.cxt"), tax=str(tmp_path / "t.tsv"),
                   quality_floor=0.0)
@@ -511,8 +511,8 @@ def test_fca_suite_builds_only_the_reducers_lattices(tmp_path, monkeypatch):
 
 def test_fca_suite_reports_invariants_of_both_lattices(tmp_path):
     ctx = _ctx(np.eye(4), ["o1", "o2", "o3", "o4"],
-               ["cat", "feline", "mammal", "animal"])
-    write_cxt(ctx, tmp_path / "c.cxt", name="chain")
+               ["cat", "feline", "mammal", "animal"], name="chain")
+    write_cxt(ctx, tmp_path / "c.cxt")
     (tmp_path / "t.tsv").write_text("cat\tfeline\nfeline\tmammal\nmammal\tanimal\n")
     config = dict(ctx=str(tmp_path / "c.cxt"), tax=str(tmp_path / "t.tsv"),
                   quality_floor=0.0)
