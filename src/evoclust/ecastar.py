@@ -26,18 +26,17 @@ centroid candidates of clustering I, by the merge radii of clustering II, by
 the stop test and again by the next cycle, and every run of a suite
 starts from the same percentile-rank partition. ``run_cluster_suite`` keeps
 one memo for the suite and hands it to each ``run_eca_star``. It holds each
-distinct cluster's cohesion (keyed by the digest of its member indices), each
-tested pair's merge decision (keyed by the pair of digests), the start
-partition of each social rank count and each column's sort order of the
-points, read by the quartiles of clustering I (both keyed by a tuple that
-begins with a string, so it equals no digest), so each is computed once per
-suite.
+distinct cluster's cohesion (keyed by the digest of its member indices), the
+start partition of each social rank count and each column's sort order of
+the points, read by the quartiles of clustering I (both keyed by a tuple
+that begins with a string, so it equals no digest), so each is computed once
+per suite.
 
 Each partition is held as one member layout: a stable argsort of its ids,
 cut into one member-index array per cluster. Renumbering, density folding,
 quartiles, separation and merging are whole-array passes; the Python loops
-left are the memo lookups, one per cluster or tested pair, and mut-over's
-Levy draws, one per cluster.
+left are the merge tests and memo lookups, one per adjacent pair or
+cluster, and mut-over's Levy draws, one per cluster.
 """
 
 import hashlib
@@ -218,34 +217,28 @@ def _key(g):
     return hashlib.blake2b(g.tobytes(), digest_size=16).digest()
 
 
-def _cohesion(points, g, memo, key=None):
-    """intra_cluster of the members with indices g, memoized by those indices
-    (``key`` is their ``_key``, when the caller already has it)."""
-    key = _key(g) if key is None else key
+def _cohesion(points, g, memo):
+    """intra_cluster of the members with indices g, memoized by those
+    indices."""
+    key = _key(g)
     if key not in memo:
         memo[key] = intra_cluster(np.take(points, g, axis=0))
     return memo[key]
 
 
-def _touches(points, g_i, g_j, key_i, key_j, gap, upper, memo):
-    """Merge test of clustering II, memoized by the pair: whether the closest
-    cross distance of two member sets is no larger than the larger of their
-    cohesions. ``key_i`` and ``key_j`` are the sets' ``_key``s; ``gap`` is
-    a lower bound on that distance and ``upper`` an upper bound on the larger
-    cohesion. When the gap exceeds ``upper``, the merge is ruled out with no
-    cohesion computed; otherwise the exact scan runs only when the gap does
-    not exceed the larger cohesion."""
-    key = (key_i, key_j)
-    if key not in memo:
-        if gap > upper * (1 + _BOX_RTOL):
-            memo[key] = False
-        else:
-            radius = max(_cohesion(points, g_i, memo, key_i),
-                         _cohesion(points, g_j, memo, key_j))
-            memo[key] = bool(gap <= radius * (1 + _BOX_RTOL) and
-                             pairwise_min_distance(np.take(points, g_i, axis=0),
-                                                   np.take(points, g_j, axis=0)) <= radius)
-    return memo[key]
+def _touches(points, g_i, g_j, gap, upper, memo):
+    """Merge test of clustering II: whether the closest cross distance of two
+    member sets is no larger than the larger of their cohesions, which are
+    memoized. ``gap`` is a lower bound on that distance and ``upper`` an
+    upper bound on the larger cohesion. When the gap exceeds ``upper``, the
+    merge is ruled out with no cohesion computed; otherwise the exact scan
+    runs only when the gap does not exceed the larger cohesion."""
+    if gap > upper * (1 + _BOX_RTOL):
+        return False
+    radius = max(_cohesion(points, g_i, memo), _cohesion(points, g_j, memo))
+    return bool(gap <= radius * (1 + _BOX_RTOL) and
+                pairwise_min_distance(np.take(points, g_i, axis=0),
+                                      np.take(points, g_j, axis=0)) <= radius)
 
 
 def _merge_bounds(points, groups):
@@ -405,11 +398,11 @@ def clustering_two(points, assignment, mo, memo=None):
     Dmin is scanned only when the box gap does not exceed max(R_i, R_j).
     Every decision is the one the exact test makes.
 
-    Cohesions and merge decisions are looked up in ``memo``, keyed by member
-    indices, and computed only when missing, so for as long as one memo lives
-    each distinct cluster's cohesion and each tested pair's decision is
-    computed once. A memo is only valid for the points it was filled on;
-    without one, the call starts with an empty memo.
+    Cohesions are looked up in ``memo``, keyed by member indices, and
+    computed only when missing, so for as long as one memo lives each
+    distinct cluster's cohesion is computed once. A memo is only valid for
+    the points it was filled on; without one, the call starts with an empty
+    memo.
     """
     memo = {} if memo is None else memo
     points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -419,11 +412,10 @@ def clustering_two(points, assignment, mo, memo=None):
         raise ValueError("every point needs the id of a row of mo")
     live, assignment, groups = _compact(assignment)
     mo = mo[live]
-    keys = [_key(g) for g in groups]
     gaps, upper = _merge_bounds(points, groups)
     upper = np.maximum(upper[:-1], upper[1:]).tolist()
-    merged = [_touches(points, groups[i], groups[i + 1], keys[i], keys[i + 1],
-                       gaps[i], upper[i], memo) for i in range(len(groups) - 1)]
+    merged = [_touches(points, groups[i], groups[i + 1], gaps[i], upper[i], memo)
+              for i in range(len(groups) - 1)]
     # merges join only neighbours, so each merged cluster is a run of ids:
     # cluster i goes to the count of runs that start at or before it, less one
     new_id = np.cumsum(np.logical_not([False] + merged)) - 1
@@ -461,8 +453,8 @@ def run_eca_star(dataset, params, memo=None):
     """Full clustering run; returns the final partition and its quality.
 
     The quality report scores against whatever ground truth the dataset
-    carries (none for a bare point array). ``memo`` holds cohesions, merge
-    decisions and start partitions already computed on the same points, by
+    carries (none for a bare point array). ``memo`` holds cohesions, start
+    partitions and column orders already computed on the same points, by
     earlier runs of a suite; without one, the run starts with an empty memo.
     """
     points = as_points(dataset)

@@ -7,13 +7,13 @@ concept's extent and intent are rows of uint64 words (``PackedConcepts``).
 The intents are built as Python int bitmasks by closing the full attribute
 set under intersection with each object row, then packed in one go; each
 extent is the set of objects whose packed row holds the intent, and one
-``np.lexsort`` puts the concepts in order. The strict order of a concept
-family is extent inclusion, read from the packed extents once per family
+``np.lexsort`` puts the concepts in nondecreasing extent size, the order
+every later step relies on. The strict order of a concept family is extent
+inclusion, read from the packed extents once per family
 (``PackedConcepts.order``). The exact width is n minus a maximum matching
 of that order, and the covers are its pairs with nothing between them,
 also built once per family (``PackedConcepts.covers``), so a family's
-invariants need nothing but the family. ``Concept`` index tuples are made
-only when a caller reads a concept.
+invariants need nothing but the family.
 """
 
 from collections import deque
@@ -23,12 +23,6 @@ from pathlib import Path
 from typing import Tuple
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class Concept:
-    extent: Tuple[int, ...]  # object indices, ascending
-    intent: Tuple[int, ...]  # attribute indices, ascending
 
 
 @dataclass
@@ -41,7 +35,17 @@ class FormalContext:
     def __init__(self, objects, attributes, incidence, name="context"):
         objects = tuple(str(o) for o in objects)
         attributes = tuple(str(a) for a in attributes)
+        name = str(name)
+        # each is one line of a .cxt file: no line break, and no empty label
+        for what, values in (("name", (name,)), ("object label", objects),
+                             ("attribute label", attributes)):
+            text = "".join(values)
+            if "".join(text.splitlines()) != text:
+                bad = next(v for v in values if "".join(v.splitlines()) != v)
+                raise ValueError(f"{what} {bad!r} holds a line break")
         for what, labels in (("object", objects), ("attribute", attributes)):
+            if "" in labels:
+                raise ValueError(f"{what} label '' is empty")
             if len(set(labels)) != len(labels):
                 raise ValueError(f"{what} labels must be unique")
         incidence = np.asarray(incidence, dtype=bool)
@@ -52,7 +56,7 @@ class FormalContext:
         self.objects = objects
         self.attributes = attributes
         self.incidence = incidence
-        self.name = str(name)
+        self.name = name
 
     @property
     def shape(self):
@@ -67,45 +71,37 @@ class FormalContext:
 class PackedConcepts:
     """Concepts as rows of little-endian uint64 words: bit i of word w of an
     extent is object 64w + i, and likewise for intents over attributes.
-    sizes holds each extent's object count, and n_objects the context's,
-    which the zero padding bits do not show. ``concepts[k]`` is concept k
-    as a ``Concept``. ``order``, the strict extent-inclusion order, and
-    ``covers``, its covering pairs, are built on first read and kept for
-    ``hasse_edges`` and ``invariants``.
+    sizes holds each extent's object count, and must not decrease: ``order``
+    and ``covers`` read an extent's index as its place in size order, so a
+    family out of that order raises ``ValueError``. ``order``, the strict
+    extent-inclusion order, and ``covers``, its covering pairs, are built on
+    first read and kept for ``hasse_edges`` and ``invariants``.
     """
     extents: np.ndarray  # (n, words) uint64
     intents: np.ndarray  # (n, words) uint64
-    sizes: np.ndarray  # (n,) extent sizes
-    n_objects: int
+    sizes: np.ndarray  # (n,) extent sizes, nondecreasing
+
+    def __post_init__(self):
+        if np.any(np.diff(self.sizes) < 0):
+            raise ValueError("concept extent sizes must not decrease")
 
     def __len__(self):
         return len(self.sizes)
 
-    def __getitem__(self, k):
-        return Concept(_set_bits(self.extents[k]), _set_bits(self.intents[k]))
-
-    def __iter__(self):
-        return (self[k] for k in range(len(self)))
-
     @cached_property
     def order(self):
-        """(by_size, less): the concept indices ordered by extent size, and
-        the strict extent-inclusion order over them as a bool CSR matrix, in
-        which row i holds each j whose extent strictly contains by_size[i]'s.
-        Permuting rows and columns alike keeps both the covers and the size
-        of a maximum matching."""
-        by_size = np.argsort(self.sizes, kind="stable")
-        return by_size, _strict_order(self.extents[by_size])
+        """The strict extent-inclusion order as a bool CSR matrix, in which
+        row i holds each j whose extent strictly contains extent i."""
+        return _strict_order(self.extents)
 
     @cached_property
     def covers(self):
         """Covering pairs (child, parent) of ``order`` as a read-only (m, 2)
-        array sorted by child then parent: ``less > less @ less`` in bool
-        sparse arithmetic, both ends mapped back through the extent-size
-        permutation."""
-        by_size, less = self.order
+        intp array sorted by child then parent: ``less > less @ less`` in
+        bool sparse arithmetic."""
+        less = self.order
         cover = (less > less @ less).tocoo()
-        child, parent = by_size[cover.row], by_size[cover.col]
+        child, parent = cover.row.astype(np.intp), cover.col.astype(np.intp)
         first = np.lexsort((parent, child))
         edges = np.column_stack((child[first], parent[first]))
         edges.flags.writeable = False
@@ -140,12 +136,6 @@ def _words(masks, n_bits):
     return np.frombuffer(packed, dtype="<u8").reshape(len(masks), width)
 
 
-def _set_bits(words):
-    """The set bits of one packed row, ascending."""
-    bits = np.unpackbits(words.view(np.uint8), bitorder="little")
-    return tuple(np.flatnonzero(bits).tolist())
-
-
 def derive_concepts(ctx):
     """All formal concepts, packed and ordered by extent size then extent
     tuple.
@@ -171,16 +161,16 @@ def derive_concepts(ctx):
     # packbits puts object 0 in the top bit of byte 0, so sorting the bytes
     # of the complement compares extent tuples
     order = np.lexsort((*np.packbits(~holds, axis=1).T[::-1], sizes))
-    return PackedConcepts(_pack(holds[order]), intents[order], sizes[order], n_obj)
+    return PackedConcepts(_pack(holds[order]), intents[order], sizes[order])
 
 
 def hasse_edges(concepts):
     """Covering pairs (child, parent) of the extent-inclusion order of packed
-    concepts, as an (m, 2) array sorted by child then parent: the pairs of
-    the strict order with no concept between their ends. A family of two or
-    more concepts builds them once and shares them read-only
-    (``PackedConcepts.covers``). Any family of distinct extents has these
-    covers, a complete lattice or not.
+    concepts, as an (m, 2) intp array sorted by child then parent: the pairs
+    of the strict order with no concept between their ends. A family of two
+    or more concepts builds them once and shares them read-only
+    (``PackedConcepts.covers``). Any family of distinct extents in
+    nondecreasing extent size has these covers, a complete lattice or not.
     """
     if len(concepts) < 2:
         return np.empty((0, 2), dtype=np.intp)
@@ -264,7 +254,8 @@ def invariants(concepts):
     concepts, all read from the concepts' own order.
 
     Height counts nodes on a longest chain along the covers, relaxed with
-    one ``np.maximum.at`` per extent size of the covers' children. The width
+    one ``np.maximum.at`` per extent size of the covers' children, which the
+    covers, sorted by child, already list in nondecreasing size. The width
     is exact: the largest antichain, which by Dilworth's theorem is n minus
     a maximum matching of the strict order (a minimum chain cover), the
     concepts' ``order``, shared with the covers.
@@ -275,16 +266,13 @@ def invariants(concepts):
     if n == 0:
         return {"n_concepts": 0, "n_edges": 0, "height": 0, "width": 0}
     child, parent = concepts.covers.T
-    size = concepts.sizes
     # longest chain ending at each node: a cover's child has a smaller extent
     # than its parent, so children of one size are final before they relax
-    order = np.argsort(size[child], kind="stable")
-    child, parent = child[order], parent[order]
-    groups = np.flatnonzero(np.diff(size[child])) + 1
+    groups = np.flatnonzero(np.diff(concepts.sizes[child])) + 1
     level = np.ones(n, dtype=np.intp)
     for below, above in zip(np.split(child, groups), np.split(parent, groups)):
         np.maximum.at(level, above, level[below] + 1)
-    match = maximum_bipartite_matching(concepts.order[1], perm_type="column")
+    match = maximum_bipartite_matching(concepts.order, perm_type="column")
     return {"n_concepts": n, "n_edges": len(child), "height": int(level.max()),
             "width": n - int(np.count_nonzero(match != -1))}
 
@@ -369,8 +357,8 @@ def write_cxt(ctx, path=None):
 def read_cxt(path):
     """Parse the Burmeister layout from the file at path; the context takes
     the file's name line. A single blank line after the counts and blank
-    lines after the incidence rows are tolerated; a repeated label or any
-    other trailing line is an error that names its file and line."""
+    lines after the incidence rows are tolerated; an empty or repeated label
+    or any other trailing line is an error that names its file and line."""
     origin = str(path)
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0].strip() != "B":
@@ -397,6 +385,8 @@ def read_cxt(path):
                                 ("attribute", attributes, pos + n_obj)):
         first = {}
         for lineno, label in enumerate(labels, start + 1):
+            if not label:
+                raise ValueError(f"{origin}:{lineno}: empty {what} label")
             if first.setdefault(label, lineno) != lineno:
                 raise ValueError(f"{origin}:{lineno}: {what} label {label!r} "
                                  f"repeats line {first[label]}")

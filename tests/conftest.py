@@ -1,6 +1,28 @@
-"""Shared helpers for replaying context-reduction traces."""
+"""Shared helpers: concepts as index tuples, and replaying context-reduction
+traces."""
+
+from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
+
+
+@dataclass(frozen=True)
+class Concept:
+    extent: Tuple[int, ...]  # object indices, ascending
+    intent: Tuple[int, ...]  # attribute indices, ascending
+
+
+def _set_bits(words):
+    """The set bits of one packed row, ascending."""
+    bits = np.unpackbits(words.view(np.uint8), bitorder="little")
+    return tuple(np.flatnonzero(bits).tolist())
+
+
+def concept_tuples(concepts):
+    """Packed concepts as a list of ``Concept`` index tuples, in order."""
+    return [Concept(_set_bits(e), _set_bits(i))
+            for e, i in zip(concepts.extents, concepts.intents)]
 
 
 def replay_label(trace, axis, label):

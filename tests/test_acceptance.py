@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.stats import spearmanr
-from conftest import check_reduction_faithful
+from conftest import check_reduction_faithful, concept_tuples
 
 from evoclust import cli, metrics
 from evoclust.benchmarks import CATALOG
@@ -250,15 +250,16 @@ def test_criterion_08_concept_enumeration_exact():
             ctx = FormalContext([f"o{i}" for i in range(n_obj)],
                                 [f"a{j}" for j in range(n_att)], inc)
             concepts = derive_concepts(ctx)
-            assert [(c.extent, c.intent) for c in concepts] == _brute_concepts(ctx)
+            tuples = concept_tuples(concepts)
+            assert [(c.extent, c.intent) for c in tuples] == _brute_concepts(ctx)
             edges = hasse_edges(concepts)
             reach = _transitive_closure(len(concepts), edges)
-            ext = [set(c.extent) for c in concepts]
+            ext = [set(c.extent) for c in tuples]
             for i in range(len(concepts)):
                 for j in range(len(concepts)):
                     assert reach[i, j] == (i != j and ext[i] < ext[j])
             if len(concepts) <= 12:
-                assert invariants(concepts)["width"] == _max_antichain(concepts)
+                assert invariants(concepts)["width"] == _max_antichain(tuples)
                 dilworth_checked += 1
         assert dilworth_checked >= 20  # enough small lattices were drawn
 

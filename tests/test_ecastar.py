@@ -655,6 +655,23 @@ def test_merge_with_filled_memo_matches_fresh_call():
     assert memo  # the first call filled it
 
 
+def test_memo_keys_are_digests_and_two_tuples():
+    # a suite's memo holds cohesions under member-set digests, the start
+    # partition and the column orders; merge decisions are not kept
+    ds = gaussian_blobs(RngStream(12), centers=[(0, 0), (3, 0), (0, 3)],
+                        spread=1.0, points_per_cluster=30)
+    memo = {}
+    for seed in (5, 6):
+        run_eca_star(ds, EcaParams(seed=seed), memo)
+    assert sorted(k for k in memo if isinstance(k, tuple)) == [
+        ("column_orders",), ("init_assign", 2)]
+    digests = [k for k in memo if not isinstance(k, tuple)]
+    assert digests
+    for k in digests:
+        assert isinstance(k, bytes) and len(k) == 16
+        assert isinstance(memo[k], float)
+
+
 # -------------------------------------------------------------- end to end
 
 def test_run_scores_each_member_set_once(monkeypatch):

@@ -13,10 +13,11 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
+from conftest import Concept, concept_tuples
 from test_acceptance import _planted_context
 
 from evoclust import fca
-from evoclust.fca import (Concept, FormalContext, build_lattice,
+from evoclust.fca import (FormalContext, build_lattice,
                           derive_concepts, hasse_edges, invariants,
                           lattice_quality, read_cxt, write_cxt, _girth,
                           _ratio, _transitive_closure)
@@ -53,11 +54,41 @@ def test_context_validation():
         FormalContext(["o"], ["a"], np.zeros((2, 2)))
 
 
+# every separator str.splitlines() splits on, so read_cxt would see two lines
+_LINE_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("brk", _LINE_BREAKS)
+def test_context_refuses_a_line_break_in_a_name_or_label(brk):
+    assert len(f"a{brk}b".splitlines()) == 2
+    for bad in (f"a{brk}b", f"a{brk}", brk):
+        for args, what in ((([bad], ["m"], [[1]]), "object label"),
+                           ((["o"], [bad], [[1]]), "attribute label"),
+                           ((["o"], ["m"], [[1]], bad), "name")):
+            with pytest.raises(ValueError,
+                               match=f"^{what} {re.escape(repr(bad))} holds a line break$"):
+                FormalContext(*args)
+
+
+def test_context_refuses_an_empty_label(tmp_path):
+    # such a context wrote a file that read_cxt refused with "expected 5
+    # more lines after the header"
+    with pytest.raises(ValueError, match="^object label '' is empty$"):
+        FormalContext(["", "b"], ["m"], [[1], [0]])
+    with pytest.raises(ValueError, match="^attribute label '' is empty$"):
+        FormalContext(["o"], ["m", ""], [[1, 0]])
+    # an empty name, and labels of spaces, are one line each and read back
+    ctx = FormalContext(["o", " "], ["m"], [[1], [0]], name="")
+    back = read_cxt(_write(tmp_path, write_cxt(ctx)))
+    assert (back.name, back.objects, back.attributes) == ("", ("o", " "), ("m",))
+
+
 def _take(concepts, index):
     """The packed concepts at index (an index array or a slice), in that
     order."""
     return fca.PackedConcepts(concepts.extents[index], concepts.intents[index],
-                              concepts.sizes[index], concepts.n_objects)
+                              concepts.sizes[index])
 
 
 def _edge_list(edges):
@@ -66,17 +97,17 @@ def _edge_list(edges):
 
 
 def test_single_cell_full_has_one_concept():
-    concepts = list(derive_concepts(_ctx([[1]])))
+    concepts = concept_tuples(derive_concepts(_ctx([[1]])))
     assert concepts == [Concept((0,), (0,))]
 
 
 def test_single_cell_empty_has_two_concepts():
-    concepts = list(derive_concepts(_ctx([[0]])))
+    concepts = concept_tuples(derive_concepts(_ctx([[0]])))
     assert concepts == [Concept((), (0,)), Concept((0,), ())]
 
 
 def test_no_objects_still_one_concept():
-    concepts = list(derive_concepts(_ctx(np.zeros((0, 2)))))
+    concepts = concept_tuples(derive_concepts(_ctx(np.zeros((0, 2)))))
     assert concepts == [Concept((), (0, 1))]
 
 
@@ -131,7 +162,7 @@ def test_closure_is_idempotent():
 
 def _assert_matches_reference(inc):
     ctx = _ctx(inc)
-    got = list(derive_concepts(ctx))
+    got = concept_tuples(derive_concepts(ctx))
     assert got == _ref_derive_concepts(ctx)  # order included
     return got
 
@@ -200,21 +231,26 @@ def test_concept_order_matches_reference_across_word_boundaries(shape, same_firs
         assert len(set(head)) < len(head)  # ties broken past word 0
 
 
-def test_packed_path_accepts_shuffled_concepts():
-    # hasse_edges and invariants read packed concepts in any order, and
-    # their indices follow that order
+def test_packed_concepts_refuse_a_family_out_of_size_order():
+    # covers and width read a concept's index as its place in extent-size
+    # order, so a family whose sizes decrease is refused; equal sizes may
+    # come in any order, and the indices follow it
     rng = np.random.Generator(np.random.PCG64(640))
     for shape in ((70, 9), (9, 70)):
         concepts = derive_concepts(_ctx(rng.random(shape) < 0.4))
-        edges = hasse_edges(concepts)
         perm = rng.permutation(len(concepts))
-        shuffled = _take(concepts, perm)
-        assert list(shuffled) == [concepts[k] for k in perm]
-        got = hasse_edges(shuffled)
-        assert _edge_list(got) == _ref_hasse_edges(shuffled)
-        assert sorted(_edge_list(perm[got])) == _edge_list(edges)  # renumbered
-        assert (invariants(shuffled)
-                == _without_level_bound(_ref_invariants(list(shuffled), _edge_list(got)))
+        assert np.any(np.diff(concepts.sizes[perm]) < 0)
+        for index in (perm, slice(None, None, -1), [1, 0]):
+            with pytest.raises(ValueError, match="sizes must not decrease"):
+                _take(concepts, index)
+        ties = np.lexsort((rng.random(len(concepts)), concepts.sizes))
+        assert not np.array_equal(ties, np.arange(len(concepts)))
+        family = _take(concepts, ties)
+        tuples = concept_tuples(family)
+        got = hasse_edges(family)
+        assert _edge_list(got) == _ref_hasse_edges(tuples)
+        assert (invariants(family)
+                == _without_level_bound(_ref_invariants(tuples, _edge_list(got)))
                 == invariants(concepts))
 
 
@@ -230,7 +266,7 @@ def test_build_lattice_matches_reference_on_degenerate_contexts():
         lat = build_lattice(ctx)
         concepts = _ref_derive_concepts(ctx)
         edges = _ref_hasse_edges(concepts)
-        assert list(lat.concepts) == concepts
+        assert concept_tuples(lat.concepts) == concepts
         assert _edge_list(lat.hasse_edges) == edges
         ref = _ref_invariants(concepts, edges)
         assert (lat.height, lat.width) == (ref["height"], ref["width"])
@@ -240,22 +276,6 @@ def test_build_lattice_matches_reference_on_degenerate_contexts():
                                                      max(degree))
 
 
-def test_build_lattice_makes_no_concept_tuples(monkeypatch):
-    made = []
-
-    def counted(extent, intent):
-        made.append(extent)
-        return Concept(extent, intent)
-
-    monkeypatch.setattr(fca, "Concept", counted)
-    lat = build_lattice(_ctx(_planted_incidence(1, 52, 23)))
-    assert len(lat.concepts) > 512
-    assert made == []
-    # reading a concept makes one
-    assert lat.concepts[0] == Concept((), tuple(range(23)))
-    assert len(made) == 1
-
-
 @pytest.mark.parametrize("seed", range(30))
 def test_matches_power_set_oracle(seed):
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -263,7 +283,7 @@ def test_matches_power_set_oracle(seed):
     n_att = int(rng.integers(1, 9))
     inc = rng.random((n_obj, n_att)) < rng.uniform(0.2, 0.8)
     ctx = _ctx(inc)
-    got = [(c.extent, c.intent) for c in derive_concepts(ctx)]
+    got = [(c.extent, c.intent) for c in concept_tuples(derive_concepts(ctx))]
     assert got == _brute_concepts(ctx)
 
 
@@ -271,6 +291,7 @@ def test_diamond_lattice():
     lat = build_lattice(_ctx([[1, 0], [0, 1]]))
     assert len(lat.concepts) == 4
     assert _edge_list(lat.hasse_edges) == [(0, 1), (0, 2), (1, 3), (2, 3)]
+    assert lat.hasse_edges.dtype == np.intp
     assert lat.height == 3
     assert lat.width == 2
     assert lat.degree_mean == 2.0
@@ -302,7 +323,7 @@ def test_hasse_transitive_closure_is_inclusion_order(seed):
     edges = hasse_edges(concepts)
     n = len(concepts)
     reach = _transitive_closure(n, edges)
-    ext = [set(c.extent) for c in concepts]
+    ext = [set(c.extent) for c in concept_tuples(concepts)]
     for i in range(n):
         for j in range(n):
             strictly_below = i != j and ext[i] < ext[j]
@@ -371,7 +392,7 @@ def _ref_girth(n, edges):
 
 def _assert_order_matches_reference(concepts):
     edges = hasse_edges(concepts)
-    assert _edge_list(edges) == _ref_hasse_edges(concepts)  # order included
+    assert _edge_list(edges) == _ref_hasse_edges(concept_tuples(concepts))  # order included
     n = len(concepts)
     reach = _transitive_closure(n, edges)
     assert reach.dtype == bool
@@ -388,11 +409,7 @@ def test_order_layer_matches_reference_on_random_contexts():
         n_obj = int(rng.integers(0, 10))
         n_att = int(rng.integers(1, 10))
         inc = rng.random((n_obj, n_att)) < rng.uniform(0.1, 0.9)
-        concepts = derive_concepts(_ctx(inc))
-        girths.add(_assert_order_matches_reference(concepts))
-        # indices need not follow extent size
-        _assert_order_matches_reference(
-            _take(concepts, rng.permutation(len(concepts))))
+        girths.add(_assert_order_matches_reference(derive_concepts(_ctx(inc))))
     # chains, diamonds and longer shortest cycles were all drawn
     assert {0, 4} <= girths and max(girths) > 4
 
@@ -403,14 +420,11 @@ def test_order_layer_matches_reference_on_planted_contexts(seed):
     _assert_order_matches_reference(derive_concepts(ctx))
 
 
-def _assert_covers_match_reference(inc, seed=0):
-    """hasse_edges equals the reference on the concepts of inc, both in
-    extent-size order and shuffled; returns the concepts."""
+def _assert_covers_match_reference(inc):
+    """hasse_edges equals the reference on the concepts of inc; returns the
+    concepts."""
     concepts = derive_concepts(_ctx(inc))
-    assert _edge_list(hasse_edges(concepts)) == _ref_hasse_edges(concepts)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    shuffled = _take(concepts, rng.permutation(len(concepts)))
-    assert _edge_list(hasse_edges(shuffled)) == _ref_hasse_edges(shuffled)
+    assert _edge_list(hasse_edges(concepts)) == _ref_hasse_edges(concept_tuples(concepts))
     return concepts
 
 
@@ -424,7 +438,7 @@ def test_covers_match_reference_on_multi_word_contexts(shape, p, full_first_word
     inc = rng.random(shape) < p
     if full_first_word:  # every intent shares word 0; later words differ
         inc[:, :64] = True
-    assert len(_assert_covers_match_reference(inc, seed=1)) > 40
+    assert len(_assert_covers_match_reference(inc)) > 40
 
 
 def _boolean_context(k):
@@ -462,13 +476,15 @@ def test_hasse_edges_of_an_incomplete_family_match_reference():
     # have no join; the family's covers are the lattice's but the three
     # that touch {0, 1}
     concepts = derive_concepts(_ctx(_boolean_context(3)))
-    family = _take(concepts, [k for k, c in enumerate(concepts)
+    tuples = concept_tuples(concepts)
+    family = _take(concepts, [k for k, c in enumerate(tuples)
                               if c.extent != (0, 1)])
+    members = concept_tuples(family)
     edges = _edge_list(hasse_edges(family))
-    assert edges == _ref_hasse_edges(family)
+    assert edges == _ref_hasse_edges(members)
     lattice = {(c.extent, d.extent) for c, d in
-               ((concepts[a], concepts[b]) for a, b in hasse_edges(concepts))}
-    assert ({(family[a].extent, family[b].extent) for a, b in edges}
+               ((tuples[a], tuples[b]) for a, b in hasse_edges(concepts))}
+    assert ({(members[a].extent, members[b].extent) for a, b in edges}
             == {cover for cover in lattice if (0, 1) not in cover})
 
 
@@ -493,6 +509,7 @@ def test_girth_five_after_a_six_cycle():
 
 def test_order_layer_empty_inputs():
     assert hasse_edges([]).shape == (0, 2)
+    assert hasse_edges([]).dtype == np.intp
     assert _girth(0, []) == 0
     assert _transitive_closure(0, []).shape == (0, 0)
 
@@ -537,7 +554,7 @@ def test_width_is_exact_dilworth(seed):
     concepts = derive_concepts(_ctx(inc))
     if len(concepts) > 12:
         pytest.skip("oracle too slow for this draw")
-    assert invariants(concepts)["width"] == _max_antichain(concepts)
+    assert invariants(concepts)["width"] == _max_antichain(concept_tuples(concepts))
 
 
 def test_width_is_exact_above_512_concepts():
@@ -548,15 +565,16 @@ def test_width_is_exact_above_512_concepts():
     assert n > 512
     # the strict order straight from the extents: i < j iff extent i is a
     # proper subset of extent j (extents of distinct concepts differ)
+    tuples = concept_tuples(lat.concepts)
     ext = np.zeros((n, 52), dtype=np.int64)
-    for k, c in enumerate(lat.concepts):
+    for k, c in enumerate(tuples):
         ext[k, list(c.extent)] = 1
     below = ext @ (1 - ext).T == 0
     np.fill_diagonal(below, False)
     match = maximum_bipartite_matching(csr_matrix(below), perm_type="column")
     width = n - int(np.count_nonzero(match != -1))
     assert lat.width == width
-    ref = _ref_invariants(list(lat.concepts), _edge_list(lat.hasse_edges))
+    ref = _ref_invariants(tuples, _edge_list(lat.hasse_edges))
     assert ref["level_bound"] < width
 
 
@@ -592,13 +610,10 @@ def _without_level_bound(ref):
     return {k: v for k, v in ref.items() if k != "level_bound"}
 
 
-def _assert_invariants_match_reference(concepts, edges, rng=None):
-    """invariants(concepts) against the reference on the covering edges;
-    with rng, also on the same concepts listed in a random order."""
+def _assert_invariants_match_reference(concepts, edges):
+    """invariants(concepts) against the reference on the covering edges."""
     got = invariants(concepts)
-    assert got == _without_level_bound(_ref_invariants(concepts, edges))
-    if rng is not None:
-        assert invariants(_take(concepts, rng.permutation(len(concepts)))) == got
+    assert got == _without_level_bound(_ref_invariants(concept_tuples(concepts), edges))
     return got
 
 
@@ -609,7 +624,7 @@ def test_invariants_match_reference_on_random_contexts():
         n_att = int(rng.integers(1, 10))
         inc = rng.random((n_obj, n_att)) < rng.uniform(0.1, 0.9)
         concepts = derive_concepts(_ctx(inc))
-        _assert_invariants_match_reference(concepts, hasse_edges(concepts), rng)
+        _assert_invariants_match_reference(concepts, hasse_edges(concepts))
 
 
 @pytest.mark.parametrize("n_obj, n_att", [(65, 8), (130, 7), (200, 6)])
@@ -617,8 +632,8 @@ def test_invariants_match_reference_over_64_objects(n_obj, n_att):
     # extents then take two to four uint64 words
     rng = np.random.Generator(np.random.PCG64(610 + n_obj))
     concepts = derive_concepts(_ctx(rng.random((n_obj, n_att)) < 0.4))
-    assert max(c.extent[-1] for c in concepts if c.extent) >= 64
-    _assert_invariants_match_reference(concepts, hasse_edges(concepts), rng)
+    assert max(c.extent[-1] for c in concept_tuples(concepts) if c.extent) >= 64
+    _assert_invariants_match_reference(concepts, hasse_edges(concepts))
 
 
 def test_invariants_match_reference_at_order_block_edges(monkeypatch):
@@ -632,7 +647,7 @@ def test_invariants_match_reference_at_order_block_edges(monkeypatch):
     assert len(concepts) > side + 1
     for k in (side - 1, side, side + 1):
         _assert_invariants_match_reference(
-            _take(concepts, slice(k)), [(a, b) for a, b in edges if b < k], rng)
+            _take(concepts, slice(k)), [(a, b) for a, b in edges if b < k])
     # tiny blocks: one row each, and boundaries on either side of n
     concepts = derive_concepts(_ctx(rng.random((9, 7)) < 0.5))
     edges = hasse_edges(concepts)
@@ -641,7 +656,7 @@ def test_invariants_match_reference_at_order_block_edges(monkeypatch):
         monkeypatch.setattr(fca, "ORDER_CELLS", cells)
         fresh = _take(concepts, slice(None))  # a family builds its order once
         assert np.array_equal(hasse_edges(fresh), edges)
-        _assert_invariants_match_reference(fresh, edges, rng)
+        _assert_invariants_match_reference(fresh, edges)
 
 
 def test_invariants_of_a_chain_and_a_single_concept():
@@ -655,10 +670,9 @@ def test_invariants_of_a_chain_and_a_single_concept():
 
 
 def test_invariants_match_reference_on_a_large_planted_context():
-    rng = np.random.Generator(np.random.PCG64(630))
     concepts = derive_concepts(_ctx(_planted_incidence(1, 52, 23)))
     assert len(concepts) > 512
-    _assert_invariants_match_reference(concepts, hasse_edges(concepts), rng)
+    _assert_invariants_match_reference(concepts, hasse_edges(concepts))
 
 
 def test_invariants_memory_stays_far_below_n_squared():
@@ -726,7 +740,8 @@ def test_level_bound_and_height_bound_the_width(seed):
         concepts = derive_concepts(_ctx(rng.random((n_obj, n_att))
                                         < rng.uniform(0.1, 0.9)))
         inv = invariants(concepts)
-        ref = _ref_invariants(list(concepts), _ref_hasse_edges(list(concepts)))
+        tuples = concept_tuples(concepts)
+        ref = _ref_invariants(tuples, _ref_hasse_edges(tuples))
         n = inv["n_concepts"]
         assert ref["level_bound"] <= inv["width"] <= n <= inv["height"] * inv["width"]
 
@@ -821,6 +836,17 @@ def test_cxt_reader_takes_a_path_only(tmp_path):
 def test_cxt_reader_allows_trailing_blank_lines(tmp_path):
     ctx = read_cxt(_write(tmp_path, "B\nt\n1\n2\no\np\nq\nX.\n\n  \n"))
     assert ctx.incidence.tolist() == [[True, False]]
+
+
+def test_cxt_reader_names_an_empty_label(tmp_path):
+    path = _write(tmp_path, "B\nt\n2\n1\no\n\na\nX\n.\n", "empty.cxt")
+    with pytest.raises(ValueError,
+                       match=f"^{re.escape(str(path))}:6: empty object label$"):
+        read_cxt(path)
+    path = _write(tmp_path, "B\nt\n1\n2\n\no\na\n\nX.\n", "empty2.cxt")
+    with pytest.raises(ValueError,
+                       match=f"^{re.escape(str(path))}:8: empty attribute label$"):
+        read_cxt(path)
 
 
 def test_cxt_reader_names_a_repeated_label(tmp_path):

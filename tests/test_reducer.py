@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import check_reduction_faithful, replay_label
+from conftest import check_reduction_faithful, concept_tuples, replay_label
 from test_acceptance import _planted_context
 
 from evoclust import fca, reducer
@@ -465,7 +465,7 @@ def test_reduce_is_deterministic(tax):
 
 def _same_lattice(a, b):
     """Equal concepts, covering edges and invariants."""
-    return (list(a.concepts) == list(b.concepts)
+    return (concept_tuples(a.concepts) == concept_tuples(b.concepts)
             and np.array_equal(a.hasse_edges, b.hasse_edges)
             and fca._invariants_json(a) == fca._invariants_json(b))
 
