@@ -356,9 +356,10 @@ def write_cxt(ctx, path=None):
 
 def read_cxt(path):
     """Parse the Burmeister layout from the file at path; the context takes
-    the file's name line. A single blank line after the counts and blank
+    the file's name line. A single empty line after the counts and blank
     lines after the incidence rows are tolerated; an empty or repeated label
-    or any other trailing line is an error that names its file and line."""
+    or any other trailing line is an error that names its file and line. A
+    label of spaces is a label, also in first place."""
     origin = str(path)
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0].strip() != "B":
@@ -374,7 +375,7 @@ def read_cxt(path):
         if count < 0:
             raise ValueError(f"{origin}:{lineno}: {what} count must be >= 0, got {count}")
     pos = 4
-    if pos < len(lines) and lines[pos].strip() == "":
+    if pos < len(lines) and lines[pos] == "":
         pos += 1
     need = n_obj + n_att + n_obj
     if len(lines) - pos < need:

@@ -2,16 +2,18 @@
 backtracking search algorithm (BSA) plus DE, PSO, ABC, and firefly
 counterparts for head-to-head benchmarking.
 
-Each algorithm is a generator of its iterations: it draws and evaluates its
-initial population, yields ``(values, points)``, and yields again after each
-iteration. One run loop consumes them: it keeps the best so far and stops a
-run at the iteration cap or, when configured, at the first iteration within
-tolerance of the minimum. The firefly's generator advances a stack of runs
-in lockstep, each on its own stream, and ``run_repetitions`` runs all of
-its repetitions as one stack; a single run is a stack of one.
+Each algorithm is a generator of its iterations over a stack of runs in
+lockstep, each run on its own stream: it draws and evaluates the runs'
+initial populations, yields ``(values, points)``, and yields again after
+each iteration. One run loop consumes them: it keeps each run's best so far
+and stops a run at the iteration cap or, when configured, at the first
+iteration within tolerance of the minimum; a run that stops leaves the
+stack. ``run_repetitions`` runs all of a cell's repetitions as one stack; a
+single run is a stack of one.
 
 Every run is single-threaded and fully determined by its seed; repetitions
-use independently seeded streams, so a run's results do not depend on the
+use independently seeded streams, and each run draws from its own stream
+exactly what it would draw alone, so a run's results do not depend on the
 runs beside it.
 """
 
@@ -23,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from . import benchmarks
-from .rng import RngStream, permute, standard_normal, stream_for_run, uniform, uniform_matrix
+from .rng import RngStream, permute, standard_normal, stream_for_run, uniform
 
 ALGORITHMS = ("bsa", "de", "pso", "abc", "ff")
 
@@ -78,24 +80,55 @@ class RunResult:
     reference_min: float
 
 
+# ------------------------------------------------------------ stack helpers
+
+def _uniform_stack(rngs, low, up, shape):
+    """An (L, *shape) array of U[low, up) draws, run r's drawn from
+    ``rngs[r]`` as ``uniform_matrix`` would draw them."""
+    U = np.empty((len(rngs), *shape))
+    for r, rng in enumerate(rngs):
+        rng.generator.random(out=U[r])
+    return low + (up - low) * U
+
+
+def _evaluate(fn, X):
+    """Objective values of a stack of populations (..., n, D), in one batch."""
+    return benchmarks.evaluate_batch(fn, X.reshape(-1, X.shape[-1])).reshape(X.shape[:-1])
+
+
+def _leave(keep, rngs, *state):
+    """The streams and state arrays of the runs that stay: ``keep`` is the
+    run loop's mask over the stack, or ``None`` when every run stays."""
+    if keep is None:
+        return (rngs, *state)
+    return ([rng for rng, stays in zip(rngs, keep) if stays], *(a[keep] for a in state))
+
+
 # ---------------------------------------------------------------- BSA steps
+#
+# Each step takes a stack of runs, arrays shaped (L, n, D), and one stream
+# per run; run r draws from ``rngs[r]`` exactly what it would draw alone.
 
-def bsa_init(fn, dim, low, up, config, rng):
-    """Draw both populations uniformly in bounds: ``(P, fP, Pold)``, where
-    only P is evaluated."""
-    n = config.population_size
-    P = uniform_matrix(rng, low, up, (n, dim))
-    Pold = uniform_matrix(rng, low, up, (n, dim))
-    return P, benchmarks.evaluate_batch(fn, P), Pold
+def bsa_init(fn, dim, low, up, config, rngs):
+    """Draw both populations of every run uniformly in bounds: ``(P, fP,
+    Pold)``, where each run draws its P and then its Pold, and only P is
+    evaluated."""
+    both = _uniform_stack(rngs, low, up, (2, config.population_size, dim))
+    P, Pold = both[:, 0], both[:, 1]
+    return P, _evaluate(fn, P), Pold
 
 
-def bsa_selection1(P, Pold, rng):
-    """Historical-population refresh: adopt a copy of P when a < b for two
-    uniform draws, then shuffle the rows."""
-    a = uniform(rng, 0.0, 1.0)
-    b = uniform(rng, 0.0, 1.0)
-    source = P if a < b else Pold
-    return source[permute(rng, source.shape[0])]
+def bsa_selection1(P, Pold, rngs):
+    """Historical-population refresh: a run adopts a copy of its P when a < b
+    for two uniform draws, then shuffles the rows."""
+    L, n = P.shape[:2]
+    adopt = np.empty(L, dtype=bool)
+    order = np.empty((L, n), dtype=np.intp)
+    for r, rng in enumerate(rngs):
+        adopt[r] = uniform(rng, 0.0, 1.0) < uniform(rng, 0.0, 1.0)
+        order[r] = permute(rng, n)
+    source = np.where(adopt[:, None, None], P, Pold)
+    return source[np.arange(L)[:, None], order]
 
 
 def bsa_mutation(P, Pold, F):
@@ -103,171 +136,223 @@ def bsa_mutation(P, Pold, F):
     return P + F * (Pold - P)
 
 
-def bsa_crossover(P, Mutant, rng):
-    """Two-branch binary map: with even odds either ceil(BSA_MIXRATE*rand*D)
-    random positions per row take the mutant, or exactly one does; every
-    other position keeps P.
+def bsa_crossover(P, Mutant, rngs):
+    """Two-branch binary map: with even odds a run's rows either each take
+    the mutant at ceil(BSA_MIXRATE*rand*D) random positions, or each at
+    exactly one; every other position keeps P.
 
     A row's positions are the first k of a uniformly random order, the
     argsort of one row of a uniform matrix."""
-    n, d = P.shape
-    rows = np.arange(n)
-    mutate = np.zeros((n, d), dtype=bool)
-    if uniform(rng, 0.0, 1.0) < uniform(rng, 0.0, 1.0):
-        k = np.maximum(1, np.ceil(BSA_MIXRATE * rng.generator.random(n) * d))
-        order = np.argsort(rng.generator.random((n, d)), axis=1)
-        mutate[rows[:, None], order] = np.arange(d) < k[:, None]
-    else:
-        mutate[rows, rng.generator.integers(d, size=n)] = True
+    L, n, d = P.shape
+    many = np.empty(L, dtype=bool)
+    share, keys = np.empty((L, n)), np.empty((L, n, d))
+    cols = np.empty((L, n), dtype=np.intp)
+    for r, rng in enumerate(rngs):
+        many[r] = uniform(rng, 0.0, 1.0) < uniform(rng, 0.0, 1.0)
+        if many[r]:
+            rng.generator.random(out=share[r])
+            rng.generator.random(out=keys[r])
+        else:
+            cols[r] = rng.generator.integers(d, size=n)
+    k = np.maximum(1, np.ceil(BSA_MIXRATE * share[many] * d))
+    order = np.argsort(keys[many], axis=-1)
+    mutate = np.empty((L, n, d), dtype=bool)
+    mutate[~many] = np.arange(d) == cols[~many][..., None]
+    mutate[np.flatnonzero(many)[:, None, None], np.arange(n)[:, None], order] = \
+        np.arange(d) < k[..., None]
     return np.where(mutate, Mutant, P)
 
 
 def boundary_control(T, low, up, rng):
     """Regenerate every out-of-bounds coordinate uniformly within its bounds;
-    in-bounds entries are untouched."""
+    in-bounds entries are untouched.
+
+    ``rng`` is one stream, which draws for all of T, or one stream per run
+    of a stack T (L, ...), each drawing for its own run; either way a
+    stream's draws go to its out-of-bounds coordinates in row-major order."""
     T = np.asarray(T, dtype=float)
-    lows = np.broadcast_to(np.asarray(low, dtype=float), T.shape)
-    ups = np.broadcast_to(np.asarray(up, dtype=float), T.shape)
-    mask = (T < lows) | (T > ups)
+    low, up = np.asarray(low, dtype=float), np.asarray(up, dtype=float)
+    mask = (T < low) | (T > up)
     if not mask.any():
         return T
-    out = T.copy()
-    draws = rng.generator.random(int(mask.sum()))
-    out[mask] = lows[mask] + (ups[mask] - lows[mask]) * draws
-    return out
+    rngs = [rng] if isinstance(rng, RngStream) else rng
+    counts = mask.reshape(len(rngs), -1).sum(axis=1)
+    draws = np.zeros(T.shape)
+    draws[mask] = np.concatenate([r.generator.random(c) for r, c in zip(rngs, counts) if c])
+    return np.where(mask, low + (up - low) * draws, T)
 
 
 def bsa_selection2(P, fP, T, fT):
     """Greedy per-individual selection; strict improvement adopts T.
     Returns the new ``(P, fP)``."""
     better = fT < fP
-    return np.where(better[:, None], T, P), np.where(better, fT, fP)
+    return np.where(better[..., None], T, P), np.where(better, fT, fP)
 
 
 # ------------------------------------------------------ iteration generators
+#
+# Each generator advances a stack of runs in lockstep, one stream per run:
+# it yields the stack's ``(values, points)``, shaped (L, n) and (L, n, D),
+# and evaluates each of its batches for the whole stack at once. After each
+# yield the run loop sends ``None`` or a mask of the runs that stay; the
+# others leave the stack and draw nothing more.
 
-def _run_bsa(fn, dim, low, up, config, rng):
-    P, fP, Pold = bsa_init(fn, dim, low, up, config, rng)
+def _run_bsa(fn, dim, low, up, config, rngs):
+    P, fP, Pold = bsa_init(fn, dim, low, up, config, rngs)
     while True:
-        yield fP, P
-        Pold = bsa_selection1(P, Pold, rng)
-        F = 3.0 * standard_normal(rng)
-        trial = bsa_crossover(P, bsa_mutation(P, Pold, F), rng)
-        T = boundary_control(trial, low, up, rng)
-        P, fP = bsa_selection2(P, fP, T, benchmarks.evaluate_batch(fn, T))
+        keep = yield fP, P
+        rngs, P, fP, Pold = _leave(keep, rngs, P, fP, Pold)
+        Pold = bsa_selection1(P, Pold, rngs)
+        F = 3.0 * np.array([standard_normal(rng) for rng in rngs])
+        trial = bsa_crossover(P, bsa_mutation(P, Pold, F[:, None, None]), rngs)
+        T = boundary_control(trial, low, up, rngs)
+        P, fP = bsa_selection2(P, fP, T, _evaluate(fn, T))
 
 
-def de_picks(rng, n):
-    """Three distinct row indices per row i, none equal to i: the first
-    three columns of the argsort of an (n, n) uniform matrix whose diagonal
-    is masked to +inf, so each pick is uniform over the other n - 1 rows."""
-    keys = rng.generator.random((n, n))
-    np.fill_diagonal(keys, np.inf)
-    return np.argsort(keys, axis=1)[:, :3]
+def de_picks(rngs, n):
+    """Three distinct row indices per row i of each run, none equal to i:
+    the first three columns of the argsort of an (n, n) uniform matrix whose
+    diagonal is masked to +inf, so each pick is uniform over the other n - 1
+    rows. Returns an (L, n, 3) array."""
+    keys = np.empty((len(rngs), n, n))
+    for r, rng in enumerate(rngs):
+        rng.generator.random(out=keys[r])
+    keys[:, np.arange(n), np.arange(n)] = np.inf
+    return np.argsort(keys, axis=-1)[..., :3]
 
 
-def _run_de(fn, dim, low, up, config, rng):
+def _run_de(fn, dim, low, up, config, rngs):
     n = config.population_size
-    X = uniform_matrix(rng, low, up, (n, dim))
-    fx = benchmarks.evaluate_batch(fn, X)
+    rows = np.arange(n)
+    X = _uniform_stack(rngs, low, up, (n, dim))
+    fx = _evaluate(fn, X)
     while True:
-        yield fx, X
-        r = de_picks(rng, n)
-        V = X[r[:, 0]] + DE_F * (X[r[:, 1]] - X[r[:, 2]])
-        cross = rng.generator.random((n, dim)) < DE_CR
-        cross[np.arange(n), rng.generator.integers(dim, size=n)] = True
-        U = np.where(cross, V, X)
-        U = boundary_control(U, low, up, rng)
-        fu = benchmarks.evaluate_batch(fn, U)
+        keep = yield fx, X
+        rngs, X, fx = _leave(keep, rngs, X, fx)
+        runs = np.arange(len(rngs))[:, None]
+        r = de_picks(rngs, n)
+        V = X[runs, r[..., 0]] + DE_F * (X[runs, r[..., 1]] - X[runs, r[..., 2]])
+        cross = np.empty_like(X)
+        cols = np.empty((len(rngs), n), dtype=np.intp)
+        for i, rng in enumerate(rngs):
+            rng.generator.random(out=cross[i])
+            cols[i] = rng.generator.integers(dim, size=n)
+        cross = cross < DE_CR
+        cross[runs, rows, cols] = True
+        U = boundary_control(np.where(cross, V, X), low, up, rngs)
+        fu = _evaluate(fn, U)
         better = fu <= fx
-        X = np.where(better[:, None], U, X)
+        X = np.where(better[..., None], U, X)
         fx = np.where(better, fu, fx)
 
 
-def _run_pso(fn, dim, low, up, config, rng):
+def _run_pso(fn, dim, low, up, config, rngs):
     n = config.population_size
-    X = uniform_matrix(rng, low, up, (n, dim))
-    V = np.zeros((n, dim))
-    fx = benchmarks.evaluate_batch(fn, X)
+    X = _uniform_stack(rngs, low, up, (n, dim))
+    V = np.zeros_like(X)
+    fx = _evaluate(fn, X)
     pbest, pf = X.copy(), fx.copy()
-    g = int(np.argmin(pf))
-    gbest, gf = pbest[g].copy(), float(pf[g])
+    runs = np.arange(len(rngs))
+    g = np.argmin(pf, axis=1)
+    gbest, gf = pbest[runs, g], pf[runs, g]
     while True:
-        yield fx, X
-        r1 = rng.generator.random((n, dim))
-        r2 = rng.generator.random((n, dim))
+        keep = yield fx, X
+        rngs, X, V, fx, pbest, pf, gbest, gf = _leave(keep, rngs, X, V, fx, pbest, pf, gbest, gf)
+        runs = np.arange(len(rngs))
+        r = _uniform_stack(rngs, 0.0, 1.0, (2, n, dim))  # each run's r1, then its r2
+        r1, r2 = r[:, 0], r[:, 1]
         V = (PSO_W * V + PSO_C1 * r1 * (pbest - X)
-             + PSO_C2 * r2 * (gbest - X))
+             + PSO_C2 * r2 * (gbest[:, None] - X))
         X = X + V
         outside = (X < low) | (X > up)
         X = np.clip(X, low, up)
         V[outside] = 0.0
-        fx = benchmarks.evaluate_batch(fn, X)
+        fx = _evaluate(fn, X)
         improved = fx < pf
         pbest[improved] = X[improved]
         pf[improved] = fx[improved]
-        g = int(np.argmin(pf))
-        if pf[g] < gf:
-            gbest, gf = pbest[g].copy(), float(pf[g])
+        g = np.argmin(pf, axis=1)
+        better = pf[runs, g] < gf
+        gbest[better] = pbest[runs[better], g[better]]
+        gf[better] = pf[runs[better], g[better]]
 
 
-def abc_partners(rng, sources, n_food):
+def abc_partners(k, sources):
     """One partner per move, uniform over the food sources other than the
-    move's own: a draw from 0..n_food-2, shifted past the source."""
-    k = rng.generator.integers(n_food - 1, size=len(sources))
+    move's own: ``k``, a draw from 0..n_food-2, shifted past the source."""
     return k + (k >= sources)
 
 
 def occurrence_rank(sources):
-    """For each entry, how many earlier entries name the same source."""
-    return np.tril(sources[:, None] == sources, -1).sum(axis=1)
+    """For each entry, how many earlier entries of its run name the same
+    source; ``sources`` is (..., m)."""
+    return np.tril(sources[..., :, None] == sources[..., None, :], -1).sum(axis=-1)
 
 
-def abc_phases(fn, X, fx, trial, n_on, low, up, rng):
-    """The employed and onlooker phases of one ABC iteration, updating the
-    food sources ``X``, their values ``fx`` and ``trial`` counters in place.
+def abc_phases(fn, X, fx, trial, n_on, low, up, rngs):
+    """The employed and onlooker phases of one ABC iteration for a stack of
+    runs, updating the food sources ``X`` (L, n_food, D), their values
+    ``fx`` and ``trial`` counters (L, n_food) in place.
 
     A move on source i draws a partner k != i, a dimension j and phi in
     [-1, 1), and tries v = x_i with v_j = x_ij + phi (x_ij - x_kj), clipped
-    to the bounds; v replaces x_i only if it is strictly better. Each
-    phase draws its k, j and phi once, as arrays. The employed moves, one
-    per source, are built from the sources as the phase began and
-    evaluated in one batch. The onlookers pick sources by roulette on the
-    post-employed fitness, then move in waves: wave w holds each source's
-    w-th onlooker and is one batch, so a source's onlookers still climb one
-    after another, while partners are read as they stood when the wave
-    began."""
-    n_food, dim = X.shape
-
-    def draws(sources):
-        return (abc_partners(rng, sources, n_food),
-                rng.generator.integers(dim, size=len(sources)),
-                uniform_matrix(rng, -1.0, 1.0, len(sources)))
+    to the bounds; v replaces x_i only if it is strictly better. Each run
+    draws all of a phase's k, j and phi at once, in a lone run's order. The
+    employed moves, one per source, are built from the sources as the phase
+    began and evaluated in one batch for the stack. A run's onlookers pick
+    sources by roulette on its post-employed fitness, then move in waves:
+    wave w holds each source's w-th onlooker in every run and is one batch,
+    so a source's onlookers still climb one after another, while partners
+    are read as they stood when the wave began."""
+    L, n_food, dim = X.shape
+    k = np.empty((L, n_food + n_on), dtype=np.intp)
+    j = np.empty_like(k)
+    phi = np.empty((L, n_food + n_on))
+    spin = np.empty((L, n_on))
+    for r, rng in enumerate(rngs):
+        g = rng.generator
+        k[r, :n_food] = g.integers(n_food - 1, size=n_food)
+        j[r, :n_food] = g.integers(dim, size=n_food)
+        g.random(out=phi[r, :n_food])
+        g.random(out=spin[r])
+        k[r, n_food:] = g.integers(n_food - 1, size=n_on)
+        j[r, n_food:] = g.integers(dim, size=n_on)
+        g.random(out=phi[r, n_food:])
+    phi = -1.0 + 2.0 * phi
+    # moves address sources by flat index, run * n_food + source, in views
+    # of the caller's (C-contiguous) arrays
+    Xf, fxf, trialf = X.reshape(-1, dim), fx.reshape(-1), trial.reshape(-1)
+    first = (np.arange(L) * n_food)[:, None]
 
     def move(i, k, j, phi):
-        V = X[i]
+        V = Xf[i]
         rows = np.arange(len(i))
-        V[rows, j] = np.clip(X[i, j] + phi * (X[i, j] - X[k, j]), low, up)
+        V[rows, j] = np.clip(Xf[i, j] + phi * (Xf[i, j] - Xf[k, j]), low, up)
         fv = benchmarks.evaluate_batch(fn, V)
-        better = fv < fx[i]
-        X[i[better]] = V[better]
-        fx[i[better]] = fv[better]
-        trial[i] = np.where(better, 0, trial[i] + 1)
+        better = fv < fxf[i]
+        Xf[i[better]] = V[better]
+        fxf[i[better]] = fv[better]
+        trialf[i] = np.where(better, 0, trialf[i] + 1)
 
     food = np.arange(n_food)
-    move(food, *draws(food))
+    employed = np.s_[:, :n_food]
+    move((first + food).ravel(), (first + abc_partners(k[employed], food)).ravel(),
+         j[employed].ravel(), phi[employed].ravel())
     with np.errstate(divide="ignore"):
         quality = np.where(fx >= 0, 1.0 / (1.0 + fx), 1.0 + np.abs(fx))
-    cum = np.cumsum(quality / quality.sum())
-    picks = np.minimum(np.searchsorted(cum, rng.generator.random(n_on)), n_food - 1)
-    k, j, phi = draws(picks)
+    cum = np.cumsum(quality / quality.sum(axis=1, keepdims=True), axis=1)
+    # np.searchsorted(cum, spin) per run: the count of cum entries below each draw
+    picks = np.minimum((cum[:, None, :] < spin[..., None]).sum(axis=-1), n_food - 1)
+    onlookers = np.s_[:, n_food:]
+    i, k = first + picks, first + abc_partners(k[onlookers], picks)
+    j, phi = j[onlookers], phi[onlookers]
     wave = occurrence_rank(picks)
     for w in range(wave.max(initial=-1) + 1):
         m = wave == w
-        move(picks[m], k[m], j[m], phi[m])
+        move(i[m], k[m], j[m], phi[m])
 
 
-def _run_abc(fn, dim, low, up, config, rng):
+def _run_abc(fn, dim, low, up, config, rngs):
     """Artificial bee colony (Karaboga & Basturk 2007): ``population_size
     // 2`` food sources (at least 2) with one employed bee each, and the
     rest of the colony as onlookers; see ``abc_phases`` for the moves.
@@ -276,20 +361,23 @@ def _run_abc(fn, dim, low, up, config, rng):
     reads its partner as it stood at the start of the onlooker's wave, not
     after every earlier move; the abandonment limit is the module constant
     ``ABC_LIMIT`` (100), whatever the colony size and dimension; and at most
-    one source, the one with the most failed trials, turns scout per
-    iteration."""
+    one source per run, the one with the most failed trials, turns scout
+    per iteration. The iteration's scouts are evaluated in one batch."""
     n_food = max(2, config.population_size // 2)
-    X = uniform_matrix(rng, low, up, (n_food, dim))
-    fx = benchmarks.evaluate_batch(fn, X)
-    trial = np.zeros(n_food, dtype=int)
+    X = _uniform_stack(rngs, low, up, (n_food, dim))
+    fx = _evaluate(fn, X)
+    trial = np.zeros(fx.shape, dtype=int)
     while True:
-        yield fx, X
-        abc_phases(fn, X, fx, trial, config.population_size - n_food, low, up, rng)
-        worst = int(np.argmax(trial))
-        if trial[worst] > ABC_LIMIT:
-            X[worst] = uniform_matrix(rng, low, up, (dim,))
-            fx[worst] = benchmarks.evaluate_batch(fn, X[worst][None, :])[0]
-            trial[worst] = 0
+        keep = yield fx, X
+        rngs, X, fx, trial = _leave(keep, rngs, X, fx, trial)
+        abc_phases(fn, X, fx, trial, config.population_size - n_food, low, up, rngs)
+        worst = np.argmax(trial, axis=1)
+        scouts = np.flatnonzero(trial[np.arange(len(rngs)), worst] > ABC_LIMIT)
+        if scouts.size:
+            worst = worst[scouts]
+            X[scouts, worst] = _uniform_stack([rngs[s] for s in scouts], low, up, (dim,))
+            fx[scouts, worst] = benchmarks.evaluate_batch(fn, X[scouts, worst])
+            trial[scouts, worst] = 0
 
 
 def ff_sweep(X, fitness, kick, beta0, gamma):
@@ -329,12 +417,8 @@ _FF_NOISE_CELLS = 2**20
 
 
 def _run_ff(fn, dim, low, up, config, rngs):
-    """Firefly (Yang 2009) over a stack of runs in lockstep, one stream per
-    run: each run draws its initial population and then, per iteration, its
-    (n, n, D) noise from its own stream, in the order a lone run would, and
-    the whole stack is evaluated in one batch. After each yield the run loop
-    sends ``None`` or a mask of the runs that stay; the others leave the
-    stack and draw nothing more.
+    """Firefly (Yang 2009): each run draws its initial population and then,
+    per iteration, its (n, n, D) noise from its own stream.
 
     Each iteration sweeps the stack in groups of consecutive runs whose noise
     fits in ``_FF_NOISE_CELLS`` cells (one run at least), so at the sizes the
@@ -342,17 +426,15 @@ def _run_ff(fn, dim, low, up, config, rngs):
     shares one sweep. Each group draws into one buffer, reused by every group
     and iteration and scaled in place into the kicks."""
     n = config.population_size
-    X = np.stack([uniform_matrix(rng, low, up, (n, dim)) for rng in rngs])
-    fx = benchmarks.evaluate_batch(fn, X.reshape(-1, dim)).reshape(len(rngs), n)
+    X = _uniform_stack(rngs, low, up, (n, dim))
+    fx = _evaluate(fn, X)
     group = max(1, _FF_NOISE_CELLS // (n * n * dim))
     noise = np.empty((min(group, len(rngs)), n, n, dim))
     alpha = FF_ALPHA
     span = up - low
     while True:
         keep = yield fx, X
-        if keep is not None:
-            X, fx = X[keep], fx[keep]
-            rngs = [rng for rng, stays in zip(rngs, keep) if stays]
+        rngs, X, fx = _leave(keep, rngs, X, fx)
         moved = np.empty_like(X)
         for start in range(0, len(rngs), group):
             runs = slice(start, start + group)
@@ -363,21 +445,18 @@ def _run_ff(fn, dim, low, up, config, rngs):
             kick *= alpha * span
             moved[runs] = ff_sweep(X[runs], fx[runs], kick, FF_BETA0, FF_GAMMA)
         X = np.clip(moved, low, up)
-        fx = benchmarks.evaluate_batch(fn, X.reshape(-1, dim)).reshape(len(rngs), n)
+        fx = _evaluate(fn, X)
         alpha *= FF_ALPHA_DECAY
 
 
 _RUNNERS = {"bsa": _run_bsa, "de": _run_de, "pso": _run_pso, "abc": _run_abc, "ff": _run_ff}
-# runners that advance a stack of runs, one stream each; the others run one
-_LOCKSTEP = ("ff",)
 
 
 def _run_batch(algo, fn, config, seeds, dim, bounds):
     """The run loop: one ``RunResult`` per seed, all advanced together.
 
-    A lockstep runner yields ``(values, points)`` stacks of shape (L, n) and
-    (L, n, D) for the L runs still live; any other runner takes one seed and
-    its steps are read as stacks of one. Each step keeps every live run's
+    The runner yields ``(values, points)`` stacks of shape (L, n) and
+    (L, n, D) for the L runs still live. Each step keeps every live run's
     best so far and records its first iteration within tolerance; with
     ``STOP_ON_SUCCESS`` a run that succeeds leaves the batch, and the runner
     is told so before it is resumed. The loop never resumes the runner after
@@ -407,12 +486,7 @@ def _run_batch(algo, fn, config, seeds, dim, bounds):
     live = list(range(runs))
     last = time.perf_counter()
     rngs = [RngStream(seed) for seed in seeds]
-    if algo in _LOCKSTEP:
-        steps = _RUNNERS[algo](fn, dim, float(low), float(up), config, rngs)
-    else:
-        (rng,) = rngs
-        steps = ((values[None], points[None]) for values, points
-                 in _RUNNERS[algo](fn, dim, float(low), float(up), config, rng))
+    steps = _RUNNERS[algo](fn, dim, float(low), float(up), config, rngs)
     values, points = next(steps)
     for it in range(config.max_iterations + 1):
         keep = []
@@ -451,12 +525,8 @@ def run_optimizer(algo, fn, config, seed, dim=None, bounds=None):
 
 
 def run_repetitions(algo, fn, config, base_seed, dim=None, bounds=None):
-    """The configured number of independent repetitions (seed = base + i).
-
-    ff's repetitions run in lockstep, one stack with a stream per run, and
-    give each run the results ``run_optimizer`` gives its seed; the other
-    algorithms call ``run_optimizer`` once per run."""
+    """The configured number of independent repetitions (seed = base + i),
+    run in lockstep as one stack with a stream per run; each run's results
+    equal those ``run_optimizer`` gives its seed."""
     seeds = [stream_for_run(base_seed, i).seed for i in range(config.runs)]
-    if str(algo).lower() in _LOCKSTEP:
-        return _run_batch(algo, fn, config, seeds, dim, bounds)
-    return [run_optimizer(algo, fn, config, seed, dim=dim, bounds=bounds) for seed in seeds]
+    return _run_batch(algo, fn, config, seeds, dim, bounds)

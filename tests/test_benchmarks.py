@@ -135,6 +135,24 @@ def test_batch_matches_single():
         assert batch == pytest.approx(singles, rel=1e-12), fid
 
 
+@pytest.mark.parametrize("fid", sorted(CATALOG, key=lambda f: int(f[1:])))
+def test_stacked_batch_equals_its_blocks(fid):
+    """The property lockstep optimizers rely on: a row's value does not
+    depend on the rows beside it, so evaluating a stack of L populations as
+    one (L*n, D) batch gives the bits each (n, D) block, or row, gives
+    alone. F7's Whitley sum reduces over the last two axes of an (N, D, D)
+    array."""
+    fn = get_function(fid)
+    rng = np.random.Generator(np.random.PCG64(int(fid[1:])))
+    for dim in ([2] if fn.dimension_rule == "fixed-2" else [1, 2, 3, 10]):
+        X = rng.uniform(fn.low, fn.up, size=(5 * 7, dim))
+        whole = evaluate_batch(fn, X)
+        blocks = np.concatenate([evaluate_batch(fn, X[i:i + 7]) for i in range(0, len(X), 7)])
+        rows = np.concatenate([evaluate_batch(fn, X[i:i + 1]) for i in range(len(X))])
+        np.testing.assert_array_equal(whole, blocks)
+        np.testing.assert_array_equal(whole, rows)
+
+
 def test_f14_catalog_entry():
     fn = get_function("F14")
     assert (fn.low, fn.up) == (-1.0, 1.0)

@@ -785,6 +785,16 @@ def test_cxt_round_trip_is_byte_exact(tmp_path):
     assert write_cxt(back) == text
 
 
+def test_cxt_round_trip_keeps_a_first_label_of_spaces(tmp_path):
+    """Only an empty line after the counts is the tolerated blank line; an
+    object label of spaces in first place is read back as a label."""
+    ctx = FormalContext([" ", "b"], ["m"], [[1], [0]])
+    back = read_cxt(_write(tmp_path, write_cxt(ctx), "ws.cxt"))
+    assert back.objects == (" ", "b") and back.attributes == ("m",)
+    assert back.incidence.tolist() == [[True], [False]]
+    assert write_cxt(back) == write_cxt(ctx)
+
+
 def test_cxt_text_layout():
     text = write_cxt(_ctx([[1, 0]], objects=["o"], attributes=["p", "q"], name="t"))
     assert text == "B\nt\n1\n2\no\np\nq\nX.\n"

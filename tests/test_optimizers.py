@@ -38,13 +38,16 @@ def test_config_validation():
 def test_init_draws_inside_bounds_and_evaluates(monkeypatch):
     calls = _evaluated_rows(monkeypatch)
     cfg = OptimizerConfig(population_size=40)
-    P, fP, Pold = bsa_init(get_function("F14"), 2, -1.0, 1.0, cfg, RngStream(3))
-    assert P.shape == (40, 2) and Pold.shape == (40, 2)
+    P, fP, Pold = bsa_init(get_function("F14"), 2, -1.0, 1.0, cfg, [RngStream(3), RngStream(4)])
+    assert P.shape == (2, 40, 2) and Pold.shape == (2, 40, 2)
     for pop in (P, Pold):
         assert pop.min() >= -1.0 and pop.max() <= 1.0
-    assert fP.shape == (40,)
-    assert fP == pytest.approx(np.sum(P**2, axis=1))
-    assert calls == [40]  # P only: Pold is not evaluated
+    assert fP.shape == (2, 40)
+    assert fP == pytest.approx(np.sum(P**2, axis=-1))
+    assert calls == [80]  # both runs' P in one batch; Pold is not evaluated
+    rng = RngStream(4)  # each run draws its P, then its Pold, from its own stream
+    np.testing.assert_array_equal(P[1], uniform_matrix(rng, -1.0, 1.0, (40, 2)))
+    np.testing.assert_array_equal(Pold[1], uniform_matrix(rng, -1.0, 1.0, (40, 2)))
 
 
 def test_selection1_returns_permutation_of_a_source():
@@ -52,7 +55,7 @@ def test_selection1_returns_permutation_of_a_source():
     Pold = np.arange(10.0, 20.0).reshape(5, 2)
     seen_sources = set()
     for seed in range(40):
-        out = bsa_selection1(P, Pold, RngStream(seed))
+        (out,) = bsa_selection1(P[None], Pold[None], [RngStream(seed)])
         rows = {tuple(r) for r in out}
         if rows == {tuple(r) for r in P}:
             seen_sources.add("P")
@@ -92,7 +95,7 @@ def test_crossover_changes_at_least_one_position_per_row():
     P = rng_data.normal(size=(30, 6))
     mutant = P + 100.0  # any change is visible
     for seed in range(50):
-        trial = bsa_crossover(P, mutant, RngStream(seed))
+        (trial,) = bsa_crossover(P[None], mutant[None], [RngStream(seed)])
         changed = trial != P
         assert np.all(changed.sum(axis=1) >= 1)
         # positions are copied from exactly one parent
@@ -105,7 +108,7 @@ def test_crossover_single_position_branch_exists():
     mutant = np.ones((8, 5))
     per_seed_counts = []
     for seed in range(60):
-        trial = bsa_crossover(P, mutant, RngStream(seed))
+        (trial,) = bsa_crossover(P[None], mutant[None], [RngStream(seed)])
         per_seed_counts.append((trial != 0).sum(axis=1))
     assert any(np.all(c == 1) for c in per_seed_counts)
     assert any(np.any(c > 1) for c in per_seed_counts)
@@ -116,7 +119,7 @@ def test_low_mixrate_still_flips_one(monkeypatch):
     P = np.zeros((10, 8))
     mutant = np.ones((10, 8))
     for seed in range(30):
-        trial = bsa_crossover(P, mutant, RngStream(seed))
+        (trial,) = bsa_crossover(P[None], mutant[None], [RngStream(seed)])
         assert np.all((trial != 0).sum(axis=1) >= 1)
 
 
@@ -145,6 +148,19 @@ def test_boundary_control_noop_returns_same_values():
     rng = RngStream(10)
     T = np.zeros((3, 3))
     assert np.array_equal(boundary_control(T, -1, 1, rng), T)
+
+
+def test_boundary_control_draws_from_each_runs_stream():
+    """A stack with one stream per run equals each run's lone call; a run
+    with nothing out of bounds draws nothing."""
+    T = np.random.Generator(np.random.PCG64(11)).normal(scale=2, size=(4, 6, 3))
+    T[2] = 0.0
+    streams = [RngStream(s) for s in range(4)]
+    got = boundary_control(T, -1.0, 1.0, streams)
+    for r in range(4):
+        alone = RngStream(r)
+        np.testing.assert_array_equal(got[r], boundary_control(T[r], -1.0, 1.0, alone))
+        assert streams[r].generator.random() == alone.generator.random()
 
 
 def test_selection2_greedy():
@@ -308,12 +324,12 @@ def test_ff_iteration_matches_pair_loop(monkeypatch):
     np.testing.assert_allclose(seen[1], want, rtol=1e-12, atol=0)
 
 
-def _ff_lockstep_equals_single_runs(fn, cfg, dim=2, bounds=None, base_seed=0):
-    """run_repetitions("ff") against run_optimizer seed by seed, bit for bit."""
-    batch = run_repetitions("ff", fn, cfg, base_seed, dim=dim, bounds=bounds)
+def _lockstep_equals_single_runs(algo, fn, cfg, dim=2, bounds=None, base_seed=0):
+    """run_repetitions against run_optimizer seed by seed, bit for bit."""
+    batch = run_repetitions(algo, fn, cfg, base_seed, dim=dim, bounds=bounds)
     assert [r.seed for r in batch] == list(range(base_seed, base_seed + cfg.runs))
     for r in batch:
-        solo = run_optimizer("ff", fn, cfg, seed=r.seed, dim=dim, bounds=bounds)
+        solo = run_optimizer(algo, fn, cfg, seed=r.seed, dim=dim, bounds=bounds)
         assert r.best_value == solo.best_value
         np.testing.assert_array_equal(r.best_point, solo.best_point)
         assert r.iterations_to_success == solo.iterations_to_success
@@ -329,7 +345,7 @@ def test_ff_lockstep_runs_leave_the_batch_as_they_succeed(stop, cells, monkeypat
     monkeypatch.setattr(optimizers, "STOP_ON_SUCCESS", stop)
     monkeypatch.setattr(optimizers, "_FF_NOISE_CELLS", cells)
     cfg = OptimizerConfig(max_iterations=120, runs=8, success_tolerance=1e-3)
-    batch = _ff_lockstep_equals_single_runs("F14", cfg, base_seed=40)
+    batch = _lockstep_equals_single_runs("ff", "F14", cfg, base_seed=40)
     done = [r.iterations_to_success for r in batch if r.succeeded]
     assert len(set(done)) >= 3 and max(done) > 0  # rows leave at several iterations
 
@@ -340,20 +356,20 @@ def test_ff_lockstep_at_the_protocol_cell_shape(fn):
     population 30 share one sweep."""
     assert 3 * 30 * 30 * 10 <= optimizers._FF_NOISE_CELLS
     cfg = OptimizerConfig(population_size=30, max_iterations=25, runs=3)
-    _ff_lockstep_equals_single_runs(fn, cfg, dim=10, base_seed=1)
+    _lockstep_equals_single_runs("ff", fn, cfg, dim=10, base_seed=1)
 
 
 @pytest.mark.parametrize("iters,runs", [(0, 1), (0, 3), (5, 1)])
 def test_ff_lockstep_at_zero_iterations_and_one_run(iters, runs):
     cfg = OptimizerConfig(max_iterations=iters, runs=runs)
-    _ff_lockstep_equals_single_runs("F11", cfg, dim=3)
+    _lockstep_equals_single_runs("ff", "F11", cfg, dim=3)
 
 
 @pytest.mark.parametrize("pop,fn,dim", [(1, "F14", 2), (2, "F14", 2), (7, "F11", 1), (1, "F1", 1)])
 def test_ff_lockstep_at_small_populations_and_one_dimension(pop, fn, dim):
     cfg = OptimizerConfig(population_size=pop, max_iterations=40, runs=4,
                           success_tolerance=1e-2)
-    _ff_lockstep_equals_single_runs(fn, cfg, dim=dim)
+    _lockstep_equals_single_runs("ff", fn, cfg, dim=dim)
 
 
 def test_ff_lockstep_with_tied_fitness():
@@ -364,7 +380,137 @@ def test_ff_lockstep_with_tied_fitness():
         first = uniform_matrix(RngStream(seed), -100.0, 100.0, (12, 2))
         values = benchmarks.evaluate_batch(fn, first)
         assert len(np.unique(values)) < len(values)
-    _ff_lockstep_equals_single_runs(fn, cfg)
+    _lockstep_equals_single_runs("ff", fn, cfg)
+
+
+@pytest.mark.parametrize("stop", [True, False])
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_lockstep_runs_leave_the_batch_as_they_succeed(algo, stop, monkeypatch):
+    monkeypatch.setattr(optimizers, "STOP_ON_SUCCESS", stop)
+    cfg = OptimizerConfig(max_iterations=120, runs=8, success_tolerance=1e-3)
+    batch = _lockstep_equals_single_runs(algo, "F14", cfg, base_seed=40)
+    done = [r.iterations_to_success for r in batch if r.succeeded]
+    assert len(set(done)) >= 3 and max(done) > 0  # rows leave at several iterations
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_lockstep_at_the_protocol_cell_shape(algo):
+    """The paper's cell: 30 runs of population 30 at D = 10."""
+    cfg = OptimizerConfig(population_size=30, max_iterations=20, runs=30)
+    _lockstep_equals_single_runs(algo, "F11", cfg, dim=10, base_seed=1)
+
+
+@pytest.mark.parametrize("algo,pop", [("de", 4), ("abc", 2), ("abc", 3)])
+def test_lockstep_at_the_smallest_populations(algo, pop):
+    cfg = OptimizerConfig(population_size=pop, max_iterations=40, runs=4,
+                          success_tolerance=1e-2)
+    _lockstep_equals_single_runs(algo, "F14", cfg)
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_lockstep_in_one_dimension(algo):
+    cfg = OptimizerConfig(population_size=8, max_iterations=40, runs=4)
+    _lockstep_equals_single_runs(algo, "F11", cfg, dim=1)
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_lockstep_with_tight_bounds(algo, monkeypatch):
+    """A narrow box away from the optimum: in most iterations of the batch,
+    bsa and de send coordinates of every run to boundary_control's draws."""
+    drawn = []
+    real = optimizers.boundary_control
+
+    def counted(T, low, up, rngs):
+        drawn.append(((T < low) | (T > up)).reshape(len(rngs), -1).sum(axis=1))
+        return real(T, low, up, rngs)
+    monkeypatch.setattr(optimizers, "boundary_control", counted)
+    monkeypatch.setattr(optimizers, "STOP_ON_SUCCESS", False)
+    cfg = OptimizerConfig(population_size=12, max_iterations=30, runs=5)
+    _lockstep_equals_single_runs(algo, "F11", cfg, dim=4, bounds=(0.3, 0.32))
+    if algo in ("bsa", "de"):
+        batch = np.array(drawn[:cfg.max_iterations])  # the lone runs' calls follow
+        assert batch.shape == (cfg.max_iterations, cfg.runs)
+        assert (batch > 0).mean(axis=0).min() >= 2 / 3 and batch.mean() >= 3
+
+
+def test_abc_lockstep_with_scouts_in_several_runs_at_once(monkeypatch):
+    scouting = []
+    real = optimizers.abc_phases
+
+    def phases(fn, X, fx, trial, *rest):
+        real(fn, X, fx, trial, *rest)
+        scouting.append(int((trial.max(axis=1) > optimizers.ABC_LIMIT).sum()))
+    monkeypatch.setattr(optimizers, "abc_phases", phases)
+    monkeypatch.setattr(optimizers, "ABC_LIMIT", 2)
+    monkeypatch.setattr(optimizers, "STOP_ON_SUCCESS", False)
+    cfg = OptimizerConfig(population_size=10, max_iterations=60, runs=6)
+    _lockstep_equals_single_runs("abc", "F11", cfg, dim=3)
+    assert max(scouting[:cfg.max_iterations]) >= 2
+
+
+# Each run's (best_value as float.hex, best_point bytes as hex,
+# iterations_to_success), recorded when every algorithm but ff still ran its
+# repetitions one at a time: run_repetitions(algo, fn, cfg, 7, ...) on
+# F11 at D = 3 (population 10, 3 runs, 30 iterations) and on F14 at D = 2
+# (population 10, 3 runs, 200 iterations, tolerance 1e-3, bounds (-1, 1)).
+PINNED = {
+    ("bsa", "F11"): [
+        ("0x1.1321b5fa5e6b8p+2", "d08b9d6ac85fa7bfac2bb7e0ea39edbf7661c2eab5cff0bf", None),
+        ("0x1.38f6b885be240p+2", "9c2d15003b20f0bff0aace429a16edbf6d51cc8c03aff0bf", None),
+        ("0x1.940e7791c82e0p+2", "007c1525c778a03f8d0a4a3f301700c068c18b23d37ded3f", None)],
+    ("bsa", "F14"): [
+        ("0x1.47edf22cbf7d0p-12", "0367a083cb6c91bfb8687f48c3b773bf", 26),
+        ("0x1.bca0e86f2f384p-11", "20e57863701b8e3f000bf17eeebd993f", 10),
+        ("0x1.083c08a6be6b3p-11", "4bb0709ad0a590bff0abf124d1b48fbf", 30)],
+    ("de", "F11"): [
+        ("0x1.3ac6508fd0a38p+2", "e80eb3ebab66b6bfd0e90b617ca9b0bf303081aa0506be3f", None),
+        ("0x1.cc301b16d99b0p+0", "047761e4ffc589bf84770993ca75b83f6022545ccdd07abf", None),
+        ("0x1.5145b7469c158p+2", "40a491575002afbfe6900897d607ee3f5c010b19a89cec3f", None)],
+    ("de", "F14"): [
+        ("0x1.67745a9fd9ddap-11", "c842218153b370bf18d50d59447c9a3f", 8),
+        ("0x1.77826d3f631b6p-11", "70c3a9f02dac64bfdc9926ff59489b3f", 7),
+        ("0x1.3b5081ba3eb1fp-12", "70c67cd9dcb289bf603b01160f8388bf", 10)],
+    ("pso", "F11"): [
+        ("0x1.add9ee0584b00p+1", "748892eb2e7eb2bf60cc4c112bdda8bf498936edd1fdf0bf", None),
+        ("0x1.524a2477bb520p+0", "3f554702e56defbfb432e9d64ac591bfc6c47ef7eaa1a13f", None),
+        ("0x1.597f998aac3fep+3", "de7dac9ce270f23fc627baa5ea91efbfdcae37d3854bff3f", None)],
+    ("pso", "F14"): [
+        ("0x1.b88bdc2a1db10p-11", "a04ff191ebfa3c3fece31a2804ae9d3f", 2),
+        ("0x1.20a10d8d15c7ap-13", "b81e44b6a61b853fd07b2db0f7f376bf", 6),
+        ("0x1.995640c514055p-13", "a0e0c2f71de0713fa0bb37d8422e8bbf", 8)],
+    ("abc", "F11"): [
+        ("0x1.112f9afcf0000p-9", "e2e98cce42d55c3fb83c37c99e1266bf126af3c70a4b39bf", None),
+        ("0x1.7f662017eb470p+1", "b9d4b403499befbfb53e893afed6ef3f95a2466495d7efbf", None),
+        ("0x1.8ca7c408f8040p+0", "30a57c47cbf1ef3f80b12a676009893f4086fc89fb64aabf", None)],
+    ("abc", "F14"): [
+        ("0x1.6610a8242bf2ep-11", "2e74971eb4ca833f00d2b84a18dd98bf", 5),
+        ("0x1.c07d73a9fd76fp-13", "56b42f61c2f28d3f00ae531b892e223f", 7),
+        ("0x1.29d6dd1495f04p-11", "882e2b94a382943f1c2a54a43c758abf", 10)],
+    ("ff", "F11"): [
+        ("0x1.0039f00eac3bep+3", "66cd8bb252b3f2bf63e5b65fe610f03fb0e4c683f52baa3f", None),
+        ("0x1.b622558e1f3f0p+3", "517c735139a406406062c12a63119fbf20c959d405dca4bf", None),
+        ("0x1.4d31f3705adacp+3", "d816bbb6f540eb3f5f588e486f01efbf3018ed0087560040", None)],
+    ("ff", "F14"): [
+        ("0x1.c14a4d3d19f5cp-11", "801cdc100aca993f30267624ab8f8ebf", 1),
+        ("0x1.faaa0c23c127ap-12", "60e993f2de518dbf141cf1f4aa1491bf", 3),
+        ("0x1.28acc8064d285p-14", "40d7b020b1886bbf40b51ecbf7937f3f", 7)],
+}
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+@pytest.mark.parametrize("fn", ["F11", "F14"])
+def test_results_pinned_from_per_run_code(algo, fn):
+    """A stack equals its stacks of one whatever order both draw in; these
+    values pin the draw order of a lone run too."""
+    if fn == "F11":
+        cfg, dim, bounds = OptimizerConfig(population_size=10, max_iterations=30, runs=3), 3, None
+    else:
+        cfg = OptimizerConfig(population_size=10, max_iterations=200, runs=3,
+                              success_tolerance=1e-3)
+        dim, bounds = 2, (-1.0, 1.0)
+    got = [(r.best_value.hex(), r.best_point.tobytes().hex(), r.iterations_to_success)
+           for r in run_repetitions(algo, fn, cfg, 7, dim=dim, bounds=bounds)]
+    assert got == PINNED[algo, fn]
 
 
 def test_ff_lockstep_splits_each_step_over_its_live_runs(monkeypatch):
@@ -425,25 +571,33 @@ def _abc_moves_reference(fn, X, fx, trial, n_on, low, up, rng):
     (0, "F11", 15, 15, 3), (1, "F11", 4, 9, 2), (2, "F11", 2, 3, 1),
     (3, "F11", 7, 8, 5), (4, "F15", 3, 12, 2)])  # F15 goes negative: the 1 + |f| branch
 def test_abc_phases_match_per_move_loop(seed, fid, n_food, n_on, dim):
+    """A stack of three runs moves as the per-move loop moves each run alone,
+    fed that run's stream."""
     fn = get_function(fid)
     g = np.random.Generator(np.random.PCG64(100 + seed))
-    X = g.uniform(-5.0, 5.0, (n_food, dim))
-    X[0] *= 1e-2  # one bright source draws several onlookers
-    X[-1] = 5.0  # on the bound: a clipped move ties and counts as a failure
-    fx = benchmarks.evaluate_batch(fn, X)
-    trial = g.integers(0, 5, n_food)
-    want = [X.copy(), fx.copy(), trial.copy()]
-    picks = _abc_moves_reference(fn, *want, n_on, -5.0, 5.0, RngStream(seed))
-    assert np.bincount(picks).max() >= 3
-    optimizers.abc_phases(fn, X, fx, trial, n_on, -5.0, 5.0, RngStream(seed))
-    for got, ref in zip((X, fx, trial), want):
-        np.testing.assert_array_equal(got, ref)
+    X = g.uniform(-5.0, 5.0, (3, n_food, dim))
+    X[:, 0] *= 1e-2  # one bright source draws several onlookers
+    X[:, -1] = 5.0  # on the bound: a clipped move ties and counts as a failure
+    fx = benchmarks.evaluate_batch(fn, X.reshape(-1, dim)).reshape(3, n_food)
+    trial = g.integers(0, 5, (3, n_food))
+    start = [X.copy(), fx.copy(), trial.copy()]
+    optimizers.abc_phases(fn, X, fx, trial, n_on, -5.0, 5.0,
+                          [RngStream(seed + 10 * r) for r in range(3)])
+    waves = []
+    for r in range(3):
+        want = [a[r].copy() for a in start]
+        picks = _abc_moves_reference(fn, *want, n_on, -5.0, 5.0, RngStream(seed + 10 * r))
+        waves.append(np.bincount(picks).max())
+        for got, ref in zip((X[r], fx[r], trial[r]), want):
+            np.testing.assert_array_equal(got, ref)
+    assert max(waves) >= 3
 
 
 def test_abc_partner_uniform_over_other_sources():
     n_food, reps = 6, 3000
     sources = np.tile(np.arange(n_food), reps)
-    k = optimizers.abc_partners(RngStream(12), sources, n_food).reshape(reps, n_food)
+    draws = RngStream(12).generator.integers(n_food - 1, size=len(sources))
+    k = optimizers.abc_partners(draws, sources).reshape(reps, n_food)
     for i in range(n_food):
         counts = np.bincount(k[:, i], minlength=n_food)
         assert counts[i] == 0
@@ -451,9 +605,12 @@ def test_abc_partner_uniform_over_other_sources():
 
 
 def test_abc_iteration_calls_at_most_two_plus_busiest_source(monkeypatch):
-    """Per iteration: one employed batch, one batch per onlooker wave, and
-    at most one scout row; the rows still add up to the colony size. Each
-    iteration starts with its abc_phases call."""
+    """Per stack iteration: one employed batch, one batch per onlooker wave
+    up to the busiest source over the live runs, and one batch of scouts, at
+    most one per live run; the rows add up to the colony size times the live
+    runs, plus the scouts. Each iteration starts with its abc_phases call.
+    One cell runs its whole budget with scouts in several runs at once; in
+    the other, runs leave the stack as they succeed."""
     events = []
     real_eval, real_rank = benchmarks.evaluate_batch, optimizers.occurrence_rank
     real_phases = optimizers.abc_phases
@@ -464,33 +621,46 @@ def test_abc_iteration_calls_at_most_two_plus_busiest_source(monkeypatch):
     monkeypatch.setattr(optimizers, "abc_phases",
                         lambda *a: events.append("|") or real_phases(*a))
     monkeypatch.setattr(optimizers, "ABC_LIMIT", 3)
-    monkeypatch.setattr(optimizers, "STOP_ON_SUCCESS", False)
-    cfg = OptimizerConfig(population_size=30, max_iterations=60, runs=1)
-    run_optimizer("abc", "F11", cfg, seed=4, dim=4)
-    assert events[0] == 15  # the initial food sources
-    iterations = []
-    for e in events[1:]:
-        if isinstance(e, str):
-            iterations.append([])
+    for fn, dim, tol, stop, seed in (("F11", 4, 1e-6, False, 4), ("F14", 2, 1e-3, True, 9)):
+        monkeypatch.setattr(optimizers, "STOP_ON_SUCCESS", stop)
+        cfg = OptimizerConfig(population_size=30, max_iterations=60, runs=4,
+                              success_tolerance=tol)
+        events.clear()
+        run_repetitions("abc", fn, cfg, seed, dim=dim)
+        assert events[0] == 15 * cfg.runs  # the initial food sources
+        iterations = []
+        for e in events[1:]:
+            if isinstance(e, str):
+                iterations.append([])
+            else:
+                iterations[-1].append(e)
+        assert events[1] == "|"
+        scouts, together, live = 0, 0, []
+        for it in iterations:
+            picks = next(e for e in it if isinstance(e, np.ndarray))  # live runs x onlookers
+            rows = [e for e in it if not isinstance(e, np.ndarray)]
+            scout = sum(rows) - 30 * len(picks)
+            assert 0 <= scout <= len(picks)
+            busiest = max(np.bincount(p).max() for p in picks)
+            assert len(rows) == 1 + busiest + (scout > 0)  # so <= 3 + busiest
+            if scout:
+                assert rows[-1] == scout
+            scouts += scout
+            together += scout > 1
+            live.append(len(picks))
+        if stop:
+            assert live[0] == cfg.runs and len(set(live)) >= 3
+            assert len(iterations) < cfg.max_iterations
         else:
-            iterations[-1].append(e)
-    assert events[1] == "|" and len(iterations) == cfg.max_iterations
-    scouts = 0
-    for it in iterations:
-        picks = next(e for e in it if isinstance(e, np.ndarray))
-        rows = [e for e in it if not isinstance(e, np.ndarray)]
-        scout = sum(rows) - 30
-        assert scout in (0, 1)
-        assert len(rows) == 1 + np.bincount(picks).max() + scout  # so <= 2 + max
-        scouts += scout
-    assert scouts > 0
+            assert live == [cfg.runs] * cfg.max_iterations
+            assert scouts > 0 and together > 0
 
 
 # ------------------------------------------------- crossover statistics
 
 def _crossover_masks(n, d, seeds):
     P = np.zeros((n, d))
-    return [bsa_crossover(P, np.ones((n, d)), RngStream(s)) == 1 for s in seeds]
+    return [bsa_crossover(P[None], np.ones((1, n, d)), [RngStream(s)])[0] == 1 for s in seeds]
 
 
 def test_crossover_counts_uniform_and_columns_even():
@@ -520,7 +690,7 @@ def test_crossover_single_branch_flips_one_uniform_column():
 def test_de_picks_distinct_and_uniform_over_other_rows():
     n, draws = 7, 3000
     rng = RngStream(11)
-    picks = np.stack([de_picks(rng, n) for _ in range(draws)])  # draws x n x 3
+    picks = de_picks([rng] * draws, n)  # draws x n x 3
     rows = np.arange(n)[None, :, None]
     assert np.all(picks != rows)
     assert np.all((picks[..., 0] != picks[..., 1]) & (picks[..., 0] != picks[..., 2])
