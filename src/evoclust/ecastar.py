@@ -377,7 +377,7 @@ def mut_over(state, rng):
         mo = np.where(take_old, oldC, C)
     if state.bounds is not None:
         low, up = state.bounds
-        mo = boundary_control(mo, low, up, rng)
+        mo = boundary_control(mo, low, up, [rng])
     return mo
 
 

@@ -356,10 +356,16 @@ def write_cxt(ctx, path=None):
 
 def read_cxt(path):
     """Parse the Burmeister layout from the file at path; the context takes
-    the file's name line. A single empty line after the counts and blank
+    the file's name line. A single blank line after the counts and blank
     lines after the incidence rows are tolerated; an empty or repeated label
-    or any other trailing line is an error that names its file and line. A
-    label of spaces is a label, also in first place."""
+    or any other trailing line is an error that names its file and line.
+
+    A blank line after the counts is that separator when the file has a line
+    to spare for it and, with attributes, the last incidence row it would
+    leave is not blank; otherwise it is a first object label of spaces, so
+    every file ``write_cxt`` writes reads back. (With no attributes, a first
+    label of spaces followed by trailing blank lines still reads as the
+    separator.)"""
     origin = str(path)
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0].strip() != "B":
@@ -375,9 +381,10 @@ def read_cxt(path):
         if count < 0:
             raise ValueError(f"{origin}:{lineno}: {what} count must be >= 0, got {count}")
     pos = 4
-    if pos < len(lines) and lines[pos] == "":
-        pos += 1
     need = n_obj + n_att + n_obj
+    if (len(lines) > pos + need and not lines[pos].strip()
+            and (n_att == 0 or lines[pos + need].strip())):
+        pos += 1
     if len(lines) - pos < need:
         raise ValueError(f"{origin}: expected {need} more lines after the header")
     objects = lines[pos:pos + n_obj]

@@ -96,6 +96,20 @@ def _evaluate(fn, X):
     return benchmarks.evaluate_batch(fn, X.reshape(-1, X.shape[-1])).reshape(X.shape[:-1])
 
 
+# cells of scratch one step holds at once: 8 MiB of float64, room for the
+# paper's 30 runs at population 30 and D = 10 in one firefly sweep; a step
+# whose scratch per run is n x n or more (firefly's noise, de's picks, abc's
+# roulette) works through larger stacks in groups of runs, so that its
+# buffers do not grow with the number of runs
+_STACK_CELLS = 2**20
+
+
+def _group_size(cells):
+    """How many runs a step takes at once when each needs ``cells`` cells of
+    scratch: as many as fit in ``_STACK_CELLS``, one at least."""
+    return max(1, _STACK_CELLS // max(cells, 1))
+
+
 def _leave(keep, rngs, *state):
     """The streams and state arrays of the runs that stay: ``keep`` is the
     run loop's mask over the stack, or ``None`` when every run stays."""
@@ -163,19 +177,18 @@ def bsa_crossover(P, Mutant, rngs):
     return np.where(mutate, Mutant, P)
 
 
-def boundary_control(T, low, up, rng):
+def boundary_control(T, low, up, rngs):
     """Regenerate every out-of-bounds coordinate uniformly within its bounds;
     in-bounds entries are untouched.
 
-    ``rng`` is one stream, which draws for all of T, or one stream per run
-    of a stack T (L, ...), each drawing for its own run; either way a
-    stream's draws go to its out-of-bounds coordinates in row-major order."""
+    ``rngs`` holds one stream per run of a stack T (L, ...), each drawing
+    for its own run's out-of-bounds coordinates in row-major order; a list
+    of one stream draws for all of T."""
     T = np.asarray(T, dtype=float)
     low, up = np.asarray(low, dtype=float), np.asarray(up, dtype=float)
     mask = (T < low) | (T > up)
     if not mask.any():
         return T
-    rngs = [rng] if isinstance(rng, RngStream) else rng
     counts = mask.reshape(len(rngs), -1).sum(axis=1)
     draws = np.zeros(T.shape)
     draws[mask] = np.concatenate([r.generator.random(c) for r, c in zip(rngs, counts) if c])
@@ -213,12 +226,19 @@ def de_picks(rngs, n):
     """Three distinct row indices per row i of each run, none equal to i:
     the first three columns of the argsort of an (n, n) uniform matrix whose
     diagonal is masked to +inf, so each pick is uniform over the other n - 1
-    rows. Returns an (L, n, 3) array."""
-    keys = np.empty((len(rngs), n, n))
-    for r, rng in enumerate(rngs):
-        rng.generator.random(out=keys[r])
-    keys[:, np.arange(n), np.arange(n)] = np.inf
-    return np.argsort(keys, axis=-1)[..., :3]
+    rows. Returns an (L, n, 3) array; the keys are drawn and sorted for
+    ``_group_size(n * n)`` runs at a time."""
+    picks = np.empty((len(rngs), n, 3), dtype=np.intp)
+    group = _group_size(n * n)
+    diagonal = np.arange(n)
+    for start in range(0, len(rngs), group):
+        runs = rngs[start:start + group]
+        keys = np.empty((len(runs), n, n))
+        for r, rng in enumerate(runs):
+            rng.generator.random(out=keys[r])
+        keys[:, diagonal, diagonal] = np.inf
+        picks[start:start + group] = np.argsort(keys, axis=-1)[..., :3]
+    return picks
 
 
 def _run_de(fn, dim, low, up, config, rngs):
@@ -277,12 +297,6 @@ def _run_pso(fn, dim, low, up, config, rngs):
         gf[better] = pf[runs[better], g[better]]
 
 
-def abc_partners(k, sources):
-    """One partner per move, uniform over the food sources other than the
-    move's own: ``k``, a draw from 0..n_food-2, shifted past the source."""
-    return k + (k >= sources)
-
-
 def occurrence_rank(sources):
     """For each entry, how many earlier entries of its run name the same
     source; ``sources`` is (..., m)."""
@@ -297,7 +311,8 @@ def abc_phases(fn, X, fx, trial, n_on, low, up, rngs):
     A move on source i draws a partner k != i, a dimension j and phi in
     [-1, 1), and tries v = x_i with v_j = x_ij + phi (x_ij - x_kj), clipped
     to the bounds; v replaces x_i only if it is strictly better. Each run
-    draws all of a phase's k, j and phi at once, in a lone run's order. The
+    draws all of a phase's k, j and phi at once, in a lone run's order, and
+    k, a draw from 0..n_food-2, is shifted past the move's source. The
     employed moves, one per source, are built from the sources as the phase
     began and evaluated in one batch for the stack. A run's onlookers pick
     sources by roulette on its post-employed fitness, then move in waves:
@@ -336,17 +351,23 @@ def abc_phases(fn, X, fx, trial, n_on, low, up, rngs):
 
     food = np.arange(n_food)
     employed = np.s_[:, :n_food]
-    move((first + food).ravel(), (first + abc_partners(k[employed], food)).ravel(),
+    move((first + food).ravel(), (first + k[employed] + (k[employed] >= food)).ravel(),
          j[employed].ravel(), phi[employed].ravel())
     with np.errstate(divide="ignore"):
         quality = np.where(fx >= 0, 1.0 / (1.0 + fx), 1.0 + np.abs(fx))
     cum = np.cumsum(quality / quality.sum(axis=1, keepdims=True), axis=1)
-    # np.searchsorted(cum, spin) per run: the count of cum entries below each draw
-    picks = np.minimum((cum[:, None, :] < spin[..., None]).sum(axis=-1), n_food - 1)
+    picks = np.empty((L, n_on), dtype=np.intp)
+    wave = np.empty_like(picks)
+    group = _group_size(n_on * max(n_on, n_food))
+    for start in range(0, L, group):
+        runs = slice(start, start + group)
+        # np.searchsorted(cum, spin) per run: the count of cum entries below each draw
+        below = (cum[runs, None, :] < spin[runs, :, None]).sum(axis=-1)
+        picks[runs] = np.minimum(below, n_food - 1)
+        wave[runs] = occurrence_rank(picks[runs])
     onlookers = np.s_[:, n_food:]
-    i, k = first + picks, first + abc_partners(k[onlookers], picks)
+    i, k = first + picks, first + k[onlookers] + (k[onlookers] >= picks)
     j, phi = j[onlookers], phi[onlookers]
-    wave = occurrence_rank(picks)
     for w in range(wave.max(initial=-1) + 1):
         m = wave == w
         move(i[m], k[m], j[m], phi[m])
@@ -410,25 +431,20 @@ def ff_sweep(X, fitness, kick, beta0, gamma):
     return moved
 
 
-# cells of firefly noise held at once: 8 MiB, room for the paper's 30 runs at
-# population 30 and D = 10 in one sweep; larger stacks (30 runs at D = 50)
-# sweep in groups so that the buffer does not grow with runs x n^2 x D
-_FF_NOISE_CELLS = 2**20
-
-
 def _run_ff(fn, dim, low, up, config, rngs):
     """Firefly (Yang 2009): each run draws its initial population and then,
     per iteration, its (n, n, D) noise from its own stream.
 
     Each iteration sweeps the stack in groups of consecutive runs whose noise
-    fits in ``_FF_NOISE_CELLS`` cells (one run at least), so at the sizes the
+    fits in ``_STACK_CELLS`` cells (one run at least), so at the sizes the
     protocol uses, up to 30 runs at population 30 and D = 10, every live run
-    shares one sweep. Each group draws into one buffer, reused by every group
-    and iteration and scaled in place into the kicks."""
+    shares one sweep; larger stacks (30 runs at D = 50) sweep in groups.
+    Each group draws into one buffer, reused by every group and iteration
+    and scaled in place into the kicks."""
     n = config.population_size
     X = _uniform_stack(rngs, low, up, (n, dim))
     fx = _evaluate(fn, X)
-    group = max(1, _FF_NOISE_CELLS // (n * n * dim))
+    group = _group_size(n * n * dim)
     noise = np.empty((min(group, len(rngs)), n, n, dim))
     alpha = FF_ALPHA
     span = up - low

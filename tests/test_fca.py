@@ -793,6 +793,18 @@ def test_cxt_round_trip_keeps_a_first_label_of_spaces(tmp_path):
     assert back.objects == (" ", "b") and back.attributes == ("m",)
     assert back.incidence.tolist() == [[True], [False]]
     assert write_cxt(back) == write_cxt(ctx)
+    back = read_cxt(_write(tmp_path, write_cxt(ctx) + "\n  \n", "ws2.cxt"))
+    assert back.objects == (" ", "b")  # trailing blank lines do not make it a separator
+
+
+@pytest.mark.parametrize("separator", ["", " ", "\t"])
+def test_cxt_reader_accepts_a_blank_separator(tmp_path, separator):
+    """A line of spaces or a tab after the counts is the separator too, also
+    with no attributes, whose incidence rows are blank."""
+    ctx = read_cxt(_write(tmp_path, f"B\nt\n1\n2\n{separator}\no\np\nq\nX.\n\n"))
+    assert ctx.objects == ("o",) and ctx.incidence.tolist() == [[True, False]]
+    ctx = read_cxt(_write(tmp_path, f"B\nt\n2\n0\n{separator}\no\nb\n\n\n"))
+    assert ctx.objects == ("o", "b") and ctx.shape == (2, 0)
 
 
 def test_cxt_text_layout():

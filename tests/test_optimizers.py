@@ -126,7 +126,7 @@ def test_low_mixrate_still_flips_one(monkeypatch):
 def test_boundary_control_fuzz():
     rng = RngStream(7)
     T = np.random.Generator(np.random.PCG64(8)).normal(scale=5, size=(100, 100))
-    out = boundary_control(T, -1.0, 1.0, rng)
+    out = boundary_control(T, -1.0, 1.0, [rng])
     inside = (T >= -1.0) & (T <= 1.0)
     assert np.array_equal(out[inside], T[inside])  # untouched
     assert out.min() >= -1.0 and out.max() <= 1.0
@@ -137,7 +137,7 @@ def test_boundary_control_vector_bounds():
     T = np.array([[5.0, 5.0], [-5.0, 0.5]])
     low = np.array([0.0, -1.0])
     up = np.array([1.0, 1.0])
-    out = boundary_control(T, low, up, rng)
+    out = boundary_control(T, low, up, [rng])
     assert 0.0 <= out[0, 0] <= 1.0
     assert -1.0 <= out[0, 1] <= 1.0
     assert 0.0 <= out[1, 0] <= 1.0
@@ -147,7 +147,7 @@ def test_boundary_control_vector_bounds():
 def test_boundary_control_noop_returns_same_values():
     rng = RngStream(10)
     T = np.zeros((3, 3))
-    assert np.array_equal(boundary_control(T, -1, 1, rng), T)
+    assert np.array_equal(boundary_control(T, -1, 1, [rng]), T)
 
 
 def test_boundary_control_draws_from_each_runs_stream():
@@ -159,7 +159,7 @@ def test_boundary_control_draws_from_each_runs_stream():
     got = boundary_control(T, -1.0, 1.0, streams)
     for r in range(4):
         alone = RngStream(r)
-        np.testing.assert_array_equal(got[r], boundary_control(T[r], -1.0, 1.0, alone))
+        np.testing.assert_array_equal(got[r], boundary_control(T[r], -1.0, 1.0, [alone]))
         assert streams[r].generator.random() == alone.generator.random()
 
 
@@ -343,7 +343,7 @@ def _lockstep_equals_single_runs(algo, fn, cfg, dim=2, bounds=None, base_seed=0)
 @pytest.mark.parametrize("cells", [2**14, 4000, 1])
 def test_ff_lockstep_runs_leave_the_batch_as_they_succeed(stop, cells, monkeypatch):
     monkeypatch.setattr(optimizers, "STOP_ON_SUCCESS", stop)
-    monkeypatch.setattr(optimizers, "_FF_NOISE_CELLS", cells)
+    monkeypatch.setattr(optimizers, "_STACK_CELLS", cells)
     cfg = OptimizerConfig(max_iterations=120, runs=8, success_tolerance=1e-3)
     batch = _lockstep_equals_single_runs("ff", "F14", cfg, base_seed=40)
     done = [r.iterations_to_success for r in batch if r.succeeded]
@@ -354,7 +354,7 @@ def test_ff_lockstep_runs_leave_the_batch_as_they_succeed(stop, cells, monkeypat
 def test_ff_lockstep_at_the_protocol_cell_shape(fn):
     """The benchmark's D = 10 cells at the default budget: three runs of
     population 30 share one sweep."""
-    assert 3 * 30 * 30 * 10 <= optimizers._FF_NOISE_CELLS
+    assert 3 * 30 * 30 * 10 <= optimizers._STACK_CELLS
     cfg = OptimizerConfig(population_size=30, max_iterations=25, runs=3)
     _lockstep_equals_single_runs("ff", fn, cfg, dim=10, base_seed=1)
 
@@ -411,6 +411,43 @@ def test_lockstep_at_the_smallest_populations(algo, pop):
 def test_lockstep_in_one_dimension(algo):
     cfg = OptimizerConfig(population_size=8, max_iterations=40, runs=4)
     _lockstep_equals_single_runs(algo, "F11", cfg, dim=1)
+
+
+@pytest.mark.parametrize("algo", ["de", "abc"])
+# budgets of one run per group, then two or more: de's keys are 12 x 12
+# cells per run and abc's roulette 6 x 6 (ff's groups are tested above)
+@pytest.mark.parametrize("cells", [1, 80, 300])
+def test_lockstep_in_groups_of_runs(algo, cells, monkeypatch):
+    monkeypatch.setattr(optimizers, "_STACK_CELLS", cells)
+    cfg = OptimizerConfig(population_size=12, max_iterations=40, runs=5,
+                          success_tolerance=1e-2)
+    _lockstep_equals_single_runs(algo, "F14", cfg)
+
+
+@pytest.mark.parametrize("step", ["de_picks", "abc_phases"])
+def test_scratch_does_not_grow_with_the_stack(step, monkeypatch):
+    """de's (n, n) keys and abc's (n_on, n_food) roulette are held one group
+    of runs at a time: eight runs at n = 1000 peak at under three times the
+    memory of one, where holding the whole stack would take eight times."""
+    import tracemalloc
+    monkeypatch.setattr(optimizers, "_STACK_CELLS", 1)
+    n, fn = 1000, get_function("F1")
+
+    def peak(runs):
+        rngs = [RngStream(r) for r in range(runs)]
+        X = uniform_matrix(RngStream(99), -1.0, 1.0, (runs, n // 2, 1))
+        fx = benchmarks.evaluate_batch(fn, X.reshape(-1, 1)).reshape(runs, -1)
+        trial = np.zeros(fx.shape, dtype=int)
+        tracemalloc.start()
+        try:
+            if step == "de_picks":
+                de_picks(rngs, n)
+            else:
+                optimizers.abc_phases(fn, X, fx, trial, n // 2, -1.0, 1.0, rngs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak(8) < 3 * peak(1)
 
 
 @pytest.mark.parametrize("algo", ALGORITHMS)
@@ -593,14 +630,42 @@ def test_abc_phases_match_per_move_loop(seed, fid, n_food, n_on, dim):
     assert max(waves) >= 3
 
 
-def test_abc_partner_uniform_over_other_sources():
-    n_food, reps = 6, 3000
-    sources = np.tile(np.arange(n_food), reps)
-    draws = RngStream(12).generator.integers(n_food - 1, size=len(sources))
-    k = optimizers.abc_partners(draws, sources).reshape(reps, n_food)
-    for i in range(n_food):
-        counts = np.bincount(k[:, i], minlength=n_food)
-        assert counts[i] == 0
+class _ZeroUniforms:
+    """A stream whose integers are real draws and whose uniforms are all 0,
+    so every abc move has phi = -1 and tries exactly its partner's value."""
+
+    def __init__(self, seed):
+        self.generator = self
+        self._g = np.random.default_rng(seed)
+
+    def integers(self, *args, **kwargs):
+        return self._g.integers(*args, **kwargs)
+
+    def random(self, out):
+        out[...] = 0.0
+
+
+def test_abc_partner_uniform_over_other_sources(monkeypatch):
+    """The partners abc_phases moves toward, read off the moves it
+    evaluates: source s sits at s + 1 in D = 1 and phi = -1, so a move tries
+    its partner's value. No move improves (every value is far below the
+    objective), and a spin of 0 sends every onlooker to source 0."""
+    n_food, n_on, reps = 6, 4, 600
+    tried = []
+    real = benchmarks.evaluate_batch
+    monkeypatch.setattr(benchmarks, "evaluate_batch",
+                        lambda fn, X: tried.append(X[:, 0].copy()) or real(fn, X))
+    X = np.tile(np.arange(1.0, n_food + 1)[:, None], (reps, 1, 1))
+    fx = np.full((reps, n_food), -1e300)
+    trial = np.zeros((reps, n_food), dtype=int)
+    optimizers.abc_phases(get_function("F1"), X, fx, trial, n_on, -10.0, 10.0,
+                          [_ZeroUniforms(s) for s in range(reps)])
+    assert len(tried) == 1 + n_on and (trial == [n_on + 1] + [1] * (n_food - 1)).all()
+    employed = (tried[0].reshape(reps, n_food) - 1).astype(int)
+    onlooker = (np.concatenate(tried[1:]) - 1).astype(int)
+    for i, partners in [*enumerate(employed.T), (0, onlooker)]:
+        counts = np.bincount(partners, minlength=n_food)
+        assert counts[i] == 0 and counts.sum() == len(partners)
         assert chisquare(np.delete(counts, i)).pvalue > 1e-4, i
 
 
