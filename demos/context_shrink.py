@@ -42,9 +42,9 @@ def show(ctx):
 
 
 def describe(tag, lattice):
-    print(f"{tag}: {len(lattice.concepts)} concepts, "
-          f"{len(lattice.hasse_edges)} edges, height {lattice.height}, "
-          f"width {lattice.width}")
+    inv = lattice.invariants
+    print(f"{tag}: {inv['n_concepts']} concepts, {inv['n_edges']} edges, "
+          f"height {inv['height']}, width {inv['width']}")
 
 
 def run_pass(title, ctx, tax, params):

@@ -15,8 +15,9 @@ import sys
 
 from . import benchmarks
 from .ecastar import EcaParams
-from .reports import (fmt_full, fmt_sig, run_bench_suite, run_cluster_suite,
-                      run_fca_suite, run_report)
+from .optimizers import ALGORITHMS
+from .reports import (METRIC_KEYS, RANGES, fmt_full, fmt_sig, run_bench_suite,
+                      run_cluster_suite, run_fca_suite, run_report)
 
 
 class CliError(Exception):
@@ -50,12 +51,13 @@ def _build_parser():
                    description="Run optimizers over the benchmark catalog.")
     p.add_argument("--list", action="store_true", help="print the function catalog and exit")
     p.add_argument("--algo", dest="algos", metavar="ALGO", type=_comma_list,
-                   help="comma-separated algorithms (bsa,de,pso,abc,ff) or 'all'")
+                   help=f"comma-separated algorithms ({','.join(ALGORITHMS)}) or 'all'")
     p.add_argument("--fn", dest="functions", metavar="FN", type=_comma_list,
                    help="function id/name, comma list, or 'all'")
     p.add_argument("--dim", type=int, help="dimension for scalable functions")
-    p.add_argument("--range", dest="range_name", choices=["default", "R1", "R2", "R3"],
-                   help="search range override (R1=[-5,5], R2=[-250,250], R3=[-500,500])")
+    bounds = ", ".join(f"{name}=[{low:g},{up:g}]" for name, (low, up) in RANGES.items())
+    p.add_argument("--range", dest="range_name", choices=["default", *RANGES],
+                   help=f"search range override ({bounds})")
     p.add_argument("--runs", type=int)
     p.add_argument("--iters", dest="max_iterations", metavar="ITERS", type=int)
     p.add_argument("--pop", dest="population_size", metavar="POP", type=int)
@@ -108,7 +110,7 @@ def _build_parser():
     p.add_argument("--in", dest="in_path", required=True)
     p.add_argument("--compare", required=True, type=_comma_list,
                    help="two algorithms, e.g. bsa,de")
-    p.add_argument("--metric", choices=["iters", "value"])
+    p.add_argument("--metric", choices=list(METRIC_KEYS))
     p.add_argument("--alpha", type=float)
     p.add_argument("--out")
 

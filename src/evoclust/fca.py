@@ -13,7 +13,9 @@ inclusion, read from the packed extents once per family
 (``PackedConcepts.order``). The exact width is n minus a maximum matching
 of that order, and the covers are its pairs with nothing between them,
 also built once per family (``PackedConcepts.covers``), so a family's
-invariants need nothing but the family.
+invariants need nothing but the family. ``invariants`` computes all seven of
+them in one dict; a ``ConceptLattice`` keeps that dict, ``lattice_quality``
+reads four of its keys, and the report writes it as it is.
 """
 
 from collections import deque
@@ -110,13 +112,11 @@ class PackedConcepts:
 
 @dataclass(eq=False)
 class ConceptLattice:
+    """A context's packed concepts, their covering edges, and the dict that
+    ``invariants`` returns for them, which the report writes as it is."""
     concepts: PackedConcepts
     hasse_edges: np.ndarray  # (m, 2) covering pairs (child, parent), sorted
-    height: int
-    width: int
-    degree_mean: float = 0.0
-    degree_max: int = 0
-    cycle_length: int = 0  # girth of the undirected diagram, 0 if acyclic
+    invariants: dict
 
 
 def _pack(bits):
@@ -250,8 +250,11 @@ ORDER_CELLS = 1 << 16
 
 
 def invariants(concepts):
-    """Size, cover count, height, and width of the lattice of packed
-    concepts, all read from the concepts' own order.
+    """The seven report invariants of the lattice of packed concepts, all
+    read from the concepts' own order: size (``n_concepts``), cover count
+    (``n_edges``), ``height``, ``width``, the mean and largest node degree
+    of the diagram (``degree_mean``, ``degree_max``), and its girth
+    (``cycle_length``, 0 when acyclic). No concepts give zeros throughout.
 
     Height counts nodes on a longest chain along the covers, relaxed with
     one ``np.maximum.at`` per extent size of the covers' children, which the
@@ -264,8 +267,10 @@ def invariants(concepts):
 
     n = len(concepts)
     if n == 0:
-        return {"n_concepts": 0, "n_edges": 0, "height": 0, "width": 0}
-    child, parent = concepts.covers.T
+        return {"n_concepts": 0, "n_edges": 0, "height": 0, "width": 0,
+                "degree_mean": 0.0, "degree_max": 0, "cycle_length": 0}
+    edges = concepts.covers
+    child, parent = edges.T
     # longest chain ending at each node: a cover's child has a smaller extent
     # than its parent, so children of one size are final before they relax
     groups = np.flatnonzero(np.diff(concepts.sizes[child])) + 1
@@ -273,8 +278,11 @@ def invariants(concepts):
     for below, above in zip(np.split(child, groups), np.split(parent, groups)):
         np.maximum.at(level, above, level[below] + 1)
     match = maximum_bipartite_matching(concepts.order, perm_type="column")
+    degree = np.bincount(edges.ravel(), minlength=n)
     return {"n_concepts": n, "n_edges": len(child), "height": int(level.max()),
-            "width": n - int(np.count_nonzero(match != -1))}
+            "width": n - int(np.count_nonzero(match != -1)),
+            "degree_mean": float(degree.mean()), "degree_max": int(degree.max()),
+            "cycle_length": _girth(n, edges)}
 
 
 def _strict_order(words):
@@ -312,15 +320,7 @@ def build_lattice(ctx):
     """Packed concepts, covering edges, and invariants for one context; a
     context always has at least one concept."""
     concepts = derive_concepts(ctx)
-    edges = hasse_edges(concepts)
-    inv = invariants(concepts)
-    n = len(concepts)
-    degree = np.bincount(edges.ravel(), minlength=n)
-    return ConceptLattice(
-        concepts=concepts, hasse_edges=edges, height=inv["height"],
-        width=inv["width"],
-        degree_mean=float(degree.mean()), degree_max=int(degree.max()),
-        cycle_length=_girth(n, edges))
+    return ConceptLattice(concepts, hasse_edges(concepts), invariants(concepts))
 
 
 def _ratio(a, b):
@@ -331,13 +331,9 @@ def _ratio(a, b):
 def lattice_quality(orig, reduced):
     """Structural agreement of two built lattices in [0, 1]: the mean of
     min/max ratios of concept count, edge count, height, and width."""
-    ratios = [
-        _ratio(len(orig.concepts), len(reduced.concepts)),
-        _ratio(len(orig.hasse_edges), len(reduced.hasse_edges)),
-        _ratio(orig.height, reduced.height),
-        _ratio(orig.width, reduced.width),
-    ]
-    return float(np.mean(ratios))
+    a, b = orig.invariants, reduced.invariants
+    return float(np.mean([_ratio(a[k], b[k])
+                          for k in ("n_concepts", "n_edges", "height", "width")]))
 
 
 # ----------------------------------------------------------------- CXT I/O
@@ -412,15 +408,3 @@ def read_cxt(path):
                              f"{n_obj} incidence rows")
     return FormalContext(objects, attributes, incidence, name=lines[1])
 
-
-def _invariants_json(lattice):
-    """The lattice's invariants as a JSON-ready dict (no concept labels)."""
-    return {
-        "n_concepts": len(lattice.concepts),
-        "n_edges": len(lattice.hasse_edges),
-        "height": lattice.height,
-        "width": lattice.width,
-        "degree_mean": lattice.degree_mean,
-        "degree_max": lattice.degree_max,
-        "cycle_length": lattice.cycle_length,
-    }

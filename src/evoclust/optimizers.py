@@ -57,8 +57,8 @@ class OptimizerConfig:
             raise ValueError("population_size and runs must be >= 1")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be >= 0")
-        if self.success_tolerance <= 0:
-            raise ValueError("success_tolerance must be positive")
+        if not (math.isfinite(self.success_tolerance) and self.success_tolerance > 0):
+            raise ValueError("success_tolerance must be positive and finite")
 
 
 @dataclass

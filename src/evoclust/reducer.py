@@ -69,7 +69,7 @@ class Taxonomy:
             for term in group:
                 self._synset_of[term] = idx
         self._check_acyclic()
-        self._cones = {}  # (term, depth) -> ancestors_within's answer
+        self._cones = {}  # (term, depth) -> cone's answer
 
     def _check_acyclic(self):
         """Depth-first walk up the hypernym edges with an explicit stack, so
@@ -103,18 +103,15 @@ class Taxonomy:
         ia = self._synset_of.get(str(a))
         return ia is not None and ia == self._synset_of.get(str(b))
 
-    def ancestors_within(self, term, depth):
+    def cone(self, term, depth):
         """term -> minimal upward distance, for every ancestor within depth.
 
         Synonym hops are free, so a whole synset enters at the distance of
-        its first-reached member; the term itself is at distance 0. The
-        returned dict is the caller's own copy.
+        its first-reached member; the term itself is at distance 0. Each
+        (term, depth) is searched once, and the returned dict is shared by
+        every caller, so it is read-only.
         """
-        return dict(self._cone(str(term), depth))
-
-    def _cone(self, term, depth):
-        """ancestors_within's answer, searched once per (term, depth) and
-        shared: callers in this module only read it."""
+        term = str(term)
         cone = self._cones.get((term, depth))
         if cone is None:
             cone = self._cones[term, depth] = self._search_cone(term, depth)
@@ -209,8 +206,8 @@ def common_hypernym(a, b, tax, params) -> Optional[str]:
     hyper, hypo = params.hypernym_depth, params.hyponym_depth
     depth = max(hyper, hypo)
     # distances are minimal, so a shallower cone is this one cut at its depth
-    up_a = tax._cone(a, depth)
-    up_b = tax._cone(b, depth)
+    up_a = tax.cone(a, depth)
+    up_b = tax.cone(b, depth)
     common = [(c, up_a[c], up_b[c]) for c in up_a.keys() & up_b.keys()]
     forward = [(da + db, da, c) for c, da, db in common if da <= hyper and db <= hypo]
     backward = [(da + db, da, c) for c, da, db in common if db <= hyper and da <= hypo]
@@ -285,7 +282,7 @@ def reduce_context(ctx, tax, params):
         merges_before = len(trace)
         for axis in ("attribute", "object"):
             snapshot = list(ctx.attributes if axis == "attribute" else ctx.objects)
-            cones = {label: tax._cone(label, depth).keys() for label in snapshot}
+            cones = {label: tax.cone(label, depth).keys() for label in snapshot}
             consumed: Set[str] = set()
             for label_a, label_b in enumerate_pairs(snapshot):
                 if cones[label_a].isdisjoint(cones[label_b]):

@@ -157,40 +157,35 @@ def run_bench_suite(algos=("bsa",), functions=("all",), dim=2,
     algos = _bench_algos(algos)
     suite_start = time.perf_counter()
 
-    entries = {}
+    stats_rows = []
+    runs_payload = []
+    runs_by = {}
+    success_counts = {a: {} for a in algos}
     for fid in fn_ids:
         fn = benchmarks.get_function(fid)
         for algo in algos:
             results = run_repetitions(algo, fn, opt, seed, dim=_usable_dim(fn, dim),
                                       bounds=bounds)
-            entries[(fid, algo)] = results
-
-    stats_rows = []
-    runs_payload = []
-    runs_by = {}
-    success_counts = {a: {} for a in algos}
-    for (fid, algo), results in entries.items():
-        fn = benchmarks.get_function(fid)
-        it_stats = summarize(results, metric="iters")
-        val_stats = summarize(results, metric="value")
-        success_counts[algo][fid] = it_stats.n_success
-        stats_rows.append([
-            fid, fn.name, algo, results[0].dim,
-            results[0].reference_min,
-            it_stats.n_success, it_stats.n_failure,
-            it_stats.mean, it_stats.sd, it_stats.best, it_stats.worst,
-            val_stats.mean, val_stats.sd, val_stats.best, val_stats.worst,
-            it_stats.mean_exec_time,
-        ])
-        runs = [{"seed": r.seed, "succeeded": r.succeeded,
-                 "iterations_to_success": r.iterations_to_success,
-                 "best_value": r.best_value, "run_time_s": r.wall_time}
-                for r in results]
-        runs_by[(fid, algo)] = runs
-        runs_payload.append({
-            "function": fid, "algo": algo, "dim": results[0].dim,
-            "reference_min": results[0].reference_min, "runs": runs,
-        })
+            it_stats = summarize(results, metric="iters")
+            val_stats = summarize(results, metric="value")
+            success_counts[algo][fid] = it_stats.n_success
+            stats_rows.append([
+                fid, fn.name, algo, results[0].dim,
+                results[0].reference_min,
+                it_stats.n_success, it_stats.n_failure,
+                it_stats.mean, it_stats.sd, it_stats.best, it_stats.worst,
+                val_stats.mean, val_stats.sd, val_stats.best, val_stats.worst,
+                it_stats.mean_exec_time,
+            ])
+            runs = [{"seed": r.seed, "succeeded": r.succeeded,
+                     "iterations_to_success": r.iterations_to_success,
+                     "best_value": r.best_value, "run_time_s": r.wall_time}
+                    for r in results]
+            runs_by[(fid, algo)] = runs
+            runs_payload.append({
+                "function": fid, "algo": algo, "dim": results[0].dim,
+                "reference_min": results[0].reference_min, "runs": runs,
+            })
 
     pair_rows = [_pairwise_row(fid, a, b, runs_by[(fid, a)], runs_by[(fid, b)])
                  for fid in fn_ids
@@ -323,9 +318,9 @@ def run_cluster_suite(data, algo="eca-star", gt=None, labels=None, runs=30,
     if runs < 1:
         raise ValueError("runs must be >= 1")
     dataset = load_dataset(data, centroids_path=gt, labels_path=labels)
-    # ECA* start partition, cohesions and merge decisions on this dataset's
-    # points: every run starts from the same partition, so later runs reuse
-    # what earlier ones computed
+    # ECA*'s start partitions, cohesions and column sort orders of this
+    # dataset's points: every run starts from the same partition, so later
+    # runs reuse what earlier ones computed
     memo = {}
     per_run = []
     for i in range(runs):
@@ -388,8 +383,8 @@ def run_fca_suite(ctx, tax, out=None, report=None, **settings):
             "hyper_depth": params.hypernym_depth, "hypo_depth": params.hyponym_depth,
             "iters": params.max_iterations, "quality_floor": params.quality_floor,
         },
-        "original": fca._invariants_json(lat_orig),
-        "reduced": fca._invariants_json(lat_red),
+        "original": lat_orig.invariants,
+        "reduced": lat_red.invariants,
         "original_shape": list(context.shape),
         "reduced_shape": list(reduced.shape),
         "quality": fca.lattice_quality(lat_orig, lat_red),

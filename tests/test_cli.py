@@ -10,8 +10,8 @@ import pytest
 from evoclust import benchmarks, cli, reports
 from evoclust.datasets import gaussian_blobs, save_points
 from evoclust.ecastar import EcaParams
-from evoclust.fca import FormalContext, read_cxt, write_cxt
-from evoclust.optimizers import OptimizerConfig
+from evoclust.fca import FormalContext, build_lattice, read_cxt, write_cxt
+from evoclust.optimizers import ALGORITHMS, OptimizerConfig
 from evoclust.reducer import ReduceParams
 from evoclust.reports import scrub_timing
 from evoclust.rng import RngStream
@@ -391,6 +391,30 @@ def test_fca_reduce_end_to_end(tmp_path, capsys):
     assert 0.0 <= report["quality"] <= 1.0
 
 
+def test_fca_reduce_report_holds_the_invariants_of_both_contexts(tmp_path, capsys):
+    # the 70 x 9 context and lexicon of CI's console-script step
+    inc = np.random.default_rng(1).random((70, 9)) < 0.4
+    ctx = FormalContext([f"o{i}" for i in range(70)], [f"a{j}" for j in range(9)], inc,
+                        name="ctx70")
+    write_cxt(ctx, tmp_path / "ctx70.cxt")
+    (tmp_path / "lex70.tsv").write_text("syn\ta0\ta1\na2\ta3\n")
+    assert cli.main(["fca-reduce", "--ctx", str(tmp_path / "ctx70.cxt"),
+                     "--tax", str(tmp_path / "lex70.tsv"),
+                     "--out", str(tmp_path / "red70.cxt"),
+                     "--report", str(tmp_path / "red70.json")]) == 0
+    capsys.readouterr()
+    report = json.loads((tmp_path / "red70.json").read_text())
+    reduced = read_cxt(tmp_path / "red70.cxt")
+    assert report["original"] == build_lattice(read_cxt(tmp_path / "ctx70.cxt")).invariants
+    assert report["reduced"] == build_lattice(reduced).invariants
+    assert report["original"] != report["reduced"]
+    assert list(reduced.shape) == report["reduced_shape"] == [70, 7]
+    o, d = report["original"], report["reduced"]
+    quality = sum(min(o[k], d[k]) / max(o[k], d[k]) if max(o[k], d[k]) else 1.0
+                  for k in ("n_concepts", "n_edges", "height", "width")) / 4
+    assert abs(quality - report["quality"]) <= 1e-12
+
+
 @pytest.mark.parametrize("counts, line", [("-1\n2", 3), ("1\n-2", 4)])
 def test_fca_reduce_rejects_negative_counts(tmp_path, capsys, counts, line):
     ctx_path = tmp_path / "neg.cxt"
@@ -439,6 +463,20 @@ def test_usage_errors_exit_2(capsys):
     assert cli.main(["nonsense"]) == 2
     assert cli.main(["report", "--in", "x.json", "--compare", "bsa"]) == 2
     assert "exactly two" in _err(capsys)["message"]
+
+
+def _option(command, flag):
+    sub = next(a for a in cli._build_parser()._actions if a.dest == "command")
+    return next(a for a in sub.choices[command]._actions if flag in a.option_strings)
+
+
+def test_option_choices_come_from_their_tables():
+    assert _option("bench-opt", "--range").choices == ["default", *reports.RANGES]
+    assert _option("report", "--metric").choices == list(reports.METRIC_KEYS)
+    assert f"({','.join(ALGORITHMS)})" in _option("bench-opt", "--algo").help
+    range_help = _option("bench-opt", "--range").help
+    for name, (low, up) in reports.RANGES.items():
+        assert f"{name}=[{low:g},{up:g}]" in range_help
 
 
 def test_one_parser_serves_every_call_of_a_process(blob_file, tmp_path, capsys):
@@ -616,6 +654,9 @@ _SWEEP = {  # case: the calls, in order, and each call's exit code
     "population-too-small": (
         [["bench-opt", "--algo", "de", "--fn", "F1", "--dim", "1", "--runs", "1",
           "--iters", "3", "--pop", "1", "--out", "b.csv"]], [1]),
+    **{f"tolerance-{tol}": (
+        [["bench-opt", "--algo", "bsa", "--fn", "F14", "--runs", "2", "--iters", "5",
+          "--tol", tol, "--out", "t.csv"]], [1]) for tol in ("nan", "inf")},
     "report-on-a-missing-file": ([["report", "--in", "b.json", "--compare", "bsa,de"]], [1]),
     "report-on-one-algorithm": ([["report", "--in", "b.json", "--compare", "bsa"]], [2]),
 }
@@ -631,6 +672,7 @@ def test_edge_case_sweep_exits_cleanly_and_writes_strict_json(tmp_path, monkeypa
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("EVOCLUST_OUT_DIR", raising=False)
     _write_sweep_inputs(tmp_path)
+    inputs = set(tmp_path.rglob("*"))
     calls, codes = _SWEEP[case]
     for argv, code in zip(calls, codes):
         rc = cli.main(argv)
@@ -642,6 +684,8 @@ def test_edge_case_sweep_exits_cleanly_and_writes_strict_json(tmp_path, monkeypa
         assert rc == code, (argv, err)
     written = list(tmp_path.rglob("*.json"))
     assert bool(written) == (0 in codes)  # a failed call writes no JSON
+    if 0 not in codes:  # nor any other file
+        assert set(tmp_path.rglob("*")) == inputs
     for path in written:
         json.loads(path.read_text(), parse_constant=_refuse_constant)
 

@@ -249,8 +249,7 @@ def test_packed_concepts_refuse_a_family_out_of_size_order():
         tuples = concept_tuples(family)
         got = hasse_edges(family)
         assert _edge_list(got) == _ref_hasse_edges(tuples)
-        assert (invariants(family)
-                == _without_level_bound(_ref_invariants(tuples, _edge_list(got)))
+        assert (invariants(family) == _ref_invariants(tuples, _edge_list(got))
                 == invariants(concepts))
 
 
@@ -268,12 +267,7 @@ def test_build_lattice_matches_reference_on_degenerate_contexts():
         edges = _ref_hasse_edges(concepts)
         assert concept_tuples(lat.concepts) == concepts
         assert _edge_list(lat.hasse_edges) == edges
-        ref = _ref_invariants(concepts, edges)
-        assert (lat.height, lat.width) == (ref["height"], ref["width"])
-        assert lat.cycle_length == _ref_girth(len(concepts), edges)
-        degree = [sum(k in e for e in edges) for k in range(len(concepts))]
-        assert (lat.degree_mean, lat.degree_max) == (sum(degree) / len(degree),
-                                                     max(degree))
+        assert lat.invariants == _ref_invariants(concepts, edges)
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -292,27 +286,27 @@ def test_diamond_lattice():
     assert len(lat.concepts) == 4
     assert _edge_list(lat.hasse_edges) == [(0, 1), (0, 2), (1, 3), (2, 3)]
     assert lat.hasse_edges.dtype == np.intp
-    assert lat.height == 3
-    assert lat.width == 2
-    assert lat.degree_mean == 2.0
-    assert lat.degree_max == 2
-    assert lat.cycle_length == 4  # the diamond itself
+    assert lat.invariants == {"n_concepts": 4, "n_edges": 4, "height": 3,
+                              "width": 2, "degree_mean": 2.0, "degree_max": 2,
+                              "cycle_length": 4}  # the diamond itself
 
 
 def test_chain_lattice():
     lat = build_lattice(_ctx([[1, 0, 0], [1, 1, 0], [1, 1, 1]]))
     assert len(lat.concepts) == 3
     assert len(lat.hasse_edges) == 2
-    assert lat.height == 3
-    assert lat.width == 1
-    assert lat.cycle_length == 0  # a path has no cycle
+    assert lat.invariants["height"] == 3
+    assert lat.invariants["width"] == 1
+    assert lat.invariants["cycle_length"] == 0  # a path has no cycle
 
 
 def test_single_concept_invariants():
     inv = invariants(derive_concepts(_ctx([[1]])))
-    assert inv == {"n_concepts": 1, "n_edges": 0, "height": 1, "width": 1}
+    assert inv == {"n_concepts": 1, "n_edges": 0, "height": 1, "width": 1,
+                   "degree_mean": 0.0, "degree_max": 0, "cycle_length": 0}
     assert invariants([]) == {"n_concepts": 0, "n_edges": 0, "height": 0,
-                              "width": 0}
+                              "width": 0, "degree_mean": 0.0, "degree_max": 0,
+                              "cycle_length": 0}
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -493,7 +487,7 @@ def test_girth_pentagon_is_five():
     # 4-cycle the early exit could stop at does not exist here
     lat = build_lattice(_ctx([[1, 0, 0], [1, 1, 0], [0, 0, 1]]))
     assert len(lat.concepts) == 5
-    assert lat.cycle_length == 5
+    assert lat.invariants["cycle_length"] == 5
     assert _girth(len(lat.concepts), lat.hasse_edges) == 5
 
 
@@ -503,7 +497,7 @@ def test_girth_five_after_a_six_cycle():
     rows = [[0, 1, 0, 1, 0, 0], [1, 1, 0, 1, 0, 0], [0, 1, 0, 0, 1, 0],
             [1, 1, 0, 1, 1, 0], [0, 0, 0, 0, 0, 1]]
     lat = build_lattice(_ctx(rows))
-    assert lat.cycle_length == 5
+    assert lat.invariants["cycle_length"] == 5
     assert _ref_girth(len(lat.concepts), lat.hasse_edges) == 5
 
 
@@ -523,9 +517,9 @@ def test_invariants_of_built_lattice_match_recomputation():
     rng = np.random.Generator(np.random.PCG64(500))
     inc = rng.random((8, 7)) < 0.4
     lat = build_lattice(_ctx(inc))
-    record = {"n_concepts": len(lat.concepts), "n_edges": len(lat.hasse_edges),
-              "height": lat.height, "width": lat.width}
-    assert record == invariants(_take(lat.concepts, slice(None)))  # a fresh family
+    assert lat.invariants["n_concepts"] == len(lat.concepts)
+    assert lat.invariants["n_edges"] == len(lat.hasse_edges)
+    assert lat.invariants == invariants(_take(lat.concepts, slice(None)))  # a fresh family
 
 
 def test_order_layer_names_stay_importable():
@@ -573,47 +567,54 @@ def test_width_is_exact_above_512_concepts():
     np.fill_diagonal(below, False)
     match = maximum_bipartite_matching(csr_matrix(below), perm_type="column")
     width = n - int(np.count_nonzero(match != -1))
-    assert lat.width == width
-    ref = _ref_invariants(tuples, _edge_list(lat.hasse_edges))
-    assert ref["level_bound"] < width
+    assert lat.invariants["width"] == width
+    assert _ref_level_bound(tuples, _edge_list(lat.hasse_edges)) < width
 
 
 # Reference invariants: the edge-closure implementation, kept as the oracle
-# for the extent-inclusion order and the array longest-chain relaxation. It
-# also gives the level bound, the largest level of the longest-path level
-# decomposition (levels are antichains), a lower bound on the width.
+# for the extent-inclusion order and the array longest-chain relaxation, with
+# the degrees counted along the reference edges and the girth from
+# ``_ref_girth``. The level bound, the largest level of the longest-path level
+# decomposition (levels are antichains), is a lower bound on the width.
+
+def _ref_levels(concepts, edges):
+    """Nodes on a longest chain ending at each concept."""
+    children = [[] for _ in concepts]
+    for a, b in edges:
+        children[a].append(b)
+    level = [1] * len(concepts)
+    for u in sorted(range(len(concepts)), key=lambda i: len(concepts[i].extent)):
+        for v in children[u]:
+            level[v] = max(level[v], level[u] + 1)
+    return level
+
+
+def _ref_level_bound(concepts, edges):
+    return int(np.bincount(np.asarray(_ref_levels(concepts, edges))).max())
+
 
 def _ref_invariants(concepts, edges):
     n = len(concepts)
     if n == 0:
         return {"n_concepts": 0, "n_edges": 0, "height": 0, "width": 0,
-                "level_bound": 0}
-    children = [[] for _ in range(n)]
+                "degree_mean": 0.0, "degree_max": 0, "cycle_length": 0}
+    degree = [0] * n
     for a, b in edges:
-        children[a].append(b)
-    order = sorted(range(n), key=lambda i: len(concepts[i].extent))
-    level = [1] * n
-    for u in order:
-        for v in children[u]:
-            level[v] = max(level[v], level[u] + 1)
-    height = max(level)
-    level_bound = int(np.bincount(np.asarray(level)).max())
+        degree[a] += 1
+        degree[b] += 1
     reach = csr_matrix(_transitive_closure(n, edges))
     match = maximum_bipartite_matching(reach, perm_type="column")
-    width = n - int(np.count_nonzero(match != -1))
-    return {"n_concepts": n, "n_edges": len(edges), "height": height,
-            "width": width, "level_bound": level_bound}
-
-
-def _without_level_bound(ref):
-    """The reference invariants under the keys ``invariants`` returns."""
-    return {k: v for k, v in ref.items() if k != "level_bound"}
+    return {"n_concepts": n, "n_edges": len(edges),
+            "height": max(_ref_levels(concepts, edges)),
+            "width": n - int(np.count_nonzero(match != -1)),
+            "degree_mean": sum(degree) / n, "degree_max": max(degree),
+            "cycle_length": _ref_girth(n, edges)}
 
 
 def _assert_invariants_match_reference(concepts, edges):
     """invariants(concepts) against the reference on the covering edges."""
     got = invariants(concepts)
-    assert got == _without_level_bound(_ref_invariants(concept_tuples(concepts), edges))
+    assert got == _ref_invariants(concept_tuples(concepts), edges)
     return got
 
 
@@ -662,11 +663,13 @@ def test_invariants_match_reference_at_order_block_edges(monkeypatch):
 def test_invariants_of_a_chain_and_a_single_concept():
     concepts = derive_concepts(_ctx(np.tril(np.ones((6, 6), dtype=bool))))
     chain = _assert_invariants_match_reference(concepts, hasse_edges(concepts))
-    assert chain == {"n_concepts": 6, "n_edges": 5, "height": 6, "width": 1}
+    assert chain == {"n_concepts": 6, "n_edges": 5, "height": 6, "width": 1,
+                     "degree_mean": 10 / 6, "degree_max": 2, "cycle_length": 0}
     for rows in ([[1]], [[1, 1], [1, 1]]):
         concepts = derive_concepts(_ctx(rows))
         assert _assert_invariants_match_reference(concepts, []) == {
-            "n_concepts": 1, "n_edges": 0, "height": 1, "width": 1}
+            "n_concepts": 1, "n_edges": 0, "height": 1, "width": 1,
+            "degree_mean": 0.0, "degree_max": 0, "cycle_length": 0}
 
 
 def test_invariants_match_reference_on_a_large_planted_context():
@@ -741,9 +744,9 @@ def test_level_bound_and_height_bound_the_width(seed):
                                         < rng.uniform(0.1, 0.9)))
         inv = invariants(concepts)
         tuples = concept_tuples(concepts)
-        ref = _ref_invariants(tuples, _ref_hasse_edges(tuples))
+        level_bound = _ref_level_bound(tuples, _ref_hasse_edges(tuples))
         n = inv["n_concepts"]
-        assert ref["level_bound"] <= inv["width"] <= n <= inv["height"] * inv["width"]
+        assert level_bound <= inv["width"] <= n <= inv["height"] * inv["width"]
 
 
 def test_ratio_conventions():
@@ -884,7 +887,7 @@ def test_cxt_reader_names_a_repeated_label(tmp_path):
 
 
 def test_lattice_json_round_trip():
-    payload = fca._invariants_json(build_lattice(_ctx([[1, 0], [0, 1]])))
+    payload = build_lattice(_ctx([[1, 0], [0, 1]])).invariants
     assert payload == {"n_concepts": 4, "n_edges": 4, "height": 3,
                        "width": 2, "degree_mean": 2.0,
                        "degree_max": 2, "cycle_length": 4}

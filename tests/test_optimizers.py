@@ -35,6 +35,12 @@ def test_config_validation():
         OptimizerConfig(success_tolerance=0.0)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf])
+def test_config_refuses_a_non_finite_tolerance(tol):
+    with pytest.raises(ValueError, match="finite"):
+        OptimizerConfig(success_tolerance=tol)
+
+
 def test_init_draws_inside_bounds_and_evaluates(monkeypatch):
     calls = _evaluated_rows(monkeypatch)
     cfg = OptimizerConfig(population_size=40)

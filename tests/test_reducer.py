@@ -54,21 +54,21 @@ def test_cycle_detection():
 def test_deep_chain_is_checked_without_recursion():
     chain = {f"t{i}": {f"t{i + 1}"} for i in range(5000)}
     tax = Taxonomy(parent_map=chain)
-    assert tax.ancestors_within("t0", 2) == {"t0": 0, "t1": 1, "t2": 2}
+    assert tax.cone("t0", 2) == {"t0": 0, "t1": 1, "t2": 2}
     chain["t5000"] = {"t4999"}  # a cycle 5000 hypernym levels above t0
     with pytest.raises(ValueError, match="cycle through 't4999'"):
         Taxonomy(parent_map=chain)
 
 
-def test_ancestors_within_depth(tax):
-    assert tax.ancestors_within("cat", 2) == {"cat": 0, "feline": 1, "mammal": 2}
-    assert tax.ancestors_within("cat", 1) == {"cat": 0, "feline": 1}
-    assert tax.ancestors_within("unknown", 3) == {"unknown": 0}
+def test_cone_depth(tax):
+    assert tax.cone("cat", 2) == {"cat": 0, "feline": 1, "mammal": 2}
+    assert tax.cone("cat", 1) == {"cat": 0, "feline": 1}
+    assert tax.cone("unknown", 3) == {"unknown": 0}
 
 
 def test_synonym_hops_are_free():
     t = Taxonomy(parent_map={"kitty": {"feline"}}, synsets=[{"cat", "kitty"}])
-    up = t.ancestors_within("cat", 1)
+    up = t.cone("cat", 1)
     assert up == {"cat": 0, "kitty": 0, "feline": 1}
 
 
@@ -111,8 +111,8 @@ def _ref_common_hypernym(a, b, tax, params):
     """The four-cone rule, written out: one cone per term and orientation,
     each cut at its own depth."""
     def two_cone(x, y, hyper, hypo):
-        up_x = tax.ancestors_within(x, hyper)
-        up_y = tax.ancestors_within(y, hypo)
+        up_x = tax.cone(x, hyper)
+        up_y = tax.cone(y, hypo)
         return {c: (up_x[c], up_y[c]) for c in up_x.keys() & up_y.keys()}
 
     a, b = str(a), str(b)
@@ -181,15 +181,14 @@ def test_common_hypernym_with_a_warm_cone_memo():
         assert got == _ref_common_hypernym(a, b, cold, params)
 
 
-def test_ancestors_within_answers_are_the_callers_own(tax):
-    up = tax.ancestors_within("cat", 2)
-    up["cat"] = 9
-    up["intruder"] = 1
-    del up["mammal"]
-    assert tax.ancestors_within("cat", 2) == {"cat": 0, "feline": 1, "mammal": 2}
+def test_cone_is_searched_once_and_shared(tax):
+    up = tax.cone("cat", 2)
+    assert up == {"cat": 0, "feline": 1, "mammal": 2}
+    assert tax.cone("cat", 2) is up
     p = ReduceParams(hypernym_depth=2, hyponym_depth=2)
     assert common_hypernym("cat", "dog", tax, p) == "mammal"
-    assert tax.ancestors_within("cat", 2) is not tax.ancestors_within("cat", 2)
+    assert tax.cone("cat", 2) is up
+    assert tax.cone("cat", 1) == {"cat": 0, "feline": 1}
 
 
 def _ref_reduce_context(ctx, tax, params):
@@ -234,8 +233,7 @@ def _assert_reduction_matches_reference(monkeypatch, make, params):
     want, ref_classified = _ref_reduce_context(ctx, tax, params)
     depth = max(params.hypernym_depth, params.hyponym_depth)
     meeting = [(a, b) for a, b in ref_classified
-               if tax.ancestors_within(a, depth).keys()
-               & tax.ancestors_within(b, depth).keys()]
+               if tax.cone(a, depth).keys() & tax.cone(b, depth).keys()]
 
     classified, searched = [], []
     classify, search = reducer.classify_pair, Taxonomy._search_cone
@@ -257,8 +255,7 @@ def _assert_reduction_matches_reference(monkeypatch, make, params):
     for side in ("objects", "attributes", "incidence"):
         assert np.array_equal(getattr(got.context, side), getattr(want.context, side))
     for lattice in ("original", "reduced"):
-        assert (fca._invariants_json(getattr(got, lattice))
-                == fca._invariants_json(getattr(want, lattice)))
+        assert getattr(got, lattice).invariants == getattr(want, lattice).invariants
     assert classified == meeting
     assert len(searched) == len(set(searched))
     return got, classified
@@ -467,7 +464,7 @@ def _same_lattice(a, b):
     """Equal concepts, covering edges and invariants."""
     return (concept_tuples(a.concepts) == concept_tuples(b.concepts)
             and np.array_equal(a.hasse_edges, b.hasse_edges)
-            and fca._invariants_json(a) == fca._invariants_json(b))
+            and a.invariants == b.invariants)
 
 
 def test_reduce_returns_the_lattices_of_both_contexts(tax):
@@ -518,8 +515,7 @@ def test_fca_suite_reports_invariants_of_both_lattices(tmp_path):
                   quality_floor=0.0)
     _, _, lat_orig, lat_red = reduce_context(
         ctx, load_taxonomy(config["tax"]), ReduceParams(quality_floor=0.0))
-    want_orig = fca._invariants_json(lat_orig)
-    want_red = fca._invariants_json(lat_red)
+    want_orig, want_red = lat_orig.invariants, lat_red.invariants
     payload = run_fca_suite(**config)
     assert payload["original"] == want_orig and payload["reduced"] == want_red
     assert want_orig != want_red
