@@ -23,6 +23,8 @@ from typing import Optional
 
 import numpy as np
 
+from .measures import as_points
+
 
 @dataclass
 class Dataset:
@@ -171,7 +173,7 @@ def gaussian_blobs(rng, centers, spread, points_per_cluster):
     Returns a Dataset whose true_centroids are the requested centers and
     whose true_labels record each point's source cluster.
     """
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    centers = as_points(centers)
     k, dim = centers.shape
     spreads = np.broadcast_to(np.asarray(spread, dtype=float), (k,))
     counts = np.broadcast_to(np.asarray(points_per_cluster, dtype=int), (k,))

@@ -50,8 +50,7 @@ from .measures import (DISTANCE_CELLS, Clustering, as_points, assign_nearest,
                        group_indices, group_means, intra_cluster,
                        pairwise_min_distance, percentile_ranks, solution_inter)
 from .metrics import quality_report
-from .optimizers import boundary_control
-from .rng import LevyParams, RngStream, levy_step, uniform_matrix
+from .rng import LevyParams, RngStream, boundary_control, levy_step, uniform_matrix
 
 INIT_CLUSTER_CAP = 4096  # most clusters init_assign may form
 _STOP_TOL = 1e-9
@@ -405,8 +404,7 @@ def clustering_two(points, assignment, mo, memo=None):
     memo.
     """
     memo = {} if memo is None else memo
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    mo = np.atleast_2d(np.asarray(mo, dtype=float))
+    points, mo = as_points(points), as_points(mo)
     assignment = np.asarray(assignment, dtype=np.intp)
     if not assignment.size or assignment.max() >= mo.shape[0]:
         raise ValueError("every point needs the id of a row of mo")

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import Clustering, as_points, assign_nearest, group_indices
+from .measures import Clustering, as_points, assign_nearest, group_means
 from .rng import RngStream
 
 MAX_ITERS = 300  # Lloyd iterations after the seeding, at most
@@ -44,7 +44,7 @@ def kmeans_pp_seed(points, k, rng):
     seed) the next seed is drawn uniformly from the not-yet-chosen indices, so
     duplicate-free data with k = N selects each point exactly once.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    points = as_points(points)
     n = points.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, {n}], got {k}")
@@ -79,11 +79,12 @@ def _repair_empty(points, centroids, labels):
 
 
 def _update_means(points, centroids, labels):
-    """Set each nonempty cluster's centroid to its members' mean, in place;
-    the members come from one ``group_indices`` call."""
-    for i, g in enumerate(group_indices(labels, centroids.shape[0])):
-        if g.size:
-            centroids[i] = np.take(points, g, axis=0).mean(axis=0)
+    """Set each nonempty cluster's centroid to its members' mean
+    (``group_means``', the members gathered in one stable sort of the
+    labels), in place; an empty cluster keeps its centroid."""
+    sizes = np.bincount(labels, minlength=centroids.shape[0])
+    members = np.take(points, np.argsort(labels, kind="stable"), axis=0)
+    centroids[sizes > 0] = group_means(members, sizes[sizes > 0])
 
 
 def kmeans(dataset, config):

@@ -1,5 +1,8 @@
 """Shared clustering substrate: intra-cluster cohesion, cross-cluster
-separation, percentile ranks, and the Clustering result record.
+separation, cluster means, percentile ranks, and the Clustering result
+record. ``as_points`` is the one conversion of a Dataset or an array to an
+(N, D) float array, and ``group_means`` the one way a cluster's mean is
+taken, by ECA*, k-means and the ground truth of the metrics alike.
 
 A partition is held as one member layout: a stable argsort of its labels,
 cut into one ascending member-index array per cluster (``group_indices``).
@@ -21,6 +24,8 @@ from it in the last bits above that.
 from dataclasses import dataclass
 
 import numpy as np
+
+from .stats import average_ranks
 
 DISTANCE_CELLS = 1 << 19  # distances held at once by a blocked distance kernel
 
@@ -45,7 +50,7 @@ def intra_cluster(points):
     """
     from scipy.spatial.distance import cdist, pdist
 
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    points = as_points(points)
     n = points.shape[0]
     if n == 0:
         raise ValueError("intra_cluster of an empty cluster is undefined")
@@ -63,15 +68,20 @@ def intra_cluster(points):
 
 
 def group_means(members, sizes):
-    """Mean of each run of ``sizes[i]`` consecutive rows of ``members``.
+    """Mean of each run of ``sizes[i]`` consecutive rows of ``members``,
+    equal to the run's ``.mean(axis=0)`` bit for bit, apart from the sign of
+    a zero.
 
-    Each run is summed row by row in order, one ``bincount`` per column, as
-    ``run.mean(axis=0)`` sums a run of two or more columns; so for D >= 2 the
-    means equal the per-run ``.mean(axis=0)`` bit for bit, apart from the sign
-    of a zero. With one column ``.mean`` sums pairwise, and a run of eight or
-    more rows may differ from it in the last bits.
+    With two or more columns ``.mean`` sums a run row by row in order, and so
+    do the ``bincount`` calls here, one per column, for all runs at once.
+    With one column ``.mean`` sums pairwise, which only a run's own
+    ``.mean`` reproduces, so each run takes its own.
     """
     sizes = np.asarray(sizes)
+    if members.shape[1] == 1:
+        ends = np.cumsum(sizes).tolist()
+        return np.array([members[e - m:e].mean(axis=0)
+                         for e, m in zip(ends, sizes.tolist())]).reshape(-1, 1)
     labels = np.repeat(np.arange(sizes.size), sizes)
     sums = np.empty((sizes.size, members.shape[1]))
     for j in range(members.shape[1]):
@@ -108,15 +118,13 @@ def solution_inter(points, groups):
 
 
 def percentile_ranks(values):
-    """Vectorized percentile rank of each value within its own sample."""
+    """Percentile rank of each value within its own sample, 100 (r - 1/2) / n
+    for its tie-averaged rank r (``stats.average_ranks``): the share of the
+    sample below it plus half the share equal to it."""
     v = np.asarray(values, dtype=float).ravel()
     if v.size == 0:
         raise ValueError("percentile_ranks of an empty sample is undefined")
-    order = np.argsort(v, kind="stable")
-    sorted_v = v[order]
-    less = np.searchsorted(sorted_v, v, side="left")
-    upto = np.searchsorted(sorted_v, v, side="right")
-    return 100.0 * (less + 0.5 * (upto - less)) / v.size
+    return 100.0 * (average_ranks(v) - 0.5) / v.size
 
 
 def pairwise_min_distance(A, B):
@@ -129,8 +137,7 @@ def pairwise_min_distance(A, B):
     """
     from scipy.spatial.distance import cdist
 
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
+    A, B = as_points(A), as_points(B)
     if A.shape[0] == 0 or B.shape[0] == 0:
         raise ValueError("pairwise_min_distance requires nonempty inputs")
     rows = max(1, DISTANCE_CELLS // B.shape[0])
@@ -143,8 +150,7 @@ def assign_nearest(points, centroids):
     toward the lower index)."""
     from scipy.spatial.distance import cdist
 
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    centroids = np.atleast_2d(np.asarray(centroids, dtype=float))
+    points, centroids = as_points(points), as_points(centroids)
     if centroids.shape[0] == 0:
         raise ValueError("assign_nearest requires at least one centroid")
     return cdist(points, centroids).argmin(axis=1)

@@ -8,7 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from .measures import Clustering, as_points, assign_nearest, group_indices
+from .measures import Clustering, as_points, assign_nearest, group_means
 
 SSE_OPT = 0.001  # the target SSE of the epsilon ratio
 
@@ -27,7 +27,7 @@ def sse(dataset, clustering):
     """Sum of squared distances from each point to its own cluster centroid."""
     points = as_points(dataset)
     labels = np.asarray(clustering.assignment)
-    centroids = np.atleast_2d(np.asarray(clustering.centroids, dtype=float))
+    centroids = as_points(clustering.centroids)
     diffs = points - np.take(centroids, labels, axis=0)
     return float(np.einsum("ij,ij->", diffs, diffs))
 
@@ -53,8 +53,7 @@ def centroid_index(solution_centroids, gt_centroids):
     two directional orphan counts, so it is symmetric and zero only when the
     sets cover each other one-to-one.
     """
-    A = np.atleast_2d(np.asarray(solution_centroids, dtype=float))
-    B = np.atleast_2d(np.asarray(gt_centroids, dtype=float))
+    A, B = as_points(solution_centroids), as_points(gt_centroids)
     if A.shape[0] == 0 or B.shape[0] == 0:
         raise ValueError("centroid_index requires two nonempty centroid sets")
 
@@ -134,18 +133,18 @@ def nmi(labels_a, labels_b):
 def _truth(points, gt_centroids, gt_labels):
     """The ground truth as a Clustering. Given labels, their ids, however
     numbered, become 0..m-1 in ascending order (one ``np.unique`` pass), and
-    the centroids are the label means unless m centroids were given; given
-    centroids alone, each point takes its nearest centroid's label."""
+    the centroids are the label means (``group_means``') unless m centroids
+    were given; given centroids alone, each point takes its nearest
+    centroid's label."""
+    if gt_centroids is not None:
+        gt_centroids = as_points(gt_centroids)
     if gt_labels is None:
-        gt_centroids = np.atleast_2d(np.asarray(gt_centroids, dtype=float))
         return Clustering(assignment=assign_nearest(points, gt_centroids),
                           centroids=gt_centroids)
     uniq, gt_labels = np.unique(np.asarray(gt_labels).ravel(), return_inverse=True)
-    if gt_centroids is not None:
-        gt_centroids = np.atleast_2d(np.asarray(gt_centroids, dtype=float))
     if gt_centroids is None or gt_centroids.shape[0] != uniq.size:
-        gt_centroids = np.vstack([np.take(points, g, axis=0).mean(axis=0)
-                                  for g in group_indices(gt_labels, uniq.size)])
+        members = np.take(points, np.argsort(gt_labels, kind="stable"), axis=0)
+        gt_centroids = group_means(members, np.bincount(gt_labels))
     return Clustering(assignment=gt_labels, centroids=gt_centroids)
 
 

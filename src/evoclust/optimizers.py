@@ -14,7 +14,11 @@ single run is a stack of one.
 Every run is single-threaded and fully determined by its seed; repetitions
 use independently seeded streams, and each run draws from its own stream
 exactly what it would draw alone, so a run's results do not depend on the
-runs beside it.
+runs beside it. The stacked uniform draw and the out-of-bounds redraw,
+``uniform_stack`` and ``boundary_control``, live in ``rng``, which ECA*
+shares. This module binds ``boundary_control`` and its steps call it by that
+name, so a tracer or a test that swaps ``optimizers.boundary_control`` sees
+every optimizer's redraw.
 """
 
 import math
@@ -25,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from . import benchmarks
-from .rng import RngStream, permute, standard_normal, stream_for_run, uniform
+from .rng import RngStream, boundary_control, permute, stream_for_run, uniform_stack
 
 ALGORITHMS = ("bsa", "de", "pso", "abc", "ff")
 
@@ -82,15 +86,6 @@ class RunResult:
 
 # ------------------------------------------------------------ stack helpers
 
-def _uniform_stack(rngs, low, up, shape):
-    """An (L, *shape) array of U[low, up) draws, run r's drawn from
-    ``rngs[r]`` as ``uniform_matrix`` would draw them."""
-    U = np.empty((len(rngs), *shape))
-    for r, rng in enumerate(rngs):
-        rng.generator.random(out=U[r])
-    return low + (up - low) * U
-
-
 def _evaluate(fn, X):
     """Objective values of a stack of populations (..., n, D), in one batch."""
     return benchmarks.evaluate_batch(fn, X.reshape(-1, X.shape[-1])).reshape(X.shape[:-1])
@@ -127,7 +122,7 @@ def bsa_init(fn, dim, low, up, config, rngs):
     """Draw both populations of every run uniformly in bounds: ``(P, fP,
     Pold)``, where each run draws its P and then its Pold, and only P is
     evaluated."""
-    both = _uniform_stack(rngs, low, up, (2, config.population_size, dim))
+    both = uniform_stack(rngs, low, up, (2, config.population_size, dim))
     P, Pold = both[:, 0], both[:, 1]
     return P, _evaluate(fn, P), Pold
 
@@ -139,7 +134,7 @@ def bsa_selection1(P, Pold, rngs):
     adopt = np.empty(L, dtype=bool)
     order = np.empty((L, n), dtype=np.intp)
     for r, rng in enumerate(rngs):
-        adopt[r] = uniform(rng, 0.0, 1.0) < uniform(rng, 0.0, 1.0)
+        adopt[r] = rng.generator.random() < rng.generator.random()
         order[r] = permute(rng, n)
     source = np.where(adopt[:, None, None], P, Pold)
     return source[np.arange(L)[:, None], order]
@@ -162,7 +157,7 @@ def bsa_crossover(P, Mutant, rngs):
     share, keys = np.empty((L, n)), np.empty((L, n, d))
     cols = np.empty((L, n), dtype=np.intp)
     for r, rng in enumerate(rngs):
-        many[r] = uniform(rng, 0.0, 1.0) < uniform(rng, 0.0, 1.0)
+        many[r] = rng.generator.random() < rng.generator.random()
         if many[r]:
             rng.generator.random(out=share[r])
             rng.generator.random(out=keys[r])
@@ -175,24 +170,6 @@ def bsa_crossover(P, Mutant, rngs):
     mutate[np.flatnonzero(many)[:, None, None], np.arange(n)[:, None], order] = \
         np.arange(d) < k[..., None]
     return np.where(mutate, Mutant, P)
-
-
-def boundary_control(T, low, up, rngs):
-    """Regenerate every out-of-bounds coordinate uniformly within its bounds;
-    in-bounds entries are untouched.
-
-    ``rngs`` holds one stream per run of a stack T (L, ...), each drawing
-    for its own run's out-of-bounds coordinates in row-major order; a list
-    of one stream draws for all of T."""
-    T = np.asarray(T, dtype=float)
-    low, up = np.asarray(low, dtype=float), np.asarray(up, dtype=float)
-    mask = (T < low) | (T > up)
-    if not mask.any():
-        return T
-    counts = mask.reshape(len(rngs), -1).sum(axis=1)
-    draws = np.zeros(T.shape)
-    draws[mask] = np.concatenate([r.generator.random(c) for r, c in zip(rngs, counts) if c])
-    return np.where(mask, low + (up - low) * draws, T)
 
 
 def bsa_selection2(P, fP, T, fT):
@@ -216,7 +193,7 @@ def _run_bsa(fn, dim, low, up, config, rngs):
         keep = yield fP, P
         rngs, P, fP, Pold = _leave(keep, rngs, P, fP, Pold)
         Pold = bsa_selection1(P, Pold, rngs)
-        F = 3.0 * np.array([standard_normal(rng) for rng in rngs])
+        F = 3.0 * np.array([rng.generator.standard_normal() for rng in rngs])
         trial = bsa_crossover(P, bsa_mutation(P, Pold, F[:, None, None]), rngs)
         T = boundary_control(trial, low, up, rngs)
         P, fP = bsa_selection2(P, fP, T, _evaluate(fn, T))
@@ -244,7 +221,7 @@ def de_picks(rngs, n):
 def _run_de(fn, dim, low, up, config, rngs):
     n = config.population_size
     rows = np.arange(n)
-    X = _uniform_stack(rngs, low, up, (n, dim))
+    X = uniform_stack(rngs, low, up, (n, dim))
     fx = _evaluate(fn, X)
     while True:
         keep = yield fx, X
@@ -268,7 +245,7 @@ def _run_de(fn, dim, low, up, config, rngs):
 
 def _run_pso(fn, dim, low, up, config, rngs):
     n = config.population_size
-    X = _uniform_stack(rngs, low, up, (n, dim))
+    X = uniform_stack(rngs, low, up, (n, dim))
     V = np.zeros_like(X)
     fx = _evaluate(fn, X)
     pbest, pf = X.copy(), fx.copy()
@@ -279,7 +256,7 @@ def _run_pso(fn, dim, low, up, config, rngs):
         keep = yield fx, X
         rngs, X, V, fx, pbest, pf, gbest, gf = _leave(keep, rngs, X, V, fx, pbest, pf, gbest, gf)
         runs = np.arange(len(rngs))
-        r = _uniform_stack(rngs, 0.0, 1.0, (2, n, dim))  # each run's r1, then its r2
+        r = uniform_stack(rngs, 0.0, 1.0, (2, n, dim))  # each run's r1, then its r2
         r1, r2 = r[:, 0], r[:, 1]
         V = (PSO_W * V + PSO_C1 * r1 * (pbest - X)
              + PSO_C2 * r2 * (gbest[:, None] - X))
@@ -385,7 +362,7 @@ def _run_abc(fn, dim, low, up, config, rngs):
     one source per run, the one with the most failed trials, turns scout
     per iteration. The iteration's scouts are evaluated in one batch."""
     n_food = max(2, config.population_size // 2)
-    X = _uniform_stack(rngs, low, up, (n_food, dim))
+    X = uniform_stack(rngs, low, up, (n_food, dim))
     fx = _evaluate(fn, X)
     trial = np.zeros(fx.shape, dtype=int)
     while True:
@@ -396,7 +373,7 @@ def _run_abc(fn, dim, low, up, config, rngs):
         scouts = np.flatnonzero(trial[np.arange(len(rngs)), worst] > ABC_LIMIT)
         if scouts.size:
             worst = worst[scouts]
-            X[scouts, worst] = _uniform_stack([rngs[s] for s in scouts], low, up, (dim,))
+            X[scouts, worst] = uniform_stack([rngs[s] for s in scouts], low, up, (dim,))
             fx[scouts, worst] = benchmarks.evaluate_batch(fn, X[scouts, worst])
             trial[scouts, worst] = 0
 
@@ -442,7 +419,7 @@ def _run_ff(fn, dim, low, up, config, rngs):
     Each group draws into one buffer, reused by every group and iteration
     and scaled in place into the kicks."""
     n = config.population_size
-    X = _uniform_stack(rngs, low, up, (n, dim))
+    X = uniform_stack(rngs, low, up, (n, dim))
     fx = _evaluate(fn, X)
     group = _group_size(n * n * dim)
     noise = np.empty((min(group, len(rngs)), n, n, dim))

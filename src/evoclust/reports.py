@@ -29,18 +29,9 @@ OUT_DIR_ENV = "EVOCLUST_OUT_DIR"
 SIG_DIGITS = 4  # significant digits of the human CSV flavor
 
 
-def fmt_sig(value):
-    """Scientific notation with ``SIG_DIGITS`` significant digits: 1.092E+02."""
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return str(value)
-    v = float(value)
-    return f"{v:.{SIG_DIGITS - 1}E}"
-
-
 def fmt_full(value):
-    """Full-precision text that re-parses to the identical float."""
+    """Full-precision text that re-parses to the identical float; None is
+    empty and a bool its name."""
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -48,6 +39,14 @@ def fmt_full(value):
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return repr(float(value))
+
+
+def fmt_sig(value):
+    """Scientific notation with ``SIG_DIGITS`` significant digits: 1.092E+02;
+    None and a bool as ``fmt_full`` writes them."""
+    if value is None or isinstance(value, bool):
+        return fmt_full(value)
+    return f"{float(value):.{SIG_DIGITS - 1}E}"
 
 
 def scrub_timing(obj):
@@ -60,12 +59,15 @@ def scrub_timing(obj):
     return obj
 
 
+def _routed(path):
+    """Where an output path lands: a relative path in $EVOCLUST_OUT_DIR when
+    it is set (joining an absolute path keeps it as it is)."""
+    return Path(os.environ.get(OUT_DIR_ENV) or "", path)
+
+
 def resolve_out(path):
-    """Relative output paths land in $EVOCLUST_OUT_DIR when it is set."""
-    path = Path(path)
-    base = os.environ.get(OUT_DIR_ENV)
-    if base and not path.is_absolute():
-        path = Path(base) / path
+    """The routed output path, its directory made."""
+    path = _routed(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -90,6 +92,14 @@ def write_csv(path, header, rows, human=False):
         for row in rows:
             writer.writerow([v if isinstance(v, str) else fmt(v) for v in row])
     return path
+
+
+def _check_tables_out(out):
+    """Refuse, before a suite runs, an ``out`` that ends in .json: the JSON
+    that ``_write_tables`` writes beside the CSV at ``out`` would replace it."""
+    if out and Path(out).suffix == ".json":
+        raise ValueError(f"out {str(out)!r} ends in .json, so the JSON written beside "
+                         "the CSV would overwrite it; give the CSV path")
 
 
 def _write_tables(payload, out, tables, human=False):
@@ -152,6 +162,7 @@ def run_bench_suite(algos=("bsa",), functions=("all",), dim=2,
     ``settings`` are ``OptimizerConfig`` fields (population_size,
     max_iterations, runs, success_tolerance)."""
     opt = OptimizerConfig(**settings)
+    _check_tables_out(out)
     bounds = None if range_name == "default" else RANGES[range_name]
     fn_ids = _bench_functions(functions)
     algos = _bench_algos(algos)
@@ -317,6 +328,7 @@ def run_cluster_suite(data, algo="eca-star", gt=None, labels=None, runs=30,
     options = _algo_options(algo, options)
     if runs < 1:
         raise ValueError("runs must be >= 1")
+    _check_tables_out(out)
     dataset = load_dataset(data, centroids_path=gt, labels_path=labels)
     # ECA*'s start partitions, cohesions and column sort orders of this
     # dataset's points: every run starts from the same partition, so later
@@ -370,7 +382,11 @@ def run_cluster_suite(data, algo="eca-star", gt=None, labels=None, runs=30,
 def run_fca_suite(ctx, tax, out=None, report=None, **settings):
     """Reduce one context against a taxonomy; emits the reduced context and
     a report with both lattices' invariants, the quality, and the trace.
-    ``settings`` are ``ReduceParams`` fields."""
+    ``settings`` are ``ReduceParams`` fields. ``out`` and ``report`` must
+    not land on one path."""
+    if out and report and _routed(out).resolve() == _routed(report).resolve():
+        raise ValueError(f"out and report both land on {str(_routed(out))!r}; "
+                         "give them different paths")
     context = fca.read_cxt(ctx)
     taxonomy = reducer.load_taxonomy(tax)
     params = reducer.ReduceParams(**settings)
@@ -426,6 +442,7 @@ def run_report(in_path, compare, metric="iters", alpha=0.05, out=None):
     holding what ``metric`` compares; both algorithms must differ and have
     runs in it, and ``alpha`` must lie in (0, 1)."""
     check_alpha(alpha)
+    _check_tables_out(out)
     data = json.loads(Path(in_path).read_text())
     detail = data.get("detail", []) if isinstance(data, dict) else None
     if not (isinstance(detail, list) and all(isinstance(b, dict) for b in detail)):

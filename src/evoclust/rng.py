@@ -3,6 +3,12 @@
 All stochastic behavior flows through an RngStream so that a (seed, call
 sequence) pair fully determines every result. The underlying generator is
 numpy's PCG64, pinned by name so reference sequences stay reproducible.
+
+Scalar draws read a stream's ``generator`` directly. The array draws that
+more than one algorithm makes live here: uniform draws for one stream or for
+a stack of runs with one stream each (``uniform_matrix``, ``uniform_stack``),
+the out-of-bounds redraw of the optimizers and of ECA*'s mut-over
+(``boundary_control``), Levy steps and permutations.
 """
 
 from dataclasses import dataclass
@@ -25,7 +31,7 @@ class RngStream:
         if not 0 <= seed < 2**64:
             raise ValueError("seed must be an unsigned 64-bit integer")
         self.seed = seed
-        self.generator = np.random.Generator(np.random.PCG64(seed))
+        self.generator = np.random.Generator(getattr(np.random, GENERATOR_NAME)(seed))
 
     def __repr__(self):
         return f"RngStream(seed={self.seed})"
@@ -50,25 +56,41 @@ class LevyParams:
             raise ValueError("scale must be non-negative")
 
 
-def uniform(rng, low, up):
-    """One draw from U[low, up). Degenerate interval returns low exactly."""
-    if low > up:
-        raise ValueError(f"invalid bounds: low={low} > up={up}")
-    return low + (up - low) * rng.generator.random()
+def uniform_stack(rngs, low, up, shape):
+    """An (L, *shape) array of U[low, up) draws, layer r drawn from
+    ``rngs[r]`` into one buffer; low/up may be arrays that broadcast against
+    ``shape``. A degenerate interval gives low exactly."""
+    low, up = np.asarray(low, dtype=float), np.asarray(up, dtype=float)
+    if np.any(low > up):
+        raise ValueError("invalid bounds: low > up")
+    U = np.empty((len(rngs), *shape))
+    for r, rng in enumerate(rngs):
+        rng.generator.random(out=U[r])
+    return low + (up - low) * U
 
 
 def uniform_matrix(rng, low, up, shape):
-    """Array of U[low, up) draws; low/up may be per-column vectors."""
-    low = np.asarray(low, dtype=float)
-    up = np.asarray(up, dtype=float)
-    if np.any(low > up):
-        raise ValueError("invalid bounds: low > up")
-    return low + (up - low) * rng.generator.random(shape)
+    """A ``shape`` array of U[low, up) draws from one stream: the one layer
+    of ``uniform_stack([rng], ...)``."""
+    return uniform_stack([rng], low, up, shape)[0]
 
 
-def standard_normal(rng):
-    """One N(0, 1) variate."""
-    return float(rng.generator.standard_normal())
+def boundary_control(T, low, up, rngs):
+    """Regenerate every out-of-bounds coordinate uniformly within its bounds;
+    in-bounds entries are untouched.
+
+    ``rngs`` holds one stream per run of a stack T (L, ...), each drawing
+    for its own run's out-of-bounds coordinates in row-major order; a list
+    of one stream draws for all of T."""
+    T = np.asarray(T, dtype=float)
+    low, up = np.asarray(low, dtype=float), np.asarray(up, dtype=float)
+    mask = (T < low) | (T > up)
+    if not mask.any():
+        return T
+    counts = mask.reshape(len(rngs), -1).sum(axis=1)
+    draws = np.zeros(T.shape)
+    draws[mask] = np.concatenate([r.generator.random(c) for r, c in zip(rngs, counts) if c])
+    return np.where(mask, low + (up - low) * draws, T)
 
 
 def levy_step(rng, params):
@@ -80,7 +102,7 @@ def levy_step(rng, params):
     if params.scale == 0:
         return 0.0
     if params.alpha == 2.0:
-        return params.scale * standard_normal(rng)
+        return params.scale * rng.generator.standard_normal()
     alpha = params.alpha
     num = gamma(1 + alpha) * sin(pi * alpha / 2)
     den = gamma((1 + alpha) / 2) * alpha * 2 ** ((alpha - 1) / 2)

@@ -86,7 +86,7 @@ def wilcoxon_signed_rank(a, b, alpha=0.05):
     n = d.size
     if n == 0:
         return WilcoxonResult(0.0, 0.0, 1.0, "tie", 0, True)
-    ranks = _average_ranks(np.abs(d))
+    ranks = average_ranks(np.abs(d))
     r_plus = float(ranks[d > 0].sum())
     r_minus = float(ranks[d < 0].sum())
     if n <= EXACT_LIMIT:
@@ -114,7 +114,7 @@ def check_alpha(alpha):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
 
 
-def _average_ranks(x):
+def average_ranks(x):
     """1-based ranks of ``x``; each run of tied values gets the mean of its
     ranks (``scipy.stats.rankdata``'s "average" method, same values and dtype)."""
     order = np.argsort(x, kind="stable")

@@ -134,6 +134,25 @@ def bench_json(tmp_path, capsys):
     return tmp_path / "b.json"
 
 
+@pytest.mark.parametrize("command", ["bench-opt", "cluster", "report"])
+def test_an_out_that_is_its_own_json_path_is_refused_before_any_run(
+        blob_file, bench_json, tmp_path, capsys, monkeypatch, command):
+    """The JSON lands at ``--out`` with the suffix .json; an ``--out`` that
+    ends in .json is that path itself, the main CSV's, and is refused before
+    anything runs or is written."""
+    for name in ("run_repetitions", "load_dataset"):
+        monkeypatch.setattr(f"evoclust.reports.{name}",
+                            lambda *a, **k: pytest.fail("ran before the --out check"))
+    data, _ = blob_file
+    argv = {"bench-opt": ["bench-opt", "--algo", "bsa", "--fn", "F14", "--runs", "2"],
+            "cluster": ["cluster", "--algo", "km", "--k", "2", "--data", str(data)],
+            "report": ["report", "--in", str(bench_json), "--compare", "bsa,de"]}[command]
+    assert cli.main(argv + ["--out", str(tmp_path / "out" / "r.json")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == "ValueError"
+    assert not (tmp_path / "out").exists()
+
+
 def test_report_compares_from_bench_json(bench_json, tmp_path, capsys):
     rc = cli.main(["report", "--in", str(bench_json),
                    "--compare", "bsa,de", "--metric", "value",
@@ -431,6 +450,28 @@ def test_fca_reduce_rejects_negative_counts(tmp_path, capsys, counts, line):
     assert "count must be >= 0" in err["message"]
     assert not (tmp_path / "red.cxt").exists()
     assert not (tmp_path / "rep.json").exists()
+
+
+@pytest.mark.parametrize("routed", [False, True])
+def test_fca_reduce_refuses_out_and_report_on_one_path(tmp_path, capsys, monkeypatch,
+                                                      routed):
+    """Two spellings of one path, or a relative ``--out`` that
+    $EVOCLUST_OUT_DIR routes onto ``--report``, are refused before anything
+    is written."""
+    ctx, tax = _toy_fca(tmp_path)
+    target = tmp_path / "routed" / "same.out"
+    if routed:
+        monkeypatch.setenv("EVOCLUST_OUT_DIR", str(tmp_path / "routed"))
+        out = "same.out"
+    else:
+        monkeypatch.delenv("EVOCLUST_OUT_DIR", raising=False)
+        out = str(tmp_path / "routed" / "sub" / ".." / "same.out")
+    before = sorted(tmp_path.rglob("*"))
+    assert cli.main(["fca-reduce", "--ctx", ctx, "--tax", tax, "--out", out,
+                     "--report", str(target)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == "ValueError"
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_fca_reduce_missing_context_names_the_path(tmp_path, capsys):

@@ -70,6 +70,15 @@ def test_package_import_skips_scipy_stats_and_optimize():
     assert _python(code).strip() == ""
 
 
+def test_clusterer_import_skips_the_optimizer_toolkit():
+    """ECA* takes its boundary redraw from ``rng``, not from ``optimizers``."""
+    code = ("import sys\n"
+            "import evoclust.ecastar\n"
+            "print(' '.join(m for m in ('evoclust.optimizers', 'evoclust.benchmarks')\n"
+            "               if m in sys.modules))\n")
+    assert _python(code).strip() == ""
+
+
 def test_bench_opt_loads_no_scipy():
     assert _scipy_loaded("bench-opt", "--algo", "bsa,de", "--fn", "F14",
                          "--runs", "2", "--iters", "5") == []

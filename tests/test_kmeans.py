@@ -33,6 +33,37 @@ def test_k_equals_n_gives_zero_sse():
     assert len(set(res.assignment.tolist())) == 4
 
 
+@pytest.mark.parametrize("d", [2, 5])
+def test_centroids_are_each_clusters_mean_bit_for_bit(d):
+    """Each nonempty cluster's centroid is its members' ``.mean(axis=0)``
+    bit for bit."""
+    rng = np.random.Generator(np.random.PCG64(40 + d))
+    for trial in range(20):
+        n = int(rng.integers(5, 300))
+        k = int(rng.integers(1, min(n, 12) + 1))
+        points = rng.normal(scale=50.0, size=(n, d)) + 3.0
+        init = "plusplus" if trial % 2 else "random"
+        res = kmeans(_toy(points), KmConfig(k=k, seed=trial, init=init))
+        for i in range(k):
+            members = points[res.assignment == i]
+            if members.size:
+                assert res.centroids[i].tobytes() == members.mean(axis=0).tobytes()
+
+
+def test_update_keeps_the_centroid_of_a_cluster_left_empty():
+    """Reseeding empty cluster 2 with the point farthest from its own
+    centroid takes cluster 1's only member; the update then leaves
+    cluster 1's centroid where it was and moves the others to their means."""
+    points = np.array([[0.0, 0.0], [0.0, 1.0], [10.0, 0.0]])
+    centroids = np.array([[0.0, 0.5], [-20.0, 0.0], [5.0, 5.0]])
+    centroids, labels = kmeans_module._repair_empty(points, centroids, np.array([0, 0, 1]))
+    assert labels.tolist() == [0, 0, 2]
+    kmeans_module._update_means(points, centroids, labels)
+    assert centroids[0].tobytes() == points[:2].mean(axis=0).tobytes()
+    assert centroids[1].tolist() == [-20.0, 0.0]
+    assert centroids[2].tolist() == [10.0, 0.0]
+
+
 def _brute_best_sse(points, k):
     """Exact optimum by enumerating assignments (tiny n only)."""
     n = len(points)

@@ -212,9 +212,8 @@ def test_solution_inter_matches_pair_loop():
 @pytest.mark.parametrize("d", [1, 2, 10])
 def test_solution_inter_matches_the_list_form(d):
     # member indices in any order and with empty ids between them; coincident
-    # points on the grid layouts. Means summed row by row equal .mean's for
-    # D >= 2, so the score is the list form's bit for bit; with one column
-    # .mean sums pairwise and the score may move in its last bits
+    # points on the grid layouts. The means are .mean's bit for bit at every
+    # D, and so is the score
     rng = np.random.Generator(np.random.PCG64(60 + d))
     for trial in range(80):
         n = int(rng.integers(1, 300))
@@ -226,10 +225,7 @@ def test_solution_inter_matches_the_list_form(d):
         groups = group_indices(labels, k)
         want = solution_inter_of_lists([points[g] for g in groups])
         got = solution_inter(points, groups)
-        if d >= 2:
-            assert got == want
-        else:
-            assert got == pytest.approx(want, rel=1e-12)
+        assert got == want
 
 
 @pytest.mark.parametrize("d", [1, 2, 10])
@@ -244,10 +240,7 @@ def test_group_means_equal_each_runs_mean(d):
         want = np.array([members[s:s + m].mean(axis=0) for s, m in zip(starts, sizes)])
         got = group_means(members, sizes)
         assert got.shape == want.shape
-        if d >= 2:
-            assert np.array_equal(got, want)
-        else:
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-9)
+        assert np.array_equal(got, want)
 
 
 def test_percentile_rank_hand_values():

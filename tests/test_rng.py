@@ -1,12 +1,12 @@
-"""Randomness services: pinned generator, uniform/normal draws, Levy steps,
-permutations."""
+"""Randomness services: pinned generator, uniform draws for one stream and
+for a stack of runs, Levy steps, permutations."""
 
 import numpy as np
 import pytest
 
+from evoclust import rng as rng_module
 from evoclust.rng import (GENERATOR_NAME, LevyParams, RngStream, levy_step,
-                          permute, standard_normal, stream_for_run, uniform,
-                          uniform_matrix)
+                          permute, stream_for_run, uniform_matrix, uniform_stack)
 
 # Reference draws for PCG64 seed 42 / seed 123; these freeze the generator
 # choice itself, not just our wrappers.
@@ -23,15 +23,21 @@ def test_generator_is_pinned():
     assert isinstance(RngStream(0).generator.bit_generator, np.random.PCG64)
 
 
+def test_stream_reads_the_generator_name(monkeypatch):
+    """The pin is the constant that streams are built from, not a label."""
+    monkeypatch.setattr(rng_module, "GENERATOR_NAME", "MT19937")
+    assert isinstance(RngStream(0).generator.bit_generator, np.random.MT19937)
+
+
 def test_reference_sequence_uniform():
     rng = RngStream(42)
-    draws = [uniform(rng, 0.0, 1.0) for _ in range(5)]
+    draws = [rng.generator.random() for _ in range(5)]
     assert draws == pytest.approx(PCG64_SEED42_RANDOM5, abs=0.0)
 
 
 def test_reference_sequence_normal():
     rng = RngStream(42)
-    draws = [standard_normal(rng) for _ in range(3)]
+    draws = [rng.generator.standard_normal() for _ in range(3)]
     assert draws == pytest.approx(PCG64_SEED42_NORMAL3, abs=0.0)
 
 
@@ -57,15 +63,15 @@ def test_stream_for_run_offsets_seed():
 
 def test_uniform_bounds_and_scaling():
     rng = RngStream(1)
-    draws = np.array([uniform(rng, -3.0, 7.0) for _ in range(2000)])
+    draws = uniform_matrix(rng, -3.0, 7.0, (2000,))
     assert draws.min() >= -3.0 and draws.max() < 7.0
     assert abs(draws.mean() - 2.0) < 0.2
     with pytest.raises(ValueError):
-        uniform(RngStream(0), 1.0, 0.0)
+        uniform_matrix(RngStream(0), 1.0, 0.0, (1,))
 
 
 def test_uniform_degenerate_interval():
-    assert uniform(RngStream(0), 4.0, 4.0) == 4.0
+    assert np.all(uniform_matrix(RngStream(0), 4.0, 4.0, (3,)) == 4.0)
 
 
 def test_uniform_matrix_shape_and_vector_bounds():
@@ -76,6 +82,20 @@ def test_uniform_matrix_shape_and_vector_bounds():
     assert m[:, 1].min() >= 10.0 and m[:, 1].max() < 20.0
     with pytest.raises(ValueError):
         uniform_matrix(rng, 5.0, 4.0, (2, 2))
+
+
+def test_uniform_stack_layer_is_each_streams_matrix():
+    """Layer r of a stack holds what ``uniform_matrix`` draws from a fresh
+    copy of stream r, whatever the other layers draw."""
+    seeds = [3, 8, 3]
+    low, up = np.array([-1.0, 0.0, 5.0]), np.array([1.0, 0.0, 9.0])
+    stack = uniform_stack([RngStream(s) for s in seeds], low, up, (4, 3))
+    assert stack.shape == (3, 4, 3)
+    for layer, seed in zip(stack, seeds):
+        assert np.array_equal(layer, uniform_matrix(RngStream(seed), low, up, (4, 3)))
+    assert np.all(stack[..., 1] == 0.0)
+    with pytest.raises(ValueError):
+        uniform_stack([RngStream(0)], up, low, (1, 3))
 
 
 def test_levy_params_validation():

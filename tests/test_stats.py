@@ -13,7 +13,7 @@ import pytest
 from scipy.stats import norm, rankdata
 
 from evoclust import stats
-from evoclust.stats import (EXACT_LIMIT, SummaryStats, _average_ranks, success_ratio,
+from evoclust.stats import (EXACT_LIMIT, SummaryStats, average_ranks, success_ratio,
                             summarize, wilcoxon_signed_rank)
 
 
@@ -149,7 +149,7 @@ def test_average_ranks_equal_scipy_rankdata():
         cases.append(np.round(rng.normal(size=n), 1))
         cases.append(rng.random(n))
     for x in cases:
-        got, want = _average_ranks(x), rankdata(x)
+        got, want = average_ranks(x), rankdata(x)
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
 
