@@ -47,7 +47,7 @@ from typing import Optional
 import numpy as np
 
 from .measures import (DISTANCE_CELLS, Clustering, as_points, assign_nearest,
-                       group_indices, group_means, intra_cluster,
+                       finite_points, group_indices, group_means, intra_cluster,
                        pairwise_min_distance, percentile_ranks, solution_inter)
 from .metrics import quality_report
 from .rng import LevyParams, RngStream, boundary_control, levy_step, uniform_matrix
@@ -454,8 +454,9 @@ def run_eca_star(dataset, params, memo=None):
     carries (none for a bare point array). ``memo`` holds cohesions, start
     partitions and column orders already computed on the same points, by
     earlier runs of a suite; without one, the run starts with an empty memo.
+    Points that hold NaN or an infinity are refused with a ValueError.
     """
-    points = as_points(dataset)
+    points = finite_points(dataset)
     rng = RngStream(params.seed)
     low = points.min(axis=0)
     up = points.max(axis=0)

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import Clustering, as_points, assign_nearest, group_means
+from .measures import Clustering, as_points, assign_nearest, finite_points, group_means
 from .rng import RngStream
 
 MAX_ITERS = 300  # Lloyd iterations after the seeding, at most
@@ -89,8 +89,9 @@ def _update_means(points, centroids, labels):
 
 def kmeans(dataset, config):
     """Lloyd iterations from random or D^2-weighted seeds to an assignment
-    fixpoint (or ``MAX_ITERS``)."""
-    points = as_points(dataset)
+    fixpoint (or ``MAX_ITERS``). Points that hold NaN or an infinity are
+    refused with a ValueError."""
+    points = finite_points(dataset)
     n = points.shape[0]
     if config.k > n:
         raise ValueError(f"k={config.k} exceeds the {n} available points")

@@ -1,8 +1,9 @@
 """Shared clustering substrate: intra-cluster cohesion, cross-cluster
 separation, cluster means, percentile ranks, and the Clustering result
 record. ``as_points`` is the one conversion of a Dataset or an array to an
-(N, D) float array, and ``group_means`` the one way a cluster's mean is
-taken, by ECA*, k-means and the ground truth of the metrics alike.
+(N, D) float array (``finite_points`` also refuses NaN and infinities), and
+``group_means`` the one way a cluster's mean is taken, by ECA*, k-means and
+the ground truth of the metrics alike.
 
 A partition is held as one member layout: a stable argsort of its labels,
 cut into one ascending member-index array per cluster (``group_indices``).
@@ -33,6 +34,18 @@ DISTANCE_CELLS = 1 << 19  # distances held at once by a blocked distance kernel
 def as_points(dataset):
     """The (N, D) float points of a Dataset, or of a point array."""
     return np.atleast_2d(np.asarray(getattr(dataset, "points", dataset), dtype=float))
+
+
+def finite_points(dataset):
+    """``as_points``, refusing with a ValueError points that hold NaN or an
+    infinity: the clusterers' entry check, as ``load_dataset``'s is the
+    CLI's."""
+    points = as_points(dataset)
+    bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
+    if bad.size:
+        raise ValueError(f"point {bad[0]} has a non-finite coordinate: "
+                         f"{points[bad[0]].tolist()}")
+    return points
 
 
 def intra_cluster(points):

@@ -11,14 +11,15 @@ iteration within tolerance of the minimum; a run that stops leaves the
 stack. ``run_repetitions`` runs all of a cell's repetitions as one stack; a
 single run is a stack of one.
 
-Every run is single-threaded and fully determined by its seed; repetitions
-use independently seeded streams, and each run draws from its own stream
-exactly what it would draw alone, so a run's results do not depend on the
-runs beside it. The stacked uniform draw and the out-of-bounds redraw,
-``uniform_stack`` and ``boundary_control``, live in ``rng``, which ECA*
-shares. This module binds ``boundary_control`` and its steps call it by that
-name, so a tracer or a test that swaps ``optimizers.boundary_control`` sees
-every optimizer's redraw.
+Every run is single-threaded and fully determined by its seed: a cell's
+runs share one process, though ``reports.run_bench_suite`` runs its cells on
+several. Repetitions use independently seeded streams, and each run draws
+from its own stream exactly what it would draw alone, so a run's results do
+not depend on the runs beside it. The stacked uniform draw and the
+out-of-bounds redraw, ``uniform_stack`` and ``boundary_control``, live in
+``rng``, which ECA* shares. This module binds ``boundary_control`` and its
+steps call it by that name, so a tracer or a test that swaps
+``optimizers.boundary_control`` sees every optimizer's redraw.
 """
 
 import math
@@ -474,33 +475,37 @@ def _run_batch(algo, fn, config, seeds, dim, bounds):
     fn._check_dim(dim)
     reference = benchmarks.reference_minimum(fn, dim, low, up)
     runs = len(seeds)
-    best_value, best_point = [math.inf] * runs, [None] * runs
-    success_at, wall = [None] * runs, [0.0] * runs
-    live = list(range(runs))
+    # per run: best value and point so far (the point is set once the value
+    # is below +inf), first successful iteration (-1: none yet), wall time
+    best_value, best_point = np.full(runs, math.inf), np.empty((runs, dim))
+    success_at, wall = np.full(runs, -1), np.zeros(runs)
+    live = np.arange(runs)
     last = time.perf_counter()
     rngs = [RngStream(seed) for seed in seeds]
     steps = _RUNNERS[algo](fn, dim, float(low), float(up), config, rngs)
     values, points = next(steps)
     for it in range(config.max_iterations + 1):
-        keep = []
-        for row, r in enumerate(live):
-            i = int(np.argmin(values[row]))
-            if values[row, i] < best_value[r]:
-                best_value[r] = float(values[row, i])
-                best_point[r] = np.array(points[row, i], dtype=float)
-            if success_at[r] is None and abs(best_value[r] - reference) <= config.success_tolerance:
-                success_at[r] = it
-            keep.append(not (STOP_ON_SUCCESS and success_at[r] is not None))
+        rows = np.arange(live.size)
+        i = values.argmin(axis=1)  # a row's first NaN, if it holds one
+        value = values[rows, i]
+        better = value < best_value[live]  # False for NaN
+        best_value[live[better]] = value[better]
+        best_point[live[better]] = points[rows[better], i[better]]
+        hit = (success_at[live] < 0) & (np.abs(best_value[live] - reference)
+                                        <= config.success_tolerance)
+        success_at[live[hit]] = it
+        stays = ~(STOP_ON_SUCCESS & (success_at[live] >= 0))
         now = time.perf_counter()
-        for r in live:
-            wall[r] += (now - last) / len(live)
+        wall[live] += (now - last) / live.size
         last = now
-        live = [r for r, stays in zip(live, keep) if stays]
-        if not live or it == config.max_iterations:
+        live = live[stays]
+        if not live.size or it == config.max_iterations:
             break
-        values, points = steps.send(None if len(live) == len(keep) else keep)
-    return [RunResult(algo, fn.id, dim, int(seed), best_value[r], best_point[r],
-                      success_at[r], success_at[r] is not None, wall[r], reference)
+        values, points = steps.send(None if stays.all() else stays)
+    return [RunResult(algo, fn.id, dim, int(seed), float(best_value[r]),
+                      best_point[r].copy() if best_value[r] < math.inf else None,
+                      int(success_at[r]) if success_at[r] >= 0 else None,
+                      bool(success_at[r] >= 0), float(wall[r]), reference)
             for r, seed in enumerate(seeds)]
 
 

@@ -11,6 +11,8 @@ byte-comparing reports.
 import csv
 import json
 import os
+import sys
+import threading
 import time
 from pathlib import Path
 
@@ -117,6 +119,132 @@ def _write_tables(payload, out, tables, human=False):
     return payload
 
 
+# ------------------------------------------------------------ worker pool
+#
+# The claims pipe holds the indices of a call's items, 4 little-endian bytes
+# each; a process claims an item by reading its index.
+
+def _worker_count(cells):
+    """How many processes run a suite's ``cells`` cells: one per usable CPU,
+    at most one per cell, and one alone where ``os.fork`` is missing or more
+    than one thread runs, since a forked child gets only the calling thread
+    and no lock another thread holds is ever released in it."""
+    if cells < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, cells)
+
+
+def _claim(task, items, claims, parent=None):
+    """Run ``task`` on the items whose indices this process reads from the
+    pipe ``claims``, one index at a time, until the pipe is empty or a task
+    raises; a task that raises empties the pipe, so that no process starts
+    another item. A child passes its ``parent``'s pid and claims nothing
+    more once that process has died. Returns index -> (True, result) or
+    (False, exception)."""
+    done = {}
+    while (parent is None or os.getppid() == parent) and (index := os.read(claims, 4)):
+        i = int.from_bytes(index, "little")
+        try:
+            done[i] = (True, task(items[i]))
+        except BaseException as exc:  # handed to _pooled_map, which raises it
+            done[i] = (False, exc)
+            _drain(claims)
+            break
+    return done
+
+
+def _drain(claims):
+    """Read the claims pipe empty."""
+    while os.read(claims, 4096):
+        pass
+
+
+def _child(task, items, claims, out, inherited, parent):
+    """A forked worker's whole life: close the ``inherited`` descriptors it
+    does not use, claim items while ``parent`` lives, send what ``_claim``
+    returns pickled down ``out``, and leave through ``os._exit``, so that no
+    exit handler or test teardown inherited from the parent runs here. It
+    prints nothing."""
+    code = 1
+    try:
+        import pickle
+
+        for fd in inherited:
+            os.close(fd)
+        done = _claim(task, items, claims, parent)
+        for i, (ok, exc) in done.items():
+            if not ok:
+                try:
+                    pickle.loads(pickle.dumps(exc))
+                except Exception:  # an exception that does not survive pickling
+                    done[i] = (False, RuntimeError(f"{type(exc).__name__}: {exc}"))
+        with os.fdopen(out, "wb") as fh:
+            pickle.dump(done, fh)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _pooled_map(task, items):
+    """``[task(item) for item in items]``, run on ``_worker_count(len(items))``
+    processes: this one and forked children. Each process claims the next
+    unclaimed item whenever it finishes one, the children send their results
+    back pickled, and the results are returned in the items' order. When
+    items raise, the first of them in order raises here with its type and
+    message (from a child, an exception that does not pickle comes back as a
+    RuntimeError naming both). Every child is reaped before this returns or
+    raises."""
+    workers = _worker_count(len(items))
+    if workers == 1:
+        return [task(item) for item in items]
+    import pickle
+
+    # every index is written before any worker reads, so the pipe's buffer
+    # must hold them all: 64 KiB on Linux hold 16,384, and a suite has at
+    # most one cell per catalog function and algorithm, 80
+    claims, claims_in = os.pipe()
+    os.write(claims_in, b"".join(i.to_bytes(4, "little") for i in range(len(items))))
+    os.close(claims_in)
+    sys.stdout.flush()  # so that no child inherits output still to be written
+    sys.stderr.flush()
+    parent = os.getpid()
+    children, pipes = [], {}  # pids not yet reaped; pid -> read end of its results
+    try:
+        for _ in range(workers - 1):
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _child(task, items, claims, write_end, (read_end, *pipes.values()), parent)
+            children.append(pid)
+            pipes[pid] = read_end
+            os.close(write_end)
+        done = _claim(task, items, claims)
+        for pid in list(pipes):
+            with os.fdopen(pipes.pop(pid), "rb") as fh:
+                sent = fh.read()
+            children.remove(pid)
+            _, status = os.waitpid(pid, 0)
+            if status:  # a child exits 0 only once all its results are sent
+                raise ChildProcessError(f"worker process {pid} ended without its "
+                                        f"results (wait status {status})")
+            done.update(pickle.loads(sent))
+    finally:
+        _drain(claims)
+        os.close(claims)
+        for fd in pipes.values():
+            os.close(fd)
+        for pid in children:
+            os.waitpid(pid, 0)
+    failed = [i for i, (ok, _) in done.items() if not ok]
+    if failed:
+        raise done[min(failed)][1]
+    return [done[i][1] for i in range(len(items))]
+
+
 # ------------------------------------------------------------ bench suite
 
 def _first_seen(items, what):
@@ -160,7 +288,13 @@ def run_bench_suite(algos=("bsa",), functions=("all",), dim=2,
     """Optimize every requested function with every requested algorithm and
     aggregate stats, pairwise rank tests, and the success/failure table.
     ``settings`` are ``OptimizerConfig`` fields (population_size,
-    max_iterations, runs, success_tolerance)."""
+    max_iterations, runs, success_tolerance).
+
+    Each (function, algorithm) cell is one ``run_repetitions`` call. The
+    cells run on every usable CPU (see ``_pooled_map``), and the results come
+    back in serial order, function-major and then algorithm, so every output
+    byte but the wall-clock fields is that of one process running the cells
+    one after another."""
     opt = OptimizerConfig(**settings)
     _check_tables_out(out)
     bounds = None if range_name == "default" else RANGES[range_name]
@@ -168,35 +302,38 @@ def run_bench_suite(algos=("bsa",), functions=("all",), dim=2,
     algos = _bench_algos(algos)
     suite_start = time.perf_counter()
 
+    def run_cell(cell):
+        fn, algo = cell
+        return run_repetitions(algo, fn, opt, seed, dim=_usable_dim(fn, dim),
+                               bounds=bounds)
+
+    cells = [(benchmarks.get_function(fid), algo) for fid in fn_ids for algo in algos]
     stats_rows = []
     runs_payload = []
     runs_by = {}
     success_counts = {a: {} for a in algos}
-    for fid in fn_ids:
-        fn = benchmarks.get_function(fid)
-        for algo in algos:
-            results = run_repetitions(algo, fn, opt, seed, dim=_usable_dim(fn, dim),
-                                      bounds=bounds)
-            it_stats = summarize(results, metric="iters")
-            val_stats = summarize(results, metric="value")
-            success_counts[algo][fid] = it_stats.n_success
-            stats_rows.append([
-                fid, fn.name, algo, results[0].dim,
-                results[0].reference_min,
-                it_stats.n_success, it_stats.n_failure,
-                it_stats.mean, it_stats.sd, it_stats.best, it_stats.worst,
-                val_stats.mean, val_stats.sd, val_stats.best, val_stats.worst,
-                it_stats.mean_exec_time,
-            ])
-            runs = [{"seed": r.seed, "succeeded": r.succeeded,
-                     "iterations_to_success": r.iterations_to_success,
-                     "best_value": r.best_value, "run_time_s": r.wall_time}
-                    for r in results]
-            runs_by[(fid, algo)] = runs
-            runs_payload.append({
-                "function": fid, "algo": algo, "dim": results[0].dim,
-                "reference_min": results[0].reference_min, "runs": runs,
-            })
+    for (fn, algo), results in zip(cells, _pooled_map(run_cell, cells)):
+        fid = fn.id
+        it_stats = summarize(results, metric="iters")
+        val_stats = summarize(results, metric="value")
+        success_counts[algo][fid] = it_stats.n_success
+        stats_rows.append([
+            fid, fn.name, algo, results[0].dim,
+            results[0].reference_min,
+            it_stats.n_success, it_stats.n_failure,
+            it_stats.mean, it_stats.sd, it_stats.best, it_stats.worst,
+            val_stats.mean, val_stats.sd, val_stats.best, val_stats.worst,
+            it_stats.mean_exec_time,
+        ])
+        runs = [{"seed": r.seed, "succeeded": r.succeeded,
+                 "iterations_to_success": r.iterations_to_success,
+                 "best_value": r.best_value, "run_time_s": r.wall_time}
+                for r in results]
+        runs_by[(fid, algo)] = runs
+        runs_payload.append({
+            "function": fid, "algo": algo, "dim": results[0].dim,
+            "reference_min": results[0].reference_min, "runs": runs,
+        })
 
     pair_rows = [_pairwise_row(fid, a, b, runs_by[(fid, a)], runs_by[(fid, b)])
                  for fid in fn_ids

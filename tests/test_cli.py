@@ -2,12 +2,15 @@
 
 import dataclasses
 import json
+import os
+import threading
+import time
 import warnings
 
 import numpy as np
 import pytest
 
-from evoclust import benchmarks, cli, reports
+from evoclust import benchmarks, cli, optimizers, reports
 from evoclust.datasets import gaussian_blobs, save_points
 from evoclust.ecastar import EcaParams
 from evoclust.fca import FormalContext, build_lattice, read_cxt, write_cxt
@@ -797,3 +800,215 @@ def test_suites_reject_unknown_keywords(blob_file, tmp_path, monkeypatch):
     ctx, tax = _toy_fca(tmp_path)
     with pytest.raises(TypeError, match="hyper_depth"):
         reports.run_fca_suite(ctx, tax, hyper_depth=2)
+
+
+# ------------------------------------------------------ cells on workers
+# bench-opt runs its (function, algorithm) cells on every usable CPU, this
+# process and forked children; these tests claim two CPUs, so that the
+# children are forked on any machine
+
+OPT_PROTOCOL = ["--algo", "all", "--fn", "F1,F7,F11,F14", "--dim", "10", "--pop", "30",
+                "--tol", "1e-06", "--runs", "3", "--iters", "25"]
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert reports._worker_count(5) == 2
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _bench_outputs(tmp_path, name, argv, capsys):
+    """A bench-opt call's scrubbed JSON and its CSVs, the stats CSV without
+    its wall-clock column."""
+    out = tmp_path / name / "b.csv"
+    assert cli.main(["bench-opt", *argv, "--out", str(out)]) == 0
+    capsys.readouterr()
+    texts = {p.name: p.read_text() for p in sorted(out.parent.iterdir())}
+    payload = scrub_timing(json.loads(texts.pop("b.json")))
+    stats = [row.split(",") for row in texts.pop("b.csv").splitlines()]
+    assert stats[0][-1] == "mean_exec_time_s"
+    return payload, [row[:-1] for row in stats], texts
+
+
+@pytest.mark.parametrize("argv", [
+    ["--algo", "all", "--fn", "F14,F1", "--runs", "4", "--iters", "40", "--tol", "1e-3"],
+    OPT_PROTOCOL], ids=["F14-F1", "opt-protocol"])
+@pytest.mark.parametrize("seed", ["1", "1009"])
+def test_pooled_and_serial_suites_write_the_same_bytes(tmp_path, monkeypatch, capsys,
+                                                       two_cpus, argv, seed):
+    pooled = _bench_outputs(tmp_path, "pooled", [*argv, "--seed", seed], capsys)
+    _no_child_left()
+    monkeypatch.setattr(reports, "_worker_count", lambda cells: 1)
+    serial = _bench_outputs(tmp_path, "serial", [*argv, "--seed", seed], capsys)
+    assert pooled == serial
+    assert [(b["function"], b["algo"]) for b in pooled[0]["detail"]] == [
+        (f, a) for f in pooled[0]["config"]["functions"] for a in ALGORITHMS]
+
+
+def _where_cells_run(monkeypatch, tmp_path):
+    """Have every cell log the pid that runs it, with its function and
+    algorithm, to a file, the cells of this process after a pause, so that a
+    child claims some of them; returns a reader of the log as it stands."""
+    parent, log = os.getpid(), tmp_path / "cells.log"
+    real = reports.run_repetitions
+
+    def logged(algo, fn, *args, **kwargs):
+        if os.getpid() == parent:
+            time.sleep(0.2)
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {fn.id} {algo}\n")
+        return real(algo, fn, *args, **kwargs)
+
+    monkeypatch.setattr(reports, "run_repetitions", logged)
+    return lambda: [(int(pid), fid, algo)
+                    for pid, fid, algo in map(str.split, log.read_text().splitlines())]
+
+
+@pytest.mark.parametrize("name,value", [("STOP_ON_SUCCESS", False), ("ABC_LIMIT", 0)])
+def test_patched_optimizer_constants_reach_the_workers(tmp_path, monkeypatch, two_cpus,
+                                                       name, value):
+    argv = dict(algos=["bsa", "abc", "de"], functions=["F14"], runs=3,
+                max_iterations=30, success_tolerance=1e-3, seed=2)
+    plain = scrub_timing(reports.run_bench_suite(**argv))
+    monkeypatch.setattr(optimizers, name, value)
+    where = _where_cells_run(monkeypatch, tmp_path)
+    pooled = scrub_timing(reports.run_bench_suite(**argv))
+    _no_child_left()
+    in_child = {(fid, algo) for pid, fid, algo in where() if pid != os.getpid()}
+    assert ("F14", "abc") in in_child  # the cell both constants change
+    monkeypatch.setattr(reports, "_worker_count", lambda cells: 1)
+    assert pooled == scrub_timing(reports.run_bench_suite(**argv))
+    moved = {(b["function"], b["algo"]) for b, p in zip(pooled["detail"], plain["detail"])
+             if b != p}
+    assert ("F14", "abc") in moved
+
+
+def test_a_cell_that_raises_in_a_worker_fails_the_call_cleanly(tmp_path, monkeypatch,
+                                                               capsys, two_cpus):
+    parent = os.getpid()
+    where = _where_cells_run(monkeypatch, tmp_path)
+    logged = reports.run_repetitions
+
+    def fails_in_a_child(algo, fn, *args, **kwargs):
+        result = logged(algo, fn, *args, **kwargs)
+        if os.getpid() != parent:
+            raise ValueError(f"no {algo} on {fn.id} here")
+        return result
+
+    monkeypatch.setattr(reports, "run_repetitions", fails_in_a_child)
+    out = tmp_path / "out" / "b.csv"
+    argv = ["bench-opt", "--algo", "bsa,de", "--fn", "F14,F1", "--runs", "2",
+            "--iters", "5", "--out", str(out)]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "ValueError" and err["message"] in (
+        "no de on F14 here", "no bsa on F1 here", "no de on F1 here")
+    assert {pid == parent for pid, _, _ in where()} == {True, False}
+    assert not out.parent.exists()
+    _no_child_left()
+
+
+def _raise(item):
+    if item == "keyboard":
+        raise KeyboardInterrupt("stopped")
+    if item == "local":
+        class Local(Exception):  # no pickle can find this class by name
+            pass
+        raise Local("not importable")
+    if isinstance(item, int) and item % 3 == 2:
+        raise KeyError(f"item {item}")
+    return item
+
+
+@pytest.mark.parametrize("items,raised,message", [
+    ([0, 1, 2, 3, 4, 5, 6, 7, 8], KeyError, "'item 2'"),
+    ([0, "keyboard", 1], KeyboardInterrupt, "stopped"),
+    ([0, "local"], RuntimeError, "Local: not importable")])
+def test_the_first_failing_item_raises_with_its_type_and_message(monkeypatch, two_cpus,
+                                                                 items, raised, message):
+    parent = os.getpid()
+
+    def task(item):
+        if os.getpid() == parent:  # a child claims every item but the first
+            time.sleep(0.2)
+        return _raise(item)
+
+    with pytest.raises(raised) as info:
+        reports._pooled_map(task, items)
+    assert str(info.value) == message
+    _no_child_left()
+    assert reports._pooled_map(task, [0, 1, 3, 4]) == [0, 1, 3, 4]
+    _no_child_left()
+
+
+def test_a_worker_that_dies_fails_the_call(two_cpus):
+    parent = os.getpid()
+
+    def task(item):
+        if os.getpid() != parent:
+            os._exit(3)  # as a worker killed mid-cell
+        time.sleep(0.2)
+        return item
+
+    with pytest.raises(ChildProcessError, match="ended without its results"):
+        reports._pooled_map(task, [0, 1, 2])
+    _no_child_left()
+
+
+def _claims_pipe(n):
+    claims, claims_in = os.pipe()
+    os.write(claims_in, b"".join(i.to_bytes(4, "little") for i in range(n)))
+    os.close(claims_in)
+    return claims
+
+
+def test_a_child_claims_nothing_once_its_parent_has_died():
+    ran = []
+    for parent, want in ((os.getppid(), [10, 11, 12]), (-1, [])):
+        claims = _claims_pipe(3)
+        try:
+            done = reports._claim(ran.append, [10, 11, 12], claims, parent)
+        finally:
+            os.close(claims)
+        assert sorted(done) == list(range(len(want))) and ran == want
+        ran.clear()
+
+
+def _fork_refused():
+    pytest.fail("forked")
+
+
+@pytest.mark.parametrize("case", ["one-cell", "one-cpu", "no-fork", "a-second-thread"])
+def test_bench_forks_nothing_where_it_runs_serially(tmp_path, monkeypatch, capsys, case):
+    argv = ["bench-opt", "--algo", "bsa,de", "--fn", "F14", "--runs", "2", "--iters", "5"]
+    if case == "one-cell":
+        argv[2] = "bsa"
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    elif case == "one-cpu":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(os, "fork", _fork_refused)
+    if case == "no-fork":
+        monkeypatch.delattr(os, "fork")
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait, args=(30,))
+    if case == "a-second-thread":
+        waiter.start()
+    try:
+        assert cli.main([*argv, "--out", str(tmp_path / "b.csv")]) == 0
+    finally:
+        release.set()
+        if case == "a-second-thread":
+            waiter.join(30)
+            assert not waiter.is_alive()
+    capsys.readouterr()
+    assert (tmp_path / "b.json").exists()

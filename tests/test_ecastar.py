@@ -876,3 +876,11 @@ def test_run_two_line_blobs_any_seed(seed):
     result, report = run_eca_star(ds, EcaParams(seed=seed))
     assert result.k == 2
     assert report.nmi == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_run_eca_star_refuses_non_finite_points(bad):
+    points = np.array([[0.0, 0.0], [1.0, 1.0], [bad, 2.0], [3.0, 3.0]])
+    for given in (points, Dataset(points)):
+        with pytest.raises(ValueError, match="point 2 has a non-finite coordinate"):
+            run_eca_star(given, EcaParams(seed=1))

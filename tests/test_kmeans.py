@@ -199,3 +199,13 @@ def test_plusplus_beats_or_ties_random_usually():
         for s in range(40)
     )
     assert wins >= 28  # seeded starts dominate on separated blobs
+
+
+@pytest.mark.parametrize("init", ["random", "plusplus"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_kmeans_refuses_non_finite_points(init, bad):
+    points = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
+    points[2, 1] = bad
+    for given in (points, Dataset(points)):
+        with pytest.raises(ValueError, match="point 2 has a non-finite coordinate"):
+            kmeans(given, KmConfig(k=2, seed=1, init=init))

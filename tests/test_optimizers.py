@@ -572,6 +572,93 @@ def test_ff_lockstep_splits_each_step_over_its_live_runs(monkeypatch):
     assert sum(r.wall_time for r in batch) == pytest.approx(max(last) + 1)
 
 
+def _spotty_runner(fn, dim, low, up, config, rngs):
+    """A runner whose values come from each run's own stream: |N(0, 3)|
+    rounded to tenths, so that values often tie at different points, with a
+    NaN in a fifth of the rows, a row all NaN in a twentieth, and every
+    value NaN for a stream whose seed is 0."""
+    n = config.population_size
+    while True:
+        values = np.empty((len(rngs), n))
+        points = np.empty((len(rngs), n, dim))
+        for r, rng in enumerate(rngs):
+            g = rng.generator
+            values[r] = np.round(np.abs(3.0 * g.standard_normal(n)), 1)
+            points[r] = g.standard_normal((n, dim))
+            spot, u = g.integers(n), g.random()
+            if u < 0.2:
+                values[r, spot] = np.nan
+            if u < 0.05 or rng.seed == 0:
+                values[r] = np.nan
+        keep = yield values, points
+        if keep is not None:
+            rngs = [rng for rng, stays in zip(rngs, keep) if stays]
+
+
+def _run_batch_reference(fn, config, seeds, dim, reference):
+    """``_run_batch``'s run loop as it was, one run at a time in Python: the
+    reference that its array bookkeeping must equal bit for bit."""
+    runs = len(seeds)
+    best_value, best_point = [math.inf] * runs, [None] * runs
+    success_at, wall = [None] * runs, [0.0] * runs
+    live = list(range(runs))
+    last = optimizers.time.perf_counter()
+    steps = _spotty_runner(fn, dim, fn.low, fn.up, config,
+                           [RngStream(seed) for seed in seeds])
+    values, points = next(steps)
+    for it in range(config.max_iterations + 1):
+        keep = []
+        for row, r in enumerate(live):
+            i = int(np.argmin(values[row]))
+            if values[row, i] < best_value[r]:
+                best_value[r] = float(values[row, i])
+                best_point[r] = np.array(points[row, i], dtype=float)
+            if success_at[r] is None and abs(best_value[r] - reference) <= config.success_tolerance:
+                success_at[r] = it
+            keep.append(not (optimizers.STOP_ON_SUCCESS and success_at[r] is not None))
+        now = optimizers.time.perf_counter()
+        for r in live:
+            wall[r] += (now - last) / len(live)
+        last = now
+        live = [r for r, stays in zip(live, keep) if stays]
+        if not live or it == config.max_iterations:
+            break
+        values, points = steps.send(None if len(live) == len(keep) else keep)
+    return [(best_value[r], best_point[r], success_at[r], wall[r]) for r in range(runs)]
+
+
+@pytest.mark.parametrize("stop", [True, False])
+def test_run_loop_bookkeeping_equals_the_per_run_loop(monkeypatch, stop):
+    """Best value and point, first success and wall-time split, with NaN in
+    some rows, whole rows of NaN and a run that only ever sees NaN (whose
+    best point stays None)."""
+    monkeypatch.setattr(optimizers, "_RUNNERS", {"bsa": _spotty_runner})
+    monkeypatch.setattr(optimizers, "STOP_ON_SUCCESS", stop)
+    fn = get_function("F1")
+    cfg = OptimizerConfig(population_size=12, max_iterations=40, success_tolerance=1e-2)
+    seeds = [0, *range(3, 40, 3)]
+
+    def clocked(run, *args):
+        """``run(*args)`` on a clock whose steps shrink, and its reads."""
+        clock = iter(range(10**6))
+        monkeypatch.setattr(optimizers, "time",
+                            SimpleNamespace(perf_counter=lambda: next(clock) ** 0.5))
+        return run(*args), next(clock)
+
+    want, reads = clocked(_run_batch_reference, fn, cfg, seeds, 3, fn.global_min(3))
+    results, got_reads = clocked(optimizers._run_batch, "bsa", fn, cfg, seeds, 3, None)
+    got = [(r.best_value, r.best_point, r.iterations_to_success, r.wall_time)
+           for r in results]
+    assert got_reads == reads
+    assert want[0][1] is None and want[0][0] == math.inf
+    successes = [w[2] for w in want]
+    assert None in successes and len(set(successes) - {None}) >= 3
+    for (wv, wp, ws, wt), (gv, gp, gs, gt) in zip(want, got):
+        assert type(gv) is float and gv.hex() == wv.hex()
+        assert (gp is None) if wp is None else gp.tobytes() == wp.tobytes()
+        assert gs == ws and type(gt) is float and gt == wt
+
+
 # ------------------------------------------------------- ABC phases
 
 def _abc_moves_reference(fn, X, fx, trial, n_on, low, up, rng):
