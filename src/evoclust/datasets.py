@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .measures import as_points
+from .measures import as_points, check_span
 
 
 @dataclass
@@ -121,18 +121,6 @@ def load_labels(path):
     return flat.astype(np.int64)
 
 
-def _check_span(source, low, high, n):
-    """Refuse the box [low, high] when n times the squared length of its
-    diagonal overflows. That squared length is the largest squared distance
-    between two points of the box, so the product bounds every sum of n
-    squared distances within it: each SSE and k-means++ weight total."""
-    with np.errstate(over="ignore"):
-        bound = n * np.sum(np.square(high - low))
-    if not np.isfinite(bound):
-        raise ValueError(f"{source}: coordinates span too wide a range: a sum of "
-                         f"{n} squared distances between points would overflow")
-
-
 def load_dataset(path, centroids_path=None, labels_path=None):
     """Load a dataset with optional ground-truth centroids and labels.
 
@@ -141,7 +129,7 @@ def load_dataset(path, centroids_path=None, labels_path=None):
     path = Path(path)
     points = load_points(path)
     low, high = points.min(axis=0), points.max(axis=0)
-    _check_span(path, low, high, len(points))
+    check_span(path, low, high, len(points))
     centroids = None
     if centroids_path is not None:
         centroids = load_points(centroids_path)
@@ -149,7 +137,7 @@ def load_dataset(path, centroids_path=None, labels_path=None):
             raise ValueError(
                 f"{centroids_path}: centroid dimension {centroids.shape[1]} "
                 f"does not match data dimension {points.shape[1]}")
-        _check_span(centroids_path, np.minimum(low, centroids.min(axis=0)),
+        check_span(centroids_path, np.minimum(low, centroids.min(axis=0)),
                     np.maximum(high, centroids.max(axis=0)), len(points))
     labels = None
     if labels_path is not None:

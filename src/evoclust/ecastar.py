@@ -7,19 +7,28 @@ centroids (mut-over), reassignment, and a minimum-distance merge of clusters
 that touch (clustering II). Iteration stops when the cohesion/separation
 fingerprint of the partition stops moving, or at the cycle cap.
 
+Clustering II tests spatial neighbours: the k - 1 edges of a minimum
+spanning tree over the clusters' member means (Zahn's rule for cluster
+adjacency), grown from cluster 0 by Prim's algorithm with the lower id
+taken on ties. Index order is the percentile grid's mixed-radix cell order,
+not spatial order, so pieces of one blob can hold ids far apart; the tree
+lets them merge, and runs settle. k only shrinks from the start partition's
+cluster count.
+
 A cycle computes only the values it reads. Clustering I scores the
 separation of both candidate partitions, but their per-cluster cohesions
 only when the historical one separates better, the one case in which
 mut-over adopts the mutant and reads them. Clustering II bounds both sides
-of each merge test before it computes either: the gap between the two
-clusters' bounding boxes is a lower bound on their closest cross distance,
-and a bound from the members' distances to their mean is an upper bound on
-each cohesion. A pair whose box gap exceeds the larger upper bound is ruled
-out with no cohesion computed; otherwise the cohesions are computed, and the
-cross distances are scanned only when the box gap does not exceed the larger
-of them. The stop test compares the sorted cohesions of two consecutive
-partitions only when their cluster counts and separations already agree and
-their member sets differ: equal member sets have equal cohesions.
+of each tree edge's merge test before it computes either: the gap between
+the two clusters' bounding boxes is a lower bound on their closest cross
+distance, and a bound from the members' distances to their mean is an upper
+bound on each cohesion. An edge whose box gap exceeds the larger upper bound
+is ruled out with no cohesion computed; otherwise the cohesions are
+computed, and the cross distances are scanned only when the box gap does not
+exceed the larger of them. The stop test compares the sorted cohesions of
+two consecutive partitions only when their cluster counts and separations
+already agree and their member sets differ: equal member sets have equal
+cohesions.
 
 The same member sets recur within a run: a partition is scored by the
 centroid candidates of clustering I, by the merge radii of clustering II, by
@@ -34,9 +43,10 @@ per suite.
 
 Each partition is held as one member layout: a stable argsort of its ids,
 cut into one member-index array per cluster. Renumbering, density folding,
-quartiles, separation and merging are whole-array passes; the Python loops
-left are the merge tests and memo lookups, one per adjacent pair or
-cluster, and mut-over's Levy draws, one per cluster.
+quartiles, separation and the merge bounds are whole-array passes; the
+Python loops left are the spanning tree's steps and merge tests, one per
+tree edge, the memo lookups, one per cluster, and mut-over's Levy draws,
+one per cluster.
 """
 
 import hashlib
@@ -240,29 +250,68 @@ def _touches(points, g_i, g_j, gap, upper, memo):
                                       np.take(points, g_j, axis=0)) <= radius)
 
 
-def _merge_bounds(points, groups):
-    """Both bounds of the merge tests, from one gather of the members sorted
-    by group (every group nonempty).
+def _spanning_tree(means):
+    """The k - 1 edges of a minimum spanning tree over the rows of ``means``,
+    as (tails, heads) index arrays in the order the tree grows.
 
-    - The distance between the bounding boxes of each adjacent pair of
-      groups (0 where the boxes meet): a lower bound on the pair's closest
-      cross distance. The boxes come from one reduceat.
+    Prim's algorithm, one row of squared mean distances per step, so memory
+    stays O(k). The tree starts from row 0. The next row is the one outside
+    the tree nearest to it, the lower id on ties; it attaches to the tree
+    row that first reached that distance (each row's distance to the tree
+    moves only when a new tree row is strictly nearer). A distance that is
+    inf or nan, from an overflow, never counts as reached: a row that no
+    tree row reaches attaches to row 0, and such rows are taken last, lowest
+    id first, so the tree spans every row whatever the means.
+    """
+    k = means.shape[0]
+    best = np.full(k, np.inf)  # each row's squared distance to the tree
+    via = np.zeros(k, dtype=np.intp)  # the tree row that first reached it
+    outside = np.ones(k, dtype=bool)
+    heads = np.empty(k - 1, dtype=np.intp)
+    node = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(k - 1):
+            outside[node] = False
+            best[node] = np.inf
+            d = ((means - means[node]) ** 2).sum(axis=1)
+            closer = (d < best) & outside
+            best[closer] = d[closer]
+            via[closer] = node
+            node = int(best.argmin())
+            if not outside[node]:  # no row outside the tree is reached
+                node = int(outside.argmax())
+            heads[step] = node
+    return via[heads], heads
+
+
+def _merge_bounds(points, groups):
+    """The edges that clustering II tests, with both bounds of each test,
+    from one gather of the members sorted by group (every group nonempty).
+
+    - The edges of ``_spanning_tree`` over the members' means, as one
+      reduceat sums them, so that each group is tested against its spatial
+      neighbours.
+    - The distance between the bounding boxes of each edge's two groups (0
+      where the boxes meet): a lower bound on the pair's closest cross
+      distance. The boxes come from one reduceat each, and the gaps of all
+      edges from one array operation over the edges.
     - An upper bound on each group's cohesion, ``intra_cluster`` of its
       members. With c any point, m1 and m2 the mean of |x - c| and of
       |x - c|^2 over the n members, the triangle inequality bounds the mean
       pair distance by 2 m1, and Jensen's inequality with the mean's least
       sum of squares bounds it by sqrt(2n / (n - 1) m2). Here c is the
-      members' mean as one reduceat sums it (the bounds need no exact
-      mean), and the smaller bound, raised by ``_COHESION_RTOL`` to cover
-      rounding, is returned; a singleton's is 0.
+      members' mean (the bounds need no exact mean), and the smaller bound,
+      raised by ``_COHESION_RTOL`` to cover rounding, is returned; a
+      singleton's is 0.
+
+    Returns the (tails, heads) edge arrays, the gap per edge and the upper
+    bound per group.
     """
     sizes = np.fromiter(map(len, groups), dtype=np.intp, count=len(groups))
     starts = np.cumsum(sizes) - sizes
     members = np.take(points, np.concatenate(groups), axis=0)
     lo = np.minimum.reduceat(members, starts, axis=0)
     hi = np.maximum.reduceat(members, starts, axis=0)
-    apart = np.maximum(0.0, np.maximum(lo[1:] - hi[:-1], lo[:-1] - hi[1:]))
-    gaps = np.sqrt((apart ** 2).sum(axis=1))
     # an overflow makes a bound inf or nan, and neither rules a pair out
     with np.errstate(over="ignore", invalid="ignore"):
         centres = np.add.reduceat(members, starts, axis=0) / sizes[:, None]
@@ -271,7 +320,10 @@ def _merge_bounds(points, groups):
         m1, m2 = (np.add.reduceat(np.column_stack((np.sqrt(squares), squares)),
                                   starts, axis=0) / sizes[:, None]).T
         upper = np.minimum(2.0 * m1, np.sqrt(2.0 * sizes / np.maximum(sizes - 1, 1) * m2))
-    return gaps, upper * (1 + _COHESION_RTOL)
+    tails, heads = _spanning_tree(centres)
+    apart = np.maximum(0.0, np.maximum(lo[heads] - hi[tails], lo[tails] - hi[heads]))
+    gaps = np.sqrt((apart ** 2).sum(axis=1))
+    return (tails, heads), gaps, upper * (1 + _COHESION_RTOL)
 
 
 def _induced(points, centroids):
@@ -383,19 +435,26 @@ def mut_over(state, rng):
 def clustering_two(points, assignment, mo, memo=None):
     """Merge clusters whose gap is no larger than either one's spread.
 
-    Adjacent live pairs (i, i+1) are tested on a snapshot: with Dmin the
-    closest cross-cluster point distance and R each cluster's mean intra
+    The pairs tested are the k - 1 edges of a minimum spanning tree over the
+    live clusters' member means (``_spanning_tree``: grown from cluster 0,
+    the nearest cluster outside the tree next, the lower id on ties,
+    attached to the tree cluster that first reached that distance), so each
+    cluster is tested against its spatial neighbours, as in Zahn's graph
+    rule for gestalt clusters. Each edge is decided on a snapshot: with Dmin
+    the closest cross-cluster point distance and R each cluster's mean intra
     distance, the pair merges when min(Dmin - R_i, Dmin - R_j) <= 0, that is
-    when Dmin <= max(R_i, R_j). Merged centroids are the size-weighted mean
-    of the members' centroids.
+    when Dmin <= max(R_i, R_j). The merged edges join clusters into
+    components, numbered in the order of their lowest cluster ids; a merged
+    centroid is the size-weighted mean of its clusters' centroids, added in
+    cluster order.
 
     One pass over the members sorted by cluster bounds both sides of each
-    test (``_merge_bounds``): the gap between the pair's bounding boxes
-    bounds Dmin from below, and the members' spread about their mean bounds
-    each R from above. A pair whose box gap exceeds the larger upper bound
-    is ruled out without computing R; otherwise both R are computed, and
-    Dmin is scanned only when the box gap does not exceed max(R_i, R_j).
-    Every decision is the one the exact test makes.
+    edge's test (``_merge_bounds``): the gap between the two clusters'
+    bounding boxes bounds Dmin from below, and the members' spread about
+    their mean bounds each R from above. An edge whose box gap exceeds the
+    larger upper bound is ruled out without computing R; otherwise both R
+    are computed, and Dmin is scanned only when the box gap does not exceed
+    max(R_i, R_j). Every decision is the one the exact test makes.
 
     Cohesions are looked up in ``memo``, keyed by member indices, and
     computed only when missing, so for as long as one memo lives each
@@ -410,16 +469,23 @@ def clustering_two(points, assignment, mo, memo=None):
         raise ValueError("every point needs the id of a row of mo")
     live, assignment, groups = _compact(assignment)
     mo = mo[live]
-    gaps, upper = _merge_bounds(points, groups)
-    upper = np.maximum(upper[:-1], upper[1:]).tolist()
-    merged = [_touches(points, groups[i], groups[i + 1], gaps[i], upper[i], memo)
-              for i in range(len(groups) - 1)]
-    # merges join only neighbours, so each merged cluster is a run of ids:
-    # cluster i goes to the count of runs that start at or before it, less one
-    new_id = np.cumsum(np.logical_not([False] + merged)) - 1
+    k = len(groups)
+    (tails, heads), gaps, upper = _merge_bounds(points, groups)
+    upper = np.maximum(upper[tails], upper[heads]).tolist()
+    # a tail joins the tree before its head, so its component is already
+    # known when the head joins it
+    root = list(range(k))
+    for t, h, gap, bound in zip(tails.tolist(), heads.tolist(), gaps.tolist(), upper):
+        if _touches(points, groups[t], groups[h], gap, bound, memo):
+            root[h] = root[t]
+    lowest = np.full(k, k)
+    np.minimum.at(lowest, root, np.arange(k))
+    lowest = lowest[root]  # each cluster's lowest id in its component
+    starts = lowest == np.arange(k)
+    new_id = (np.cumsum(starts) - 1)[lowest]
     sizes = np.bincount(assignment).astype(float)
-    new_mo = np.zeros((new_id[-1] + 1, mo.shape[1]))
-    weight = np.zeros(new_id[-1] + 1)
+    new_mo = np.zeros((int(starts.sum()), mo.shape[1]))
+    weight = np.zeros(new_mo.shape[0])
     np.add.at(new_mo, new_id, sizes[:, None] * mo)  # adds in cluster order
     np.add.at(weight, new_id, sizes)
     return new_id[assignment], new_mo / weight[:, None]

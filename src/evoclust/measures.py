@@ -1,9 +1,11 @@
 """Shared clustering substrate: intra-cluster cohesion, cross-cluster
 separation, cluster means, percentile ranks, and the Clustering result
 record. ``as_points`` is the one conversion of a Dataset or an array to an
-(N, D) float array (``finite_points`` also refuses NaN and infinities), and
-``group_means`` the one way a cluster's mean is taken, by ECA*, k-means and
-the ground truth of the metrics alike.
+(N, D) float array (``finite_points`` also refuses NaN, infinities and a
+span whose sums of squared distances overflow, by ``check_span``, the one
+span check, which ``load_dataset`` applies too), and ``group_means`` the one
+way a cluster's mean is taken, by ECA*, k-means and the ground truth of the
+metrics alike.
 
 A partition is held as one member layout: a stable argsort of its labels,
 cut into one ascending member-index array per cluster (``group_indices``).
@@ -36,15 +38,29 @@ def as_points(dataset):
     return np.atleast_2d(np.asarray(getattr(dataset, "points", dataset), dtype=float))
 
 
+def check_span(source, low, high, n):
+    """Refuse the box [low, high] when n times the squared length of its
+    diagonal overflows. That squared length is the largest squared distance
+    between two points of the box, so the product bounds every sum of n
+    squared distances within it: each SSE and k-means++ weight total."""
+    with np.errstate(over="ignore"):
+        bound = n * np.sum(np.square(high - low))
+    if not np.isfinite(bound):
+        raise ValueError(f"{source}: coordinates span too wide a range: a sum of "
+                         f"{n} squared distances between points would overflow")
+
+
 def finite_points(dataset):
     """``as_points``, refusing with a ValueError points that hold NaN or an
-    infinity: the clusterers' entry check, as ``load_dataset``'s is the
-    CLI's."""
+    infinity, or whose span fails ``check_span``: the clusterers' entry
+    check, as ``load_dataset``'s is the CLI's."""
     points = as_points(dataset)
     bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
     if bad.size:
         raise ValueError(f"point {bad[0]} has a non-finite coordinate: "
                          f"{points[bad[0]].tolist()}")
+    if points.size:
+        check_span("points", points.min(axis=0), points.max(axis=0), len(points))
     return points
 
 

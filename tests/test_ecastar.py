@@ -426,17 +426,39 @@ def test_merge_chains_through_adjacent_pairs():
     assert out_mo.shape == (1, 2)
 
 
-def test_merge_only_tests_adjacent_ids():
-    # clusters 0 and 2 interleave but the singleton with id 1 sits far away,
-    # so neither adjacent pair touches and all three survive
+def test_merge_joins_touching_ids_that_are_not_adjacent():
+    # clusters 0 and 2 interleave and the singleton with id 1 sits far away:
+    # the spanning tree over the means tests 0 with 2, which merge, and the
+    # singleton survives
     pts = np.array([[0.0, 0.0], [0.0, 2.0],
                     [100.0, 0.0],
                     [0.0, 2.5], [0.0, 4.5]])
     labels = np.array([0, 0, 1, 2, 2])
     mo = np.array([[0.0, 1.0], [100.0, 0.0], [0.0, 3.5]])
     out_labels, out_mo = clustering_two(pts, labels, mo)
-    assert len(set(out_labels.tolist())) == 3
-    assert out_mo.shape == (3, 2)
+    assert out_labels.tolist() == [0, 0, 1, 0, 0]
+    assert out_mo == pytest.approx(np.array([[0.0, 2.25], [100.0, 0.0]]))
+
+
+def test_spanning_tree_ties_take_the_lower_id_and_the_first_reach():
+    # a unit square: 1 and 2 tie from 0, so 1 joins first; then 2 (from 0)
+    # and 3 (from 1) tie, so 2 joins, from 0; 3 is as near to 2 as to 1, and
+    # keeps 1, which reached it first
+    tails, heads = ecastar._spanning_tree(np.array([[0.0, 0.0], [1.0, 0.0],
+                                                    [0.0, 1.0], [1.0, 1.0]]))
+    assert list(zip(tails.tolist(), heads.tolist())) == [(0, 1), (0, 2), (1, 3)]
+
+
+def test_spanning_tree_spans_means_at_inf_and_nan_distances():
+    means = np.array([[0.0, 0.0], [np.nan, 0.0], [1.0, 1.0],
+                      [np.inf, np.inf], [2.0, 2.0], [1e308, -1e308]])
+    with np.errstate(all="raise"):
+        tails, heads = ecastar._spanning_tree(means)
+    # the rows no tree row reaches attach to row 0, lowest id first
+    assert list(zip(tails.tolist(), heads.tolist())) == [
+        (0, 2), (2, 4), (0, 1), (0, 3), (0, 5)]
+    assert list(zip(tails.tolist(), heads.tolist())) == _tree_pairs(means)
+    assert [a.size for a in ecastar._spanning_tree(np.zeros((1, 2)))] == [0, 0]
 
 
 def test_merge_prunes_unused_centroid_rows():
@@ -456,9 +478,34 @@ def test_merge_rejects_ids_without_a_centroid_row():
             clustering_two(pts[:len(labels)], np.array(labels, dtype=int), mo)
 
 
+def _tree_pairs(means):
+    """The spanning tree's edges by a plain-Python Prim with
+    ``_spanning_tree``'s tie rule: from row 0, the nearest row outside the
+    tree next (the lower id on ties), attached to the tree row that first
+    reached that distance; an inf or nan distance is never reached, and a
+    row that nothing reaches attaches to row 0."""
+    tree, pairs = [0], []
+    while len(tree) < len(means):
+        pick = None
+        for j in range(len(means)):
+            if j in tree:
+                continue
+            dist, via = np.inf, 0
+            for t in tree:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    d = float(((means[j] - means[t]) ** 2).sum())
+                if d < dist:
+                    dist, via = d, t
+            if pick is None or dist < pick[0]:
+                pick = (dist, via, j)
+        tree.append(pick[2])
+        pairs.append(pick[1:])
+    return pairs
+
+
 def _merge_full_scan(points, assignment, mo):
-    """clustering_two with every adjacent pair's cross distances scanned: the
-    reference the box-pruned merge test must agree with."""
+    """clustering_two with every spanning-tree pair's cross distances
+    scanned: the reference the box-pruned merge test must agree with."""
     live, assignment = np.unique(assignment, return_inverse=True)
     mo = mo[live]
     groups = group_indices(assignment, live.size)
@@ -469,11 +516,12 @@ def _merge_full_scan(points, assignment, mo):
             x = parent[x]
         return x
 
-    for i in range(live.size - 1):
-        a, b = points[groups[i]], points[groups[i + 1]]
+    for i, j in _tree_pairs(np.array([points[g].mean(axis=0) for g in groups])):
+        a, b = points[groups[i]], points[groups[j]]
         dmin = pairwise_min_distance(a, b)
         if min(dmin - intra_cluster(a), dmin - intra_cluster(b)) <= 0:
-            parent[find(i + 1)] = find(i)
+            ri, rj = find(i), find(j)
+            parent[max(ri, rj)] = min(ri, rj)
     roots, new_id = np.unique([find(i) for i in range(live.size)], return_inverse=True)
     sizes = np.array([g.size for g in groups], dtype=float)
     new_mo = np.zeros((roots.size, mo.shape[1]))
@@ -546,6 +594,25 @@ def test_box_pruned_merge_with_coincident_points():
     assert got[1].tobytes() == _merge_full_scan(points, labels, mo)[1].tobytes()
 
 
+def test_merge_tests_the_tree_edges_that_ties_pick():
+    # singletons 0, 1 and 2 at (0, 0), (10, 0) and (0, 10), and cluster 3,
+    # the pair (6, 10), (14, 10) with R = 8: the means sit on a square, so
+    # the tree's ties pick the edges (0, 1), (0, 2) and (1, 3). Cluster 3
+    # touches 2 (Dmin 6) but not 1 (Dmin sqrt(116)), and (2, 3) is no edge,
+    # so all four survive
+    for d in (2, 10):
+        points = np.zeros((5, d))
+        points[:, :2] = [[0, 0], [10, 0], [0, 10], [6, 10], [14, 10]]
+        labels = np.array([0, 1, 2, 3, 3])
+        mo = np.array([points[labels == i].mean(axis=0) for i in range(4)])
+        (tails, heads), _, _ = ecastar._merge_bounds(points, group_indices(labels, 4))
+        assert list(zip(tails.tolist(), heads.tolist())) == [(0, 1), (0, 2), (1, 3)]
+        got = clustering_two(points, labels, mo)
+        want = _merge_full_scan(points, labels, mo)
+        assert got[0].tolist() == want[0].tolist() == [0, 1, 2, 3, 3]
+        assert got[1].tobytes() == want[1].tobytes()
+
+
 def _bound_layouts(rng, d):
     """Point sets cut into groups for the cohesion bound: singletons, pairs
     and larger groups of random spread, coincident points, integer grids,
@@ -574,7 +641,7 @@ def test_cohesion_upper_bound_holds(d):
     rng = np.random.Generator(np.random.PCG64(300 + d))
     groups_seen = 0
     for points, groups in _bound_layouts(rng, d):
-        _, upper = ecastar._merge_bounds(points, groups)
+        _, _, upper = ecastar._merge_bounds(points, groups)
         for g, u in zip(groups, upper):
             cohesion = intra_cluster(points[g])
             assert u >= cohesion
@@ -610,13 +677,13 @@ def test_merge_at_the_upper_bound(where, monkeypatch):
     for d in (1, 2, 10):
         cluster = _three_and_one(d, 0.0)[0][:3]
         radius = intra_cluster(cluster)
-        upper = ecastar._merge_bounds(cluster, [np.arange(3)])[1][0]
+        upper = ecastar._merge_bounds(cluster, [np.arange(3)])[2][0]
         assert radius < upper < 2.0
         gap = {"radius": radius, "between": (radius + upper) / 2, "upper": upper,
                "above": upper * (1 + 1e-6)}[where]
         points, labels, mo = _three_and_one(d, gap)
         groups = group_indices(labels, 2)
-        assert ecastar._merge_bounds(points, groups)[0][0] == gap
+        assert ecastar._merge_bounds(points, groups)[1][0] == gap
         del cohesions[:], scans[:]
         got = clustering_two(points, labels, mo)
         want = _merge_full_scan(points, labels, mo)
@@ -850,6 +917,40 @@ def test_run_recovers_four_blobs():
     assert result.assignment.shape == (ds.n,)
 
 
+# layouts that no percentile grid fits: pieces of one blob fall into cells
+# whose ids are not adjacent, and only spatial neighbour merges join them
+_RECOVERY = {
+    "grid16": lambda: gaussian_blobs(
+        RngStream(7), [(10.0 * i, 10.0 * j) for i in range(4) for j in range(4)], 1.0, 60),
+    "four": lambda: gaussian_blobs(
+        RngStream(1), [(0, 0), (12, 0), (0, 12), (12, 12)], 1.0, 100),
+    "five": lambda: gaussian_blobs(
+        RngStream(3), [(0, 0), (15, 2), (3, 14), (16, 15), (30, 7)],
+        [0.6, 1.0, 1.4, 0.8, 1.2], [40, 120, 80, 200, 60]),
+}
+
+
+# grid16 at ranks 5 still collapses to k = 1, and at ranks 3 its 9 start
+# clusters are fewer than its 16 blobs: k only shrinks, so neither is asserted
+@pytest.mark.parametrize("layout, ranks", [("grid16", 8), ("four", 5), ("four", 8),
+                                           ("five", 5), ("five", 8)])
+def test_run_recovers_the_cluster_count_at_a_fixpoint(layout, ranks, monkeypatch):
+    merge, cycles = ecastar.clustering_two, []
+
+    def counted(*args):
+        cycles[-1] += 1
+        return merge(*args)
+
+    monkeypatch.setattr(ecastar, "clustering_two", counted)
+    ds, memo, recovered = _RECOVERY[layout](), {}, 0
+    for seed in range(5):
+        cycles.append(0)
+        _, report = run_eca_star(ds, EcaParams(social_ranks=ranks, max_cycles=50,
+                                               seed=seed), memo)
+        recovered += report.ci == 0 and cycles[-1] < 50
+    assert recovered >= 4, cycles
+
+
 def test_run_is_deterministic():
     rng = RngStream(13)
     ds = gaussian_blobs(rng, centers=[(0, 0), (8, 8)], spread=0.5,
@@ -883,4 +984,12 @@ def test_run_eca_star_refuses_non_finite_points(bad):
     points = np.array([[0.0, 0.0], [1.0, 1.0], [bad, 2.0], [3.0, 3.0]])
     for given in (points, Dataset(points)):
         with pytest.raises(ValueError, match="point 2 has a non-finite coordinate"):
+            run_eca_star(given, EcaParams(seed=1))
+
+
+def test_run_eca_star_refuses_a_span_whose_squared_distances_overflow():
+    points = np.array([[0, 0], [1, 1], [1e308, 1e308], [-1e308, -1e308], [2, 2],
+                       [1e308, -1e308]])
+    for given in (points, Dataset(points)):
+        with pytest.raises(ValueError, match="points: coordinates span too wide"):
             run_eca_star(given, EcaParams(seed=1))

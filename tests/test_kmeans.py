@@ -209,3 +209,12 @@ def test_kmeans_refuses_non_finite_points(init, bad):
     for given in (points, Dataset(points)):
         with pytest.raises(ValueError, match="point 2 has a non-finite coordinate"):
             kmeans(given, KmConfig(k=2, seed=1, init=init))
+
+
+@pytest.mark.parametrize("init", ["random", "plusplus"])
+def test_kmeans_refuses_a_span_whose_squared_distances_overflow(init):
+    points = np.array([[0, 0], [1, 1], [1e308, 1e308], [-1e308, -1e308], [2, 2],
+                       [1e308, -1e308]])
+    for given in (points, Dataset(points)):
+        with pytest.raises(ValueError, match="points: coordinates span too wide"):
+            kmeans(given, KmConfig(k=2, seed=1, init=init))

@@ -2,6 +2,7 @@
 quartiles."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from scipy.spatial.distance import cdist, pdist
 
 from evoclust.measures import (DISTANCE_CELLS, Clustering, assign_nearest,
-                               group_indices, group_means, intra_cluster,
+                               finite_points, group_indices, group_means, intra_cluster,
                                pairwise_min_distance, percentile_ranks,
                                solution_inter)
 
@@ -370,3 +371,16 @@ def test_clustering_record():
     c = Clustering(assignment=np.array([0, 0, 1]),
                    centroids=np.array([[0.0, 0], [5, 5]]))
     assert c.k == 2
+
+
+def test_finite_points_refuses_spans_whose_squared_distance_sums_overflow():
+    # squared distances of about 1.6e308: one fits, a sum of three does not
+    wide = np.array([[0.0], [9e153], [-4e153]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the check itself overflows silently
+        with pytest.raises(ValueError, match="points: coordinates span too wide"):
+            finite_points(wide)
+        with pytest.raises(ValueError, match="points: coordinates span too wide"):
+            finite_points(np.array([[0.0, 0.0], [1e308, 1e308], [-1e308, -1e308]]))
+        assert finite_points(wide[:2]).shape == (2, 1)
+        assert finite_points(np.array([[1e150, -1e150], [-1e150, 1e150]])).shape == (2, 2)
