@@ -4,8 +4,8 @@ One cycle runs four phases: quartile-based centroid formation with density
 pruning (clustering I), an evolutionary centroid update that switches between
 a Levy-scaled mutation and a uniform crossover of current and historical
 centroids (mut-over), reassignment, and a minimum-distance merge of clusters
-that touch (clustering II). Iteration stops when the cohesion/separation
-fingerprint of the partition stops moving, or at the cycle cap.
+that touch (clustering II). Iteration stops when a cycle ends on the member
+sets of the cycle before, or at the cycle cap.
 
 Clustering II tests spatial neighbours: the k - 1 edges of a minimum
 spanning tree over the clusters' member means (Zahn's rule for cluster
@@ -25,15 +25,21 @@ distance, and a bound from the members' distances to their mean is an upper
 bound on each cohesion. An edge whose box gap exceeds the larger upper bound
 is ruled out with no cohesion computed; otherwise the cohesions are
 computed, and the cross distances are scanned only when the box gap does not
-exceed the larger of them. The stop test compares the sorted cohesions of
-two consecutive partitions only when their cluster counts and separations
-already agree and their member sets differ: equal member sets have equal
-cohesions.
+exceed the larger of them.
+
+The stop test scores nothing: it compares the sorted digests of two
+consecutive partitions' member sets, so the rule is equal member sets, not
+equal scores. A cycle ends with nearest-centroid assignment and
+whole-cluster merges, so coincident points always share a cluster, and two
+different partitions score the same only on an exact tie, such as the
+mirror partitions of perfectly symmetric data. A run does not stop on such
+a tie: it goes on to the next repeat of its member sets, or to the cycle
+cap.
 
 The same member sets recur within a run: a partition is scored by the
-centroid candidates of clustering I, by the merge radii of clustering II, by
-the stop test and again by the next cycle, and every run of a suite
-starts from the same percentile-rank partition. ``run_cluster_suite`` keeps
+centroid candidates of clustering I, by the merge radii of clustering II
+and again by the next cycle, and every run of a suite starts from the same
+percentile-rank partition. ``run_cluster_suite`` keeps
 one memo for the suite and hands it to each ``run_eca_star``. It holds each
 distinct cluster's cohesion (keyed by the digest of its member indices), the
 start partition of each social rank count and each column's sort order of
@@ -63,7 +69,6 @@ from .metrics import quality_report
 from .rng import LevyParams, RngStream, boundary_control, levy_step, uniform_matrix
 
 INIT_CLUSTER_CAP = 4096  # most clusters init_assign may form
-_STOP_TOL = 1e-9
 # The box gap may rule a merge out only when it exceeds the merge radius by
 # more than rounding can explain. Rounding is monotone, so each squared
 # coordinate gap of two boxes is at most the matching term of any of their
@@ -491,26 +496,11 @@ def clustering_two(points, assignment, mo, memo=None):
     return new_id[assignment], new_mo / weight[:, None]
 
 
-def _fingerprint(points, assignment):
-    """What the stop test reads of a partition: its separation, its
-    member-index arrays and their digests, sorted."""
-    _, _, groups = _compact(assignment)
-    return solution_inter(points, groups), groups, sorted(map(_key, groups))
-
-
-def _settled(points, prev, sig, memo):
-    """Whether two consecutive partitions' fingerprints agree: the same
-    cluster count, separations within ``_STOP_TOL``, and sorted cohesions
-    within ``_STOP_TOL`` each. Equal member sets have equal cohesions, so
-    the cohesions are computed only when the member digests differ."""
-    (inter, groups, keys), (prev_inter, prev_groups, prev_keys) = sig, prev
-    if len(keys) != len(prev_keys) or abs(inter - prev_inter) > _STOP_TOL:
-        return False
-    if keys == prev_keys:
-        return True
-    now = sorted(_cohesion(points, g, memo) for g in groups)
-    before = sorted(_cohesion(points, g, memo) for g in prev_groups)
-    return max(abs(a - b) for a, b in zip(now, before)) <= _STOP_TOL
+def _stop_key(assignment):
+    """What the stop test reads of a partition: the sorted digests of its
+    member-index arrays, equal for two assignments exactly when they hold
+    the same member sets, whatever their cluster ids."""
+    return sorted(map(_key, _compact(assignment)[2]))
 
 
 def run_eca_star(dataset, params, memo=None):
@@ -546,10 +536,10 @@ def run_eca_star(dataset, params, memo=None):
         assignment = assign_nearest(points, mo)
         assignment, mo = clustering_two(points, assignment, mo, memo)
         state.assignment = assignment
-        sig = _fingerprint(points, assignment)
-        if prev is not None and _settled(points, prev, sig, memo):
+        key = _stop_key(assignment)
+        if key == prev:
             break
-        prev = sig
+        prev = key
 
     live, final_assignment, _ = _compact(assign_nearest(points, mo))
     result = Clustering(assignment=final_assignment, centroids=mo[live])

@@ -774,6 +774,9 @@ def test_run_scores_each_member_set_once(monkeypatch):
     assert len(gap_pairs) == len(set(gap_pairs))
 
 
+_STOP_TOL = 1e-9  # the tolerance of the former stop rule, which compared scores
+
+
 def _fingerprint_by_cohesions(points, assignment, memo):
     """The stop fingerprint that scores every cluster: the separation, then
     the sorted cohesions. Two consecutive partitions are settled when their
@@ -785,27 +788,39 @@ def _fingerprint_by_cohesions(points, assignment, memo):
 
 def _settled_by_cohesions(prev, sig):
     return len(sig) == len(prev) and max(
-        abs(a - b) for a, b in zip(sig, prev)) <= ecastar._STOP_TOL
+        abs(a - b) for a, b in zip(sig, prev)) <= _STOP_TOL
 
 
-def test_settled_compares_cohesions_only_of_distinct_member_sets():
-    # points 0 and 1 coincide, as do 2 and 3: {0, 2}, {1, 3} and {0, 3},
-    # {1, 2} are distinct partitions with the same scores
+class _ScoreKey:
+    """A stop key that equals another exactly when the former rule settles:
+    the cohesion fingerprints of the two partitions agree."""
+
+    def __init__(self, points, assignment):
+        self.sig = _fingerprint_by_cohesions(points, assignment, {})
+
+    def __eq__(self, other):
+        return isinstance(other, _ScoreKey) and _settled_by_cohesions(other.sig, self.sig)
+
+
+def test_stop_key_reads_member_sets_not_ids_or_scores():
+    # points 0 and 1 coincide, as do 2 and 3: "p" and "p mirrored" hold
+    # different member sets with the same scores
     points = np.array([[0.0, 0.0], [0.0, 0.0], [4.0, 1.0], [4.0, 1.0], [9.0, 9.0]])
-    partitions = {"p": [0, 1, 0, 1, 2], "p mirrored": [0, 1, 1, 0, 2],
+    partitions = {"p": [0, 1, 0, 1, 2], "p renumbered": [4, 0, 4, 0, 2],
+                  "p mirrored": [0, 1, 1, 0, 2], "one point moved": [0, 1, 0, 0, 2],
                   "other 3": [0, 0, 1, 1, 2], "other 2": [0, 0, 1, 1, 1]}
     partitions = {name: np.array(a) for name, a in partitions.items()}
-    # (settled, cohesions computed) against "p"
-    expect = {"p": (True, False), "p mirrored": (True, True),
-              "other 3": (False, False), "other 2": (False, False)}
+    expect = {"p": True, "p renumbered": True, "p mirrored": False,
+              "one point moved": False, "other 3": False, "other 2": False}
+    key = ecastar._stop_key(partitions["p"])
     for name, b in partitions.items():
-        a, memo = partitions["p"], {}
-        got = ecastar._settled(points, ecastar._fingerprint(points, a),
-                               ecastar._fingerprint(points, b), memo)
-        want = _settled_by_cohesions(_fingerprint_by_cohesions(points, a, {}),
-                                     _fingerprint_by_cohesions(points, b, {}))
-        assert got == want == expect[name][0]
-        assert bool(memo) == expect[name][1]
+        assert (ecastar._stop_key(b) == key) == expect[name], name
+    # the former rule, which compared scores, settled on the mirrored pair
+    settled = {name: _settled_by_cohesions(
+                   _fingerprint_by_cohesions(points, partitions["p"], {}),
+                   _fingerprint_by_cohesions(points, b, {}))
+               for name, b in partitions.items()}
+    assert settled == dict(expect, **{"p mirrored": True})
 
 
 def _stop_layouts():
@@ -831,15 +846,12 @@ def test_stop_rule_matches_the_cohesion_fingerprint(monkeypatch):
     monkeypatch.setattr(ecastar, "clustering_one", counted_clustering_one)
     runs = []
     for oracle in (False, True):
-        if oracle:  # the reference rule scores every cluster of both partitions
-            monkeypatch.setattr(ecastar, "_fingerprint", lambda points, assignment:
-                                (points, assignment))
-            monkeypatch.setattr(ecastar, "_settled", lambda points, prev, sig, memo:
-                                _settled_by_cohesions(
-                                    _fingerprint_by_cohesions(*prev, memo),
-                                    _fingerprint_by_cohesions(*sig, memo)))
         out = []
         for ds, params in _stop_layouts():
+            if oracle:  # the reference rule scores every cluster of both partitions
+                monkeypatch.setattr(ecastar, "_stop_key", lambda assignment,
+                                    points=measures.as_points(ds):
+                                    _ScoreKey(points, assignment))
             cycles.append(0)
             result, report = run_eca_star(ds, params)
             out.append((result.assignment.tobytes(), result.centroids.tobytes(),
@@ -848,6 +860,34 @@ def test_stop_rule_matches_the_cohesion_fingerprint(monkeypatch):
     assert runs[0] == runs[1]
     stops = [c for *_, c in runs[0]]
     assert min(stops) < 20 and max(stops) > 2  # early and late stops both occur
+
+
+def _member_sets(assignment):
+    return {frozenset(np.flatnonzero(assignment == i).tolist())
+            for i in np.unique(assignment)}
+
+
+def test_run_stops_at_the_first_repeat_of_its_member_sets(monkeypatch):
+    partitions = []  # each cycle's member sets, one entry per clustering II
+
+    def recorded_clustering_two(*args):
+        assignment, mo = clustering_two(*args)
+        partitions.append(_member_sets(assignment))
+        return assignment, mo
+
+    monkeypatch.setattr(ecastar, "clustering_two", recorded_clustering_two)
+    stops = []
+    for ds, params in _stop_layouts():
+        partitions.clear()
+        run_eca_star(ds, params)
+        cycles = len(partitions)
+        repeats = [c for c in range(1, cycles) if partitions[c] == partitions[c - 1]]
+        if cycles < params.max_cycles:
+            assert repeats == [cycles - 1]
+        else:
+            assert repeats in ([], [cycles - 1])
+        stops.append(cycles)
+    assert min(stops) == 2 and max(stops) > 2
 
 
 def _suite_file(tmp_path):
