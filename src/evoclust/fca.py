@@ -9,13 +9,15 @@ set under intersection with each object row, then packed in one go; each
 extent is the set of objects whose packed row holds the intent, and one
 ``np.lexsort`` puts the concepts in nondecreasing extent size, the order
 every later step relies on. The strict order of a concept family is extent
-inclusion, read from the packed extents once per family
-(``PackedConcepts.order``). The exact width is n minus a maximum matching
-of that order, and the covers are its pairs with nothing between them,
-also built once per family (``PackedConcepts.covers``), so a family's
-invariants need nothing but the family. ``invariants`` computes all seven of
-them in one dict; a ``ConceptLattice`` keeps that dict, ``lattice_quality``
-reads four of its keys, and the report writes it as it is.
+inclusion, read from the packed extents once per family into CSR arrays
+(``PackedConcepts.order``). The covers are its pairs that no two-step path
+reaches, also built once per family (``PackedConcepts.covers``), and the
+exact width is n minus a maximum matching of the order (Dilworth), found by
+a greedy pass and augmenting phases over the CSR rows; so a family's
+invariants need nothing but the family, and the module needs nothing but
+numpy. ``invariants`` computes all seven of them in one dict; a
+``ConceptLattice`` keeps that dict, ``lattice_quality`` reads four of its
+keys, and the report writes it as it is.
 """
 
 from collections import deque
@@ -92,20 +94,18 @@ class PackedConcepts:
 
     @cached_property
     def order(self):
-        """The strict extent-inclusion order as a bool CSR matrix, in which
-        row i holds each j whose extent strictly contains extent i."""
+        """The strict extent-inclusion order as CSR arrays ``(indptr,
+        indices)``: row i, ``indices[indptr[i]:indptr[i + 1]]``, lists in
+        ascending order each j whose extent strictly contains extent i. The
+        indices are int32; both arrays are read-only."""
         return _strict_order(self.extents)
 
     @cached_property
     def covers(self):
         """Covering pairs (child, parent) of ``order`` as a read-only (m, 2)
-        intp array sorted by child then parent: ``less > less @ less`` in
-        bool sparse arithmetic."""
-        less = self.order
-        cover = (less > less @ less).tocoo()
-        child, parent = cover.row.astype(np.intp), cover.col.astype(np.intp)
-        first = np.lexsort((parent, child))
-        edges = np.column_stack((child[first], parent[first]))
+        intp array sorted by child then parent: the pairs (i, j) of the
+        order that no two-step path i < k < j reaches."""
+        edges = _covers(*self.order)
         edges.flags.writeable = False
         return edges
 
@@ -210,32 +210,43 @@ def _transitive_closure(n, edges):
 
 
 def _girth(n, edges):
-    """Shortest cycle length of the undirected diagram (0 when acyclic).
+    """Shortest cycle length of the undirected diagram (0 when acyclic), from
+    (child, parent) pairs sorted by child, as ``hasse_edges`` gives them.
 
     One BFS per source; a BFS stops once its frontier can no longer close a
     cycle shorter than the best found, and the search ends at 4 because a
-    covering graph has no triangles.
-    """
-    adj = [[] for _ in range(n)]
-    for a, b in zip(*_edge_columns(edges).tolist()):
-        adj[a].append(b)
-        adj[b].append(a)
+    covering graph has no triangles. A node's neighbours are listed on its
+    first visit: its children, through one stable argsort of the parents,
+    then its parents, read in place."""
+    child, parent = _edge_columns(edges)
+    # the smallest unsigned type that holds every node lets numpy's stable
+    # sort run as a radix sort while n fits 16 bits
+    children = child[np.argsort(parent.astype(np.min_scalar_type(n)), kind="stable")]
+    # node u's parents are parent[up[u]:up[u + 1]], its children
+    # children[down[u]:down[u + 1]]
+    up, down = ([0, *np.cumsum(np.bincount(end, minlength=n)).tolist()]
+                for end in (child, parent))
+    adj = [None] * n
     best = 0
     for s in range(n):
         dist = [-1] * n
-        parent = [-1] * n
+        parent_of = [-1] * n
         dist[s] = 0
         queue = deque([s])
         while queue:
             u = queue.popleft()
             if best and 2 * dist[u] + 1 >= best:
                 break
-            for v in adj[u]:
+            near = adj[u]
+            if near is None:
+                near = adj[u] = (children[down[u]:down[u + 1]].tolist()
+                                 + parent[up[u]:up[u + 1]].tolist())
+            for v in near:
                 if dist[v] < 0:
                     dist[v] = dist[u] + 1
-                    parent[v] = u
+                    parent_of[v] = u
                     queue.append(v)
-                elif parent[u] != v:
+                elif parent_of[u] != v:
                     cycle = dist[u] + dist[v] + 1
                     if best == 0 or cycle < best:
                         best = cycle
@@ -244,9 +255,144 @@ def _girth(n, edges):
     return best
 
 
-# concept pairs per block of the strict order: each block's transient arrays
-# hold about this many uint64 words
+# concept pairs per block of the strict order, and two-step paths per run of
+# its covers: each block's or run's transient arrays hold about this many
+# words
 ORDER_CELLS = 1 << 16
+
+
+def _row_blocks(n):
+    """Row ranges [lo, hi) of an order over n concepts sorted by extent size,
+    about ORDER_CELLS concept pairs each: no extent lies in an earlier one
+    (an earlier extent is no larger, and distinct concepts have distinct
+    extents), so a block's rows meet only the columns from lo on."""
+    lo = 0
+    while lo < n:
+        hi = min(n, lo + max(1, ORDER_CELLS // (n - lo)))
+        yield lo, hi
+        lo = hi
+
+
+def _runs(starts, lens):
+    """The index ranges [s, s + l) of starts s and lengths l > 0, end to end,
+    as one intp array: every step is 1 but the first of each range, which
+    jumps to its start."""
+    out = np.ones(int(lens.sum()), dtype=np.intp)
+    if len(out):
+        out[0] = starts[0]
+        out[np.cumsum(lens[:-1])] = starts[1:] - starts[:-1] - lens[:-1] + 1
+        np.cumsum(out, out=out)
+    return out
+
+
+def _two_steps(base, starts, lens, indices):
+    """Where the two-step paths through pairs (i, k) land in a block's grid:
+    each pair's offset in the grid, less the block's first column (base),
+    plus each column of row k, ``indices[start:start + len]``, as one intp
+    array. A function of its own, so that one run's temporaries are freed
+    before the next run's are made."""
+    some = lens > 0
+    lens = lens[some]
+    tops = indices[_runs(starts[some], lens)]
+    at = np.repeat(base[some], lens)
+    at += tops
+    return at
+
+
+def _covers(indptr, indices):
+    """The covering pairs (child, parent) of a strict order given as CSR
+    arrays, as an (m, 2) intp array sorted by child then parent.
+
+    A pair (i, j) of the order covers unless a two-step path i < k < j
+    reaches it. Each block of ``_row_blocks`` marks in one bool grid every
+    j two steps above its rows and keeps its unmarked pairs, already in CSR
+    order. The paths are gathered a run of pairs (i, k) at a time, at most
+    ORDER_CELLS paths per run unless one pair has more."""
+    n = len(indptr) - 1
+    ups = np.diff(indptr)
+    children, parents = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.int32)]
+    for lo, hi in _row_blocks(n):
+        width = n - lo
+        cols = indices[indptr[lo]:indptr[hi]]
+        rows = np.repeat(np.arange(lo, hi), ups[lo:hi])
+        base = (rows - lo) * width - lo  # a pair's place in the grid, less its column
+        lens = ups[cols]
+        paths = np.zeros(len(cols) + 1, dtype=np.intp)
+        np.cumsum(lens, out=paths[1:])
+        reached = np.zeros((hi - lo) * width, dtype=bool)
+        first = 0
+        while paths[first] < paths[-1]:
+            last = max(first + 1, int(np.searchsorted(
+                paths, paths[first] + ORDER_CELLS, "right")) - 1)
+            run = slice(first, last)
+            reached[_two_steps(base[run], indptr[cols[run]], lens[run], indices)] = True
+            first = last
+        keep = ~reached[base + cols]
+        children.append(rows[keep])
+        parents.append(cols[keep])
+    edges = np.empty((sum(map(len, parents)), 2), dtype=np.intp)
+    edges[:, 0] = np.concatenate(children)
+    edges[:, 1] = np.concatenate(parents)
+    return edges
+
+
+def _matching_size(indptr, indices):
+    """The size of a maximum matching between the rows and the columns of a
+    strict order given as CSR arrays, each pair i < j an edge from row i to
+    column j.
+
+    A greedy pass matches first: the rows with the fewest columns go first,
+    and each takes its first free column. Then augmenting phases: each grows
+    an alternating forest breadth first from every unmatched row and flips
+    one path in each tree that reached a free column, so the flipped paths
+    share no vertex; a phase that reaches none proves the matching maximum.
+    A row above a reached column is not grown, since its columns are a
+    subset of the columns of the row that reached it. Each row is read as
+    a slice of a memoryview of the CSR indices when it is visited."""
+    n = len(indptr) - 1
+    ptr = indptr.tolist()
+    cols = memoryview(indices)  # yields Python ints without copying
+    mate_row = [-1] * n  # each column's row
+    mate_col = [-1] * n  # each row's column
+    for i in np.argsort(np.diff(indptr), kind="stable").tolist():
+        for j in cols[ptr[i]:ptr[i + 1]]:
+            if mate_row[j] < 0:
+                mate_row[j] = i
+                mate_col[i] = j
+                break
+    size = n - mate_col.count(-1)
+    while True:
+        via = [-1] * n  # the row that reached each column
+        root = [-1] * n  # the unmatched row that each grown row descends from
+        rows = [i for i in range(n) if mate_col[i] < 0 and ptr[i] < ptr[i + 1]]
+        for i in rows:
+            root[i] = i
+        ends = {}  # each tree's first free column
+        while rows:
+            grown = []
+            for i in rows:
+                if via[i] >= 0:  # above a column reached since it was queued
+                    continue
+                for j in cols[ptr[i]:ptr[i + 1]]:
+                    if via[j] < 0:
+                        via[j] = i
+                        k = mate_row[j]
+                        if k < 0:
+                            ends.setdefault(root[i], j)
+                        elif via[k] < 0:
+                            root[k] = root[i]
+                            grown.append(k)
+            rows = grown
+        if not ends:
+            return size
+        for j in ends.values():
+            while j >= 0:
+                i = via[j]
+                j_next = mate_col[i]
+                mate_row[j] = i
+                mate_col[i] = j
+                j = j_next
+        size += len(ends)
 
 
 def invariants(concepts):
@@ -261,10 +407,9 @@ def invariants(concepts):
     covers, sorted by child, already list in nondecreasing size. The width
     is exact: the largest antichain, which by Dilworth's theorem is n minus
     a maximum matching of the strict order (a minimum chain cover), the
-    concepts' ``order``, shared with the covers.
+    concepts' ``order``, shared with the covers; ``_matching_size`` finds
+    it on the order's CSR arrays.
     """
-    from scipy.sparse.csgraph import maximum_bipartite_matching
-
     n = len(concepts)
     if n == 0:
         return {"n_concepts": 0, "n_edges": 0, "height": 0, "width": 0,
@@ -277,29 +422,23 @@ def invariants(concepts):
     level = np.ones(n, dtype=np.intp)
     for below, above in zip(np.split(child, groups), np.split(parent, groups)):
         np.maximum.at(level, above, level[below] + 1)
-    match = maximum_bipartite_matching(concepts.order, perm_type="column")
     degree = np.bincount(edges.ravel(), minlength=n)
     return {"n_concepts": n, "n_edges": len(child), "height": int(level.max()),
-            "width": n - int(np.count_nonzero(match != -1)),
+            "width": n - _matching_size(*concepts.order),
             "degree_mean": float(degree.mean()), "degree_max": int(degree.max()),
             "cycle_length": _girth(n, edges)}
 
 
 def _strict_order(words):
     """The strict inclusion order of packed extents (rows of uint64 words)
-    already sorted by size, as a bool CSR matrix: row i holds each j whose
-    extent strictly contains extent i. No extent lies in an earlier one (an
-    earlier extent is no larger, and distinct concepts have distinct
-    extents), so each block of ORDER_CELLS concept pairs tests its rows only
-    against the columns from its first row on."""
-    from scipy.sparse import csr_matrix
-
+    already sorted by size, as read-only CSR arrays ``(indptr, indices)``:
+    row i lists in ascending order each j whose extent strictly contains
+    extent i. Each block of ``_row_blocks`` tests its rows against the
+    columns from its first row on, word by word."""
     n = len(words)
     outside = ~words
-    counts, cols = [], []
-    lo = 0
-    while lo < n:
-        hi = min(n, lo + max(1, ORDER_CELLS // (n - lo)))
+    counts, cols = [np.zeros(1, dtype=np.intp)], [np.empty(0, dtype=np.int32)]
+    for lo, hi in _row_blocks(n):
         within = np.ones((hi - lo, n - lo), dtype=bool)
         for w in range(words.shape[1]):
             within &= (words[lo:hi, w, None] & outside[lo:, w]) == 0
@@ -308,12 +447,9 @@ def _strict_order(words):
         row, col = np.divmod(np.flatnonzero(within), n - lo)
         counts.append(np.bincount(row, minlength=hi - lo))
         cols.append((col + lo).astype(np.int32))
-        lo = hi
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.concatenate(counts), out=indptr[1:])
-    indices = np.concatenate(cols)
-    return csr_matrix((np.ones(len(indices), dtype=bool), indices, indptr),
-                      shape=(n, n))
+    indptr, indices = np.cumsum(np.concatenate(counts)), np.concatenate(cols)
+    indptr.flags.writeable = indices.flags.writeable = False
+    return indptr, indices
 
 
 def build_lattice(ctx):

@@ -918,12 +918,12 @@ def test_a_cell_that_raises_in_a_worker_fails_the_call_cleanly(tmp_path, monkeyp
     assert len(lines) == 1
     err = json.loads(lines[0])
     # every cell that a child ran failed; the first of them in serial order
-    # is the one reported
+    # is the one reported. The parent may run no cell at all: a child can
+    # claim and fail cell 0 before the parent reads its first claim
     serial = [(fid, algo) for fid in ("F14", "F1") for algo in ("bsa", "de")]
     fid, algo = min(((fid, algo) for pid, fid, algo in where() if pid != parent),
                     key=serial.index)
     assert err["error"] == "ValueError" and err["message"] == f"no {algo} on {fid} here"
-    assert {pid == parent for pid, _, _ in where()} == {True, False}
     assert not out.parent.exists()
     _no_child_left()
 

@@ -501,6 +501,20 @@ def test_girth_five_after_a_six_cycle():
     assert _ref_girth(len(lat.concepts), lat.hasse_edges) == 5
 
 
+def test_girth_walks_down_as_well_as_up():
+    # a crown, 0 1 2 below 3 4 5, and random height-one orders: no cycle
+    # here can be walked upward alone, so each node's children must be
+    # among its neighbours
+    crown = [(0, 3), (0, 4), (1, 4), (1, 5), (2, 3), (2, 5)]
+    assert _girth(6, crown) == _ref_girth(6, crown) == 6
+    rng = np.random.Generator(np.random.PCG64(730))
+    for _ in range(40):
+        low, high = (int(k) for k in rng.integers(2, 7, size=2))
+        below = rng.random((low, high)) < 0.4
+        edges = [(i, low + j) for i, j in zip(*np.nonzero(below))]
+        assert _girth(low + high, edges) == _ref_girth(low + high, edges)
+
+
 def test_order_layer_empty_inputs():
     assert hasse_edges([]).shape == (0, 2)
     assert hasse_edges([]).dtype == np.intp
@@ -694,6 +708,85 @@ def test_invariants_memory_stays_far_below_n_squared():
     finally:
         tracemalloc.stop()
     assert peak < n * n / 4
+
+
+# scipy, kept as the oracle of the order layer's numpy: a maximum bipartite
+# matching of the strict order for the width, and ``less > less @ less`` in
+# bool sparse arithmetic for the covers, both on the order read straight
+# from the unpacked extents
+
+def _scipy_order(concepts):
+    """The strict order of a family as a scipy CSR matrix: i < j iff extent i
+    is a proper subset of extent j (extents of distinct concepts differ)."""
+    bits = np.unpackbits(concepts.extents.view(np.uint8), axis=1,
+                         bitorder="little").astype(np.int64)
+    below = bits @ (1 - bits).T == 0
+    np.fill_diagonal(below, False)
+    return csr_matrix(below)
+
+
+def _assert_order_layer_matches_scipy(concepts):
+    """The family's width and covers against scipy's; returns the width."""
+    n = len(concepts)
+    less = _scipy_order(concepts)
+    indptr, indices = concepts.order
+    assert indices.dtype == np.int32
+    assert not indptr.flags.writeable and not indices.flags.writeable
+    assert np.array_equal(indptr, less.indptr) and np.array_equal(indices, less.indices)
+    matched = (int(np.count_nonzero(maximum_bipartite_matching(less, perm_type="column") != -1))
+               if n else 0)
+    assert fca._matching_size(indptr, indices) == matched
+    assert invariants(concepts)["width"] == n - matched
+    cover = (less > less @ less).tocoo()
+    assert _edge_list(concepts.covers) == sorted(zip(cover.row.tolist(), cover.col.tolist()))
+    return n - matched
+
+
+def test_width_and_covers_match_scipy_on_random_contexts():
+    rng = np.random.Generator(np.random.PCG64(700))
+    widths = set()
+    for _ in range(150):
+        n_obj = int(rng.integers(0, 12))
+        n_att = int(rng.integers(1, 10))
+        inc = rng.random((n_obj, n_att)) < rng.uniform(0.1, 0.9)
+        widths.add(_assert_order_layer_matches_scipy(derive_concepts(_ctx(inc))))
+    assert {1, 2} <= widths and max(widths) > 6
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_width_and_covers_match_scipy_on_planted_contexts(seed):
+    # 700-odd concepts in several order blocks, as the fca-large workload has
+    _assert_order_layer_matches_scipy(
+        derive_concepts(_ctx(_planted_incidence(seed + 1, 52, 23))))
+
+
+def test_width_and_covers_match_scipy_on_a_chain_and_on_0_1_and_2_concepts():
+    chain = derive_concepts(_ctx(np.tril(np.ones((9, 9), dtype=bool))))
+    assert len(chain) == 9 and _assert_order_layer_matches_scipy(chain) == 1
+    for rows, n, width in (([[1]], 1, 1), ([[1, 0]], 2, 1), ([[1, 0], [0, 1]], 4, 2)):
+        concepts = derive_concepts(_ctx(rows))
+        assert len(concepts) == n
+        assert _assert_order_layer_matches_scipy(concepts) == width
+    assert _assert_order_layer_matches_scipy(_take(chain, slice(0))) == 0
+
+
+@pytest.mark.parametrize("n_obj, n_att", [(65, 8), (130, 7), (200, 6)])
+def test_width_and_covers_match_scipy_over_64_objects(n_obj, n_att):
+    rng = np.random.Generator(np.random.PCG64(710 + n_obj))
+    concepts = derive_concepts(_ctx(rng.random((n_obj, n_att)) < 0.4))
+    assert concepts.extents.shape[1] > 1
+    _assert_order_layer_matches_scipy(concepts)
+
+
+def test_width_and_covers_match_scipy_at_tiny_order_blocks(monkeypatch):
+    # one row per block, blocks on either side of n, and blocks whose
+    # two-step paths are gathered in several runs
+    rng = np.random.Generator(np.random.PCG64(720))
+    concepts = derive_concepts(_ctx(rng.random((9, 7)) < 0.5))
+    n = len(concepts)
+    for cells in (1, 2, 3, n - 1, n, n + 1, 3 * n + 1, 4 * n):
+        monkeypatch.setattr(fca, "ORDER_CELLS", cells)
+        _assert_order_layer_matches_scipy(_take(concepts, slice(None)))  # a fresh family
 
 
 def test_the_order_is_built_once_per_family(monkeypatch):

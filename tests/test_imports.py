@@ -4,11 +4,12 @@ The package root re-exports nothing, and no module imports scipy at its top:
 each scipy import sits in the function that calls it. So ``import
 evoclust.cli`` loads no scipy module, and a subcommand loads only what its
 run reaches: ``scipy.special`` for the normal tail of a signed-rank test over
-more than ``stats.EXACT_LIMIT`` pairs, ``scipy.spatial`` for the clustering
-distances, ``scipy.sparse`` for the lattice width. ``scipy.stats`` is never
-loaded, and ``scipy.optimize`` only by ``benchmarks._constrained_minimum``,
-which a ``bench-opt --range`` run calls when a function's known minimum lies
-outside the range. Each case runs in a fresh interpreter.
+more than ``stats.EXACT_LIMIT`` pairs and ``scipy.spatial`` for the
+clustering distances; ``fca-reduce`` loads none, since the lattice's order,
+covers and width are plain numpy. ``scipy.stats`` is never loaded, and
+``scipy.optimize`` only by ``benchmarks._constrained_minimum``, which a
+``bench-opt --range`` run calls when a function's known minimum lies outside
+the range. Each case runs in a fresh interpreter.
 """
 
 import json
@@ -105,15 +106,14 @@ def test_report_loads_scipy_special_only_past_the_exact_limit(tmp_path, n_pairs)
             assert not _has(loaded, package), package
 
 
-def test_fca_reduce_loads_neither_spatial_nor_stats(tmp_path):
+def test_fca_reduce_loads_no_scipy(tmp_path):
     ctx = FormalContext(["cat", "dog", "carp"], ["fur", "pelt", "swims"],
                         [[1, 1, 0], [1, 1, 0], [0, 0, 1]])
     write_cxt(ctx, tmp_path / "c.cxt")
     (tmp_path / "t.tsv").write_text("syn\tfur\tpelt\ncat\tanimal\ndog\tanimal\n")
     loaded = _scipy_loaded("fca-reduce", "--ctx", str(tmp_path / "c.cxt"),
                            "--tax", str(tmp_path / "t.tsv"))
-    for package in ("scipy.spatial", "scipy.stats", "scipy.optimize"):
-        assert not _has(loaded, package), package
+    assert loaded == []
 
 
 def test_cluster_loads_neither_stats_nor_optimize(tmp_path):
