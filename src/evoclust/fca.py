@@ -29,7 +29,7 @@ from typing import Tuple
 import numpy as np
 
 
-@dataclass
+@dataclass(eq=False)
 class FormalContext:
     objects: Tuple[str, ...]
     attributes: Tuple[str, ...]
@@ -61,6 +61,14 @@ class FormalContext:
         self.attributes = attributes
         self.incidence = incidence
         self.name = name
+
+    def __eq__(self, other):
+        """Value equality: the same labels, name and incidence."""
+        if not isinstance(other, FormalContext):
+            return NotImplemented
+        return (self.objects == other.objects and self.attributes == other.attributes
+                and self.name == other.name
+                and np.array_equal(self.incidence, other.incidence))
 
     @property
     def shape(self):

@@ -3,8 +3,11 @@
 Rows/columns whose labels are synonymous ("similar") or share a nearby common
 hypernym ("related") are merged pairwise, attributes first, then objects, one
 pass per iteration, until nothing merges or the reduced lattice drifts too
-far from the original. The taxonomy is a plain hypernym DAG plus synonym
-groups, so any lexical resource exported to the TSV format plugs in.
+far from the original. A pass records its merges as label -> target maps and
+builds the merged context once from them: each target's line is the OR of
+its members' lines, at its first member's place. The taxonomy is a plain
+hypernym DAG plus synonym groups, so any lexical resource exported to the
+TSV format plugs in.
 """
 
 from collections import deque
@@ -216,44 +219,24 @@ def common_hypernym(a, b, tax, params) -> Optional[str]:
     return min(forward + backward)[2]
 
 
-def merge_pair(ctx, axis, i, j, new_label):
-    """Replace entries i and j on an axis with one entry at min(i, j) whose
-    incidence is their bitwise OR; the result keeps the input's name. Both
-    axes take one path: the attribute axis works on the transposed
-    incidence."""
-    if axis not in ("object", "attribute"):
-        raise ValueError("axis must be 'object' or 'attribute'")
-    i, j = int(i), int(j)
-    labels = list(ctx.objects if axis == "object" else ctx.attributes)
-    size = len(labels)
-    if i == j:
-        raise ValueError("cannot merge an entry with itself")
-    if not (0 <= i < size and 0 <= j < size):
-        raise ValueError(f"{axis} index out of range (size {size})")
-    lo, hi = min(i, j), max(i, j)
-    rows = ctx.incidence if axis == "object" else ctx.incidence.T
-    merged = rows[i] | rows[j]
-    rows = np.delete(rows, hi, axis=0)
-    rows[lo] = merged
-    del labels[hi]
-    labels[lo] = str(new_label)
-    if axis == "object":
-        return FormalContext(labels, ctx.attributes, rows, name=ctx.name)
-    return FormalContext(ctx.objects, labels, rows.T, name=ctx.name)
+def _fold(ctx, into):
+    """The context with one pass's merges applied, built once.
 
-
-def _merge_labels(ctx, axis, label_a, label_b, new_label):
-    """Merge two labeled entries; if the target label already exists
-    elsewhere, both fold into that holder."""
-    labels = ctx.objects if axis == "object" else ctx.attributes
-    a, b = labels.index(label_a), labels.index(label_b)
-    if new_label in labels and new_label not in (label_a, label_b):
-        holder = labels.index(new_label)
-        ctx = merge_pair(ctx, axis, holder, a, new_label)
-        # the holder now sits at min(holder, a), and every entry past
-        # max(holder, a) moved down one
-        a, b = min(holder, a), b - (b > max(holder, a))
-    return merge_pair(ctx, axis, a, b, new_label)
+    ``into`` maps each axis to {label: target}. A target's line is the OR of
+    its members' lines and sits where its first member was; every other
+    label keeps its line and its order, and the context keeps its name.
+    """
+    axes = []
+    for labels, merged in ((ctx.objects, into["object"]),
+                           (ctx.attributes, into["attribute"])):
+        slot = {}  # new label -> its index
+        index = [slot.setdefault(merged.get(label, label), len(slot))
+                 for label in labels]
+        axes.append((list(slot), np.array(index)))
+    (objects, rows), (attributes, cols) = axes
+    incidence = np.zeros((len(objects), len(attributes)), dtype=bool)
+    np.logical_or.at(incidence, (rows[:, None], cols), ctx.incidence)
+    return FormalContext(objects, attributes, incidence, name=ctx.name)
 
 
 def reduce_context(ctx, tax, params):
@@ -267,6 +250,11 @@ def reduce_context(ctx, tax, params):
     classifies only those whose ancestor cones, at depth max(hypernym_depth,
     hyponym_depth), meet. The rest are unrelated: synonyms lie in each
     other's cone at distance 0, and a related pair needs a common ancestor.
+    A pair merges into its target only if neither label has merged in this
+    pass; when the target is another snapshot label that has not merged, that
+    label joins the target's members too. After both axes the context is
+    built once (``_fold``): a target's line is the OR of its members' lines,
+    placed where its first member was, and every other line keeps its place.
 
     The loop stops at a fixpoint, at the iteration cap, or after the first
     pass whose lattice quality falls below the floor. Quality is checked only
@@ -279,17 +267,14 @@ def reduce_context(ctx, tax, params):
     original_lattice = reduced_lattice = build_lattice(ctx)
     trace: List[MergeEvent] = []
     for iteration in range(1, params.max_iterations + 1):
-        merges_before = len(trace)
-        for axis in ("attribute", "object"):
-            snapshot = list(ctx.attributes if axis == "attribute" else ctx.objects)
+        into: Dict[str, Dict[str, str]] = {"attribute": {}, "object": {}}
+        for axis, merged in into.items():
+            snapshot = ctx.attributes if axis == "attribute" else ctx.objects
             cones = {label: tax.cone(label, depth).keys() for label in snapshot}
-            consumed: Set[str] = set()
             for label_a, label_b in enumerate_pairs(snapshot):
                 if cones[label_a].isdisjoint(cones[label_b]):
                     continue  # unrelated: see the docstring
-                # a merge removes only labels it adds to consumed, so every
-                # other snapshot label is still in ctx
-                if label_a in consumed or label_b in consumed:
+                if label_a in merged or label_b in merged:
                     continue
                 kind = classify_pair(label_a, label_b, tax, params)
                 if kind == UNRELATED:
@@ -299,12 +284,14 @@ def reduce_context(ctx, tax, params):
                     new_label = hyper
                 else:
                     new_label = hyper if hyper is not None else min(label_a, label_b)
-                ctx = _merge_labels(ctx, axis, label_a, label_b, new_label)
+                if new_label in cones:  # a target on the axis merges too
+                    merged.setdefault(new_label, new_label)
+                merged[label_a] = merged[label_b] = new_label
                 trace.append(MergeEvent(iteration, axis, label_a, label_b,
                                         new_label, kind))
-                consumed.update((label_a, label_b, new_label))
-        if len(trace) == merges_before:
+        if not any(into.values()):
             break
+        ctx = _fold(ctx, into)
         reduced_lattice = build_lattice(ctx)
         if lattice_quality(original_lattice, reduced_lattice) < params.quality_floor:
             break

@@ -2,7 +2,7 @@
 
 All stochastic behavior flows through an RngStream so that a (seed, call
 sequence) pair fully determines every result. The underlying generator is
-numpy's PCG64, pinned by name so reference sequences stay reproducible.
+numpy's PCG64, pinned so reference sequences stay reproducible.
 
 Scalar draws read a stream's ``generator`` directly. The array draws that
 more than one algorithm makes live here: uniform draws for one stream or for
@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from math import gamma, pi, sin
 
 import numpy as np
-
-GENERATOR_NAME = "PCG64"
 
 
 class RngStream:
@@ -31,7 +29,7 @@ class RngStream:
         if not 0 <= seed < 2**64:
             raise ValueError("seed must be an unsigned 64-bit integer")
         self.seed = seed
-        self.generator = np.random.Generator(getattr(np.random, GENERATOR_NAME)(seed))
+        self.generator = np.random.Generator(np.random.PCG64(seed))
 
     def __repr__(self):
         return f"RngStream(seed={self.seed})"

@@ -54,6 +54,21 @@ def test_context_validation():
         FormalContext(["o"], ["a"], np.zeros((2, 2)))
 
 
+def test_contexts_compare_by_value():
+    # the dataclass __eq__ compared the incidence arrays with ==, and raised
+    # "truth value of an array ... is ambiguous"
+    ctx = _ctx([[1, 0], [0, 1]], name="pq")
+    assert ctx == _ctx([[1, 0], [0, 1]], name="pq")
+    assert ctx == FormalContext(ctx.objects, ctx.attributes, ctx.incidence.astype(int),
+                                name="pq")
+    assert ctx != _ctx([[1, 0], [1, 1]], name="pq")
+    assert ctx != _ctx([[1, 0], [0, 1]], name="other")
+    assert ctx != _ctx([[1, 0], [0, 1]], objects=["o1", "o0"], name="pq")
+    assert ctx != _ctx([[1, 0], [0, 1]], attributes=["a1", "a0"], name="pq")
+    assert ctx != _ctx([[1, 0, 0], [0, 1, 0]], name="pq")  # another shape
+    assert ctx != "pq"
+
+
 # every separator str.splitlines() splits on, so read_cxt would see two lines
 _LINE_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
                 "\x85", "\u2028", "\u2029"]

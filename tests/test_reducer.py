@@ -8,9 +8,9 @@ from test_acceptance import _planted_context
 from evoclust import fca, reducer
 from evoclust.fca import FormalContext, build_lattice, derive_concepts, write_cxt
 from evoclust.reducer import (RELATED, SIMILAR, UNRELATED, MergeEvent,
-                              ReduceParams, Taxonomy, classify_pair,
+                              ReduceParams, Taxonomy, _fold, classify_pair,
                               common_hypernym, enumerate_pairs, load_taxonomy,
-                              merge_pair, reduce_context)
+                              reduce_context)
 from evoclust.reports import run_fca_suite
 
 
@@ -191,10 +191,40 @@ def test_cone_is_searched_once_and_shared(tax):
     assert tax.cone("cat", 1) == {"cat": 0, "feline": 1}
 
 
+def _ref_merge_pair(ctx, axis, i, j, new_label):
+    """Replace entries i and j on an axis with one entry at min(i, j) whose
+    incidence is their bitwise OR; the result keeps the input's name."""
+    labels = list(ctx.objects if axis == "object" else ctx.attributes)
+    lo, hi = min(i, j), max(i, j)
+    rows = ctx.incidence if axis == "object" else ctx.incidence.T
+    merged = rows[i] | rows[j]
+    rows = np.delete(rows, hi, axis=0)
+    rows[lo] = merged
+    del labels[hi]
+    labels[lo] = str(new_label)
+    if axis == "object":
+        return FormalContext(labels, ctx.attributes, rows, name=ctx.name)
+    return FormalContext(ctx.objects, labels, rows.T, name=ctx.name)
+
+
+def _ref_merge_labels(ctx, axis, label_a, label_b, new_label):
+    """Merge two labeled entries, one context per merge; if the target label
+    already exists elsewhere, both fold into that holder."""
+    labels = ctx.objects if axis == "object" else ctx.attributes
+    a, b = labels.index(label_a), labels.index(label_b)
+    if new_label in labels and new_label not in (label_a, label_b):
+        holder = labels.index(new_label)
+        ctx = _ref_merge_pair(ctx, axis, holder, a, new_label)
+        # the holder now sits at min(holder, a), and every entry past
+        # max(holder, a) moved down one
+        a, b = min(holder, a), b - (b > max(holder, a))
+    return _ref_merge_pair(ctx, axis, a, b, new_label)
+
+
 def _ref_reduce_context(ctx, tax, params):
     """reduce_context classifying every pair of every pass, as it did before
-    pairs with disjoint cones were skipped; also returns the classified
-    pairs."""
+    pairs with disjoint cones were skipped, and merging one pair at a time;
+    also returns the classified pairs."""
     original = reduced = build_lattice(ctx)
     trace, classified = [], []
     for iteration in range(1, params.max_iterations + 1):
@@ -212,7 +242,7 @@ def _ref_reduce_context(ctx, tax, params):
                     continue
                 hyper = common_hypernym(a, b, tax, params)
                 new = hyper if hyper is not None or kind == RELATED else min(a, b)
-                ctx = reducer._merge_labels(ctx, axis, a, b, new)
+                ctx = _ref_merge_labels(ctx, axis, a, b, new)
                 trace.append(MergeEvent(iteration, axis, a, b, new, kind))
                 consumed.update((a, b, new))
         if len(trace) == merges_before:
@@ -252,8 +282,7 @@ def _assert_reduction_matches_reference(monkeypatch, make, params):
     got = reduce_context(ctx, tax, params)
     monkeypatch.undo()
     assert got.trace == want.trace
-    for side in ("objects", "attributes", "incidence"):
-        assert np.array_equal(getattr(got.context, side), getattr(want.context, side))
+    assert got.context == want.context
     for lattice in ("original", "reduced"):
         assert getattr(got, lattice).invariants == getattr(want, lattice).invariants
     assert classified == meeting
@@ -362,24 +391,70 @@ def _ctx(rows, objects, attributes, name="context"):
     return FormalContext(objects, attributes, np.asarray(rows, dtype=bool), name=name)
 
 
-def test_merge_pair_objects():
-    ctx = _ctx([[1, 0], [0, 1], [1, 1]], ["o1", "o2", "o3"], ["p", "q"], name="pq")
-    out = merge_pair(ctx, "object", 0, 2, "m")
-    assert out.objects == ("m", "o2") and out.name == "pq"
-    assert out.incidence.tolist() == [[True, True], [False, True]]
+def test_fold_merges_objects_and_attributes_in_one_call():
+    ctx = _ctx([[1, 0, 0], [0, 1, 0], [0, 0, 1]], ["o1", "o2", "o3"],
+               ["p", "q", "r"], name="pq")
+    out = _fold(ctx, {"object": {"o1": "m", "o3": "m"},
+                      "attribute": {"q": "qr", "r": "qr"}})
+    assert out == _ctx([[1, 1], [0, 1]], ["m", "o2"], ["p", "qr"], name="pq")
+    # nothing to merge gives the same context
+    assert _fold(ctx, {"object": {}, "attribute": {}}) == ctx
 
 
-def test_merge_pair_attributes_and_errors():
-    ctx = _ctx([[1, 0], [0, 1]], ["o1", "o2"], ["p", "q"], name="pq")
-    out = merge_pair(ctx, "attribute", 1, 0, "pq")
-    assert out.attributes == ("pq",) and out.name == "pq"
-    assert out.incidence.tolist() == [[True], [True]]
-    with pytest.raises(ValueError):
-        merge_pair(ctx, "row", 0, 1, "x")
-    with pytest.raises(ValueError):
-        merge_pair(ctx, "object", 0, 0, "x")
-    with pytest.raises(ValueError):
-        merge_pair(ctx, "object", 0, 5, "x")
+def test_fold_places_a_target_at_its_first_member():
+    ctx = _ctx(np.eye(5), ["o1", "o2", "o3", "o4", "o5"], ["a", "b", "c", "d", "e"])
+    out = _fold(ctx, {"object": {"o4": "m", "o2": "m"}, "attribute": {"e": "x", "b": "x"}})
+    assert out.objects == ("o1", "m", "o3", "o5")
+    assert out.attributes == ("a", "x", "c", "d")
+    assert out.incidence.tolist() == [[1, 0, 0, 0], [0, 1, 0, 1], [0, 0, 1, 0],
+                                      [0, 1, 0, 0]]
+
+
+def test_fold_takes_the_holder_in_and_may_reuse_a_merged_label():
+    # "h" holds the target of x and y and folds in at x's place; "x", merged
+    # away, names the target of z and w
+    ctx = _ctx(np.eye(6), ["o"] + [f"o{i}" for i in range(5)],
+               ["v", "x", "h", "y", "z", "w"], name="kept")
+    out = _fold(ctx, {"object": {},
+                      "attribute": {"h": "h", "x": "h", "y": "h", "z": "x", "w": "x"}})
+    assert out.attributes == ("v", "h", "x") and out.name == "kept"
+    assert out.incidence.tolist() == [[1, 0, 0], [0, 1, 0], [0, 1, 0], [0, 1, 0],
+                                      [0, 0, 1], [0, 0, 1]]
+
+
+def _tangled_context(seed):
+    """A random hypernym DAG plus synsets; the context's labels are drawn
+    from its terms, which are also each other's hypernyms, so pairs often
+    merge into a label that is already on the axis, and into one target
+    twice in a pass."""
+    rng = np.random.Generator(np.random.PCG64(900 + seed))
+    tax, terms = _random_taxonomy(rng, int(rng.integers(5, 12)))
+    pool = terms + ["stray"]
+    objects = list(rng.choice(pool, size=int(rng.integers(3, len(pool))), replace=False))
+    attributes = list(rng.choice(pool, size=int(rng.integers(3, len(pool))), replace=False))
+    inc = rng.random((len(objects), len(attributes))) < 0.4
+    return FormalContext(objects, attributes, inc, name=f"tangled{seed}"), tax
+
+
+def test_reduction_matches_reference_on_random_taxonomies(monkeypatch):
+    shared_targets = holder_folds = 0
+    for seed in range(60):
+        params = ReduceParams(hypernym_depth=1 + seed % 3, hyponym_depth=1 + seed % 2,
+                              quality_floor=0.0)
+        got, _ = _assert_reduction_matches_reference(
+            monkeypatch, lambda seed=seed: _tangled_context(seed), params)
+        ctx = _tangled_context(seed)[0]
+        for axis, labels in (("object", ctx.objects), ("attribute", ctx.attributes)):
+            events = [ev for ev in got.trace if ev.axis == axis]
+            for iteration in sorted({ev.iteration for ev in events}):
+                before = {replay_label([ev for ev in events if ev.iteration < iteration],
+                                       axis, label) for label in labels}
+                targets = [ev.new_label for ev in events if ev.iteration == iteration]
+                shared_targets += len(targets) - len(set(targets))
+                holder_folds += sum(
+                    ev.new_label in before and ev.new_label not in (ev.label_a, ev.label_b)
+                    for ev in events if ev.iteration == iteration)
+    assert shared_targets > 0 and holder_folds > 0
 
 
 def test_reduce_merges_synonym_attributes(tax):
@@ -417,9 +492,7 @@ def test_reduce_without_relations_is_identity():
     ctx = _ctx([[1, 0], [0, 1]], ["o1", "o2"], ["p", "q"])
     reduced, trace, _, _ = reduce_context(ctx, Taxonomy(), ReduceParams())
     assert trace == []
-    assert reduced.objects == ctx.objects
-    assert reduced.attributes == ctx.attributes
-    assert np.array_equal(reduced.incidence, ctx.incidence)
+    assert reduced == ctx
 
 
 def test_reduce_respects_iteration_cap(tax):
@@ -456,8 +529,7 @@ def test_reduce_is_deterministic(tax):
     a = reduce_context(ctx, tax, ReduceParams(quality_floor=0.0))
     b = reduce_context(ctx, tax, ReduceParams(quality_floor=0.0))
     assert a[1] == b[1]
-    assert a[0].objects == b[0].objects
-    assert np.array_equal(a[0].incidence, b[0].incidence)
+    assert a[0] == b[0]
 
 
 def _same_lattice(a, b):
